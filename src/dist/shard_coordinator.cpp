@@ -119,16 +119,6 @@ DistRun infra_failure(std::string message) {
   return run;
 }
 
-void check(ScriptRun& run, Expectation expectation, bool satisfied, std::string detail) {
-  run.outcomes.push_back(ExpectationOutcome{expectation, satisfied, std::move(detail)});
-  run.all_satisfied = run.all_satisfied && satisfied;
-}
-
-bool wants(const ScenarioScript& script, Expectation expectation) {
-  return std::find(script.expectations.begin(), script.expectations.end(), expectation) !=
-         script.expectations.end();
-}
-
 }  // namespace
 
 DistRun run_dist(const DistConfig& config) {
@@ -145,7 +135,6 @@ DistRun run_dist(const DistConfig& config) {
       script.protocol != ScriptProtocol::kTotalOrder) {
     return infra_failure("distributed runner supports consensus and totalorder only");
   }
-  const bool consensus = script.protocol == ScriptProtocol::kConsensus;
   const Scenario scenario = make_scenario(script.config);
 
   // ---------------------------------------------------------- spawn fleet --
@@ -284,11 +273,11 @@ DistRun run_dist(const DistConfig& config) {
   }
 
   // ----------------------------------------------------------- round loop --
-  // The coordinator replays the harness runners' loop policy
-  // (harness/script.cpp run_chaos_consensus / run_chaos_totalorder) with
-  // worker statuses standing in for direct process inspection, and its own
-  // ChurnDriver tracking the expectation set. The discard-everything
-  // callbacks keep its id stream aligned with the workers'.
+  // The harness's round loop (harness/script.hpp, "Round-loop protocols")
+  // with worker statuses standing in for direct process inspection, and the
+  // coordinator's own ChurnDriver tracking the expectation set. The
+  // discard-everything callbacks keep its id stream aligned with the
+  // workers'.
   ChurnDriver churn(script, scenario);
   const ChurnDriver::JoinerFactory null_factory = [](NodeId, std::size_t) {
     return std::unique_ptr<Process>{};
@@ -297,14 +286,9 @@ DistRun run_dist(const DistConfig& config) {
   const ChurnDriver::RemoveFn null_remove = [](NodeId) {};
 
   std::map<NodeId, bool> done_status;
-  const auto tracked_done = [&] {
-    bool any = false;
-    for (NodeId id : churn.tracked()) {
-      const auto it = done_status.find(id);
-      if (it == done_status.end() || !it->second) return false;
-      any = true;
-    }
-    return any;
+  const auto done = [&](NodeId id) {
+    const auto it = done_status.find(id);
+    return it != done_status.end() && it->second;
   };
 
   Round round = 0;
@@ -436,15 +420,9 @@ DistRun run_dist(const DistConfig& config) {
   // staging was built for. Consensus keeps lookahead 1: its early exit
   // reads every round's statuses before deciding to step again. The relay
   // path is inherently alternating (the coordinator sits inside the round).
-  const Round lookahead = (mesh_on && !consensus) ? 2 : 1;
+  const Round lookahead = (mesh_on && !stops_early(script.protocol)) ? 2 : 1;
   Round stepped = 0;
-  bool all_decided = false;
-  for (;;) {
-    if (consensus && tracked_done()) {
-      all_decided = true;
-      break;
-    }
-    if (round >= script.max_rounds) break;
+  while (round < script.max_rounds && !loop_finished(script, churn.tracked(), done)) {
     while (stepped < std::min<Round>(round + lookahead, script.max_rounds)) {
       stepped += 1;
       if (!broadcast_step(stepped)) return *std::move(failed);
@@ -452,7 +430,6 @@ DistRun run_dist(const DistConfig& config) {
     }
     if (!harvest_statuses(round + 1)) return *std::move(failed);
   }
-  if (consensus && !all_decided) all_decided = tracked_done();
 
   // -------------------------------------------------------------- results --
   std::vector<ShardResult> results;
@@ -496,8 +473,7 @@ DistRun run_dist(const DistConfig& config) {
   ChaosCounters chaos;
   bool has_chaos = false;
   FaultCounters wire_faults;
-  std::map<NodeId, ShardResult::Decision> decisions;
-  std::map<NodeId, std::vector<ChainEntry>> chains;
+  std::map<NodeId, NodeOutcome> nodes;
   if (config.want_trace) run.trace = std::make_shared<ShardedTrace>(TraceEngine::kSync);
   for (ShardResult& result : results) {
     for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
@@ -524,8 +500,10 @@ DistRun run_dist(const DistConfig& config) {
       chaos.restarts += result.chaos.restarts;
     }
     wire_faults += result.wire_faults;
-    for (const ShardResult::Decision& d : result.decisions) decisions.emplace(d.id, d);
-    for (ShardResult::Chain& c : result.chains) chains.emplace(c.id, std::move(c.chain));
+    for (const ShardResult::Decision& d : result.decisions) {
+      nodes[d.id] = {d.done, d.has_output ? std::optional(d.output) : std::nullopt, {}};
+    }
+    for (ShardResult::Chain& c : result.chains) nodes[c.id].chain = std::move(c.chain);
     if (run.trace != nullptr) run.trace->absorb_shard(std::move(result.rings));
   }
   metrics.fanout.coordinator_relay_bytes += relay_bytes;
@@ -541,97 +519,26 @@ DistRun run_dist(const DistConfig& config) {
   }
   run.metrics = metrics;
 
-  if (consensus) {
-    // Replayed verdict logic from run_chaos_consensus, with the monitor fed
-    // from the merged decision set (decide rounds from the merged metrics)
-    // so the liveness probe's verdict — and its violation string — match.
-    std::vector<Value> correct_inputs;
-    for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
-      correct_inputs.push_back(Value::real(script.inputs[i % script.inputs.size()]));
-    }
-    InvariantMonitor monitor(wants(script, Expectation::kValidity) ? correct_inputs
-                                                                   : std::vector<Value>{});
-    if (script.liveness_budget > 0) monitor.set_termination_probe(script.liveness_budget);
-    for (const auto& [id, d] : decisions) {
-      if (!d.has_output) continue;
+  // The monitor watches the same initial correct nodes as run_script's, fed
+  // from their end states (leavers included) instead of online. Decisions
+  // are final, so the verdict matches; only the online-only "decided twice"
+  // check and the order in which violations are listed can differ.
+  const std::unique_ptr<InvariantMonitor> monitor = make_loop_monitor(script, scenario);
+  if (monitor != nullptr) {
+    for (NodeId id : scenario.correct_ids) {
+      const auto it = nodes.find(id);
+      if (it == nodes.end() || !it->second.output.has_value()) continue;
       ProtocolEvent event;
       event.type = ProtocolEvent::Type::kDecided;
       event.node = id;
-      const auto it = metrics.done_round.find(id);
-      event.round = it != metrics.done_round.end() ? it->second : round;
-      event.value = d.output;
-      monitor.on_event(event);
+      event.round = round;
+      event.value = *it->second.output;
+      monitor->on_event(event);
     }
-    monitor.finish(round);
-    script_run.violations = monitor.violations();
-
-    std::optional<Value> first;
-    bool agreement = true;
-    bool validity = false;
-    for (NodeId id : churn.tracked()) {
-      const auto it = decisions.find(id);
-      if (it == decisions.end() || !it->second.has_output) continue;
-      if (!first.has_value()) first = it->second.output;
-      agreement = agreement && it->second.output == *first;
-    }
-    if (first.has_value()) {
-      for (const Value& input : correct_inputs) validity = validity || input == *first;
-    }
-    if (wants(script, Expectation::kTermination)) {
-      check(script_run, Expectation::kTermination, all_decided, "all correct nodes decided");
-    }
-    if (wants(script, Expectation::kAgreement)) {
-      check(script_run, Expectation::kAgreement, agreement && all_decided,
-            "identical outputs");
-    }
-    if (wants(script, Expectation::kValidity)) {
-      check(script_run, Expectation::kValidity, validity, "output is a correct input");
-    }
-    if (wants(script, Expectation::kNoViolations)) {
-      check(script_run, Expectation::kNoViolations, monitor.ok() && agreement,
-            script_run.violations.empty() ? "invariant monitor clean"
-                                          : script_run.violations.front());
-    }
-  } else {
-    bool growth = !churn.tracked().empty();
-    bool prefix_ok = true;
-    const std::vector<ChainEntry>* longest = nullptr;
-    for (NodeId id : churn.tracked()) {
-      const auto it = chains.find(id);
-      if (it == chains.end()) continue;
-      growth = growth && !it->second.empty();
-      if (longest == nullptr || it->second.size() > longest->size()) longest = &it->second;
-    }
-    for (NodeId id : churn.tracked()) {
-      const auto it = chains.find(id);
-      if (it == chains.end() || longest == nullptr) continue;
-      const std::vector<ChainEntry>& chain = it->second;
-      const bool is_prefix = std::equal(chain.begin(), chain.end(), longest->begin());
-      if (!is_prefix) {
-        prefix_ok = false;
-        script_run.violations.push_back("node " + std::to_string(id) +
-                                        "'s chain is not a prefix of the longest chain");
-      }
-    }
-    if (wants(script, Expectation::kTermination)) {
-      check(script_run, Expectation::kTermination, growth, "every correct chain grew");
-    }
-    if (wants(script, Expectation::kAgreement)) {
-      check(script_run, Expectation::kAgreement, prefix_ok, "chains prefix-comparable");
-    }
-    if (wants(script, Expectation::kNoViolations)) {
-      check(script_run, Expectation::kNoViolations, prefix_ok,
-            script_run.violations.empty() ? "chain-prefix invariant clean"
-                                          : script_run.violations.front());
-    }
+    monitor->finish(round);
   }
-
-  std::ostringstream summary;
-  summary << to_string(script.protocol) << " n=" << script.config.n_correct << "+"
-          << script.config.n_byzantine << " seed=" << script.config.seed
-          << " rounds=" << script_run.rounds << " msgs=" << script_run.messages << " — "
-          << (script_run.all_satisfied ? "OK" : "EXPECTATION FAILED");
-  script_run.summary = summary.str();
+  judge_loop_run(script, scenario, churn.tracked(), nodes, monitor.get(), script_run);
+  script_run.summary = summary_line(script, script_run);
   return run;
 }
 

@@ -18,11 +18,15 @@
 //     coordinator re-sends each destination's slabs as ONE gathered
 //     kDeliver (no payload copy; Metrics::fanout counts the relayed bytes).
 //
-// Either way the coordinator owns the ROUND LOOP POLICY — replicated from
-// the harness chaos runners (harness/script.cpp), with the worker statuses
-// standing in for direct process inspection. Its own ChurnDriver instance
-// (engine-agnostic, same seed stream as the workers') tracks the evolving
-// set of nodes the expectations quantify over.
+// Either way the run itself is the harness's: harness/script.hpp defines
+// each round-loop protocol once ("Round-loop protocols") — the workers
+// build and prime their processes with its factories, and the coordinator
+// asks its stop rule (worker statuses standing in for the processes) and
+// hands the merged end states to its verdict and summary line. Only the
+// invariant monitor's feed differs: run_script's is online, run_dist's
+// replays the initial correct nodes' final decisions. The coordinator's own
+// ChurnDriver (engine-agnostic, same seed stream as the workers') tracks
+// the evolving set of nodes the expectations quantify over.
 //
 // Failure handling: a worker that closes its socket (crash) or stops
 // answering (wedge) fails the RUN, not the coordinator — every worker is
@@ -89,8 +93,8 @@ struct DistRun {
 };
 
 /// Execute the scripted run across `config.shards` forked worker processes.
-/// Supports the consensus and totalorder protocols (the chaos/churn loop
-/// harnesses). Never throws on worker failure — that is an infra_ok=false
+/// Supports the consensus and totalorder protocols, chaos and churn
+/// included. Never throws on worker failure — that is an infra_ok=false
 /// result; throws only on programmer error (e.g. empty script text).
 [[nodiscard]] DistRun run_dist(const DistConfig& config);
 

@@ -7,7 +7,6 @@
 #include <utility>
 #include <variant>
 
-#include "core/consensus.hpp"
 #include "dist/shard_mesh.hpp"
 #include "net/codec.hpp"
 
@@ -40,38 +39,21 @@ ShardWorker::ShardWorker(const ShardInit& init) : shard_(init.shard), shards_(in
     observer_ = std::make_unique<TraceObserver>(recorder_);
   }
 
-  const bool consensus = script_.protocol == ScriptProtocol::kConsensus;
-  auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
-    if (consensus) {
-      const double input = script_.inputs[index % script_.inputs.size()];
-      return std::make_unique<ConsensusProcess>(id, Value::real(input));
-    }
-    return std::make_unique<TotalOrderProcess>(id, /*founder=*/true);
-  };
   // Construct EVERY process (correct and adversary — the adversaries share
   // one seed-derived Rng stream, so skipping any would shift the rest) and
   // keep only this shard's slice.
-  build_processes(scenario_, factory, [&](std::unique_ptr<Process> process) {
-    if (plan_.owner(process->id()) == shard_) {
-      engine_.add_process(std::move(process));
-      initial_members_ += 1;
-    }
-  });
-
-  if (consensus && observer_ != nullptr) {
-    // Initial correct nodes report protocol events into the flight recorder;
-    // churn joiners stay unobserved — exactly the single-process wiring.
-    for (NodeId id : scenario_.correct_ids) {
-      if (auto* p = engine_.get<ConsensusProcess>(id)) p->set_observer(observer_.get());
-    }
-  }
-  if (!consensus) {
-    for (std::size_t i = 0; i < scenario_.correct_ids.size(); ++i) {
-      auto* p = engine_.get<TotalOrderProcess>(scenario_.correct_ids[i]);
-      if (p == nullptr) continue;
-      for (int k = 0; k < 4; ++k) p->submit_event(static_cast<double>(i * 10 + k));
-    }
-  }
+  build_processes(
+      scenario_,
+      [&](NodeId id, std::size_t index) { return make_loop_process(script_, id, index); },
+      [&](std::unique_ptr<Process> process) {
+        if (plan_.owner(process->id()) == shard_) {
+          engine_.add_process(std::move(process));
+          initial_members_ += 1;
+        }
+      });
+  // Initial correct nodes report protocol events into the flight recorder
+  // (the coordinator's monitor replays decisions from the results instead).
+  prime_loop_nodes(scenario_, [&](NodeId id) { return engine_.find(id); }, observer_.get());
 
   churn_ = std::make_unique<ChurnDriver>(script_, scenario_);
   writers_.resize(shards_);
@@ -79,23 +61,22 @@ ShardWorker::ShardWorker(const ShardInit& init) : shard_(init.shard), shards_(in
 
 std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
   const Round next = engine_.round() + 1;
-  const bool consensus = script_.protocol == ScriptProtocol::kConsensus;
-  auto make_joiner = [&](NodeId id, std::size_t joiner_index) -> std::unique_ptr<Process> {
-    if (consensus) {
-      const double input =
-          script_.inputs[(scenario_.correct_ids.size() + joiner_index) % script_.inputs.size()];
-      return std::make_unique<ConsensusProcess>(id, Value::real(input));
-    }
-    return std::make_unique<TotalOrderProcess>(id, /*founder=*/false);
-  };
   churn_->apply(
-      next, make_joiner,
+      next,
+      [&](NodeId id, std::size_t joiner_index) {
+        return make_loop_joiner(script_, scenario_, id, joiner_index);
+      },
       [&](std::unique_ptr<Process> process) {
         if (process != nullptr && plan_.owner(process->id()) == shard_) {
           engine_.add_process(std::move(process));
         }
       },
-      [&](NodeId id) { engine_.remove_process(id); });
+      [&](NodeId id) {
+        // A leaver's decision still counts for the invariant monitor, which
+        // watches every initial correct node.
+        if (const Process* p = engine_.find(id)) departed_.emplace_back(id, node_outcome(*p));
+        engine_.remove_process(id);
+      });
 
   engine_.begin_round();
 
@@ -185,23 +166,17 @@ ShardResult ShardWorker::finalize() {
     result.chaos = chaos_->counters();
   }
   result.wire_faults = wire_faults_;
-  const bool consensus = script_.protocol == ScriptProtocol::kConsensus;
+  std::vector<std::pair<NodeId, NodeOutcome>> outcomes = std::move(departed_);
   for (NodeId id : engine_.member_ids()) {
-    Process* p = engine_.find(id);
-    if (p == nullptr || p->byzantine()) continue;
-    if (consensus) {
-      auto* c = dynamic_cast<ConsensusProcess*>(p);
-      if (c == nullptr) continue;
-      ShardResult::Decision d;
-      d.id = id;
-      d.done = c->done();
-      d.has_output = c->output().has_value();
-      d.output = d.has_output ? *c->output() : Value::bot();
-      result.decisions.push_back(d);
+    const Process* p = engine_.find(id);
+    if (p != nullptr && !p->byzantine()) outcomes.emplace_back(id, node_outcome(*p));
+  }
+  for (auto& [id, node] : outcomes) {
+    if (script_.protocol == ScriptProtocol::kTotalOrder) {
+      result.chains.push_back({id, std::move(node.chain)});
     } else {
-      auto* t = dynamic_cast<TotalOrderProcess*>(p);
-      if (t == nullptr) continue;
-      result.chains.push_back({id, t->chain()});
+      result.decisions.push_back(
+          {id, node.done, node.output.has_value(), node.output.value_or(Value::bot())});
     }
   }
   if (recorder_ != nullptr) {

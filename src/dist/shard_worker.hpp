@@ -8,7 +8,8 @@
 // plans from identical inputs:
 //
 //   * build_processes() constructs EVERY process (all adversaries draw from
-//     one shared seed stream) and the worker keeps only its own slice;
+//     one shared seed stream) with the harness's make_loop_process, and the
+//     worker keeps only its own slice, primed by prime_loop_nodes;
 //   * the ChurnDriver runs in every worker, so joiner ids and tracked sets
 //     agree everywhere; a joiner is kept only when the plan assigns it here;
 //   * the chaos schedule is pure in (seed, link event), so each worker
@@ -40,8 +41,7 @@ class ShardWorker {
  public:
   /// Builds the worker's slice of the run described by `init`. Throws
   /// std::invalid_argument on a script parse failure or an unsupported
-  /// protocol (the distributed runner covers consensus and totalorder — the
-  /// protocols with chaos/churn loop harnesses).
+  /// protocol (the distributed runner covers consensus and totalorder).
   explicit ShardWorker(const ShardInit& init);
 
   [[nodiscard]] std::uint32_t shard() const noexcept { return shard_; }
@@ -89,7 +89,8 @@ class ShardWorker {
   /// and liveness inputs).
   [[nodiscard]] ShardStatus status();
 
-  /// Final outputs/chains, metrics, chaos counters, and trace rings.
+  /// Final outputs/chains (a leaver's as of its departure), metrics, chaos
+  /// counters, and trace rings.
   [[nodiscard]] ShardResult finalize();
 
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
@@ -107,6 +108,7 @@ class ShardWorker {
   std::unique_ptr<TraceObserver> observer_;
   std::unique_ptr<ChurnDriver> churn_;
   std::vector<ShardSlabWriter> writers_;  // indexed by destination shard
+  std::vector<std::pair<NodeId, NodeOutcome>> departed_;  // end states of leavers
   FaultCounters wire_faults_;
   OverlapCounters overlap_;
   std::size_t initial_members_ = 0;

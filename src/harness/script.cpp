@@ -405,74 +405,22 @@ void check(ScriptRun& run, Expectation expectation, bool satisfied, std::string 
 }
 
 bool wants(const ScenarioScript& script, Expectation expectation) {
-  for (Expectation e : script.expectations) {
-    if (e == expectation) return true;
-  }
-  return false;
+  return std::find(script.expectations.begin(), script.expectations.end(), expectation) !=
+         script.expectations.end();
 }
 
-ScriptRun run_consensus_like(const ScenarioScript& script, const ScriptOptions& options) {
-  ScriptRun result;
-  // The king variant shares the harness shape; run it through a local
-  // simulator, the early-terminating one through the standard runner.
-  bool all_decided = false;
-  bool agreement = false;
-  bool validity = false;
-  if (script.protocol == ScriptProtocol::kConsensus) {
-    const auto run = run_consensus(script.config, script.inputs, script.max_rounds);
-    all_decided = run.all_decided;
-    agreement = run.agreement;
-    validity = run.validity;
-    result.rounds = run.rounds;
-    result.messages = run.messages;
-  } else {
-    const Scenario scenario = make_scenario(script.config);
-    SyncSimulator sim;
-    sim.set_trace_recorder(options.recorder);
-    sim.set_threads(options.threads);
-    auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
-      const double input = script.inputs[index % script.inputs.size()];
-      return std::make_unique<KingConsensusProcess>(id, Value::real(input));
-    };
-    populate(sim, scenario, factory);
-    all_decided = sim.run_until_all_correct_done(script.max_rounds);
-    result.rounds = sim.round();
-    result.messages = sim.metrics().messages.total_delivered();
-    result.metrics_exposition = prometheus_exposition(sim.metrics());
-    std::optional<Value> first;
-    agreement = true;
-    for (NodeId id : scenario.correct_ids) {
-      auto* p = sim.get<KingConsensusProcess>(id);
-      if (p == nullptr || !p->output().has_value()) continue;
-      if (!first.has_value()) first = *p->output();
-      agreement = agreement && *p->output() == *first;
-    }
-    if (first.has_value()) {
-      for (double input : script.inputs) {
-        validity = validity || Value::real(input) == *first;
-      }
-    }
-    agreement = agreement && all_decided;
+/// The initial correct nodes' inputs, in correct-id order.
+std::vector<Value> correct_inputs(const ScenarioScript& script, const Scenario& scenario) {
+  std::vector<Value> inputs;
+  for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
+    inputs.push_back(Value::real(script.inputs[i % script.inputs.size()]));
   }
-  if (wants(script, Expectation::kTermination)) {
-    check(result, Expectation::kTermination, all_decided, "all correct nodes decided");
-  }
-  if (wants(script, Expectation::kAgreement)) {
-    check(result, Expectation::kAgreement, agreement, "identical outputs");
-  }
-  if (wants(script, Expectation::kValidity)) {
-    check(result, Expectation::kValidity, validity, "output is a correct input");
-  }
-  return result;
+  return inputs;
 }
 
-/// Consensus (A3) under a chaos schedule and/or churn stream, with the
-/// invariant monitor wired through: every initial correct process reports
-/// its decisions into one InvariantMonitor, and the run's verdicts come
-/// from BOTH the output inspection (as in the clean path) and the monitor's
-/// online probes — including the bounded-termination probe when the script
-/// arms it with `liveness`.
-ScriptRun run_chaos_consensus(const ScenarioScript& script, const ScriptOptions& options) {
+/// A round-loop protocol on one SyncSimulator. The monitor is fed online by
+/// the initial correct nodes (so it also catches a node deciding twice).
+ScriptRun run_loop_script(const ScenarioScript& script, const ScriptOptions& options) {
   ScriptRun result;
   const Scenario scenario = make_scenario(script.config);
   SyncSimulator sim;
@@ -485,188 +433,204 @@ ScriptRun run_chaos_consensus(const ScenarioScript& script, const ScriptOptions&
     sim.set_chaos(chaos);
   }
 
-  std::vector<Value> correct_inputs;
-  for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
-    correct_inputs.push_back(Value::real(script.inputs[i % script.inputs.size()]));
+  const std::unique_ptr<InvariantMonitor> monitor = make_loop_monitor(script, scenario);
+  // With a recorder, protocol events flow into the flight recording AND on
+  // to the invariant monitor (TraceObserver chains).
+  TraceObserver trace_observer(options.recorder, monitor.get());
+  ProtocolObserver* observer =
+      options.recorder != nullptr ? &trace_observer : static_cast<ProtocolObserver*>(monitor.get());
+  populate(sim, scenario,
+           [&](NodeId id, std::size_t index) { return make_loop_process(script, id, index); });
+  prime_loop_nodes(scenario, [&](NodeId id) { return sim.find(id); }, observer);
+
+  ChurnDriver churn(script, scenario);
+  const auto make_joiner = [&](NodeId id, std::size_t joiner_index) {
+    return make_loop_joiner(script, scenario, id, joiner_index);
+  };
+  const auto done = [&](NodeId id) {
+    const Process* p = sim.find(id);
+    return p != nullptr && p->done();
+  };
+  for (Round i = 0; i < script.max_rounds && !loop_finished(script, churn.tracked(), done); ++i) {
+    churn.apply(sim, sim.round() + 1, make_joiner);
+    sim.step();
   }
+  if (monitor != nullptr) monitor->finish(sim.round());
+
+  result.rounds = sim.round();
+  result.messages = sim.metrics().messages.total_delivered();
+  std::optional<ChaosCounters> chaos_counters;
+  if (chaos != nullptr) {
+    chaos_counters = chaos->counters();
+    result.chaos_summary = chaos_counters->summary();
+  }
+  result.metrics_exposition =
+      prometheus_exposition(sim.metrics(), chaos_counters ? &*chaos_counters : nullptr);
+
+  std::map<NodeId, NodeOutcome> nodes;
+  for (NodeId id : churn.tracked()) {
+    if (const Process* p = sim.find(id)) nodes.emplace(id, node_outcome(*p));
+  }
+  judge_loop_run(script, scenario, churn.tracked(), nodes, monitor.get(), result);
+  return result;
+}
+
+}  // namespace
+
+std::unique_ptr<Process> make_loop_process(const ScenarioScript& script, NodeId id,
+                                           std::size_t index) {
+  const Value input = Value::real(script.inputs[index % script.inputs.size()]);
+  switch (script.protocol) {
+    case ScriptProtocol::kKing: return std::make_unique<KingConsensusProcess>(id, input);
+    case ScriptProtocol::kTotalOrder:
+      return std::make_unique<TotalOrderProcess>(id, /*founder=*/true);
+    default: return std::make_unique<ConsensusProcess>(id, input);
+  }
+}
+
+std::unique_ptr<Process> make_loop_joiner(const ScenarioScript& script, const Scenario& scenario,
+                                          NodeId id, std::size_t joiner_index) {
+  if (script.protocol == ScriptProtocol::kTotalOrder) {
+    return std::make_unique<TotalOrderProcess>(id, /*founder=*/false);
+  }
+  return make_loop_process(script, id, scenario.correct_ids.size() + joiner_index);
+}
+
+void prime_loop_nodes(const Scenario& scenario, const std::function<Process*(NodeId)>& find,
+                      ProtocolObserver* observer) {
+  for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
+    Process* p = find(scenario.correct_ids[i]);
+    if (auto* c = dynamic_cast<ConsensusProcess*>(p); c != nullptr && observer != nullptr) {
+      c->set_observer(observer);
+    } else if (auto* t = dynamic_cast<TotalOrderProcess*>(p)) {
+      for (int k = 0; k < 4; ++k) t->submit_event(static_cast<double>(i * 10 + k));
+    }
+  }
+}
+
+std::unique_ptr<InvariantMonitor> make_loop_monitor(const ScenarioScript& script,
+                                                    const Scenario& scenario) {
+  if (script.protocol != ScriptProtocol::kConsensus) return nullptr;
   // The validity probe (decided value ∈ correct inputs — STRONG validity)
   // arms only when the script expects validity: with split real-valued
   // inputs and f at the tolerance ceiling, A3's coordinator-adoption step
   // can legitimately land on an adversary value (EXPERIMENTS.md E11), so
   // scripts probing that regime must be able to watch agreement/liveness
   // without the strong-validity probe tripping no-violations.
-  InvariantMonitor monitor(wants(script, Expectation::kValidity) ? correct_inputs
-                                                                 : std::vector<Value>{});
-  if (script.liveness_budget > 0) monitor.set_termination_probe(script.liveness_budget);
-  // With a recorder, protocol events flow into the flight recording AND on
-  // to the invariant monitor (TraceObserver chains).
-  TraceObserver trace_observer(options.recorder, &monitor);
-  ProtocolObserver* observer =
-      options.recorder != nullptr ? static_cast<ProtocolObserver*>(&trace_observer)
-                                  : static_cast<ProtocolObserver*>(&monitor);
+  auto monitor = std::make_unique<InvariantMonitor>(
+      wants(script, Expectation::kValidity) ? correct_inputs(script, scenario)
+                                            : std::vector<Value>{});
+  if (script.liveness_budget > 0) monitor->set_termination_probe(script.liveness_budget);
+  return monitor;
+}
 
-  auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
-    const double input = script.inputs[index % script.inputs.size()];
-    return std::make_unique<ConsensusProcess>(id, Value::real(input));
-  };
-  populate(sim, scenario, factory);
-  for (NodeId id : scenario.correct_ids) {
-    if (auto* p = sim.get<ConsensusProcess>(id)) p->set_observer(observer);
+bool stops_early(ScriptProtocol protocol) { return protocol != ScriptProtocol::kTotalOrder; }
+
+bool loop_finished(const ScenarioScript& script, const std::vector<NodeId>& tracked,
+                   const std::function<bool(NodeId)>& done) {
+  return stops_early(script.protocol) && !tracked.empty() &&
+         std::all_of(tracked.begin(), tracked.end(), done);
+}
+
+NodeOutcome node_outcome(const Process& process) {
+  NodeOutcome out;
+  out.done = process.done();
+  if (const auto* c = dynamic_cast<const ConsensusProcess*>(&process)) {
+    out.output = c->output();
+  } else if (const auto* k = dynamic_cast<const KingConsensusProcess*>(&process)) {
+    out.output = k->output();
+  } else if (const auto* t = dynamic_cast<const TotalOrderProcess*>(&process)) {
+    out.chain = t->chain();
   }
+  return out;
+}
 
-  ChurnDriver churn(script, scenario);
-  auto make_joiner = [&](NodeId id, std::size_t joiner_index) -> std::unique_ptr<Process> {
-    const double input =
-        script.inputs[(scenario.correct_ids.size() + joiner_index) % script.inputs.size()];
-    return std::make_unique<ConsensusProcess>(id, Value::real(input));
+void judge_loop_run(const ScenarioScript& script, const Scenario& scenario,
+                    const std::vector<NodeId>& tracked, const std::map<NodeId, NodeOutcome>& nodes,
+                    const InvariantMonitor* monitor, ScriptRun& run) {
+  const auto find = [&](NodeId id) -> const NodeOutcome* {
+    const auto it = nodes.find(id);
+    return it != nodes.end() ? &it->second : nullptr;
   };
-  auto tracked_done = [&] {
-    bool any = false;
-    for (NodeId id : churn.tracked()) {
-      const Process* p = sim.find(id);
-      if (p == nullptr || !p->done()) return false;
-      any = true;
+
+  if (script.protocol == ScriptProtocol::kTotalOrder) {
+    // Chain-prefix: any two tracked correct chains must be prefix-comparable
+    // (the shorter one is a literal prefix of the longer). Chain-growth:
+    // every tracked correct node finalized something by the end of the run.
+    // Late joiners' chains start at their join round, so they are exempt
+    // (the dynamic_ledger example shows how to align them by instance).
+    bool growth = !tracked.empty();
+    bool prefix_ok = true;
+    const std::vector<ChainEntry>* longest = nullptr;
+    for (NodeId id : tracked) {
+      const NodeOutcome* node = find(id);
+      if (node == nullptr) continue;
+      growth = growth && !node->chain.empty();
+      if (longest == nullptr || node->chain.size() > longest->size()) longest = &node->chain;
     }
-    return any;
-  };
-  bool all_decided = false;
-  for (Round i = 0; i < script.max_rounds; ++i) {
-    if (tracked_done()) {
-      all_decided = true;
-      break;
+    for (NodeId id : tracked) {
+      const NodeOutcome* node = find(id);
+      if (node == nullptr) continue;
+      if (!std::equal(node->chain.begin(), node->chain.end(), longest->begin())) {
+        prefix_ok = false;
+        run.violations.push_back("node " + std::to_string(id) +
+                                 "'s chain is not a prefix of the longest chain");
+      }
     }
-    churn.apply(sim, sim.round() + 1, make_joiner);
-    sim.step();
+    if (wants(script, Expectation::kTermination)) {
+      check(run, Expectation::kTermination, growth, "every correct chain grew");
+    }
+    if (wants(script, Expectation::kAgreement)) {
+      check(run, Expectation::kAgreement, prefix_ok, "chains prefix-comparable");
+    }
+    if (wants(script, Expectation::kNoViolations)) {
+      check(run, Expectation::kNoViolations, prefix_ok,
+            run.violations.empty() ? "chain-prefix invariant clean" : run.violations.front());
+    }
+    return;
   }
-  if (!all_decided) all_decided = tracked_done();
-  monitor.finish(sim.round());
-  result.rounds = sim.round();
-  result.messages = sim.metrics().messages.total_delivered();
-  if (chaos != nullptr) {
-    const ChaosCounters chaos_counters = chaos->counters();
-    result.chaos_summary = chaos_counters.summary();
-    result.metrics_exposition = prometheus_exposition(sim.metrics(), &chaos_counters);
-  } else {
-    result.metrics_exposition = prometheus_exposition(sim.metrics());
-  }
-  result.violations = monitor.violations();
 
+  // Termination is the stop rule, read at the end of the run.
+  const bool all_decided = loop_finished(script, tracked, [&](NodeId id) {
+    const NodeOutcome* node = find(id);
+    return node != nullptr && node->done;
+  });
   std::optional<Value> first;
   bool agreement = true;
-  bool validity = false;
-  for (NodeId id : churn.tracked()) {
-    auto* p = sim.get<ConsensusProcess>(id);
-    if (p == nullptr || !p->output().has_value()) continue;
-    if (!first.has_value()) first = *p->output();
-    agreement = agreement && *p->output() == *first;
+  for (NodeId id : tracked) {
+    const NodeOutcome* node = find(id);
+    if (node == nullptr || !node->output.has_value()) continue;
+    if (!first.has_value()) first = node->output;
+    agreement = agreement && *node->output == *first;
   }
-  if (first.has_value()) {
-    for (const Value& input : correct_inputs) validity = validity || input == *first;
-  }
+  const std::vector<Value> inputs = correct_inputs(script, scenario);
+  const bool validity =
+      first.has_value() && std::find(inputs.begin(), inputs.end(), *first) != inputs.end();
+  if (monitor != nullptr) run.violations = monitor->violations();
 
   if (wants(script, Expectation::kTermination)) {
-    check(result, Expectation::kTermination, all_decided, "all correct nodes decided");
+    check(run, Expectation::kTermination, all_decided, "all correct nodes decided");
   }
   if (wants(script, Expectation::kAgreement)) {
-    check(result, Expectation::kAgreement, agreement && all_decided, "identical outputs");
+    check(run, Expectation::kAgreement, agreement && all_decided, "identical outputs");
   }
   if (wants(script, Expectation::kValidity)) {
-    check(result, Expectation::kValidity, validity, "output is a correct input");
+    check(run, Expectation::kValidity, validity, "output is a correct input");
   }
   if (wants(script, Expectation::kNoViolations)) {
-    check(result, Expectation::kNoViolations, monitor.ok() && agreement,
-          result.violations.empty() ? "invariant monitor clean"
-                                    : result.violations.front());
+    check(run, Expectation::kNoViolations, (monitor == nullptr || monitor->ok()) && agreement,
+          run.violations.empty() ? "invariant monitor clean" : run.violations.front());
   }
-  return result;
 }
 
-/// Total ordering (A6) — with or without chaos. Every correct node submits a
-/// small batch of events; the run checks the paper's chain-prefix and
-/// chain-growth properties over the finalized chains.
-ScriptRun run_chaos_totalorder(const ScenarioScript& script, const ScriptOptions& options) {
-  ScriptRun result;
-  const Scenario scenario = make_scenario(script.config);
-  SyncSimulator sim;
-  sim.set_trace_recorder(options.recorder);
-  sim.set_threads(options.threads);
-  std::shared_ptr<ChaosSchedule> chaos;
-  if (!script.chaos_phases.empty()) {
-    chaos = std::make_shared<ChaosSchedule>(
-        materialize_chaos_plan(script.chaos_phases, scenario.all_ids()), script.config.seed);
-    sim.set_chaos(chaos);
-  }
-
-  auto factory = [](NodeId id, std::size_t) -> std::unique_ptr<Process> {
-    return std::make_unique<TotalOrderProcess>(id, /*founder=*/true);
-  };
-  populate(sim, scenario, factory);
-  for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
-    auto* p = sim.get<TotalOrderProcess>(scenario.correct_ids[i]);
-    if (p == nullptr) continue;
-    for (int k = 0; k < 4; ++k) p->submit_event(static_cast<double>(i * 10 + k));
-  }
-
-  ChurnDriver churn(script, scenario);
-  auto make_joiner = [](NodeId id, std::size_t) -> std::unique_ptr<Process> {
-    return std::make_unique<TotalOrderProcess>(id, /*founder=*/false);
-  };
-  for (Round i = 0; i < script.max_rounds; ++i) {
-    churn.apply(sim, sim.round() + 1, make_joiner);
-    sim.step();
-  }
-  result.rounds = sim.round();
-  result.messages = sim.metrics().messages.total_delivered();
-  if (chaos != nullptr) {
-    const ChaosCounters chaos_counters = chaos->counters();
-    result.chaos_summary = chaos_counters.summary();
-    result.metrics_exposition = prometheus_exposition(sim.metrics(), &chaos_counters);
-  } else {
-    result.metrics_exposition = prometheus_exposition(sim.metrics());
-  }
-
-  // Chain-prefix: any two tracked correct chains must be prefix-comparable
-  // (the shorter one is a literal prefix of the longer). Chain-growth: every
-  // tracked correct node finalized something by the end of the run. Late
-  // joiners' chains start at their join round, so they are exempt (the
-  // dynamic_ledger example shows how to align them by instance number).
-  bool growth = !churn.tracked().empty();
-  bool prefix_ok = true;
-  const std::vector<ChainEntry>* longest = nullptr;
-  for (NodeId id : churn.tracked()) {
-    auto* p = sim.get<TotalOrderProcess>(id);
-    if (p == nullptr) continue;
-    const auto& chain = p->chain();
-    growth = growth && !chain.empty();
-    if (longest == nullptr || chain.size() > longest->size()) longest = &chain;
-  }
-  for (NodeId id : churn.tracked()) {
-    auto* p = sim.get<TotalOrderProcess>(id);
-    if (p == nullptr || longest == nullptr) continue;
-    const auto& chain = p->chain();
-    const bool is_prefix = std::equal(chain.begin(), chain.end(), longest->begin());
-    if (!is_prefix) {
-      prefix_ok = false;
-      result.violations.push_back("node " + std::to_string(id) +
-                                  "'s chain is not a prefix of the longest chain");
-    }
-  }
-
-  if (wants(script, Expectation::kTermination)) {
-    check(result, Expectation::kTermination, growth, "every correct chain grew");
-  }
-  if (wants(script, Expectation::kAgreement)) {
-    check(result, Expectation::kAgreement, prefix_ok, "chains prefix-comparable");
-  }
-  if (wants(script, Expectation::kNoViolations)) {
-    check(result, Expectation::kNoViolations, prefix_ok,
-          result.violations.empty() ? "chain-prefix invariant clean"
-                                    : result.violations.front());
-  }
-  return result;
+std::string summary_line(const ScenarioScript& script, const ScriptRun& run) {
+  std::ostringstream summary;
+  summary << to_string(script.protocol) << " n=" << script.config.n_correct << "+"
+          << script.config.n_byzantine << " seed=" << script.config.seed
+          << " rounds=" << run.rounds << " msgs=" << run.messages << " — "
+          << (run.all_satisfied ? "OK" : "EXPECTATION FAILED");
+  return summary.str();
 }
-
-}  // namespace
 
 ScriptRun run_script(const ScenarioScript& script) { return run_script(script, ScriptOptions{}); }
 
@@ -674,18 +638,9 @@ ScriptRun run_script(const ScenarioScript& script, const ScriptOptions& options)
   ScriptRun result;
   switch (script.protocol) {
     case ScriptProtocol::kConsensus:
-      // Chaos, churn, and the liveness probe all need the instrumented
-      // simulator loop; plain scripts keep the one-call harness path.
-      result = script.chaos_phases.empty() && script.churn_events.empty() &&
-                       script.liveness_budget <= 0
-                   ? run_consensus_like(script, options)
-                   : run_chaos_consensus(script, options);
-      break;
     case ScriptProtocol::kKing:
-      result = run_consensus_like(script, options);
-      break;
     case ScriptProtocol::kTotalOrder:
-      result = run_chaos_totalorder(script, options);
+      result = run_loop_script(script, options);
       break;
     case ScriptProtocol::kRb: {
       const auto run = run_reliable_broadcast(script.config, script.inputs.front(),
@@ -762,12 +717,7 @@ ScriptRun run_script(const ScenarioScript& script, const ScriptOptions& options)
     }
   }
 
-  std::ostringstream summary;
-  summary << to_string(script.protocol) << " n=" << script.config.n_correct << "+"
-          << script.config.n_byzantine << " seed=" << script.config.seed
-          << " rounds=" << result.rounds << " msgs=" << result.messages << " — "
-          << (result.all_satisfied ? "OK" : "EXPECTATION FAILED");
-  result.summary = summary.str();
+  result.summary = summary_line(script, result);
   return result;
 }
 

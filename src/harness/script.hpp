@@ -23,7 +23,7 @@
 //   rb        alg1 | imbs                                  (rb: backend; default alg1)
 //   chaos     <first>-<last> <fault>=<spec> ...            (one phase per line)
 //   churn     <round> join=<count> | leave=<index>         (one event per line)
-//   liveness  <round budget>  (bounded-termination probe, chaos consensus)
+//   liveness  <round budget>  (bounded-termination probe, consensus)
 //   expect    termination | agreement | validity | acceptance | good-round |
 //             within-range | contraction | no-violations
 //
@@ -52,14 +52,17 @@
 // lines are accepted for the consensus and totalorder protocols.
 //
 // `liveness <budget>` arms the InvariantMonitor's bounded-termination probe
-// (chaos/churn consensus runs): if no tracked correct node decides within
-// `budget` rounds the run records a liveness violation — fuzz campaigns
-// catch wedges, not just safety breaks.
+// (consensus runs): if no initial correct node decides within `budget`
+// rounds the run records a liveness violation — fuzz campaigns catch
+// wedges, not just safety breaks.
 //
 // parse() reports errors with line numbers; run() executes and evaluates
-// every expectation.
+// every expectation. consensus, king and totalorder run their own round
+// loop, defined once below ("Round-loop protocols") for both engines.
 #pragma once
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,8 +71,10 @@
 #include <vector>
 
 #include "common/chaos.hpp"
+#include "common/invariants.hpp"
 #include "common/trace.hpp"
 #include "core/rb_backend.hpp"
+#include "core/total_order.hpp"
 #include "harness/scenario.hpp"
 
 namespace idonly {
@@ -212,8 +217,8 @@ struct ScriptRun {
   std::string chaos_summary;
   std::vector<std::string> violations;
   /// Prometheus-style snapshot of the run's metrics counters. Filled by the
-  /// runs that own their simulator (consensus/king/totalorder, chaos or
-  /// not); empty for the protocols routed through the one-call harness.
+  /// round-loop protocols (consensus, king, totalorder — plain, chaos or
+  /// churn); empty for the protocols routed through the one-call harness.
   std::string metrics_exposition;
 };
 
@@ -221,17 +226,84 @@ struct ScriptRun {
 struct ScriptOptions {
   /// Flight recorder (common/trace.hpp) wired through the run's engine:
   /// sends, deliveries, link verdicts (chaos runs), and protocol events are
-  /// captured for the runs that own their simulator — the same set that
-  /// fills ScriptRun::metrics_exposition.
+  /// captured for the round-loop protocols — the same set that fills
+  /// ScriptRun::metrics_exposition.
   std::shared_ptr<TraceRecorder> recorder;
   /// Worker threads for the round engine (net/parallel_exec.hpp). Applies
-  /// to the runs that own their simulator; results — including the trace —
-  /// are bit-identical for every value, so this is purely a speed knob.
+  /// to the round-loop protocols; results — including the trace — are
+  /// bit-identical for every value, so this is purely a speed knob.
   unsigned threads = 1;
 };
 
 /// Execute a parsed script and evaluate its expectations.
 [[nodiscard]] ScriptRun run_script(const ScenarioScript& script);
 [[nodiscard]] ScriptRun run_script(const ScenarioScript& script, const ScriptOptions& options);
+
+/// "<protocol> n=<correct>+<byzantine> seed=<s> rounds=<r> msgs=<m> — OK"
+/// (or "EXPECTATION FAILED"): ScriptRun::summary, for every engine.
+[[nodiscard]] std::string summary_line(const ScenarioScript& script, const ScriptRun& run);
+
+// --------------------------------------------------- round-loop protocols --
+// consensus, king and totalorder run their own round loop: the run is
+// defined once by the functions below, and both engines use them —
+// run_script's SyncSimulator loop and run_dist's forked ShardWorker fleet
+// (dist/shard_coordinator.hpp). Each is a pure function of the script, the
+// scenario and the nodes' states, so the engines agree byte for byte.
+//
+// The loop itself, in either engine: build every process with
+// make_loop_process, prime the initial correct nodes, then per round —
+// unless loop_finished — apply the round's churn (joiners from
+// make_loop_joiner) and step. The verdict reads the tracked nodes' end
+// states and the monitor that watched the initial correct nodes.
+
+/// Correct process for correct-node index `index`. Adversary faces (crash
+/// and two-faced inner protocols) get indices past the correct range, so
+/// they draw inputs[index % inputs.size()] like everyone else.
+[[nodiscard]] std::unique_ptr<Process> make_loop_process(const ScenarioScript& script, NodeId id,
+                                                         std::size_t index);
+/// Process for churn joiner number `joiner_index` (inputs continue the
+/// correct nodes' cycle; totalorder joiners are non-founders).
+[[nodiscard]] std::unique_ptr<Process> make_loop_joiner(const ScenarioScript& script,
+                                                        const Scenario& scenario, NodeId id,
+                                                        std::size_t joiner_index);
+
+/// Pre-run wiring of the initial correct nodes `find` resolves (a shard
+/// worker resolves only its own slice): consensus nodes report protocol
+/// events to `observer` (may be null); totalorder nodes each submit four
+/// events. Churn joiners are never primed.
+void prime_loop_nodes(const Scenario& scenario, const std::function<Process*(NodeId)>& find,
+                      ProtocolObserver* observer);
+
+/// The invariant monitor over the initial correct nodes' decisions —
+/// including nodes that later leave, never joiners. Consensus only (null
+/// otherwise): the strong-validity probe arms when the script expects
+/// validity, the liveness probe with `liveness`.
+[[nodiscard]] std::unique_ptr<InvariantMonitor> make_loop_monitor(const ScenarioScript& script,
+                                                                  const Scenario& scenario);
+
+/// Stop rule. Consensus and king stop once every tracked node is done;
+/// totalorder never stops early — it runs max_rounds.
+[[nodiscard]] bool stops_early(ScriptProtocol protocol);
+/// Asked before each round: `done(id)` is false for a node the engine
+/// does not have.
+[[nodiscard]] bool loop_finished(const ScenarioScript& script, const std::vector<NodeId>& tracked,
+                                 const std::function<bool(NodeId)>& done);
+
+/// One correct node's end state, as the verdict reads it.
+struct NodeOutcome {
+  bool done = false;
+  std::optional<Value> output;    ///< consensus, king
+  std::vector<ChainEntry> chain;  ///< totalorder
+};
+[[nodiscard]] NodeOutcome node_outcome(const Process& process);
+
+/// The verdict: appends `run`'s outcomes (termination, agreement,
+/// validity, no-violations — those the script expects, in that order) and
+/// violations from the tracked nodes' end states (`nodes` may hold more;
+/// a tracked node missing from it is skipped) and, for consensus, the
+/// finished monitor.
+void judge_loop_run(const ScenarioScript& script, const Scenario& scenario,
+                    const std::vector<NodeId>& tracked, const std::map<NodeId, NodeOutcome>& nodes,
+                    const InvariantMonitor* monitor, ScriptRun& run);
 
 }  // namespace idonly

@@ -44,6 +44,20 @@ const char* const kConsensusScript =
     "expect validity\n"
     "expect no-violations\n";
 
+// Plain consensus — no chaos, churn or liveness line. Its canonical trace is
+// empty (no link verdicts), which is why the parity test also compares the
+// raw export.
+const char* const kPlainConsensusScript =
+    "protocol consensus\n"
+    "nodes 10\n"
+    "inputs 0,1,1,0\n"
+    "byzantine 3 twofaced\n"
+    "seed 2020\n"
+    "max-rounds 300\n"
+    "expect termination\n"
+    "expect agreement\n"
+    "expect validity\n";
+
 const char* const kTotalOrderScript =
     "protocol totalorder\n"
     "nodes 7\n"
@@ -66,11 +80,11 @@ struct SingleRun {
   std::shared_ptr<TraceRecorder> recorder;
 };
 
-SingleRun run_single_process(const std::string& text) {
+SingleRun run_single_process(const std::string& text, unsigned threads = 1) {
   SingleRun out;
   const ScenarioScript script = parse_or_die(text);
   ScriptOptions options;
-  options.threads = 1;
+  options.threads = threads;
   options.recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
   out.recorder = options.recorder;
   out.run = run_script(script, options);
@@ -302,8 +316,8 @@ struct InProcessFleet {
   }
 };
 
-/// Replays run_chaos_consensus's loop policy over an in-process fleet and
-/// returns the spliced canonical trace.
+/// Runs the harness's round loop (shared stop rule) over an in-process
+/// fleet and returns the spliced canonical trace.
 std::string run_fleet_canonical(const std::string& text, std::uint32_t shards,
                                 Round* rounds_out = nullptr) {
   const ScenarioScript script = parse_or_die(text);
@@ -311,19 +325,12 @@ std::string run_fleet_canonical(const std::string& text, std::uint32_t shards,
   ChurnDriver churn(script, scenario);
   InProcessFleet fleet(text, shards, /*want_trace=*/true);
 
-  const auto tracked_done = [&](const std::map<NodeId, bool>& statuses) {
-    bool any = false;
-    for (NodeId id : churn.tracked()) {
-      const auto it = statuses.find(id);
-      if (it == statuses.end() || !it->second) return false;
-      any = true;
-    }
-    return any;
-  };
-  const bool consensus = script.protocol == ScriptProtocol::kConsensus;
   std::map<NodeId, bool> statuses;
-  for (Round i = 0; i < script.max_rounds; ++i) {
-    if (consensus && tracked_done(statuses)) break;
+  const auto done = [&](NodeId id) {
+    const auto it = statuses.find(id);
+    return it != statuses.end() && it->second;
+  };
+  for (Round i = 0; i < script.max_rounds && !loop_finished(script, churn.tracked(), done); ++i) {
     churn.apply(
         fleet.round + 1, [](NodeId, std::size_t) { return std::unique_ptr<Process>{}; },
         [](std::unique_ptr<Process>) {}, [](NodeId) {});
@@ -402,42 +409,62 @@ TEST(ShardedTraceParity, DuplicateNodeAcrossShardsThrows) {
 
 // ------------------------------------------------- forked end-to-end runs --
 
+/// The merged verdict must be run_script's, outcome by outcome.
+void expect_same_verdict(const ScriptRun& dist, const ScriptRun& single, const std::string& tag) {
+  EXPECT_EQ(dist.summary, single.summary) << tag;
+  EXPECT_EQ(dist.all_satisfied, single.all_satisfied) << tag;
+  EXPECT_EQ(dist.rounds, single.rounds) << tag;
+  EXPECT_EQ(dist.messages, single.messages) << tag;
+  EXPECT_EQ(dist.chaos_summary, single.chaos_summary) << tag;
+  EXPECT_EQ(dist.violations, single.violations) << tag;
+  ASSERT_EQ(dist.outcomes.size(), single.outcomes.size()) << tag;
+  for (std::size_t i = 0; i < single.outcomes.size(); ++i) {
+    const std::string what = tag + " " + to_string(single.outcomes[i].expectation);
+    EXPECT_EQ(dist.outcomes[i].expectation, single.outcomes[i].expectation) << what;
+    EXPECT_EQ(dist.outcomes[i].satisfied, single.outcomes[i].satisfied) << what;
+    EXPECT_EQ(dist.outcomes[i].detail, single.outcomes[i].detail) << what;
+  }
+}
+
 TEST(RunDist, ConsensusMatchesSingleProcessAcrossShardCountsAndTopologies) {
-  const SingleRun single = run_single_process(kConsensusScript);
-  const std::string reference = single.recorder->canonical_jsonl();
-  for (const bool mesh : {true, false}) {
-    for (const std::uint32_t shards : {1u, 2u, 4u}) {
-      DistConfig config;
-      config.script_text = kConsensusScript;
-      config.shards = shards;
-      config.mesh = mesh;
-      config.want_trace = true;
-      const DistRun dist = run_dist(config);
-      const std::string tag =
-          std::string(mesh ? "mesh" : "relay") + " shards " + std::to_string(shards);
-      ASSERT_TRUE(dist.infra_ok) << tag << ": " << dist.infra_error;
-      EXPECT_EQ(dist.script.summary, single.run.summary) << tag;
-      EXPECT_EQ(dist.script.all_satisfied, single.run.all_satisfied) << tag;
-      EXPECT_EQ(dist.script.rounds, single.run.rounds) << tag;
-      EXPECT_EQ(dist.script.messages, single.run.messages) << tag;
-      EXPECT_EQ(dist.script.chaos_summary, single.run.chaos_summary) << tag;
-      ASSERT_NE(dist.trace, nullptr) << tag;
-      EXPECT_EQ(dist.trace->canonical_jsonl(), reference) << tag;
-      ASSERT_EQ(dist.script.outcomes.size(), single.run.outcomes.size()) << tag;
-      for (std::size_t i = 0; i < single.run.outcomes.size(); ++i) {
-        EXPECT_EQ(dist.script.outcomes[i].satisfied, single.run.outcomes[i].satisfied)
-            << tag << " " << to_string(single.run.outcomes[i].expectation);
-      }
-      // Topology shows only in the overlap/relay ledgers, never the result:
-      // the mesh moves slabs peer-to-peer, the relay moves them through the
-      // coordinator, and exactly one of the two ledgers is active.
-      if (shards > 1 && mesh) {
-        EXPECT_GT(dist.metrics.overlap.slabs_direct, 0u) << tag;
-        EXPECT_EQ(dist.metrics.fanout.coordinator_relay_bytes, 0u) << tag;
-      }
-      if (shards > 1 && !mesh) {
-        EXPECT_EQ(dist.metrics.overlap.slabs_direct, 0u) << tag;
-        EXPECT_GT(dist.metrics.fanout.coordinator_relay_bytes, 0u) << tag;
+  for (const char* const text : {kConsensusScript, kPlainConsensusScript}) {
+    const bool plain = text == kPlainConsensusScript;
+    const SingleRun single = run_single_process(text);
+    const std::string canonical = single.recorder->canonical_jsonl();
+    const std::string raw = single.recorder->jsonl();
+    // A plain script runs the same loop as a chaos one: it records, honours
+    // `threads` and exports metrics.
+    ASSERT_GT(single.recorder->size(), 0u);
+    EXPECT_FALSE(single.run.metrics_exposition.empty());
+    EXPECT_EQ(run_single_process(text, 4).recorder->jsonl(), raw);
+    for (const bool mesh : {true, false}) {
+      for (const std::uint32_t shards : {1u, 2u, 4u}) {
+        DistConfig config;
+        config.script_text = text;
+        config.shards = shards;
+        config.mesh = mesh;
+        config.want_trace = true;
+        const DistRun dist = run_dist(config);
+        const std::string tag = std::string(plain ? "plain " : "chaos ") +
+                                (mesh ? "mesh" : "relay") + " shards " + std::to_string(shards);
+        ASSERT_TRUE(dist.infra_ok) << tag << ": " << dist.infra_error;
+        expect_same_verdict(dist.script, single.run, tag);
+        EXPECT_FALSE(dist.script.metrics_exposition.empty()) << tag;
+        ASSERT_NE(dist.trace, nullptr) << tag;
+        EXPECT_EQ(dist.trace->canonical_jsonl(), canonical) << tag;
+        EXPECT_EQ(dist.trace->jsonl(), raw) << tag;
+        // Topology shows only in the overlap/relay ledgers, never the
+        // result: the mesh moves slabs peer-to-peer, the relay moves them
+        // through the coordinator, and exactly one of the two ledgers is
+        // active.
+        if (shards > 1 && mesh) {
+          EXPECT_GT(dist.metrics.overlap.slabs_direct, 0u) << tag;
+          EXPECT_EQ(dist.metrics.fanout.coordinator_relay_bytes, 0u) << tag;
+        }
+        if (shards > 1 && !mesh) {
+          EXPECT_EQ(dist.metrics.overlap.slabs_direct, 0u) << tag;
+          EXPECT_GT(dist.metrics.fanout.coordinator_relay_bytes, 0u) << tag;
+        }
       }
     }
   }
@@ -457,7 +484,7 @@ TEST(RunDist, TotalOrderMatchesSingleProcessAcrossShardCountsAndTopologies) {
       const std::string tag =
           std::string(mesh ? "mesh" : "relay") + " shards " + std::to_string(shards);
       ASSERT_TRUE(dist.infra_ok) << tag << ": " << dist.infra_error;
-      EXPECT_EQ(dist.script.summary, single.run.summary) << tag;
+      expect_same_verdict(dist.script, single.run, tag);
       ASSERT_NE(dist.trace, nullptr) << tag;
       EXPECT_EQ(dist.trace->canonical_jsonl(), reference) << tag;
     }
