@@ -3,9 +3,11 @@
 // phases at 5 / 15 / 30 % drop probability, against a clean baseline.
 //
 // Two questions, one number each:
-//   * rounds/sec — does the chaos layer slow the engine down? (The verdicts
-//     are pure hash mixes; routing goes per-receiver when a schedule is
-//     installed, so some cost is expected and this tracks it.)
+//   * rounds/sec — does the chaos layer slow the engine down? (Broadcasts
+//     stay on the shared lane; in rounds a phase covers, the merge walks
+//     every link for its pure hash-mix verdict and only a faulted link does
+//     per-receiver work — a mask or a late copy. That walk is the expected
+//     cost, and this tracks it.)
 //   * recovery rounds — how many EXTRA rounds does consensus need to
 //     terminate because of the loss burst, averaged over a seed sweep. The
 //     burst spans rounds 2-11; with n > 3f every run still terminates, it

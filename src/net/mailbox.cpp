@@ -1,5 +1,8 @@
 #include "net/mailbox.hpp"
 
+#include <algorithm>
+#include <cassert>
+
 #include "net/codec.hpp"
 
 namespace idonly {
@@ -13,12 +16,18 @@ MessageRef MessageRef::wrap(Message msg) {
 }
 
 bool BroadcastLane::deposit(MessageRef ref, std::uint64_t seq) {
-  if (!seen_.insert(ref).second) return false;
+  if (!seen_.emplace(ref, seq).second) return false;
   kind_counts_[static_cast<std::size_t>(ref->kind)] += 1;
   wire_bytes_ += ref.wire_bytes();
   entries_.push_back(std::move(ref));
   seqs_.push_back(seq);
   return true;
+}
+
+std::optional<std::uint64_t> BroadcastLane::seq_of(const MessageRef& ref) const {
+  const auto it = seen_.find(ref);
+  if (it == seen_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::span<const Message> BroadcastLane::view() const {
@@ -67,11 +76,11 @@ void ShardedLane::seal() {
   for (const MessageRef& ref : entries_) view_.push_back(ref.get());
 }
 
-bool ShardedLane::contains(const MessageRef& ref) const {
+std::optional<std::uint64_t> ShardedLane::seq_of(const MessageRef& ref) const {
   for (std::size_t k = 0; k < active_segments_; ++k) {
-    if (segments_[k].contains(ref)) return true;
+    if (const auto seq = segments_[k].seq_of(ref)) return seq;
   }
-  return false;
+  return std::nullopt;
 }
 
 bool Mailbox::deposit(MessageRef ref, std::uint64_t seq) {
@@ -81,18 +90,24 @@ bool Mailbox::deposit(MessageRef ref, std::uint64_t seq) {
   return true;
 }
 
+void Mailbox::mask(std::uint64_t seq) {
+  assert(masks_.empty() || masks_.back() < seq);
+  masks_.push_back(seq);
+}
+
 namespace {
 
 /// The merge shared by both lane flavours: Lane needs the BroadcastLane read
-/// interface (empty/view/refs/seqs/contains/kind_counts/wire_bytes).
+/// interface (empty/view/refs/seqs/seq_of/kind_counts/wire_bytes).
 template <typename Lane>
 std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
                                       std::vector<std::uint64_t>& seqs,
                                       std::unordered_set<MessageRef, MessageRefHash>& seen,
-                                      const Lane* lane, std::vector<Message>& scratch,
-                                      FanoutCounters* fanout, MessageCounters* counters) {
+                                      std::vector<std::uint64_t>& masks, const Lane* lane,
+                                      std::vector<Message>& scratch, FanoutCounters* fanout,
+                                      MessageCounters* counters) {
   // Fast path: nothing receiver-specific — share the lane's view outright.
-  if (entries.empty()) {
+  if (entries.empty() && masks.empty()) {
     if (lane == nullptr || lane->empty()) return {};
     const auto view = lane->view();
     if (fanout != nullptr) {
@@ -110,14 +125,18 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
     return view;
   }
 
-  // Slow path: merge lane and private entries by send order. A private
-  // entry whose content already sits in the lane is the "broadcast + unicast
-  // of the same message" duplicate — suppressed, like the per-receiver dedup
-  // of old, but against the cached hash.
+  // Slow path: merge the unmasked lane entries and the private entries by
+  // send order. A private entry whose content reaches this receiver through
+  // the lane is the "broadcast + unicast of the same message" duplicate —
+  // suppressed, like the per-receiver dedup of old, but against the cached
+  // hash. A masked twin never reaches the receiver, so it suppresses nothing.
   const std::span<const MessageRef> lane_refs =
       lane != nullptr ? lane->refs() : std::span<const MessageRef>{};
   const std::span<const std::uint64_t> lane_seqs =
       lane != nullptr ? lane->seqs() : std::span<const std::uint64_t>{};
+  const auto masked = [&](std::uint64_t seq) {
+    return std::binary_search(masks.begin(), masks.end(), seq);
+  };
   scratch.clear();
   scratch.reserve(lane_refs.size() + entries.size());
   const auto push = [&](const MessageRef& ref) {
@@ -130,13 +149,17 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
   };
   std::size_t i = 0;
   std::size_t j = 0;
+  std::size_t k = 0;  // first mask the lane cursor has not passed
   while (i < lane_refs.size() || j < entries.size()) {
     const bool take_lane = j >= entries.size() || (i < lane_refs.size() && lane_seqs[i] < seqs[j]);
     if (take_lane) {
-      push(lane_refs[i]);
+      while (k < masks.size() && masks[k] < lane_seqs[i]) k += 1;
+      if (k == masks.size() || masks[k] != lane_seqs[i]) push(lane_refs[i]);
       i += 1;
     } else {
-      if (lane != nullptr && lane->contains(entries[j])) {
+      const std::optional<std::uint64_t> twin =
+          lane != nullptr ? lane->seq_of(entries[j]) : std::nullopt;
+      if (twin.has_value() && !masked(*twin)) {
         if (fanout != nullptr) fanout->dedup_hits += 1;
       } else {
         push(entries[j]);
@@ -147,6 +170,7 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
   entries.clear();
   seqs.clear();
   seen.clear();
+  masks.clear();
   if (fanout != nullptr && !scratch.empty()) fanout->slab_sends += 1;
   return scratch;
 }
@@ -156,13 +180,13 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
 std::span<const Message> Mailbox::collect(const BroadcastLane* lane,
                                           std::vector<Message>& scratch, FanoutCounters* fanout,
                                           MessageCounters* counters) {
-  return collect_impl(entries_, seqs_, seen_, lane, scratch, fanout, counters);
+  return collect_impl(entries_, seqs_, seen_, masks_, lane, scratch, fanout, counters);
 }
 
 std::span<const Message> Mailbox::collect(const ShardedLane* lane,
                                           std::vector<Message>& scratch, FanoutCounters* fanout,
                                           MessageCounters* counters) {
-  return collect_impl(entries_, seqs_, seen_, lane, scratch, fanout, counters);
+  return collect_impl(entries_, seqs_, seen_, masks_, lane, scratch, fanout, counters);
 }
 
 FrameRef make_frame_ref(std::span<const std::byte> bytes) {

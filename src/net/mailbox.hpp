@@ -25,9 +25,11 @@
 //     keys are globally ordered, so concatenation in segment order IS send
 //     order — no sort, no merge.
 //   * `Mailbox` — the per-receiver buffer for traffic that is genuinely
-//     receiver-specific (unicasts, delayed redeliveries). `collect()` merges
-//     it with the shared lane in send order; when a receiver has no private
-//     traffic the returned span aliases the lane view directly.
+//     receiver-specific (unicasts, delayed redeliveries), plus MASKS: lane
+//     entries a fault withholds from this receiver (a chaos drop or delay of
+//     one link). `collect()` merges it with the shared lane in send order,
+//     skipping masked entries; when a receiver has neither private traffic
+//     nor masks the returned span aliases the lane view directly.
 //   * `FrameRef`/`FrameView`/`FrameMailbox` — the same idea one level down,
 //     for the runtime's byte frames: a broadcast domain shares one
 //     ref-counted frame and each endpoint's mailbox holds views into it.
@@ -45,7 +47,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -117,6 +121,8 @@ class BroadcastLane {
   [[nodiscard]] std::span<const Message> view() const;
 
   [[nodiscard]] bool contains(const MessageRef& ref) const { return seen_.contains(ref); }
+  /// Sequence number of the deposited copy of `ref`'s content, if any.
+  [[nodiscard]] std::optional<std::uint64_t> seq_of(const MessageRef& ref) const;
   [[nodiscard]] std::span<const MessageRef> refs() const noexcept { return entries_; }
   [[nodiscard]] std::span<const std::uint64_t> seqs() const noexcept { return seqs_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
@@ -142,7 +148,7 @@ class BroadcastLane {
  private:
   std::vector<MessageRef> entries_;
   std::vector<std::uint64_t> seqs_;
-  std::unordered_set<MessageRef, MessageRefHash> seen_;
+  std::unordered_map<MessageRef, std::uint64_t, MessageRefHash> seen_;  // content → seq
   std::array<std::uint64_t, MessageCounters::kKinds> kind_counts_{};
   std::uint64_t wire_bytes_ = 0;
   mutable std::vector<Message> view_;  // materialised prefix of entries_
@@ -171,7 +177,8 @@ class ShardedLane {
   void seal();
 
   // Sealed read interface (mirrors BroadcastLane).
-  [[nodiscard]] bool contains(const MessageRef& ref) const;
+  [[nodiscard]] bool contains(const MessageRef& ref) const { return seq_of(ref).has_value(); }
+  [[nodiscard]] std::optional<std::uint64_t> seq_of(const MessageRef& ref) const;
   [[nodiscard]] std::span<const MessageRef> refs() const noexcept { return entries_; }
   [[nodiscard]] std::span<const std::uint64_t> seqs() const noexcept { return seqs_; }
   [[nodiscard]] std::span<const Message> view() const noexcept { return view_; }
@@ -195,9 +202,10 @@ class ShardedLane {
   std::vector<Message> view_;
 };
 
-/// Per-receiver buffer for receiver-specific traffic: unicasts, delayed
-/// redeliveries, and (when a delay hook forces per-receiver routing)
-/// broadcasts. Holds references, not copies.
+/// Per-receiver buffer for receiver-specific traffic — unicasts, delayed
+/// redeliveries, and broadcasts a sender repeats within a round — and for
+/// the receiver's exceptions to the shared lane. Holds references, not
+/// copies. Everything is reset by collect(), so nothing leaks across rounds.
 class Mailbox {
  public:
   /// Deposit with a send-order sequence number; dedups (cached hash) against
@@ -205,13 +213,21 @@ class Mailbox {
   /// suppressed as a duplicate.
   bool deposit(MessageRef ref, std::uint64_t seq);
 
-  /// Assemble this receiver's round inbox: the shared lane (may be null)
-  /// merged with private traffic in send order, duplicates across the two
-  /// suppressed. Fast path: with no private traffic the returned span
-  /// aliases the lane's shared view — zero per-receiver work. Slow path:
-  /// merges into `scratch` (reused across rounds by the caller).
+  /// Withhold the lane entry with sequence number `seq` from this receiver's
+  /// next collect() — the per-link exception a chaos drop or delay makes to
+  /// a broadcast every other receiver still gets from the shared lane. Masks
+  /// arrive in ascending `seq` order (the merge walks in send order).
+  void mask(std::uint64_t seq);
+
+  /// Assemble this receiver's round inbox: the shared lane (may be null),
+  /// minus masked entries, merged with private traffic in send order. A
+  /// private entry is suppressed as a duplicate only when its lane twin (same
+  /// sender and content) reaches this receiver, i.e. is not masked. Fast
+  /// path: with no private traffic and no masks the returned span aliases
+  /// the lane's shared view — zero per-receiver work. Slow path: merges into
+  /// `scratch` (reused across rounds by the caller).
   /// Updates `fanout` / `counters` with per-recipient delivery stats when
-  /// non-null. Resets the private buffer.
+  /// non-null. Resets the private buffer and the masks.
   std::span<const Message> collect(const BroadcastLane* lane, std::vector<Message>& scratch,
                                    FanoutCounters* fanout = nullptr,
                                    MessageCounters* counters = nullptr);
@@ -222,12 +238,13 @@ class Mailbox {
                                    FanoutCounters* fanout = nullptr,
                                    MessageCounters* counters = nullptr);
 
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty() && masks_.empty(); }
 
  private:
   std::vector<MessageRef> entries_;
   std::vector<std::uint64_t> seqs_;
   std::unordered_set<MessageRef, MessageRefHash> seen_;
+  std::vector<std::uint64_t> masks_;  // ascending lane seqs withheld from this receiver
 };
 
 // --------------------------------------------------------------- frames --

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 
 namespace idonly {
 
@@ -73,36 +74,63 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
   const std::size_t begin = lane_starts_[lane_index];
   const std::size_t end = lane_starts_[lane_index + 1];
   BroadcastLane& segment = lanes_[fill_lane_].segment(lane_index);
-  // A chaos schedule or delay hook may fault per (from, to) pair, so a
-  // broadcast is no longer uniform across receivers — route it per receiver
-  // (both are fault-injection probes; perf is irrelevant there).
-  const bool per_receiver = chaos_ != nullptr || delay_hook_ != nullptr;
   const std::size_t n = dispatches_.size();
 
-  const auto deposit_private = [&](NodeId from, NodeId to, Member& member,
-                                   const MessageRef& ref, std::uint64_t key) {
-    Round extra = 0;
+  // What the link from sender slot `s` to receiver slot `t` does to a
+  // message: the chaos verdict (staged for the fault trace and recorded),
+  // with the delay hook's delay when chaos neither drops nor delays it.
+  const auto link_fault = [&](std::size_t s, std::size_t t, const MessageRef& ref) {
+    const NodeId from = dispatches_[s].id;
+    const NodeId to = dispatches_[t].id;
+    FaultDecision fault;
     if (chaos_) {
       const std::uint64_t link_seq = arena.link_seq[{from, to}]++;
       const LinkEvent event{round_, from, to, link_seq};
-      const FaultDecision verdict = chaos_->peek(event);
-      if (verdict.faulted()) arena.chaos_stage.emplace_back(event, verdict);
-      if (recorder_) arena.trace_stage.push_back(make_link_verdict_record(event, verdict));
-      if (verdict.drop) return;
-      if (verdict.duplicate) {
-        // Second copy: the model discards duplicate identical messages from
-        // one sender within a round, so it dies in mailbox dedup — the
-        // decision is what must reproduce, and it is in the trace.
-        if (!member.mailbox.deposit(ref, key)) arena.fanout.dedup_hits += 1;
-      }
-      extra = verdict.delay_rounds;
+      fault = chaos_->peek(event);
+      if (fault.faulted()) arena.chaos_stage.emplace_back(event, fault);
+      if (recorder_) arena.trace_stage.push_back(make_link_verdict_record(event, fault));
     }
-    if (extra == 0 && delay_hook_) extra = delay_hook_(from, to, ref.get(), round_);
-    if (extra > 0) {
-      arena.delayed_stage.push_back({round_ + 1 + extra, to, ref});
+    if (!fault.drop && fault.delay_rounds == 0 && delay_hook_) {
+      fault.delay_rounds = delay_hook_(from, to, ref.get(), round_);
+    }
+    return fault;
+  };
+
+  // A receiver's own copy: unicasts, and broadcasts that repeat content
+  // their sender already broadcast this round (the lane holds only the
+  // first copy).
+  const auto deposit_private = [&](NodeId to, Member& member, const MessageRef& ref,
+                                   std::uint64_t key, const FaultDecision& fault) {
+    if (fault.drop) return;
+    if (fault.duplicate) {
+      // Second copy: the model discards duplicate identical messages from
+      // one sender within a round, so it dies in mailbox dedup — the
+      // decision is what must reproduce, and it is in the trace.
+      if (!member.mailbox.deposit(ref, key)) arena.fanout.dedup_hits += 1;
+    }
+    if (fault.delay_rounds > 0) {
+      arena.delayed_stage.push_back({round_ + 1 + fault.delay_rounds, to, ref});
       return;
     }
     if (!member.mailbox.deposit(ref, key + 1)) arena.fanout.dedup_hits += 1;
+  };
+
+  // A fault on a broadcast the lane carries at `key` is an exception for
+  // this receiver alone: a drop, or a delay without a duplicate, masks the
+  // lane entry. A duplicate's second copy dies in dedup, so a duplicate
+  // keeps the on-time lane copy, and a delayed duplicate adds a late one.
+  const auto except_from_lane = [&](NodeId to, Member& member, const MessageRef& ref,
+                                    std::uint64_t key, const FaultDecision& fault) {
+    if (fault.drop) {
+      member.mailbox.mask(key);
+      return;
+    }
+    if (fault.delay_rounds > 0) {
+      arena.delayed_stage.push_back({round_ + 1 + fault.delay_rounds, to, ref});
+      if (!fault.duplicate) member.mailbox.mask(key);
+    } else if (fault.duplicate) {
+      arena.fanout.dedup_hits += 1;
+    }
   };
 
   for (std::size_t s = 0; s < n; ++s) {
@@ -117,26 +145,34 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
       // exactly the sequential engine's deposit order. Only relative order
       // is observable, so the gaps left by unfaulted messages are free.
       const std::uint64_t key = seq_ + 2 * (sender.msg_base + m);
+      const bool repeat = walk_links_ && sender.repeats[m] != 0;
       if (own_sender) {
         arena.messages.sent[static_cast<std::size_t>(ref->kind)] += 1;
         arena.fanout.unique_payloads += 1;
         if (tracing_) arena.debug_stage.push_back(TraceEntry{round_, sender.id, out.to, ref.get()});
         if (recorder_) arena.trace_stage.push_back(make_send_record(sender.id, round_, out.to));
-        if (!out.to.has_value() && !per_receiver) {
-          // Clean broadcast: one deposit into this lane's segment. Segments
-          // cover ascending sender ranges, so seal()'s concatenation is
-          // globally key-ordered.
+        if (!out.to.has_value() && !repeat) {
+          // A broadcast is one deposit into this lane's segment, faults or
+          // not. Segments cover ascending sender ranges, so seal()'s
+          // concatenation is globally key-ordered.
           if (!segment.deposit(ref, key)) arena.fanout.dedup_hits += 1;
         }
       }
       if (out.to.has_value()) {
         const std::size_t t = slot_of(*out.to);
         if (t >= begin && t < end) {  // recipient gone → no lane owns it; message lost
-          deposit_private(sender.id, *out.to, *dispatches_[t].member, ref, key);
+          deposit_private(*out.to, *dispatches_[t].member, ref, key, link_fault(s, t, ref));
         }
-      } else if (per_receiver) {
+      } else if (walk_links_) {
         for (std::size_t t = begin; t < end; ++t) {
-          deposit_private(sender.id, dispatches_[t].id, *dispatches_[t].member, ref, key);
+          const NodeId to = dispatches_[t].id;
+          Member& member = *dispatches_[t].member;
+          const FaultDecision fault = link_fault(s, t, ref);
+          if (repeat) {
+            deposit_private(to, member, ref, key, fault);
+          } else {
+            except_from_lane(to, member, ref, key, fault);
+          }
         }
       }
     }
@@ -268,6 +304,13 @@ void SyncSimulator::step() {
     }
   }
 
+  // The merge walks every (sender, receiver) link only when a link may be
+  // faulted or observed: a chaos phase covers this round, a recorder logs
+  // every verdict, or a delay hook may hold any message. Otherwise a
+  // broadcast is one lane deposit and nothing else.
+  walk_links_ = delay_hook_ != nullptr ||
+                (chaos_ != nullptr && (recorder_ != nullptr || chaos_->phase_for(round_)));
+
   // Phase 2 — parallel stepping, one task per process: each steps into its
   // private outbox slab, then stamps and wraps its messages (the content
   // hashing is the round's other big CPU sink). No shared engine state is
@@ -284,6 +327,18 @@ void SyncSimulator::step() {
       Message msg = std::move(out.msg);
       msg.sender = dispatch.id;  // unforgeable identity
       dispatch.refs.push_back(MessageRef::wrap(std::move(msg)));
+    }
+    if (walk_links_) {
+      // A broadcast repeating content its sender already broadcast this
+      // round gets no lane entry; the merge routes it per receiver, so a
+      // receiver the first copy missed still gets the repeat, in its place.
+      dispatch.repeats.assign(dispatch.outbox.size(), 0);
+      std::unordered_set<MessageRef, MessageRefHash> broadcasts;
+      for (std::size_t m = 0; m < dispatch.outbox.size(); ++m) {
+        if (!dispatch.outbox[m].to.has_value() && !broadcasts.insert(dispatch.refs[m]).second) {
+          dispatch.repeats[m] = 1;
+        }
+      }
     }
   });
 

@@ -105,11 +105,14 @@ class SyncSimulator {
   /// Install a shared chaos schedule (common/chaos.hpp). Every delivery
   /// attempt — broadcast fan-out and unicast alike — is keyed as a
   /// LinkEvent{sent_round, from, to, per-link seq} and the schedule's
-  /// verdict applied: drops skip the deposit, delays reuse the delayed_
-  /// queue, duplicates deposit a second copy (the model's per-round dedup
-  /// suppresses it — the verdict still lands in the shared trace, which is
-  /// the cross-engine contract). Corruption cannot mangle a typed Message;
-  /// it is recorded in the trace only. Self-delivery is never faulted.
+  /// verdict applied: drops withhold the message from that receiver, delays
+  /// reuse the delayed_ queue, duplicates add a second copy (the model's
+  /// per-round dedup suppresses it — the verdict still lands in the shared
+  /// trace, which is the cross-engine contract). Corruption cannot mangle a
+  /// typed Message; it is recorded in the trace only. Self-delivery is never
+  /// faulted. Broadcasts still ride the shared lane: a fault is a per-link
+  /// exception (Mailbox::mask), and rounds no phase covers cost nothing
+  /// extra unless a recorder wants every verdict.
   void set_chaos(std::shared_ptr<ChaosSchedule> chaos) { chaos_ = std::move(chaos); }
   [[nodiscard]] const std::shared_ptr<ChaosSchedule>& chaos() const noexcept { return chaos_; }
 
@@ -154,7 +157,7 @@ class SyncSimulator {
   struct Member {
     std::unique_ptr<Process> process;
     Round joined_round = 0;        // global round of first participation
-    Mailbox mailbox;               // receiver-specific traffic (unicasts, delays)
+    Mailbox mailbox;               // receiver-specific traffic (unicasts, delays, masks)
     std::vector<Message> scratch;  // merge buffer, reused across rounds
   };
 
@@ -169,6 +172,9 @@ class SyncSimulator {
     std::span<const Message> inbox;
     std::vector<Outgoing> outbox;     // private slab filled by on_round
     std::vector<MessageRef> refs;     // outbox wrapped (stamped + hashed), same order
+    // Rounds that walk links only: 1 where outbox[m] is a broadcast whose
+    // content this sender already broadcast this round.
+    std::vector<std::uint8_t> repeats;
     std::uint64_t msg_base = 0;       // global send ordinal of outbox[0] this round
     bool became_done = false;
   };
@@ -228,6 +234,7 @@ class SyncSimulator {
   // while this step's merge lanes fill the other, one segment per lane.
   ShardedLane lanes_[2];
   int fill_lane_ = 0;    // index of the lane collecting this step's sends
+  bool walk_links_ = false;  // this step's merge applies per-link faults/verdicts
   std::uint64_t seq_ = 0;  // global send-order stamp for lane/mailbox merging
   std::map<Round, std::vector<std::pair<NodeId, MessageRef>>> delayed_;  // due round → deliveries
 };

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -257,7 +258,7 @@ TEST(ChaosCrossEngine, OneSeedOneTraceOnAllThreeEngines) {
   const std::vector<NodeId> ids{10, 20, 30};
   constexpr Round kRounds = 6;
 
-  // Sync engine: per-receiver routing through SyncSimulator::set_chaos.
+  // Sync engine: per-link verdicts through SyncSimulator::set_chaos.
   auto run_sync = [&] {
     auto chaos = std::make_shared<ChaosSchedule>(plan, seed);
     SyncSimulator sim;
@@ -362,6 +363,90 @@ TEST(ChaosTransportUnit, DelayHoldsFrameForItsVerdictThenReleasesIntact) {
   EXPECT_TRUE(std::equal(views[0].bytes.begin(), views[0].bytes.end(), original.begin(),
                          original.end()));
   EXPECT_EQ(receiver.held_count(), 0u);
+}
+
+// ------------------------------------------ sync engine: per-link faults --
+
+/// Sends what the test scripts for each global round; records every inbox.
+class RecordingProcess final : public Process {
+ public:
+  using Process::Process;
+  void send_in_round(Round round, Outgoing out) { script_[round].push_back(std::move(out)); }
+  void on_round(RoundInfo round, std::span<const Message> inbox,
+                std::vector<Outgoing>& out) override {
+    received[round.global].assign(inbox.begin(), inbox.end());
+    if (const auto it = script_.find(round.global); it != script_.end()) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
+    }
+  }
+
+  std::map<Round, std::vector<Message>> received;
+
+ private:
+  std::map<Round, std::vector<Outgoing>> script_;
+};
+
+Message valued(double v) { return Message{.kind = MsgKind::kPresent, .value = Value::real(v)}; }
+
+TEST(ChaosSyncLinks, DuplicateWithDelayDeliversOneOnTimeAndOneLateCopy) {
+  ChaosPhase phase = phase_window(1, 1);
+  phase.duplicate = 1.0;
+  phase.delay = DelaySpec{1.0, 1};
+  for (const unsigned threads : {1U, 2U}) {
+    SyncSimulator sim;
+    sim.set_threads(threads);
+    sim.set_chaos(std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, 3));
+    auto sender = std::make_unique<RecordingProcess>(1);
+    auto receiver = std::make_unique<RecordingProcess>(2);
+    sender->send_in_round(1, Outgoing{std::nullopt, valued(7)});
+    RecordingProcess* s = sender.get();
+    RecordingProcess* r = receiver.get();
+    sim.add_process(std::move(sender));
+    sim.add_process(std::move(receiver));
+    sim.run_rounds(3);
+    ASSERT_EQ(r->received[2].size(), 1u) << "the duplicate keeps the on-time copy";
+    ASSERT_EQ(r->received[3].size(), 1u) << "the delayed copy lands one round late";
+    EXPECT_EQ(r->received[3][0], r->received[2][0]);
+    EXPECT_EQ(s->received[2].size(), 1u) << "self-delivery is never faulted";
+    EXPECT_TRUE(s->received[3].empty());
+  }
+}
+
+TEST(ChaosSyncLinks, RepeatedBroadcastReachesTheReceiverItsFirstCopyMissed) {
+  // Sender 1 broadcasts X, Y, X in one round. Pick a seed whose verdicts on
+  // link 1→2 drop the first X only: receiver 2 must get Y, then X at the
+  // repeat's place in send order, while the sender's loopback sees X, Y.
+  ChaosPhase phase = phase_window(1, 1);
+  phase.drop = 0.5;
+  const ChaosPlan plan{{phase}};
+  std::uint64_t seed = 0;
+  for (std::uint64_t s = 1; seed == 0 && s < 1000; ++s) {
+    const ChaosSchedule probe(plan, s);
+    if (probe.peek(LinkEvent{1, 1, 2, 0}).drop && !probe.peek(LinkEvent{1, 1, 2, 1}).drop &&
+        !probe.peek(LinkEvent{1, 1, 2, 2}).drop) {
+      seed = s;
+    }
+  }
+  ASSERT_NE(seed, 0u);
+  for (const unsigned threads : {1U, 2U}) {
+    SyncSimulator sim;
+    sim.set_threads(threads);
+    sim.set_chaos(std::make_shared<ChaosSchedule>(plan, seed));
+    auto sender = std::make_unique<RecordingProcess>(1);
+    auto receiver = std::make_unique<RecordingProcess>(2);
+    for (const double v : {1.0, 2.0, 1.0}) sender->send_in_round(1, Outgoing{std::nullopt, valued(v)});
+    RecordingProcess* s = sender.get();
+    RecordingProcess* r = receiver.get();
+    sim.add_process(std::move(sender));
+    sim.add_process(std::move(receiver));
+    sim.run_rounds(2);
+    ASSERT_EQ(r->received[2].size(), 2u);
+    EXPECT_EQ(r->received[2][0].value, Value::real(2.0));
+    EXPECT_EQ(r->received[2][1].value, Value::real(1.0));
+    ASSERT_EQ(s->received[2].size(), 2u) << "the repeat is a duplicate where X arrived";
+    EXPECT_EQ(s->received[2][0].value, Value::real(1.0));
+    EXPECT_EQ(s->received[2][1].value, Value::real(2.0));
+  }
 }
 
 // ----------------------------------------------- sync consensus + monitor --

@@ -18,6 +18,7 @@
 #include "dist/shard_trace.hpp"
 #include "dist/shard_wire.hpp"
 #include "dist/shard_worker.hpp"
+#include "fuzz/generator.hpp"
 #include "harness/script.hpp"
 
 namespace idonly {
@@ -316,10 +317,20 @@ struct InProcessFleet {
   }
 };
 
+/// What an in-process fleet run shows: its spliced trace exports, and the
+/// deliveries and violations judged from the workers' end states the way
+/// run_dist's coordinator judges them.
+struct FleetRun {
+  Round rounds = 0;
+  std::string raw;
+  std::string canonical;
+  std::uint64_t deliveries = 0;
+  std::vector<std::string> violations;
+};
+
 /// Runs the harness's round loop (shared stop rule) over an in-process
-/// fleet and returns the spliced canonical trace.
-std::string run_fleet_canonical(const std::string& text, std::uint32_t shards,
-                                Round* rounds_out = nullptr) {
+/// fleet.
+FleetRun run_fleet(const std::string& text, std::uint32_t shards) {
   const ScenarioScript script = parse_or_die(text);
   const Scenario scenario = make_scenario(script.config);
   ChurnDriver churn(script, scenario);
@@ -337,34 +348,114 @@ std::string run_fleet_canonical(const std::string& text, std::uint32_t shards,
     fleet.run_round();
     statuses = fleet.statuses();
   }
-  if (rounds_out != nullptr) *rounds_out = fleet.round;
 
+  FleetRun out;
+  out.rounds = fleet.round;
   TraceRecorder merged(TraceEngine::kSync);
+  std::map<NodeId, NodeOutcome> nodes;
   for (auto& worker : fleet.workers) {
     ShardResult result = worker->finalize();
+    out.deliveries += result.metrics.messages.total_delivered();
+    for (const ShardResult::Decision& d : result.decisions) {
+      nodes[d.id] = {d.done, d.has_output ? std::optional(d.output) : std::nullopt, {}};
+    }
+    for (ShardResult::Chain& c : result.chains) nodes[c.id].chain = std::move(c.chain);
     for (ShardResult::Ring& ring : result.rings) {
       merged.absorb_ring(ring.node, std::move(ring.records), ring.next_seq, ring.evicted);
     }
   }
-  return merged.canonical_jsonl();
+  out.raw = merged.jsonl();
+  out.canonical = merged.canonical_jsonl();
+
+  const std::unique_ptr<InvariantMonitor> monitor = make_loop_monitor(script, scenario);
+  if (monitor != nullptr) {
+    for (NodeId id : scenario.correct_ids) {
+      const auto it = nodes.find(id);
+      if (it == nodes.end() || !it->second.output.has_value()) continue;
+      ProtocolEvent event;
+      event.type = ProtocolEvent::Type::kDecided;
+      event.node = id;
+      event.round = fleet.round;
+      event.value = *it->second.output;
+      monitor->on_event(event);
+    }
+    monitor->finish(fleet.round);
+  }
+  ScriptRun verdict;
+  judge_loop_run(script, scenario, churn.tracked(), nodes, monitor.get(), verdict);
+  out.violations = std::move(verdict.violations);
+  return out;
 }
 
 TEST(ShardWorkerParity, ConsensusCanonicalTraceMatchesSingleProcess) {
   const SingleRun single = run_single_process(kConsensusScript);
-  Round fleet_rounds = 0;
-  const std::string fleet = run_fleet_canonical(kConsensusScript, 2, &fleet_rounds);
-  EXPECT_EQ(fleet_rounds, single.run.rounds);
+  const FleetRun fleet = run_fleet(kConsensusScript, 2);
+  EXPECT_EQ(fleet.rounds, single.run.rounds);
   const std::string reference = single.recorder->canonical_jsonl();
   ASSERT_FALSE(reference.empty());
-  EXPECT_EQ(fleet, reference);
+  EXPECT_EQ(fleet.canonical, reference);
 }
 
 TEST(ShardWorkerParity, TotalOrderCanonicalTraceMatchesSingleProcessAtThreeShards) {
   const SingleRun single = run_single_process(kTotalOrderScript);
-  const std::string fleet = run_fleet_canonical(kTotalOrderScript, 3);
+  const FleetRun fleet = run_fleet(kTotalOrderScript, 3);
   const std::string reference = single.recorder->canonical_jsonl();
   ASSERT_FALSE(reference.empty());
-  EXPECT_EQ(fleet, reference);
+  EXPECT_EQ(fleet.canonical, reference);
+}
+
+std::vector<std::string> sorted(std::vector<std::string> lines) {
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(ShardWorkerParity, GeneratedScenariosMatchThePerReceiverReference) {
+  // SyncSimulator delivers every broadcast from its shared lane and turns a
+  // link fault into a per-receiver mask; ShardEngine still routes every link
+  // per receiver, so it is an independent reference for the masks. Over
+  // generated scenarios the two must agree on every delivery record.
+  const ScenarioGenerator generator;
+  std::set<std::string> covered;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const GeneratedScenario generated = generator.generate(seed);
+    const ScenarioScript& script = generated.script;
+    for (const ChaosPhaseSpec& phase : script.chaos_phases) {
+      if (phase.drop > 0) covered.insert("drop");
+      if (phase.duplicate > 0) covered.insert("dup");
+      if (phase.delay_probability > 0) covered.insert("delay");
+      if (phase.partition.has_value()) covered.insert("partition");
+      if (!phase.crashes.empty()) covered.insert("crash");
+    }
+    if (!script.churn_events.empty()) covered.insert("churn");
+    for (std::size_t b = 0; b < script.config.n_byzantine; ++b) {
+      if (adversary_kind_for(script.config, b) == AdversaryKind::kTwoFaced) {
+        covered.insert("twofaced");
+      }
+    }
+
+    const std::string tag = "generated seed " + std::to_string(seed);
+    const SingleRun single = run_single_process(generated.text);
+    const std::string raw = single.recorder->jsonl();
+    EXPECT_EQ(run_single_process(generated.text, 4).recorder->jsonl(), raw) << tag;
+    const FleetRun fleet = run_fleet(generated.text, 2);
+    EXPECT_EQ(fleet.raw, raw) << tag;
+    EXPECT_EQ(fleet.rounds, single.run.rounds) << tag;
+    EXPECT_EQ(fleet.deliveries, single.run.messages) << tag;
+    // The coordinator's replayed monitor may list violations in another
+    // order than the online one.
+    EXPECT_EQ(sorted(fleet.violations), sorted(single.run.violations)) << tag;
+
+    // Without a recorder, rounds no chaos phase covers skip the link walk.
+    ScriptOptions unrecorded;
+    unrecorded.threads = 4;
+    const ScriptRun quiet = run_script(script, unrecorded);
+    EXPECT_EQ(quiet.summary, single.run.summary) << tag;
+    EXPECT_EQ(quiet.messages, single.run.messages) << tag;
+    EXPECT_EQ(quiet.violations, single.run.violations) << tag;
+  }
+  for (const char* feature : {"drop", "dup", "delay", "partition", "crash", "churn", "twofaced"}) {
+    EXPECT_TRUE(covered.contains(feature)) << "no generated scenario has " << feature;
+  }
 }
 
 // ------------------------------------- sharded trace epilogue parity --

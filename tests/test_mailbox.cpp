@@ -1,5 +1,6 @@
 // Mailbox-layer tests: ref-counted fan-out, deposit-time dedup against the
-// cached content hash, send-order merging of shared and private traffic, and
+// cached content hash, send-order merging of shared and private traffic,
+// per-receiver masks on the shared lane, and
 // the byte-frame half used by the runtime transports.
 #include <gtest/gtest.h>
 
@@ -154,6 +155,70 @@ TEST(Mailbox, CollectSuppressesPrivateDuplicateOfLaneMessage) {
   EXPECT_EQ(inbox.size(), 1u);
   EXPECT_EQ(fanout.dedup_hits, 1u);
   EXPECT_EQ(fanout.deliveries, 1u);
+}
+
+TEST(Mailbox, MaskedLaneEntryIsSkippedWhileNeighboursKeepSendOrder) {
+  BroadcastLane lane;
+  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
+  lane.deposit(MessageRef::wrap(make_msg(2, MsgKind::kPresent, 2)), 2);
+  lane.deposit(MessageRef::wrap(make_msg(3, MsgKind::kPresent, 3)), 4);
+
+  Mailbox box;
+  box.mask(2);  // sender 2's broadcast is withheld from this receiver only
+  box.deposit(MessageRef::wrap(make_msg(5, MsgKind::kAck, 5)), 3);
+  std::vector<Message> scratch;
+  FanoutCounters fanout;
+  MessageCounters counters;
+  const auto inbox = box.collect(&lane, scratch, &fanout, &counters);
+  ASSERT_EQ(inbox.size(), 3u);
+  EXPECT_EQ(inbox[0].sender, 1u);
+  EXPECT_EQ(inbox[1].sender, 5u);
+  EXPECT_EQ(inbox[2].sender, 3u);
+  EXPECT_EQ(fanout.deliveries, 3u);
+  EXPECT_EQ(counters.total_delivered(), 3u);
+  EXPECT_EQ(fanout.dedup_hits, 0u);
+
+  Mailbox other;  // every other receiver still aliases the shared view
+  EXPECT_EQ(other.collect(&lane, scratch).data(), lane.view().data());
+}
+
+TEST(Mailbox, UnicastWhoseLaneTwinIsMaskedIsStillDelivered) {
+  // Sender 1 unicasts X to this receiver and broadcasts X; the broadcast's
+  // link to this receiver is dropped, so the unicast is the copy that lands.
+  const Message x = make_msg(1, MsgKind::kPresent, 1);
+  ShardedLane lane;
+  lane.reset(1);
+  lane.segment(0).deposit(MessageRef::wrap(x), 2);
+  lane.seal();
+
+  Mailbox box;
+  box.deposit(MessageRef::wrap(x), 1);
+  box.mask(2);
+  std::vector<Message> scratch;
+  FanoutCounters fanout;
+  const auto inbox = box.collect(&lane, scratch, &fanout);
+  ASSERT_EQ(inbox.size(), 1u);
+  EXPECT_EQ(inbox[0], x);
+  EXPECT_EQ(fanout.dedup_hits, 0u) << "a masked twin suppresses nothing";
+}
+
+TEST(Mailbox, CollectClearsMasksSoNoneLeaksIntoTheNextRound) {
+  BroadcastLane lane;
+  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
+  Mailbox box;
+  box.mask(0);
+  EXPECT_FALSE(box.empty());
+  std::vector<Message> scratch;
+  EXPECT_TRUE(box.collect(&lane, scratch).empty());
+  EXPECT_TRUE(box.empty()) << "collect resets the masks";
+
+  // Next round reuses the sequence number: the stale mask must not apply,
+  // and with nothing receiver-specific left the fast path aliases again.
+  lane.clear();
+  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 2)), 0);
+  const auto inbox = box.collect(&lane, scratch);
+  ASSERT_EQ(inbox.size(), 1u);
+  EXPECT_EQ(inbox.data(), lane.view().data());
 }
 
 TEST(Mailbox, PrivateDepositDedups) {
