@@ -24,7 +24,8 @@
 //     where the wait is scheduling noise.
 // The run itself — and its canonical trace — is bit-identical at every shard
 // count and in both topologies; that invariant is enforced by test_dist and
-// the CI dist-mesh-smoke job, not here.
+// the CI dist-mesh-smoke job, not here. The artifact's `machine` object
+// records the core count, CPU model, compiler and build type it ran with.
 //
 // Usage: bench_dist [output.json]   (default: BENCH_dist.json)
 #include <chrono>
@@ -90,7 +91,8 @@ bool run_cell(Cell& cell) {
 
 bool write_json(const std::string& path, const std::vector<Cell>& cells) {
   std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"dist\",\n  \"cells\": [\n";
+  out << "{\n  \"benchmark\": \"dist\",\n  \"machine\": " << bench::machine_json(BENCH_BUILD_TYPE)
+      << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     out << "    {\n"

@@ -3,14 +3,15 @@
 // The plan slices the INITIAL sorted id list into contiguous ranges with the
 // same lane math the in-process parallel engine uses for its merge lanes
 // (slice k covers indices [n*k/S, n*(k+1)/S) — see net/parallel_exec.hpp and
-// SyncSimulator::step's lane plan), so a node's shard is a pure function of
-// (initial ids, shard count). Churn-admitted joiners draw ids ABOVE every
-// initial id (harness ChurnDriver), so any id past the initial range maps by
-// modulo — a deterministic spread that every worker computes identically.
+// SyncSimulator::begin_round's lane plan), so a node's shard is a pure
+// function of (initial ids, shard count). Churn-admitted joiners draw ids
+// ABOVE every initial id (harness ChurnDriver), so any id past the initial
+// range maps by modulo — a deterministic spread that every worker computes
+// identically.
 //
 // The assignment rule is NOT part of the determinism argument: cross-shard
 // ordering comes from the ascending-sender merge at the receiving shard
-// (src/dist/shard_engine.hpp), which is correct for ANY deterministic
+// (SyncSimulator::finish_round), which is correct for ANY deterministic
 // partition. The plan only has to be identical across workers and balanced
 // enough to be useful.
 #pragma once

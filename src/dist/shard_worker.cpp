@@ -83,7 +83,7 @@ std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
   for (std::uint32_t s = 0; s < shards_; ++s) {
     if (s != shard_) writers_[s].reset(shard_, engine_.round());
   }
-  for (const ShardEngine::Send& send : engine_.local_sends()) {
+  engine_.for_each_local_send([&](const SyncSimulator::Send& send) {
     if (send.to.has_value()) {
       const std::uint32_t dest = plan_.owner(*send.to);
       if (dest != shard_) writers_[dest].add(send.to, send.ref.get());
@@ -92,7 +92,7 @@ std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
         if (s != shard_) writers_[s].add(std::nullopt, send.ref.get());
       }
     }
-  }
+  });
   std::vector<OutboundSlab> out;
   for (std::uint32_t s = 0; s < shards_; ++s) {
     if (s != shard_ && !writers_[s].empty()) out.push_back({s, writers_[s].bytes()});
@@ -101,7 +101,7 @@ std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
 }
 
 bool ShardWorker::decode_peer_slab(std::span<const std::byte> bytes,
-                                   std::vector<ShardEngine::Send>& stream) {
+                                   std::vector<SyncSimulator::Send>& stream) {
   const auto view = parse_shard_slab(bytes);
   if (!view.has_value()) {
     wire_faults_.truncations += 1;
@@ -130,15 +130,15 @@ bool ShardWorker::decode_peer_slab(std::span<const std::byte> bytes,
   return true;
 }
 
-void ShardWorker::merge_round(std::span<const std::vector<ShardEngine::Send>> streams) {
+void ShardWorker::merge_round(std::span<const std::vector<SyncSimulator::Send>> streams) {
   engine_.finish_round(streams);
 }
 
 bool ShardWorker::finish_round(std::span<const std::vector<std::byte>> peer_slabs) {
-  std::vector<std::vector<ShardEngine::Send>> streams;
+  std::vector<std::vector<SyncSimulator::Send>> streams;
   streams.reserve(peer_slabs.size());
   for (const std::vector<std::byte>& bytes : peer_slabs) {
-    std::vector<ShardEngine::Send> stream;
+    std::vector<SyncSimulator::Send> stream;
     if (!decode_peer_slab(bytes, stream)) return false;
     streams.push_back(std::move(stream));
   }
@@ -264,14 +264,14 @@ int run_worker_loop(int fd, std::vector<int> peer_fds) {
           std::vector<std::span<const std::byte>> by_shard(worker->shards());
           for (const ShardWorker::OutboundSlab& slab : slabs) by_shard[slab.dest] = slab.bytes;
           std::string mesh_error;
-          std::vector<std::vector<ShardEngine::Send>> streams;
+          std::vector<std::vector<SyncSimulator::Send>> streams;
           streams.reserve(mesh->peer_count());
           bool ok = mesh->post_round(round, by_shard, mesh_error);
           if (ok) {
             ok = mesh->collect_round(
                 round,
                 [&](std::uint32_t, std::span<const std::byte> bytes) {
-                  std::vector<ShardEngine::Send> stream;
+                  std::vector<SyncSimulator::Send> stream;
                   if (!worker->decode_peer_slab(bytes, stream)) return false;
                   streams.push_back(std::move(stream));
                   return true;

@@ -1,9 +1,17 @@
 // One shard worker: a script-driven slice of a distributed simulation run.
 //
 // The worker owns the processes its ShardPlan slice assigns to it, drives
-// them through a ShardEngine, and speaks the coordinator's round protocol
-// (dist/shard_wire.hpp). It reconstructs the ENTIRE run description from the
-// shipped script text — scenario, chaos plan, churn stream — because the
+// them through a SyncSimulator that holds only that slice, and speaks the
+// coordinator's round protocol (dist/shard_wire.hpp). A round is the
+// simulator's own round split at the data plane: begin_round() steps the
+// slice and ships its sends as one shard-slab per peer; the peers' decoded
+// slabs are sender-ascending streams that SyncSimulator::finish_round()
+// merges with the local sends on sender id — so a remote broadcast is one
+// deposit into the worker's broadcast lane and a chaos fault one mailbox
+// mask, exactly as in the single-process engine (DESIGN.md §12).
+//
+// The worker reconstructs the ENTIRE run description from the shipped
+// script text — scenario, chaos plan, churn stream — because the
 // determinism of the whole scheme rests on every worker deriving identical
 // plans from identical inputs:
 //
@@ -30,12 +38,16 @@
 #include "common/chaos.hpp"
 #include "common/trace.hpp"
 #include "net/codec.hpp"
-#include "dist/shard_engine.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/shard_wire.hpp"
 #include "harness/script.hpp"
+#include "net/sync_simulator.hpp"
 
 namespace idonly {
+
+/// The worker's engine under its former name; `ShardEngine::Send` is
+/// `SyncSimulator::Send`.
+using ShardEngine = SyncSimulator;
 
 class ShardWorker {
  public:
@@ -58,7 +70,7 @@ class ShardWorker {
   };
 
   /// First half of the next round: apply the round's churn events, run the
-  /// engine's local half, and batch the outbound traffic into one slab per
+  /// engine's begin_round(), and batch the outbound traffic into one slab per
   /// destination shard (empty slabs omitted — absence of traffic is itself
   /// deterministic, so the peer needs no placeholder).
   [[nodiscard]] std::vector<OutboundSlab> begin_round();
@@ -75,10 +87,10 @@ class ShardWorker {
   /// with the remaining peers' transfers) and merged once all are in. Same
   /// failure contract as finish_round().
   [[nodiscard]] bool decode_peer_slab(std::span<const std::byte> bytes,
-                                      std::vector<ShardEngine::Send>& stream);
+                                      std::vector<SyncSimulator::Send>& stream);
   /// Run the deterministic boundary merge over already-decoded streams
   /// (stream order is irrelevant — the merge orders by sender id).
-  void merge_round(std::span<const std::vector<ShardEngine::Send>> streams);
+  void merge_round(std::span<const std::vector<SyncSimulator::Send>> streams);
 
   /// Compute/communication overlap accounting, folded into finalize()'s
   /// metrics. The protocol loop (and its MeshExchange) owns the timing; the
@@ -102,7 +114,7 @@ class ShardWorker {
   ScenarioScript script_;
   Scenario scenario_;
   ShardPlan plan_;
-  ShardEngine engine_;
+  SyncSimulator engine_;  // this shard's slice only; one thread
   std::shared_ptr<ChaosSchedule> chaos_;
   std::shared_ptr<TraceRecorder> recorder_;
   std::unique_ptr<TraceObserver> observer_;

@@ -64,23 +64,24 @@ std::size_t SyncSimulator::slot_of(NodeId id) const noexcept {
 
 void SyncSimulator::merge_lane(std::size_t lane_index) {
   // One lane of the parallel merge. The lane owns a contiguous range of
-  // destination slots: their mailboxes, their per-(from,to) chaos sequence
-  // counters, and their trace rings are touched by THIS lane only. It walks
-  // every message of the round in global send order (ascending sender slot,
-  // then outbox position) and applies exactly the effects it owns, so each
-  // receiver observes the same deposit order as the sequential engine —
+  // destination slots — their mailboxes, their per-(from,to) chaos sequence
+  // counters, and their trace rings are touched by THIS lane only — and the
+  // contiguous range of sender runs that covers the same local members. It
+  // walks every message of the round in merged send order (ascending sender
+  // id, then outbox position) and applies exactly the effects it owns, so
+  // each receiver observes the same deposit order as the sequential engine —
   // regardless of how the other lanes interleave in real time.
   LaneArena& arena = arenas_[lane_index];
   const std::size_t begin = lane_starts_[lane_index];
   const std::size_t end = lane_starts_[lane_index + 1];
+  const std::size_t own_begin = run_starts_[lane_index];
+  const std::size_t own_end = run_starts_[lane_index + 1];
   BroadcastLane& segment = lanes_[fill_lane_].segment(lane_index);
-  const std::size_t n = dispatches_.size();
 
-  // What the link from sender slot `s` to receiver slot `t` does to a
-  // message: the chaos verdict (staged for the fault trace and recorded),
-  // with the delay hook's delay when chaos neither drops nor delays it.
-  const auto link_fault = [&](std::size_t s, std::size_t t, const MessageRef& ref) {
-    const NodeId from = dispatches_[s].id;
+  // What the link from `from` to receiver slot `t` does to a message: the
+  // chaos verdict (staged for the fault trace and recorded), with the delay
+  // hook's delay when chaos neither drops nor delays it.
+  const auto link_fault = [&](NodeId from, std::size_t t, const MessageRef& ref) {
     const NodeId to = dispatches_[t].id;
     FaultDecision fault;
     if (chaos_) {
@@ -133,41 +134,44 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
     }
   };
 
-  for (std::size_t s = 0; s < n; ++s) {
-    Dispatch& sender = dispatches_[s];
-    const bool own_sender = s >= begin && s < end;
-    if (!own_sender && sender.outbox.empty()) continue;
-    for (std::size_t m = 0; m < sender.outbox.size(); ++m) {
-      const Outgoing& out = sender.outbox[m];
-      const MessageRef& ref = sender.refs[m];
-      // Two deposit keys per global message ordinal: a chaos duplicate copy
+  for (std::size_t r = 0; r < runs_.size(); ++r) {
+    const SenderRun& run = runs_[r];
+    const bool own_run = r >= own_begin && r < own_end;
+    for (std::size_t m = 0; m < run.sends.size(); ++m) {
+      const Send& send = run.sends[m];
+      const MessageRef& ref = send.ref;
+      // Two deposit keys per visible send ordinal: a chaos duplicate copy
       // takes `key`, the primary copy `key + 1` — duplicate-before-primary,
       // exactly the sequential engine's deposit order. Only relative order
-      // is observable, so the gaps left by unfaulted messages are free.
-      const std::uint64_t key = seq_ + 2 * (sender.msg_base + m);
-      const bool repeat = walk_links_ && sender.repeats[m] != 0;
-      if (own_sender) {
-        arena.messages.sent[static_cast<std::size_t>(ref->kind)] += 1;
-        arena.fanout.unique_payloads += 1;
-        if (tracing_) arena.debug_stage.push_back(TraceEntry{round_, sender.id, out.to, ref.get()});
-        if (recorder_) arena.trace_stage.push_back(make_send_record(sender.id, round_, out.to));
-        if (!out.to.has_value() && !repeat) {
+      // is observable, so the gaps left by unfaulted messages (and by
+      // traffic another slice never shows this one) are free.
+      const std::uint64_t key = seq_ + 2 * (run.base + m);
+      const bool repeat = walk_links_ && repeats_[run.base + m] != 0;
+      if (own_run) {
+        if (run.local) {
+          arena.messages.sent[static_cast<std::size_t>(ref->kind)] += 1;
+          arena.fanout.unique_payloads += 1;
+          if (tracing_) arena.debug_stage.push_back(TraceEntry{round_, run.id, send.to, ref.get()});
+          if (recorder_) arena.trace_stage.push_back(make_send_record(run.id, round_, send.to));
+        }
+        if (!send.to.has_value() && !repeat) {
           // A broadcast is one deposit into this lane's segment, faults or
           // not. Segments cover ascending sender ranges, so seal()'s
-          // concatenation is globally key-ordered.
-          if (!segment.deposit(ref, key)) arena.fanout.dedup_hits += 1;
+          // concatenation is globally key-ordered. A remote sender's repeat
+          // is its own engine's dedup hit.
+          if (!segment.deposit(ref, key) && run.local) arena.fanout.dedup_hits += 1;
         }
       }
-      if (out.to.has_value()) {
-        const std::size_t t = slot_of(*out.to);
+      if (send.to.has_value()) {
+        const std::size_t t = slot_of(*send.to);
         if (t >= begin && t < end) {  // recipient gone → no lane owns it; message lost
-          deposit_private(*out.to, *dispatches_[t].member, ref, key, link_fault(s, t, ref));
+          deposit_private(*send.to, *dispatches_[t].member, ref, key, link_fault(run.id, t, ref));
         }
       } else if (walk_links_) {
         for (std::size_t t = begin; t < end; ++t) {
           const NodeId to = dispatches_[t].id;
           Member& member = *dispatches_[t].member;
-          const FaultDecision fault = link_fault(s, t, ref);
+          const FaultDecision fault = link_fault(run.id, t, ref);
           if (repeat) {
             deposit_private(to, member, ref, key, fault);
           } else {
@@ -180,6 +184,11 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
 }
 
 void SyncSimulator::step() {
+  begin_round();
+  finish_round({});
+}
+
+void SyncSimulator::begin_round() {
   // Departures announced during the previous round take effect before this
   // one begins: messages the leaver already sent were routed then, but it
   // neither acts nor receives from here on. A node that was added and
@@ -242,8 +251,7 @@ void SyncSimulator::step() {
     dispatch.id = id;
     dispatch.member = &member;
     dispatch.outbox.clear();
-    dispatch.refs.clear();
-    dispatch.msg_base = 0;
+    dispatch.sends.clear();
     dispatch.became_done = false;
   }
   const std::size_t n = dispatches_.size();
@@ -322,32 +330,67 @@ void SyncSimulator::step() {
     RoundInfo info{round_, round_ - member.joined_round + 1};
     member.process->on_round(info, dispatch.inbox, dispatch.outbox);
     dispatch.became_done = !was_done && member.process->done();
-    dispatch.refs.reserve(dispatch.outbox.size());
+    dispatch.sends.reserve(dispatch.outbox.size());
     for (Outgoing& out : dispatch.outbox) {
       Message msg = std::move(out.msg);
       msg.sender = dispatch.id;  // unforgeable identity
-      dispatch.refs.push_back(MessageRef::wrap(std::move(msg)));
-    }
-    if (walk_links_) {
-      // A broadcast repeating content its sender already broadcast this
-      // round gets no lane entry; the merge routes it per receiver, so a
-      // receiver the first copy missed still gets the repeat, in its place.
-      dispatch.repeats.assign(dispatch.outbox.size(), 0);
-      std::unordered_set<MessageRef, MessageRefHash> broadcasts;
-      for (std::size_t m = 0; m < dispatch.outbox.size(); ++m) {
-        if (!dispatch.outbox[m].to.has_value() && !broadcasts.insert(dispatch.refs[m]).second) {
-          dispatch.repeats[m] = 1;
-        }
-      }
+      dispatch.sends.push_back(Send{out.to, MessageRef::wrap(std::move(msg))});
     }
   });
+}
 
-  // Sequential prefix pass: assign every message its global send ordinal.
-  // All deposit keys derive from these, so they are thread-count-invariant.
+void SyncSimulator::mark_repeats(std::span<const Send> sends, std::vector<std::uint8_t>& marks) {
+  // A broadcast repeating content its sender already broadcast this round
+  // gets no lane entry; the merge routes it per receiver, so a receiver the
+  // first copy missed still gets the repeat, in its place.
+  std::unordered_set<MessageRef, MessageRefHash> broadcasts;
+  for (const Send& send : sends) {
+    marks.push_back(!send.to.has_value() && !broadcasts.insert(send.ref).second ? 1 : 0);
+  }
+}
+
+void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_streams) {
+  // Merge on sender id: one run per local member with sends, one per
+  // remote sender (a remote stream is ascending by sender, so each sender's
+  // sends are contiguous). Sender sets are disjoint, so ordering the runs
+  // by sender id replays the visible subsequence of the global send order.
+  // Each run's `base` is its visible send ordinal — every deposit key
+  // derives from these, so keys are thread-count-invariant.
+  runs_.clear();
+  for (const Dispatch& dispatch : dispatches_) {
+    if (!dispatch.sends.empty()) runs_.push_back({dispatch.id, true, dispatch.sends, 0});
+  }
+  for (const std::vector<Send>& stream : remote_streams) {
+    for (std::size_t begin = 0, end = 0; begin < stream.size(); begin = end) {
+      const NodeId sender = stream[begin].ref->sender;
+      while (end < stream.size() && stream[end].ref->sender == sender) ++end;
+      runs_.push_back({sender, false, std::span(stream).subspan(begin, end - begin), 0});
+    }
+  }
+  if (!remote_streams.empty()) {
+    std::sort(runs_.begin(), runs_.end(),
+              [](const SenderRun& a, const SenderRun& b) { return a.id < b.id; });
+  }
+  repeats_.clear();
   std::uint64_t total_msgs = 0;
-  for (Dispatch& dispatch : dispatches_) {
-    dispatch.msg_base = total_msgs;
-    total_msgs += dispatch.outbox.size();
+  for (SenderRun& run : runs_) {
+    run.base = total_msgs;
+    total_msgs += run.sends.size();
+    if (walk_links_) mark_repeats(run.sends, repeats_);
+  }
+
+  // Lane l owns the runs of senders from its first slot's id up to the next
+  // lane's: every local sender's run lands in the lane that owns its slot,
+  // and remote runs split the same ascending way.
+  const std::size_t lane_count = lane_starts_.size() - 1;
+  run_starts_.assign(lane_count + 1, runs_.size());
+  run_starts_[0] = 0;
+  for (std::size_t l = 1; l < lane_count; ++l) {
+    const NodeId first = dispatches_[lane_starts_[l]].id;
+    run_starts_[l] = static_cast<std::size_t>(
+        std::lower_bound(runs_.begin(), runs_.end(), first,
+                         [](const SenderRun& run, NodeId v) { return run.id < v; }) -
+        runs_.begin());
   }
 
   // Phase 3 — parallel lane merge: no sequential replay pass. Each lane
@@ -387,6 +430,7 @@ void SyncSimulator::step() {
   }
   seq_ += 2 * total_msgs;
   lanes_[fill_lane_].seal();
+  runs_.clear();
 }
 
 bool SyncSimulator::run_until(const std::function<bool()>& pred, Round max_rounds) {

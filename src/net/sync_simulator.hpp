@@ -24,6 +24,12 @@
 // or staged per lane and committed in lane order, so sequence stamps, chaos
 // verdicts, and trace records are bit-identical to the sequential engine for
 // every thread count (DESIGN.md §8 gives the argument).
+//
+// A round splits in two halves, so the same engine also runs one slice of a
+// distributed simulation (dist/shard_worker.hpp): begin_round() steps the
+// local members and exposes their sends; finish_round() merges those sends
+// with other slices' sender-ascending streams and delivers. step() is
+// begin_round() followed by finish_round() with no remote streams.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,8 +69,41 @@ class SyncSimulator {
   /// this round are still delivered). No-op when the id is unknown.
   void remove_process(NodeId id);
 
-  /// Execute one synchronous round.
+  /// One message of a round's traffic as the merge sees it: `to` empty →
+  /// broadcast. The sender is stamped inside the ref'd message.
+  struct Send {
+    std::optional<NodeId> to;
+    MessageRef ref;
+  };
+
+  /// Execute one synchronous round: begin_round(), then finish_round({}).
   void step();
+
+  /// First half of a round: membership changes, delayed-message flush,
+  /// inbox assembly, process stepping, outbox wrapping.
+  void begin_round();
+
+  /// Call `fn(send)` for each of the local members' sends of the round
+  /// begun last, in global send order restricted to local senders
+  /// (ascending sender id, then outbox position). Valid between
+  /// begin_round() and finish_round().
+  template <typename Fn>
+  void for_each_local_send(Fn&& fn) const {
+    for (const Dispatch& dispatch : dispatches_) {
+      for (const Send& send : dispatch.sends) fn(send);
+    }
+  }
+
+  /// Second half of a round: merge the local sends with `remote_streams` —
+  /// the sends of senders hosted elsewhere that reach a local member, one
+  /// stream per remote slice, each ascending by sender id, sender sets
+  /// pairwise disjoint and disjoint from the local members (stream order is
+  /// irrelevant) — and route them into local mailboxes and the broadcast
+  /// lane for delivery at the next begin_round(). A remote sender's
+  /// broadcast is one lane deposit here, exactly like a local one; sender-
+  /// side accounting (sent, unique payloads, send records, lane dedup hits)
+  /// is left to the sender's own engine.
+  void finish_round(std::span<const std::vector<Send>> remote_streams = {});
 
   /// Shard the per-round process stepping across `threads` threads (1 =
   /// sequential, the default). The observable execution — delivery order,
@@ -162,7 +202,7 @@ class SyncSimulator {
   };
 
   /// One member's slice of a round, assembled before anyone steps. The
-  /// outbox slab, wrapped refs, and done flags live here so the parallel
+  /// outbox slab, wrapped sends, and done flags live here so the parallel
   /// phases touch only private state; dispatches_ persists across rounds
   /// (the round arena — slab/scratch capacity is reused, steady-state rounds
   /// allocate nothing).
@@ -171,12 +211,17 @@ class SyncSimulator {
     Member* member = nullptr;
     std::span<const Message> inbox;
     std::vector<Outgoing> outbox;     // private slab filled by on_round
-    std::vector<MessageRef> refs;     // outbox wrapped (stamped + hashed), same order
-    // Rounds that walk links only: 1 where outbox[m] is a broadcast whose
-    // content this sender already broadcast this round.
-    std::vector<std::uint8_t> repeats;
-    std::uint64_t msg_base = 0;       // global send ordinal of outbox[0] this round
+    std::vector<Send> sends;          // outbox wrapped (stamped + hashed), same order
     bool became_done = false;
+  };
+
+  /// One sender's messages in the round's merged send order: a local
+  /// member's sends or one remote sender's slice of a remote stream.
+  struct SenderRun {
+    NodeId id = 0;
+    bool local = false;
+    std::span<const Send> sends;
+    std::uint64_t base = 0;  // visible send ordinal of sends[0] this round
   };
 
   /// Per-lane scratch state for the parallel merge: every order-sensitive
@@ -205,10 +250,14 @@ class SyncSimulator {
   /// Dispatch slot of a live member (dispatches_ is ascending by id), or
   /// dispatches_.size() when the id is not a member this round.
   [[nodiscard]] std::size_t slot_of(NodeId id) const noexcept;
-  /// Phase 3 for one lane: walk every message in global send order and apply
-  /// the effects this lane owns (sender-side bookkeeping for its senders,
-  /// deposits/chaos/trace for its receivers). See DESIGN.md §8.
+  /// Phase 3 for one lane: walk every message in merged send order and
+  /// apply the effects this lane owns (sender-side bookkeeping and lane
+  /// deposits for its runs, deposits/chaos/trace for its receivers). See
+  /// DESIGN.md §8.
   void merge_lane(std::size_t lane_index);
+  /// Append one mark per send: 1 where a broadcast repeats content its
+  /// sender already broadcast earlier in `sends` (one sender's round).
+  static void mark_repeats(std::span<const Send> sends, std::vector<std::uint8_t>& marks);
 
   std::map<NodeId, Member> members_;                 // ordered → deterministic stepping
   std::vector<std::unique_ptr<Process>> pending_joins_;
@@ -216,6 +265,11 @@ class SyncSimulator {
   std::vector<Dispatch> dispatches_;                 // round arena, reused across rounds
   std::vector<LaneArena> arenas_;                    // lane arenas, reused across rounds
   std::vector<std::size_t> lane_starts_;  // lane l owns slots [starts[l], starts[l+1])
+  std::vector<std::size_t> run_starts_;   // ... and runs [run_starts[l], run_starts[l+1])
+  // Rounds that walk links only, by send ordinal: 1 where a broadcast repeats
+  // content its sender already broadcast this round.
+  std::vector<std::uint8_t> repeats_;
+  std::vector<SenderRun> runs_;           // merged send order, ascending sender id
   unsigned threads_ = 1;
   std::unique_ptr<ParallelExecutor> executor_;       // live iff threads_ > 1
   mutable std::vector<NodeId> member_ids_cache_;

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -326,6 +328,9 @@ struct FleetRun {
   std::string canonical;
   std::uint64_t deliveries = 0;
   std::vector<std::string> violations;
+  /// The workers' metrics and chaos counters summed the way run_dist's
+  /// coordinator sums them, rendered like ScriptRun::metrics_exposition.
+  std::string exposition;
 };
 
 /// Runs the harness's round loop (shared stop rule) over an in-process
@@ -353,9 +358,25 @@ FleetRun run_fleet(const std::string& text, std::uint32_t shards) {
   out.rounds = fleet.round;
   TraceRecorder merged(TraceEngine::kSync);
   std::map<NodeId, NodeOutcome> nodes;
+  Metrics metrics;
+  std::optional<ChaosCounters> chaos;
   for (auto& worker : fleet.workers) {
     ShardResult result = worker->finalize();
     out.deliveries += result.metrics.messages.total_delivered();
+    for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
+      metrics.messages.sent[k] += result.metrics.messages.sent[k];
+      metrics.messages.delivered[k] += result.metrics.messages.delivered[k];
+    }
+    metrics.fanout += result.metrics.fanout;
+    metrics.rounds_executed = std::max(metrics.rounds_executed, result.metrics.rounds_executed);
+    metrics.done_round.insert(result.metrics.done_round.begin(), result.metrics.done_round.end());
+    if (result.has_chaos) {
+      if (!chaos.has_value()) chaos.emplace();
+      chaos->per_phase.resize(std::max(chaos->per_phase.size(), result.chaos.per_phase.size()));
+      for (std::size_t p = 0; p < result.chaos.per_phase.size(); ++p) {
+        chaos->per_phase[p] += result.chaos.per_phase[p];
+      }
+    }
     for (const ShardResult::Decision& d : result.decisions) {
       nodes[d.id] = {d.done, d.has_output ? std::optional(d.output) : std::nullopt, {}};
     }
@@ -366,6 +387,7 @@ FleetRun run_fleet(const std::string& text, std::uint32_t shards) {
   }
   out.raw = merged.jsonl();
   out.canonical = merged.canonical_jsonl();
+  out.exposition = prometheus_exposition(metrics, chaos.has_value() ? &*chaos : nullptr);
 
   const std::unique_ptr<InvariantMonitor> monitor = make_loop_monitor(script, scenario);
   if (monitor != nullptr) {
@@ -409,15 +431,92 @@ std::vector<std::string> sorted(std::vector<std::string> lines) {
   return lines;
 }
 
+/// FNV-1a, 64 bit: the digest the pinned reference table below records.
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+/// What the per-receiver reference engine produced for one generated
+/// scenario: FNV-1a 64 of the raw jsonl() export, rounds, deliveries.
+struct ReferenceRun {
+  std::uint64_t seed = 0;
+  std::uint64_t raw_digest = 0;
+  Round rounds = 0;
+  std::uint64_t deliveries = 0;
+};
+
 TEST(ShardWorkerParity, GeneratedScenariosMatchThePerReceiverReference) {
-  // SyncSimulator delivers every broadcast from its shared lane and turns a
-  // link fault into a per-receiver mask; ShardEngine still routes every link
-  // per receiver, so it is an independent reference for the masks. Over
-  // generated scenarios the two must agree on every delivery record.
+  // An independent oracle for the lane-and-mask round. The table was
+  // produced by the per-receiver shard engine that dist workers ran before
+  // they ran SyncSimulator: that engine deposited every link into its
+  // receiver's mailbox, with no shared broadcast lane and no masks. Its
+  // in-process fleet (the run_fleet helper below) ran ScenarioGenerator
+  // seeds 1-50 at 2 shards. For each seed the table holds the FNV-1a 64
+  // digest of the fleet's raw jsonl() export, plus rounds and deliveries.
+  // The same runs at 3 shards and run_script at threads 1 gave identical
+  // rows. Each row below is that engine's output; none of it comes from the
+  // engine under test.
+  static constexpr ReferenceRun kReference[] = {
+    {1, 0xaebc66a2d0a49751ull, 40, 5745},
+    {2, 0x12e34057b710cae0ull, 50, 60863},
+    {3, 0x910dc816a6cd2c24ull, 12, 1354},
+    {4, 0xb430b41b31ff9ab0ull, 12, 435},
+    {5, 0x49e834104f9f0164ull, 12, 14626},
+    {6, 0x199e94838e1e5a82ull, 12, 11883},
+    {7, 0x810f89480c7fffe1ull, 40, 7580},
+    {8, 0x6b400e8cad0631d7ull, 12, 11781},
+    {9, 0x54d0e772f53e140aull, 12, 4248},
+    {10, 0xece750cbdfec9197ull, 12, 260},
+    {11, 0xb8c334f20037a5f7ull, 70, 709204},
+    {12, 0x563a9d0f84f109a9ull, 7, 13440},
+    {13, 0x2deefd9113296906ull, 7, 2651},
+    {14, 0xfe10f85ac470df39ull, 40, 5202},
+    {15, 0x440274adcea320e7ull, 60, 213526},
+    {16, 0x52eb7a4ad24e0e60ull, 53, 51760},
+    {17, 0xff0727fa14598e47ull, 12, 1835},
+    {18, 0xbd143b10bd1e8271ull, 48, 45900},
+    {19, 0xa1d12eccf6a7de1dull, 7, 293},
+    {20, 0x8ae9882f3973c91full, 56, 149308},
+    {21, 0x63961ffae6d134e9ull, 12, 248},
+    {22, 0x0f219f87793996c5ull, 12, 248},
+    {23, 0x390b2cf7632e11feull, 12, 6871},
+    {24, 0x2ec35da7fc20f5f3ull, 7, 5840},
+    {25, 0x35e02c0c65c94254ull, 7, 2521},
+    {26, 0x3b6da4ee9a43f8a9ull, 17, 10320},
+    {27, 0x4e5fbf127b8966c3ull, 12, 1024},
+    {28, 0x8f73e948c41e5d7full, 12, 2720},
+    {29, 0x40d64938656026b6ull, 42, 11238},
+    {30, 0x6f04baf8901af648ull, 7, 2410},
+    {31, 0x25033b24ba816354ull, 7, 4116},
+    {32, 0x720fdba9117938d7ull, 66, 531381},
+    {33, 0x9dc33fddbe2495c1ull, 12, 9206},
+    {34, 0x0c4e0bf7138fde2eull, 7, 1698},
+    {35, 0x4e1c76820f1dda80ull, 12, 16372},
+    {36, 0x2ee05355a7e54aeaull, 7, 7665},
+    {37, 0x4d54377f51360a16ull, 50, 79008},
+    {38, 0xd649cc8581fbdfafull, 12, 1584},
+    {39, 0x7a9070b5dedf52b9ull, 12, 1919},
+    {40, 0xb1ff9f416cde21baull, 7, 14789},
+    {41, 0xb98b2faed87e2db9ull, 12, 3494},
+    {42, 0x244cd6a5bd4a087eull, 12, 1765},
+    {43, 0xc6b2155963330580ull, 7, 7696},
+    {44, 0xd94e93e61fb8b37full, 40, 5709},
+    {45, 0x4ce8aae187928a1cull, 7, 5083},
+    {46, 0x6356347661cf467aull, 7, 13053},
+    {47, 0xce2ed3a0f1f9b6f2ull, 7, 7665},
+    {48, 0xb3267da137cdfa3dull, 12, 6505},
+    {49, 0xd921a68249f1e165ull, 12, 2994},
+    {50, 0x587d29d5f09ed479ull, 12, 7997},
+  };
   const ScenarioGenerator generator;
   std::set<std::string> covered;
-  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
-    const GeneratedScenario generated = generator.generate(seed);
+  for (const ReferenceRun& reference : kReference) {
+    const GeneratedScenario generated = generator.generate(reference.seed);
     const ScenarioScript& script = generated.script;
     for (const ChaosPhaseSpec& phase : script.chaos_phases) {
       if (phase.drop > 0) covered.insert("drop");
@@ -433,17 +532,29 @@ TEST(ShardWorkerParity, GeneratedScenariosMatchThePerReceiverReference) {
       }
     }
 
-    const std::string tag = "generated seed " + std::to_string(seed);
+    const std::string tag = "generated seed " + std::to_string(reference.seed);
     const SingleRun single = run_single_process(generated.text);
-    const std::string raw = single.recorder->jsonl();
-    EXPECT_EQ(run_single_process(generated.text, 4).recorder->jsonl(), raw) << tag;
-    const FleetRun fleet = run_fleet(generated.text, 2);
-    EXPECT_EQ(fleet.raw, raw) << tag;
-    EXPECT_EQ(fleet.rounds, single.run.rounds) << tag;
-    EXPECT_EQ(fleet.deliveries, single.run.messages) << tag;
-    // The coordinator's replayed monitor may list violations in another
-    // order than the online one.
-    EXPECT_EQ(sorted(fleet.violations), sorted(single.run.violations)) << tag;
+    for (const unsigned threads : {1u, 4u}) {
+      const std::string where = tag + " threads " + std::to_string(threads);
+      const SingleRun run = threads == 1 ? single : run_single_process(generated.text, threads);
+      EXPECT_EQ(fnv1a64(run.recorder->jsonl()), reference.raw_digest) << where;
+      EXPECT_EQ(run.run.rounds, reference.rounds) << where;
+      EXPECT_EQ(run.run.messages, reference.deliveries) << where;
+    }
+    for (const std::uint32_t shards : {2u, 3u}) {
+      const std::string where = tag + " shards " + std::to_string(shards);
+      const FleetRun fleet = run_fleet(generated.text, shards);
+      EXPECT_EQ(fnv1a64(fleet.raw), reference.raw_digest) << where;
+      EXPECT_EQ(fleet.rounds, reference.rounds) << where;
+      EXPECT_EQ(fleet.deliveries, reference.deliveries) << where;
+      // Every counter the workers keep sums to the single-process run's:
+      // per-kind sent/delivered, fanout deliveries, bytes, unique payloads,
+      // dedup hits and slab sends, and the chaos fault counters.
+      EXPECT_EQ(fleet.exposition, single.run.metrics_exposition) << where;
+      // The coordinator's replayed monitor may list violations in another
+      // order than the online one.
+      EXPECT_EQ(sorted(fleet.violations), sorted(single.run.violations)) << where;
+    }
 
     // Without a recorder, rounds no chaos phase covers skip the link walk.
     ScriptOptions unrecorded;

@@ -7,8 +7,13 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "common/chaos.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "net/process.hpp"
 #include "net/sync_simulator.hpp"
 
@@ -404,6 +409,222 @@ TEST(SyncSimulator, MemberIdsSorted) {
   sim.add_process(std::make_unique<ScriptedProcess>(20));
   sim.step();
   EXPECT_EQ(sim.member_ids(), (std::vector<NodeId>{10, 20, 30}));
+}
+
+
+// ------------------------------------------------------------ split round --
+// step() is begin_round() + finish_round({}); a distributed worker is a
+// SyncSimulator holding one slice of the ids that runs the two halves with
+// its peers' sends in between.
+
+using DeliveryLog = std::map<NodeId, std::vector<std::pair<Round, Message>>>;
+
+/// Random traffic, deterministic per (seed, id): broadcasts from a small
+/// content pool (so identical broadcasts recur), explicit repeats of the
+/// round's first broadcast, and unicasts to ids that may be absent. Logs
+/// every delivery into a log that outlives the process.
+class Chatter final : public Process {
+ public:
+  Chatter(NodeId id, std::uint64_t seed, NodeId max_target, DeliveryLog& log)
+      : Process(id), rng_(seed * 7919 + id), max_target_(max_target), log_(log[id]) {}
+
+  void on_round(RoundInfo round, std::span<const Message> inbox,
+                std::vector<Outgoing>& out) override {
+    for (const Message& msg : inbox) log_.emplace_back(round.global, msg);
+    const auto pick = [&] {
+      Message m;
+      m.kind = static_cast<MsgKind>(rng_.below(3));
+      m.value = Value::real(static_cast<double>(rng_.below(3)));
+      return m;
+    };
+    if (rng_.chance(0.8)) {
+      const Message first = pick();
+      broadcast(out, first);
+      if (rng_.chance(0.3)) broadcast(out, pick());
+      if (rng_.chance(0.3)) broadcast(out, first);
+    }
+    if (rng_.chance(0.4)) unicast(out, 1 + rng_.below(max_target_), pick());
+  }
+
+
+ private:
+  Rng rng_;
+  NodeId max_target_;
+  std::vector<std::pair<Round, Message>>& log_;
+};
+
+/// Chaos drop/dup/delay in rounds 3-7.
+std::shared_ptr<ChaosSchedule> lossy_schedule() {
+  ChaosPhase phase;
+  phase.first_round = 3;
+  phase.last_round = 7;
+  phase.drop = 0.15;
+  phase.duplicate = 0.15;
+  phase.delay = DelaySpec{0.15, 2};
+  return std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, 99);
+}
+
+/// Sum of per-engine counters, the way the distributed coordinator sums its
+/// workers', rendered for one-line comparison.
+std::string summed_exposition(std::initializer_list<const SyncSimulator*> sims) {
+  Metrics sum;
+  for (const SyncSimulator* sim : sims) {
+    for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
+      sum.messages.sent[k] += sim->metrics().messages.sent[k];
+      sum.messages.delivered[k] += sim->metrics().messages.delivered[k];
+    }
+    sum.fanout += sim->metrics().fanout;
+    sum.rounds_executed = std::max(sum.rounds_executed, sim->metrics().rounds_executed);
+    sum.done_round.insert(sim->metrics().done_round.begin(), sim->metrics().done_round.end());
+  }
+  return prometheus_exposition(sum);
+}
+
+std::vector<SyncSimulator::Send> local_sends(const SyncSimulator& sim) {
+  std::vector<SyncSimulator::Send> out;
+  sim.for_each_local_send([&](const SyncSimulator::Send& send) { out.push_back(send); });
+  return out;
+}
+
+/// One round of two slices: both step, then each merges the other's sends.
+void exchange_round(SyncSimulator& a, SyncSimulator& b) {
+  a.begin_round();
+  b.begin_round();
+  const std::vector<std::vector<SyncSimulator::Send>> to_a{local_sends(b)};
+  const std::vector<std::vector<SyncSimulator::Send>> to_b{local_sends(a)};
+  a.finish_round(to_a);
+  b.finish_round(to_b);
+}
+
+TEST(SplitRound, StepEqualsBeginThenFinish) {
+  // Same run twice — chaos, recorder, a join and a leave — once through
+  // step() and once through the two halves: identical raw traces and
+  // deliveries.
+  DeliveryLog logs[2];
+  std::string raw[2];
+  for (int split = 0; split < 2; ++split) {
+    SyncSimulator sim;
+    sim.set_threads(2);
+    sim.set_chaos(lossy_schedule());
+    auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+    sim.set_trace_recorder(recorder);
+    for (NodeId id = 1; id <= 6; ++id) {
+      sim.add_process(std::make_unique<Chatter>(id, 5, 8, logs[split]));
+    }
+    for (Round r = 1; r <= 12; ++r) {
+      if (r == 5) sim.add_process(std::make_unique<Chatter>(7, 5, 8, logs[split]));
+      if (r == 8) sim.remove_process(3);
+      if (split == 0) {
+        sim.step();
+      } else {
+        sim.begin_round();
+        sim.finish_round({});
+      }
+    }
+    raw[split] = recorder->jsonl();
+  }
+  EXPECT_EQ(raw[0], raw[1]);
+  EXPECT_EQ(logs[0], logs[1]);
+}
+
+TEST(SplitRound, TwoSlicesExchangingLocalSendsMatchOneSimulator) {
+  // Odd ids in one slice (merged on three lanes, so lane run ranges
+  // interleave remote senders), even ids in the other; a join and a leave;
+  // chaos drop/dup/delay. Deliveries, the raw trace and the summed counters
+  // equal the single simulator's.
+  constexpr NodeId kMaxTarget = 12;
+  SyncSimulator whole;
+  SyncSimulator odd;
+  SyncSimulator even;
+  odd.set_threads(3);
+  whole.set_chaos(lossy_schedule());
+  odd.set_chaos(lossy_schedule());
+  even.set_chaos(lossy_schedule());
+  auto whole_trace = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+  auto slice_trace = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+  whole.set_trace_recorder(whole_trace);
+  odd.set_trace_recorder(slice_trace);
+  even.set_trace_recorder(slice_trace);
+
+  DeliveryLog whole_log;
+  DeliveryLog slice_log;
+  const auto admit = [&](NodeId id) {
+    whole.add_process(std::make_unique<Chatter>(id, 17, kMaxTarget, whole_log));
+    SyncSimulator& slice = id % 2 == 1 ? odd : even;
+    slice.add_process(std::make_unique<Chatter>(id, 17, kMaxTarget, slice_log));
+  };
+  for (NodeId id = 1; id <= 9; ++id) admit(id);
+  for (Round r = 1; r <= 14; ++r) {
+    if (r == 4) admit(10);
+    if (r == 6) {
+      whole.remove_process(5);
+      odd.remove_process(5);
+    }
+    whole.step();
+    exchange_round(odd, even);
+  }
+
+  EXPECT_EQ(slice_log, whole_log);
+  ASSERT_GT(whole.metrics().fanout.dedup_hits, 0u);
+  EXPECT_EQ(slice_trace->jsonl(), whole_trace->jsonl());
+  EXPECT_EQ(summed_exposition({&odd, &even}), summed_exposition({&whole}));
+}
+
+TEST(SplitRound, RepeatedBroadcastIsOneDedupHitAtTheSendersSlice) {
+  // Chaos-free round: sender 1 broadcasts X twice. Both slices suppress the
+  // repeat in their broadcast lane, but only the sender's slice counts it,
+  // so the counters sum to the single simulator's.
+  SyncSimulator whole;
+  SyncSimulator left;   // hosts the sender
+  SyncSimulator right;
+  std::vector<ScriptedProcess*> receivers;
+  for (SyncSimulator* sim : {&whole, &left}) {
+    auto sender = std::make_unique<ScriptedProcess>(1);
+    sender->send_in_round(1, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, 7)});
+    sender->send_in_round(1, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, 7)});
+    sim->add_process(std::move(sender));
+  }
+  for (SyncSimulator* sim : {&whole, &right}) {
+    auto receiver = std::make_unique<ScriptedProcess>(2);
+    receivers.push_back(receiver.get());
+    sim->add_process(std::move(receiver));
+  }
+  for (int r = 0; r < 2; ++r) {
+    whole.step();
+    exchange_round(left, right);
+  }
+  EXPECT_EQ(receivers[0]->received_[2].size(), 1u);
+  EXPECT_EQ(receivers[1]->received_[2], receivers[0]->received_[2]);
+  EXPECT_EQ(whole.metrics().fanout.dedup_hits, 1u);
+  EXPECT_EQ(left.metrics().fanout.dedup_hits, 1u);
+  EXPECT_EQ(right.metrics().fanout.dedup_hits, 0u);
+  EXPECT_EQ(summed_exposition({&left, &right}), summed_exposition({&whole}));
+}
+
+TEST(SplitRound, SliceReusesAnIdQueuedForRemoval) {
+  // A slice engine follows add_process's rule for an id whose removal is
+  // queued: the replacement joins cleanly and hears remote broadcasts from
+  // its first round on.
+  SyncSimulator local;
+  SyncSimulator remote;
+  local.add_process(std::make_unique<ScriptedProcess>(2));
+  auto speaker = std::make_unique<ScriptedProcess>(1);
+  for (Round r = 1; r <= 4; ++r) {
+    speaker->send_in_round(r, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, r)});
+  }
+  remote.add_process(std::move(speaker));
+  exchange_round(local, remote);
+  local.remove_process(2);
+  auto fresh = std::make_unique<ScriptedProcess>(2);
+  ScriptedProcess* pfresh = fresh.get();
+  EXPECT_NO_THROW(local.add_process(std::move(fresh)));
+  exchange_round(local, remote);
+  exchange_round(local, remote);
+  EXPECT_EQ(local.find(2), pfresh);
+  EXPECT_EQ(local.member_count(), 1u);
+  EXPECT_TRUE(pfresh->received_[1].empty()) << "a joiner gets no lane in its first round";
+  ASSERT_EQ(pfresh->received_[2].size(), 1u);
+  EXPECT_EQ(pfresh->received_[2][0].sender, 1u);
 }
 
 }  // namespace
