@@ -15,16 +15,15 @@
 //
 //   $ ./dist_sim ../scenarios/chaos_partition_heal.scn --shards 4
 //
-// --mesh (default) exchanges the round's shard slabs directly worker↔worker
-// with double-buffered rounds; --no-mesh keeps the star relay through the
-// coordinator. The merged result and canonical trace are byte-identical
-// either way — only the overlap counters differ.
+// The workers exchange the round's shard slabs directly worker↔worker over
+// the mesh; the coordinator only paces rounds.
 // --trace PATH / --trace-canonical PATH write the merged flight-recorder
 // exports (full JSONL / canonical link family); --metrics prints the merged
 // Prometheus exposition (including idonly_wire_faults_total for the shard
 // transport and the idonly_overlap_* counters). --crash-shard S
 // --crash-round R make worker S die abruptly before round R — the
-// crash-detection smoke (expects exit 5, not a hang, in BOTH topologies).
+// crash-detection smoke (expects exit 5, not a hang, with worker S named).
+// An unknown option is a usage error (exit 2).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +34,14 @@
 #include "dist/shard_coordinator.hpp"
 
 namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: dist_sim <script-file> [--shards N] "
+               "[--trace PATH] [--trace-canonical PATH] [--metrics] "
+               "[--crash-shard S --crash-round R] [--wedge-timeout-ms N]\n");
+  return 2;
+}
 
 bool write_file(const char* path, const std::string& content) {
   std::ofstream file(path);
@@ -61,30 +68,19 @@ int main(int argc, char** argv) {
       canonical_path = argv[++i];
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
       print_metrics = true;
-    } else if (std::strcmp(argv[i], "--mesh") == 0) {
-      config.mesh = true;
-    } else if (std::strcmp(argv[i], "--no-mesh") == 0) {
-      config.mesh = false;
     } else if (std::strcmp(argv[i], "--crash-shard") == 0 && i + 1 < argc) {
       config.crash_shard = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--crash-round") == 0 && i + 1 < argc) {
       config.crash_at_round = static_cast<Round>(std::strtol(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--wedge-timeout-ms") == 0 && i + 1 < argc) {
       config.wedge_timeout_ms = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (path == nullptr) {
-      path = argv[i];
+    } else if (std::strncmp(argv[i], "--", 2) == 0 || path != nullptr) {
+      return usage();
     } else {
-      path = nullptr;
-      break;
+      path = argv[i];
     }
   }
-  if (path == nullptr || config.shards == 0) {
-    std::fprintf(stderr,
-                 "usage: dist_sim <script-file> [--shards N] [--mesh|--no-mesh] "
-                 "[--trace PATH] [--trace-canonical PATH] [--metrics] "
-                 "[--crash-shard S --crash-round R] [--wedge-timeout-ms N]\n");
-    return 2;
-  }
+  if (path == nullptr || config.shards == 0) return usage();
   std::ifstream file(path);
   if (!file) {
     std::fprintf(stderr, "cannot open %s\n", path);

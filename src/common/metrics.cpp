@@ -120,8 +120,6 @@ std::string prometheus_exposition(const Metrics& metrics, const ChaosCounters* c
   expose(os, "idonly_fanout_bytes_delivered_total", "counter", metrics.fanout.bytes_delivered);
   expose(os, "idonly_fanout_slab_sends_total", "counter", metrics.fanout.slab_sends);
   expose(os, "idonly_fanout_send_failures_total", "counter", metrics.fanout.send_failures);
-  expose(os, "idonly_fanout_coordinator_relay_bytes_total", "counter",
-         metrics.fanout.coordinator_relay_bytes);
   expose(os, "idonly_overlap_rounds_total", "counter", metrics.overlap.rounds_overlapped);
   expose(os, "idonly_overlap_recv_stall_ns_total", "counter", metrics.overlap.recv_stall_ns);
   expose(os, "idonly_overlap_slabs_direct_total", "counter", metrics.overlap.slabs_direct);

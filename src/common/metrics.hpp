@@ -48,10 +48,6 @@ struct FanoutCounters {
   /// Real sends the kernel refused or shortened (ENOBUFS, short sendto) —
   /// distinguishes kernel drops from injected chaos loss in soak runs.
   std::uint64_t send_failures = 0;
-  /// Payload bytes the distributed coordinator store-and-forwarded in
-  /// kDeliver frames (src/dist/). Zero when the workers exchange slabs over
-  /// the direct mesh — the `--no-mesh` ablation's data-path cost, measurable.
-  std::uint64_t coordinator_relay_bytes = 0;
 
   void reset() { *this = FanoutCounters{}; }
 
@@ -62,27 +58,23 @@ struct FanoutCounters {
     bytes_delivered += other.bytes_delivered;
     slab_sends += other.slab_sends;
     send_failures += other.send_failures;
-    coordinator_relay_bytes += other.coordinator_relay_bytes;
     return *this;
   }
 };
 
 /// Compute/communication overlap accounting for the distributed shard
-/// engine's data plane (src/dist/). In mesh mode workers exchange slabs
-/// peer-to-peer with non-blocking I/O, so a round's transfer can complete
-/// while the receiver is still stepping its own nodes; these counters make
-/// the achieved overlap — and the residual serialization — measurable. In
-/// relay mode (`--no-mesh`) `recv_stall_ns` instead measures time blocked
-/// waiting for the coordinator's kDeliver, so the two modes are directly
-/// comparable in BENCH_dist.json.
+/// engine's data plane (src/dist/). Workers exchange slabs peer-to-peer over
+/// the mesh with non-blocking I/O, so a round's transfer can complete while
+/// the receiver is still stepping its own nodes; these counters make the
+/// achieved overlap — and the residual serialization — measurable.
 struct OverlapCounters {
   /// Rounds whose remote slabs had ALL arrived by the time the boundary
   /// merge wanted them (zero stall — communication fully hidden).
   std::uint64_t rounds_overlapped = 0;
   /// Nanoseconds blocked waiting for remote round input after local work
-  /// finished (mesh: poll on peer sockets; relay: kDeliver wait).
+  /// finished (the poll on the peer mesh sockets).
   std::uint64_t recv_stall_ns = 0;
-  /// Shard slabs sent worker-to-worker, bypassing the coordinator.
+  /// Shard slabs sent worker-to-worker (empty-round beacons not counted).
   std::uint64_t slabs_direct = 0;
 
   void reset() { *this = OverlapCounters{}; }

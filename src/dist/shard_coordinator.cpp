@@ -10,7 +10,8 @@
 #include <array>
 #include <map>
 #include <optional>
-#include <sstream>
+#include <span>
+#include <string>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -85,31 +86,6 @@ RecvStatus recv_with_grace(int fd, ShardMsgType& type, std::vector<std::byte>& p
   return status;
 }
 
-/// A worker's failure to answer, rendered with what the wait() learned.
-std::string worker_failure(Fleet& fleet, Worker& worker, RecvStatus status,
-                           const std::string& when) {
-  std::ostringstream out;
-  out << "shard worker " << worker.shard << " (pid " << worker.pid << ") ";
-  if (status == RecvStatus::kEof) {
-    out << "died " << when;
-    // The socket EOF means the child is gone (or going); reap it so the
-    // message can carry the real exit status.
-    int wait_status = 0;
-    if (::waitpid(worker.pid, &wait_status, 0) == worker.pid) {
-      worker.exit_status = wait_status;
-      worker.reaped = true;
-      out << " (" << describe_exit(wait_status) << ")";
-    }
-  } else if (status == RecvStatus::kTimeout) {
-    out << "wedged " << when << " (no reply; watchdog grace budget of "
-        << WatchdogConfig{}.max_restarts_per_slot << " retries exhausted)";
-  } else {
-    out << "socket error " << when;
-  }
-  fleet.kill_all();
-  return out.str();
-}
-
 DistRun infra_failure(std::string message) {
   DistRun run;
   run.infra_ok = false;
@@ -117,6 +93,67 @@ DistRun infra_failure(std::string message) {
   run.script.all_satisfied = false;
   run.script.summary = "dist: " + run.infra_error;
   return run;
+}
+
+std::string worker_name(const Worker& worker) {
+  return "shard worker " + std::to_string(worker.shard) + " (pid " + std::to_string(worker.pid) +
+         ")";
+}
+
+/// True when `worker` ended on its own mid-run: not by the coordinator's
+/// SIGKILL, not with kWorkerFailedExit (the exit after a kError it sent),
+/// and not with the clean exit after kFinish.
+bool died_on_its_own(const Worker& worker) {
+  if (!worker.reaped) return false;
+  const int status = worker.exit_status;
+  if (WIFSIGNALED(status)) return WTERMSIG(status) != SIGKILL;
+  return !WIFEXITED(status) ||
+         (WEXITSTATUS(status) != 0 && WEXITSTATUS(status) != kWorkerFailedExit);
+}
+
+/// Ends the run on a failure the coordinator observed on `worker`'s control
+/// socket: `status` kEof (it closed), kTimeout (wedged), kError (socket
+/// error), or kOk with `report` saying what was wrong with its frame (its
+/// kError text, a protocol break). The whole fleet is killed and reaped
+/// FIRST; the run is then blamed on the worker that died on its own, so the
+/// message does not depend on which socket spoke first — a survivor's kError
+/// about a dead mesh peer can reach the coordinator before the victim's
+/// control EOF. What was observed, when it is not that death, is appended.
+DistRun fleet_failure(Fleet& fleet, const Worker& worker, RecvStatus status,
+                      const std::string& when, std::string report = {}) {
+  fleet.kill_all();
+  fleet.reap_all();
+  const auto died = [&](const Worker& w) {
+    return worker_name(w) + " died " + when + " (" + describe_exit(w.exit_status) + ")";
+  };
+  if (status == RecvStatus::kEof) {
+    report = died(worker);
+  } else if (status == RecvStatus::kTimeout) {
+    report = worker_name(worker) + " wedged " + when +
+             " (no reply; watchdog grace budget of " +
+             std::to_string(WatchdogConfig{}.max_restarts_per_slot) + " retries exhausted)";
+  } else if (status == RecvStatus::kError) {
+    report = worker_name(worker) + " socket error " + when;
+  }
+  const auto cause = std::find_if(fleet.workers.begin(), fleet.workers.end(), died_on_its_own);
+  if (cause == fleet.workers.end()) return infra_failure(std::move(report));
+  const std::string blame = died(*cause);
+  return infra_failure(blame == report ? blame : blame + "; " + report);
+}
+
+/// fleet_failure for a worker's kError frame.
+DistRun reported_failure(Fleet& fleet, const Worker& worker, std::span<const std::byte> payload,
+                         const std::string& when) {
+  ByteReader r(payload);
+  return fleet_failure(fleet, worker, RecvStatus::kOk, when,
+                       "shard worker " + std::to_string(worker.shard) + " failed: " + r.str());
+}
+
+/// fleet_failure for a frame that breaks the round protocol.
+DistRun protocol_failure(Fleet& fleet, const Worker& worker, const std::string& when) {
+  return fleet_failure(fleet, worker, RecvStatus::kOk, when,
+                       "shard worker " + std::to_string(worker.shard) + " broke protocol " +
+                           when);
 }
 
 }  // namespace
@@ -142,7 +179,7 @@ DistRun run_dist(const DistConfig& config) {
   // first fork, so each child keeps exactly the ends it owns and closes the
   // rest: a uniform rule instead of "close earlier siblings'". mesh_fd[s][t]
   // is shard s's end of the (s,t) pair; each fd appears in the matrix once.
-  const bool mesh_on = config.mesh && shards > 1;
+  // One shard has no pairs: its worker's mesh has zero peers.
   Fleet fleet;
   fleet.workers.resize(shards);
   std::vector<std::array<int, 2>> control(shards, {-1, -1});
@@ -169,29 +206,27 @@ DistRun run_dist(const DistConfig& config) {
     }
     control[s] = {sv[0], sv[1]};  // [0] = coordinator end, [1] = worker end
   }
-  if (mesh_on) {
-    for (std::uint32_t a = 0; a < shards; ++a) {
-      for (std::uint32_t b = a + 1; b < shards; ++b) {
-        int sv[2] = {-1, -1};
-        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-          close_prefork();
-          return infra_failure("mesh socketpair failed for shards " + std::to_string(a) + "/" +
-                              std::to_string(b));
-        }
-        // Ask for buffers big enough to hold a whole round's slab in flight:
-        // a post then completes without the peer's cooperation and the
-        // collect side finds complete frames instead of ping-ponging the
-        // transfer 200KB at a time. The kernel clamps the request to
-        // net.core.wmem_max — at the stock ~208KB limit this is a no-op and
-        // the chunked path below still works, just with more wakeups.
-        constexpr int kMeshBufBytes = 4 << 20;
-        for (const int fd : sv) {
-          (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kMeshBufBytes, sizeof kMeshBufBytes);
-          (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kMeshBufBytes, sizeof kMeshBufBytes);
-        }
-        mesh_fd[a][b] = sv[0];
-        mesh_fd[b][a] = sv[1];
+  for (std::uint32_t a = 0; a < shards; ++a) {
+    for (std::uint32_t b = a + 1; b < shards; ++b) {
+      int sv[2] = {-1, -1};
+      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+        close_prefork();
+        return infra_failure("mesh socketpair failed for shards " + std::to_string(a) + "/" +
+                            std::to_string(b));
       }
+      // Ask for buffers big enough to hold a whole round's slab in flight:
+      // a post then completes without the peer's cooperation and the collect
+      // side finds complete frames instead of ping-ponging the transfer 200KB
+      // at a time. The kernel clamps the request to net.core.wmem_max — at
+      // the stock ~208KB limit this is a no-op and the mesh's chunked path
+      // still works, just with more wakeups.
+      constexpr int kMeshBufBytes = 4 << 20;
+      for (const int fd : sv) {
+        (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kMeshBufBytes, sizeof kMeshBufBytes);
+        (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kMeshBufBytes, sizeof kMeshBufBytes);
+      }
+      mesh_fd[a][b] = sv[0];
+      mesh_fd[b][a] = sv[1];
     }
   }
   for (std::uint32_t s = 0; s < shards; ++s) {
@@ -230,17 +265,16 @@ DistRun run_dist(const DistConfig& config) {
     }
   }
 
+  const std::string initialising = "during initialisation";
   for (Worker& worker : fleet.workers) {
     ShardInit init;
     init.shard = worker.shard;
     init.shards = shards;
     init.want_trace = config.want_trace;
-    init.mesh = mesh_on;
     init.crash_at_round = worker.shard == config.crash_shard ? config.crash_at_round : 0;
     init.script_text = config.script_text;
     if (!send_frame(worker.fd, ShardMsgType::kInit, encode_init(init))) {
-      return infra_failure(
-          worker_failure(fleet, worker, RecvStatus::kEof, "during initialisation"));
+      return fleet_failure(fleet, worker, RecvStatus::kEof, initialising);
     }
   }
   std::size_t total_members = 0;
@@ -248,20 +282,11 @@ DistRun run_dist(const DistConfig& config) {
     ShardMsgType type{};
     std::vector<std::byte> payload;
     const RecvStatus status = recv_with_grace(worker.fd, type, payload, config.wedge_timeout_ms);
-    if (status != RecvStatus::kOk) {
-      return infra_failure(worker_failure(fleet, worker, status, "during initialisation"));
-    }
+    if (status != RecvStatus::kOk) return fleet_failure(fleet, worker, status, initialising);
     if (type == ShardMsgType::kError) {
-      ByteReader r(payload);
-      fleet.kill_all();
-      return infra_failure("shard worker " + std::to_string(worker.shard) + " failed: " +
-                          r.str());
+      return reported_failure(fleet, worker, payload, initialising);
     }
-    if (type != ShardMsgType::kHello) {
-      fleet.kill_all();
-      return infra_failure("shard worker " + std::to_string(worker.shard) +
-                          " broke protocol during initialisation");
-    }
+    if (type != ShardMsgType::kHello) return protocol_failure(fleet, worker, initialising);
     ByteReader r(payload);
     (void)r.u32();
     total_members += r.u64();
@@ -292,7 +317,6 @@ DistRun run_dist(const DistConfig& config) {
   };
 
   Round round = 0;
-  std::uint64_t relay_bytes = 0;
   std::optional<DistRun> failed;
 
   const auto broadcast_step = [&](Round r) -> bool {
@@ -301,8 +325,7 @@ DistRun run_dist(const DistConfig& config) {
     churn.apply(r, null_factory, null_add, null_remove);
     for (Worker& worker : fleet.workers) {
       if (!send_frame(worker.fd, ShardMsgType::kStep, {})) {
-        failed = infra_failure(worker_failure(fleet, worker, RecvStatus::kEof,
-                                              "when commanded to step"));
+        failed = fleet_failure(fleet, worker, RecvStatus::kEof, "in round " + std::to_string(r));
         return false;
       }
     }
@@ -312,31 +335,26 @@ DistRun run_dist(const DistConfig& config) {
   // One full round of kStatus replies, in worker order. Statuses carry no
   // round number: the control sockets deliver in order and every kStep is
   // answered by exactly one kStatus, so the i-th status from a worker IS its
-  // round-i status even when the mesh loop runs a round ahead.
+  // round-i status even when the loop runs a round ahead.
   const auto harvest_statuses = [&](Round r) -> bool {
+    const std::string when = "in round " + std::to_string(r);
     for (Worker& worker : fleet.workers) {
       ShardMsgType type{};
       std::vector<std::byte> payload;
       const RecvStatus status =
           recv_with_grace(worker.fd, type, payload, config.wedge_timeout_ms);
       if (status != RecvStatus::kOk) {
-        failed = infra_failure(
-            worker_failure(fleet, worker, status, "merging round " + std::to_string(r)));
+        failed = fleet_failure(fleet, worker, status, when);
         return false;
       }
       if (type == ShardMsgType::kError) {
-        ByteReader er(payload);
-        fleet.kill_all();
-        failed = infra_failure("shard worker " + std::to_string(worker.shard) +
-                               " failed: " + er.str());
+        failed = reported_failure(fleet, worker, payload, when);
         return false;
       }
       const auto worker_status =
           type == ShardMsgType::kStatus ? decode_status(payload) : std::nullopt;
       if (!worker_status.has_value()) {
-        fleet.kill_all();
-        failed = infra_failure("shard worker " + std::to_string(worker.shard) +
-                               " broke protocol in round " + std::to_string(r));
+        failed = protocol_failure(fleet, worker, when);
         return false;
       }
       for (const auto& [id, done] : worker_status->done) done_status[id] = done;
@@ -345,112 +363,40 @@ DistRun run_dist(const DistConfig& config) {
     return true;
   };
 
-  // Relay data plane: gather kSlabs, re-send each destination's slabs as ONE
-  // gathered kDeliver (no payload copy — the frame is scattered straight
-  // from the received slab buffers).
-  const auto relay_slabs = [&](Round r) -> bool {
-    // Slab gather: outbox[t] collects every (s → t) slab of the round.
-    std::vector<std::vector<std::vector<std::byte>>> outbox(shards);
-    for (Worker& worker : fleet.workers) {
-      ShardMsgType type{};
-      std::vector<std::byte> payload;
-      const RecvStatus status =
-          recv_with_grace(worker.fd, type, payload, config.wedge_timeout_ms);
-      if (status != RecvStatus::kOk) {
-        failed = infra_failure(
-            worker_failure(fleet, worker, status, "in round " + std::to_string(r)));
-        return false;
-      }
-      if (type == ShardMsgType::kError) {
-        ByteReader er(payload);
-        fleet.kill_all();
-        failed = infra_failure("shard worker " + std::to_string(worker.shard) +
-                               " failed: " + er.str());
-        return false;
-      }
-      ByteReader r2(payload);
-      const std::uint32_t count = type == ShardMsgType::kSlabs ? r2.u32() : 0;
-      for (std::uint32_t i = 0; i < count && !r2.failed(); ++i) {
-        const std::uint32_t dest = r2.u32();
-        std::vector<std::byte> slab = r2.blob();
-        if (dest < shards && dest != worker.shard) outbox[dest].push_back(std::move(slab));
-      }
-      if (type != ShardMsgType::kSlabs || !r2.done()) {
-        fleet.kill_all();
-        failed = infra_failure("shard worker " + std::to_string(worker.shard) +
-                               " broke protocol in round " + std::to_string(r));
-        return false;
-      }
-    }
-    for (Worker& worker : fleet.workers) {
-      const std::vector<std::vector<std::byte>>& slabs = outbox[worker.shard];
-      // Byte-identical to ByteWriter{u32 count; blob each}: a 4-byte count
-      // chunk, then per slab an 8-byte LE length chunk and the slab itself.
-      ByteWriter head;
-      head.u32(static_cast<std::uint32_t>(slabs.size()));
-      std::vector<std::byte> lens(8 * slabs.size());
-      std::vector<std::span<const std::byte>> chunks;
-      chunks.reserve(1 + 2 * slabs.size());
-      chunks.emplace_back(head.bytes());
-      std::uint64_t bytes = head.bytes().size();
-      for (std::size_t i = 0; i < slabs.size(); ++i) {
-        const auto len = static_cast<std::uint64_t>(slabs[i].size());
-        for (int b = 0; b < 8; ++b) {
-          lens[8 * i + static_cast<std::size_t>(b)] =
-              static_cast<std::byte>((len >> (8 * b)) & 0xFF);
-        }
-        chunks.emplace_back(lens.data() + 8 * i, 8);
-        chunks.emplace_back(slabs[i]);
-        bytes += 8 + len;
-      }
-      if (!send_frame_gather(worker.fd, ShardMsgType::kDeliver, chunks)) {
-        failed = infra_failure(worker_failure(fleet, worker, RecvStatus::kEof,
-                                              "when delivering round " + std::to_string(r)));
-        return false;
-      }
-      relay_bytes += bytes;
-    }
-    return true;
-  };
-
-  // Round loop. In mesh mode the coordinator is control-plane only; for
-  // totalorder (round count data-independent) it keeps up to TWO rounds
-  // stepped-but-unharvested, so a worker can post round r+1's slabs while
-  // its slowest peer still merges round r — the double-buffering the mesh
-  // staging was built for. Consensus keeps lookahead 1: its early exit
-  // reads every round's statuses before deciding to step again. The relay
-  // path is inherently alternating (the coordinator sits inside the round).
-  const Round lookahead = (mesh_on && !stops_early(script.protocol)) ? 2 : 1;
+  // The coordinator is control-plane only. For totalorder (round count
+  // data-independent) it keeps up to TWO rounds stepped-but-unharvested, so a
+  // worker can post round r+1's slabs while its slowest peer still merges
+  // round r — the double-buffering the mesh staging was built for.
+  // Consensus keeps lookahead 1: its early exit reads every round's statuses
+  // before deciding to step again.
+  const Round lookahead = stops_early(script.protocol) ? 1 : 2;
   Round stepped = 0;
   while (round < script.max_rounds && !loop_finished(script, churn.tracked(), done)) {
     while (stepped < std::min<Round>(round + lookahead, script.max_rounds)) {
       stepped += 1;
       if (!broadcast_step(stepped)) return *std::move(failed);
-      if (!mesh_on && !relay_slabs(stepped)) return *std::move(failed);
     }
     if (!harvest_statuses(round + 1)) return *std::move(failed);
   }
 
   // -------------------------------------------------------------- results --
+  const std::string finalizing = "while finalizing";
   std::vector<ShardResult> results;
   for (Worker& worker : fleet.workers) {
     if (!send_frame(worker.fd, ShardMsgType::kFinish, {})) {
-      return infra_failure(
-          worker_failure(fleet, worker, RecvStatus::kEof, "when commanded to finish"));
+      return fleet_failure(fleet, worker, RecvStatus::kEof, finalizing);
     }
   }
   for (Worker& worker : fleet.workers) {
     ShardMsgType type{};
     std::vector<std::byte> payload;
     const RecvStatus status = recv_with_grace(worker.fd, type, payload, config.wedge_timeout_ms);
-    if (status != RecvStatus::kOk) {
-      return infra_failure(worker_failure(fleet, worker, status, "while finalizing"));
-    }
+    if (status != RecvStatus::kOk) return fleet_failure(fleet, worker, status, finalizing);
     auto result = type == ShardMsgType::kResult ? decode_result(payload) : std::nullopt;
     if (!result.has_value()) {
-      fleet.kill_all();
-      return infra_failure("shard worker " + std::to_string(worker.shard) +
-                          " sent a malformed result");
+      return fleet_failure(fleet, worker, RecvStatus::kOk, finalizing,
+                           "shard worker " + std::to_string(worker.shard) +
+                               " sent a malformed result");
     }
     results.push_back(*std::move(result));
   }
@@ -506,7 +452,6 @@ DistRun run_dist(const DistConfig& config) {
     for (ShardResult::Chain& c : result.chains) nodes[c.id].chain = std::move(c.chain);
     if (run.trace != nullptr) run.trace->absorb_shard(std::move(result.rings));
   }
-  metrics.fanout.coordinator_relay_bytes += relay_bytes;
 
   ScriptRun& script_run = run.script;
   script_run.rounds = round;

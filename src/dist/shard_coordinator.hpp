@@ -2,23 +2,19 @@
 // round protocol, and merge the results into the same ScriptRun a
 // single-process run_script() produces.
 //
-// Two data-plane topologies (DESIGN.md §12):
+// One data plane (DESIGN.md §12): the coordinator plumbs one AF_UNIX
+// socketpair per shard PAIR at fork time and the workers exchange the
+// round's slabs peer-to-peer (dist/shard_mesh.hpp); a single shard has no
+// pairs and its worker steps and merges with zero peers. The coordinator is
+// a pure CONTROL plane — round pacing, the early-exit policy, the crash
+// watchdog, and the merged counters; no slab byte transits it. For
+// totalorder (round count data-independent) it runs the round loop with
+// lookahead 2: kStep r+1 is broadcast before round r's statuses are
+// harvested, so workers double-buffer rounds instead of barriering on the
+// coordinator. Consensus keeps strict alternation — its early exit depends
+// on every round's statuses.
 //
-//   * mesh (default): the coordinator plumbs one AF_UNIX socketpair per
-//     shard PAIR at fork time and the workers exchange the round's slabs
-//     peer-to-peer (dist/shard_mesh.hpp). The coordinator is a pure CONTROL
-//     plane — round pacing, the early-exit policy, the crash watchdog, and
-//     the merged counters; no slab byte transits it. For totalorder (round
-//     count data-independent) it runs the round loop with lookahead 2:
-//     kStep r+1 is broadcast before round r's statuses are harvested, so
-//     workers double-buffer rounds instead of barriering on the
-//     coordinator. Consensus keeps strict alternation — its early exit
-//     depends on every round's statuses.
-//   * relay (--no-mesh): the PR-8 star — workers upload kSlabs, the
-//     coordinator re-sends each destination's slabs as ONE gathered
-//     kDeliver (no payload copy; Metrics::fanout counts the relayed bytes).
-//
-// Either way the run itself is the harness's: harness/script.hpp defines
+// The run itself is the harness's: harness/script.hpp defines
 // each round-loop protocol once ("Round-loop protocols") — the workers
 // build and prime their processes with its factories, and the coordinator
 // asks its stop rule (worker statuses standing in for the processes) and
@@ -30,8 +26,12 @@
 //
 // Failure handling: a worker that closes its socket (crash) or stops
 // answering (wedge) fails the RUN, not the coordinator — every worker is
-// SIGKILLed, reaped, and the result carries `infra_ok = false` plus a
-// message naming the shard and the failure mode. The wedge budget reuses
+// SIGKILLed and reaped FIRST, and the result carries `infra_ok = false`
+// plus a message naming the shard and the failure mode. The message blames
+// the worker that died on its own (not by the SIGKILL, not with the exit
+// after a kError it sent), whichever socket reported the failure first: a
+// crash shows up on the mesh too, as a survivor's kError naming its dead
+// peer, and that report is appended. The wedge budget reuses
 // the runtime watchdog's retirement policy (runtime/watchdog.hpp): a silent
 // worker is granted WatchdogConfig::max_restarts_per_slot extra polling
 // grace periods — restarting a deterministic shard mid-round is
@@ -62,9 +62,8 @@ struct DistConfig {
   /// Capture the flight-recorder trace (workers record their own nodes; the
   /// coordinator splices the rings).
   bool want_trace = false;
-  /// Data plane: true = direct worker↔worker mesh with a double-buffered
-  /// round loop; false = star relay through the coordinator. Same merged
-  /// result and byte-identical canonical trace either way.
+  /// Read by nothing: every run exchanges slabs over the worker mesh. Kept
+  /// only because bench/suite/runs.cpp assigns it (ROADMAP item 6).
   bool mesh = true;
   /// Whole-frame receive budget per worker reply before the worker counts
   /// as wedged (then the watchdog-style grace retries start).
@@ -83,8 +82,8 @@ struct DistRun {
   /// The merged run result, same shape and summary format as run_script().
   ScriptRun script;
   /// Merged fleet metrics — message/fanout counters summed across shards,
-  /// plus the overlap counters (rounds_overlapped, recv_stall_ns,
-  /// slabs_direct) and, in relay mode, fanout.coordinator_relay_bytes.
+  /// plus the mesh's overlap counters (rounds_overlapped, recv_stall_ns,
+  /// slabs_direct).
   Metrics metrics;
   /// Sharded flight-recorder epilogue (null unless want_trace and
   /// infra_ok): each worker's rings absorbed as one per-shard stream,

@@ -1,9 +1,11 @@
-// Direct worker↔worker data plane for the distributed shard engine.
+// Direct worker↔worker data plane for the distributed shard engine — its
+// only cross-shard data plane.
 //
-// In mesh mode the coordinator plumbs one AF_UNIX stream socketpair per
-// shard PAIR at fork time; each worker keeps the ends that involve it and
-// exchanges the round's 0xAC shard slabs peer-to-peer, so no slab byte ever
-// transits the coordinator. Mesh framing is minimal: `u32 LE payload length
+// The coordinator plumbs one AF_UNIX stream socketpair per shard PAIR at
+// fork time; each worker keeps the ends that involve it and exchanges the
+// round's 0xAC shard slabs peer-to-peer, so no slab byte ever transits the
+// coordinator. A single-shard run has zero peers: the handshake, posts and
+// collects complete at once. Mesh framing is minimal: `u32 LE payload length
 // + payload`, where the payload is one of the net/codec mesh payloads —
 // a peer hello (0xAD, handshake), a shard slab (0xAC), or an empty-round
 // beacon (0xAE). Every peer sends EXACTLY ONE frame per round (slab or

@@ -1,12 +1,9 @@
 #include "dist/shard_wire.hpp"
 
-#include <limits.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -82,51 +79,6 @@ bool send_frame(int fd, ShardMsgType type, std::span<const std::byte> payload) {
   header[4] = static_cast<std::byte>(type);
   if (!send_all(fd, header, sizeof header)) return false;
   return payload.empty() || send_all(fd, payload.data(), payload.size());
-}
-
-bool send_frame_gather(int fd, ShardMsgType type,
-                       std::span<const std::span<const std::byte>> chunks) {
-  std::size_t total = 0;
-  for (const auto& chunk : chunks) total += chunk.size();
-  if (total > kMaxPayload) return false;
-  std::byte header[5];
-  const auto len = static_cast<std::uint32_t>(total);
-  header[0] = static_cast<std::byte>(len & 0xFF);
-  header[1] = static_cast<std::byte>((len >> 8) & 0xFF);
-  header[2] = static_cast<std::byte>((len >> 16) & 0xFF);
-  header[3] = static_cast<std::byte>((len >> 24) & 0xFF);
-  header[4] = static_cast<std::byte>(type);
-
-  std::vector<iovec> iov;
-  iov.reserve(1 + chunks.size());
-  iov.push_back({header, sizeof header});
-  for (const auto& chunk : chunks) {
-    if (chunk.empty()) continue;
-    iov.push_back({const_cast<std::byte*>(chunk.data()), chunk.size()});
-  }
-  std::size_t first = 0;  // first iovec with bytes left
-  while (first < iov.size()) {
-    // sendmsg caps the vector at IOV_MAX entries; feed it windows.
-    const std::size_t window = std::min<std::size_t>(iov.size() - first, IOV_MAX);
-    msghdr msg{};
-    msg.msg_iov = iov.data() + first;
-    msg.msg_iovlen = window;
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    std::size_t sent = static_cast<std::size_t>(n);
-    while (first < iov.size() && sent >= iov[first].iov_len) {
-      sent -= iov[first].iov_len;
-      first += 1;
-    }
-    if (sent > 0) {
-      iov[first].iov_base = static_cast<std::byte*>(iov[first].iov_base) + sent;
-      iov[first].iov_len -= sent;
-    }
-  }
-  return true;
 }
 
 RecvStatus recv_frame(int fd, ShardMsgType& type, std::vector<std::byte>& payload,
@@ -233,7 +185,6 @@ std::vector<std::byte> encode_init(const ShardInit& init) {
   w.u32(init.shard);
   w.u32(init.shards);
   w.u8(init.want_trace ? 1 : 0);
-  w.u8(init.mesh ? 1 : 0);
   w.i64(init.crash_at_round);
   w.str(init.script_text);
   return w.take();
@@ -245,7 +196,6 @@ std::optional<ShardInit> decode_init(std::span<const std::byte> payload) {
   init.shard = r.u32();
   init.shards = r.u32();
   init.want_trace = r.u8() != 0;
-  init.mesh = r.u8() != 0;
   init.crash_at_round = r.i64();
   init.script_text = r.str();
   if (!r.done() || init.shards == 0 || init.shard >= init.shards) return std::nullopt;
@@ -312,7 +262,6 @@ std::vector<std::byte> encode_result(const ShardResult& result) {
   w.u64(result.metrics.fanout.bytes_delivered);
   w.u64(result.metrics.fanout.slab_sends);
   w.u64(result.metrics.fanout.send_failures);
-  w.u64(result.metrics.fanout.coordinator_relay_bytes);
   w.u64(result.metrics.overlap.rounds_overlapped);
   w.u64(result.metrics.overlap.recv_stall_ns);
   w.u64(result.metrics.overlap.slabs_direct);
@@ -383,7 +332,6 @@ std::optional<ShardResult> decode_result(std::span<const std::byte> payload) {
   result.metrics.fanout.bytes_delivered = r.u64();
   result.metrics.fanout.slab_sends = r.u64();
   result.metrics.fanout.send_failures = r.u64();
-  result.metrics.fanout.coordinator_relay_bytes = r.u64();
   result.metrics.overlap.rounds_overlapped = r.u64();
   result.metrics.overlap.recv_stall_ns = r.u64();
   result.metrics.overlap.slabs_direct = r.u64();

@@ -4,33 +4,28 @@
 // Control frames are `u32 LE payload length + u8 type + payload`; payloads
 // use fixed-width little-endian scalars (ByteWriter/ByteReader below — the
 // control plane is coordinator↔worker on one host, so the compactness of the
-// codec varints buys nothing here). The DATA plane — the inter-shard message
-// slabs themselves — rides inside kSlabs/kDeliver payloads in the
-// shard-slab wire format (net/codec.hpp, kShardSlabMagic), i.e. exactly the
-// bytes a UDP fan-out would carry.
+// codec varints buys nothing here). No slab byte rides the control plane:
+// the inter-shard message slabs travel worker↔worker over the mesh
+// (dist/shard_mesh.hpp) in the shard-slab wire format (net/codec.hpp,
+// kShardSlabMagic), i.e. exactly the bytes a UDP fan-out would carry.
 //
 // Round protocol (coordinator-driven; the worker is purely reactive):
 //
 //   coordinator → worker   kInit     script text + shard/shards + options
 //   worker → coordinator   kHello    shard + local member count
-//   per round (relay topology, ShardInit::mesh == false):
-//     c → w  kStep         run membership churn + the round's first half
-//     w → c  kSlabs        outbound shard slabs, one per destination shard
-//     c → w  kDeliver      the slabs the other shards addressed to this one
-//     w → c  kStatus       per local correct node: done flag
-//   per round (mesh topology, ShardInit::mesh == true):
-//     c → w  kStep         the worker runs the WHOLE round — it posts its
-//                          slabs straight to its peers over the mesh
-//                          socketpairs (net/codec.hpp shard slabs / beacons,
-//                          u32 LE length-prefixed) and merges their replies
+//   per round:
+//     c → w  kStep         the worker runs the WHOLE round — membership
+//                          churn, the round's first half, its slabs posted
+//                          straight to its peers over the mesh socketpairs,
+//                          their slabs merged (one shard: zero peers, so
+//                          step and merge back to back)
 //     w → c  kStatus       per local correct node: done flag
 //   c → w  kFinish         finalize
 //   w → c  kResult         ShardResult (outputs/chains, metrics, trace rings)
 //   w → c  kError          fatal worker-side failure (detail = message)
 //
-// In mesh mode kSlabs/kDeliver are never sent: the coordinator is a pure
-// control plane (round pacing, early-exit policy, crash watchdog, merged
-// counters) and the data plane is the worker↔worker mesh (dist/shard_mesh).
+// The coordinator is a pure control plane: round pacing, the early-exit
+// policy, the crash watchdog, and the merged counters.
 //
 // recv_frame distinguishes timeout (wedged worker) from EOF (crashed
 // worker) so the coordinator can report the difference.
@@ -54,8 +49,6 @@ enum class ShardMsgType : std::uint8_t {
   kInit = 1,
   kHello = 2,
   kStep = 3,
-  kSlabs = 4,
-  kDeliver = 5,
   kStatus = 6,
   kFinish = 7,
   kResult = 8,
@@ -67,14 +60,6 @@ enum class ShardMsgType : std::uint8_t {
 /// Write one `length + type + payload` frame; retries EINTR/partial sends,
 /// suppresses SIGPIPE. False on any unrecoverable send error.
 [[nodiscard]] bool send_frame(int fd, ShardMsgType type, std::span<const std::byte> payload);
-
-/// Write one frame whose payload is scattered across `chunks`, header and
-/// payload gathered into (as few as possible) writev-style sendmsg calls —
-/// the relay's kDeliver path sends the count header plus every slab without
-/// first copying them into one contiguous payload. Same failure contract as
-/// send_frame.
-[[nodiscard]] bool send_frame_gather(int fd, ShardMsgType type,
-                                     std::span<const std::span<const std::byte>> chunks);
 
 enum class RecvStatus : std::uint8_t { kOk, kEof, kTimeout, kError };
 
@@ -142,10 +127,6 @@ struct ShardInit {
   std::uint32_t shard = 0;
   std::uint32_t shards = 1;
   bool want_trace = false;
-  /// Data plane topology: true = direct worker↔worker mesh (the worker owns
-  /// one socketpair per peer shard and the coordinator never sees a slab),
-  /// false = star relay through the coordinator (kSlabs/kDeliver).
-  bool mesh = true;
   /// Test hook: > 0 makes the worker _exit(uncleanly) instead of executing
   /// that round — the coordinator must detect the death, not hang.
   Round crash_at_round = 0;

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -134,18 +133,6 @@ void ShardWorker::merge_round(std::span<const std::vector<SyncSimulator::Send>> 
   engine_.finish_round(streams);
 }
 
-bool ShardWorker::finish_round(std::span<const std::vector<std::byte>> peer_slabs) {
-  std::vector<std::vector<SyncSimulator::Send>> streams;
-  streams.reserve(peer_slabs.size());
-  for (const std::vector<std::byte>& bytes : peer_slabs) {
-    std::vector<SyncSimulator::Send> stream;
-    if (!decode_peer_slab(bytes, stream)) return false;
-    streams.push_back(std::move(stream));
-  }
-  merge_round(streams);
-  return true;
-}
-
 ShardStatus ShardWorker::status() {
   ShardStatus out;
   for (NodeId id : engine_.member_ids()) {
@@ -160,7 +147,6 @@ ShardResult ShardWorker::finalize() {
   ShardResult result;
   result.rounds = engine_.round();
   result.metrics = engine_.metrics();
-  result.metrics.overlap = overlap_;
   if (chaos_ != nullptr) {
     result.has_chaos = true;
     result.chaos = chaos_->counters();
@@ -198,18 +184,17 @@ ShardResult ShardWorker::finalize() {
 }
 
 int run_worker_loop(int fd, std::vector<int> peer_fds) {
-  using Clock = std::chrono::steady_clock;
   std::vector<std::byte> payload;
   ShardMsgType type{};
   const auto fail = [fd](const std::string& message) {
     ByteWriter w;
     w.str(message);
     (void)send_frame(fd, ShardMsgType::kError, w.bytes());
-    return 1;
+    return kWorkerFailedExit;
   };
 
   if (recv_frame(fd, type, payload, -1) != RecvStatus::kOk || type != ShardMsgType::kInit) {
-    return 1;
+    return kWorkerFailedExit;
   }
   const auto init = decode_init(payload);
   if (!init.has_value()) return fail("malformed init payload");
@@ -221,98 +206,63 @@ int run_worker_loop(int fd, std::vector<int> peer_fds) {
   }
   // The mesh handshake runs BEFORE the kHello reply, so a bad peer wiring
   // surfaces inside the coordinator's initialisation wait, not mid-round.
-  std::unique_ptr<MeshExchange> mesh;
-  if (init->mesh && init->shards > 1) {
-    mesh = std::make_unique<MeshExchange>(init->shard, init->shards, std::move(peer_fds));
-    std::string mesh_error;
-    if (!mesh->handshake(mesh_error)) return fail(mesh_error);
-  }
+  // One shard has zero peers: the handshake and every exchange are no-ops.
+  MeshExchange mesh(init->shard, init->shards, std::move(peer_fds));
   {
+    std::string mesh_error;
+    if (!mesh.handshake(mesh_error)) return fail(mesh_error);
     ByteWriter w;
     w.u32(worker->shard());
     w.u64(worker->member_count());
-    if (!send_frame(fd, ShardMsgType::kHello, w.bytes())) return 1;
+    if (!send_frame(fd, ShardMsgType::kHello, w.bytes())) return kWorkerFailedExit;
   }
 
-  bool awaiting_deliver = false;  // relay mode: the next frame should be kDeliver
   for (;;) {
-    const auto recv_start = Clock::now();
-    if (recv_frame(fd, type, payload, -1) != RecvStatus::kOk) return 1;
-    if (awaiting_deliver) {
-      // Relay mode's counterpart of the mesh collect wait: the time blocked
-      // until the coordinator finished gathering and re-sending the slabs.
-      worker->overlap().recv_stall_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - recv_start)
-              .count());
-      awaiting_deliver = false;
-    }
+    if (recv_frame(fd, type, payload, -1) != RecvStatus::kOk) return kWorkerFailedExit;
     switch (type) {
       case ShardMsgType::kStep: {
         if (init->crash_at_round > 0 && worker->round() + 1 >= init->crash_at_round) {
           // Crash test hook: die without a word — no kError, no reply. The
           // coordinator must turn the resulting EOF into a clean failure,
-          // and in mesh mode the peers must turn the socket EOF into
-          // kError, not a hang.
+          // and the peers must turn the mesh-socket EOF into kError, not a
+          // hang.
           _exit(13);
         }
+        // The whole round: post outbound slabs (beacons for quiet peers)
+        // without blocking, decode peer slabs in arrival order, merge,
+        // status. The coordinator never sees a slab byte.
         const auto slabs = worker->begin_round();
-        if (mesh != nullptr) {
-          // Mesh round: post outbound slabs (beacons for quiet peers)
-          // without blocking, decode peer slabs in arrival order, merge,
-          // status. The coordinator never sees a slab byte.
-          const Round round = worker->round();
-          std::vector<std::span<const std::byte>> by_shard(worker->shards());
-          for (const ShardWorker::OutboundSlab& slab : slabs) by_shard[slab.dest] = slab.bytes;
-          std::string mesh_error;
-          std::vector<std::vector<SyncSimulator::Send>> streams;
-          streams.reserve(mesh->peer_count());
-          bool ok = mesh->post_round(round, by_shard, mesh_error);
-          if (ok) {
-            ok = mesh->collect_round(
-                round,
-                [&](std::uint32_t, std::span<const std::byte> bytes) {
-                  std::vector<SyncSimulator::Send> stream;
-                  if (!worker->decode_peer_slab(bytes, stream)) return false;
-                  streams.push_back(std::move(stream));
-                  return true;
-                },
-                mesh_error);
-          }
-          if (!ok) return fail(worker->error().empty() ? mesh_error : worker->error());
-          worker->merge_round(streams);
-          if (!send_frame(fd, ShardMsgType::kStatus, encode_status(worker->status()))) return 1;
-        } else if (worker->shards() == 1) {
-          // Single shard: no cross-shard traffic either way; keep the relay
-          // frames so the coordinator drives one uniform protocol.
-          ByteWriter w;
-          w.u32(0);
-          if (!send_frame(fd, ShardMsgType::kSlabs, w.bytes())) return 1;
-          awaiting_deliver = true;
-        } else {
-          ByteWriter w;
-          w.u32(static_cast<std::uint32_t>(slabs.size()));
-          for (const ShardWorker::OutboundSlab& slab : slabs) {
-            w.u32(slab.dest);
-            w.blob(slab.bytes);
-          }
-          if (!send_frame(fd, ShardMsgType::kSlabs, w.bytes())) return 1;
-          awaiting_deliver = true;
+        const Round round = worker->round();
+        std::vector<std::span<const std::byte>> by_shard(worker->shards());
+        for (const ShardWorker::OutboundSlab& slab : slabs) by_shard[slab.dest] = slab.bytes;
+        std::string mesh_error;
+        std::vector<std::vector<SyncSimulator::Send>> streams;
+        streams.reserve(mesh.peer_count());
+        bool ok = mesh.post_round(round, by_shard, mesh_error);
+        if (ok) {
+          ok = mesh.collect_round(
+              round,
+              [&](std::uint32_t, std::span<const std::byte> bytes) {
+                std::vector<SyncSimulator::Send> stream;
+                if (!worker->decode_peer_slab(bytes, stream)) return false;
+                streams.push_back(std::move(stream));
+                return true;
+              },
+              mesh_error);
         }
-        break;
-      }
-      case ShardMsgType::kDeliver: {
-        ByteReader r(payload);
-        const std::uint32_t count = r.u32();
-        std::vector<std::vector<std::byte>> slabs;
-        for (std::uint32_t i = 0; i < count && !r.failed(); ++i) slabs.push_back(r.blob());
-        if (!r.done()) return fail("malformed deliver payload");
-        if (!worker->finish_round(slabs)) return fail(worker->error());
-        if (!send_frame(fd, ShardMsgType::kStatus, encode_status(worker->status()))) return 1;
+        if (!ok) return fail(worker->error().empty() ? mesh_error : worker->error());
+        worker->merge_round(streams);
+        if (!send_frame(fd, ShardMsgType::kStatus, encode_status(worker->status()))) {
+          return kWorkerFailedExit;
+        }
         break;
       }
       case ShardMsgType::kFinish: {
-        if (mesh != nullptr) worker->overlap() += mesh->counters();
-        if (!send_frame(fd, ShardMsgType::kResult, encode_result(worker->finalize()))) return 1;
+        ShardResult result = worker->finalize();
+        result.metrics.overlap = mesh.counters();
+        if (!send_frame(fd, ShardMsgType::kResult, encode_result(result))) {
+          return kWorkerFailedExit;
+        }
         return 0;
       }
       default:

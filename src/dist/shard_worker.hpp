@@ -4,11 +4,12 @@
 // them through a SyncSimulator that holds only that slice, and speaks the
 // coordinator's round protocol (dist/shard_wire.hpp). A round is the
 // simulator's own round split at the data plane: begin_round() steps the
-// slice and ships its sends as one shard-slab per peer; the peers' decoded
-// slabs are sender-ascending streams that SyncSimulator::finish_round()
-// merges with the local sends on sender id — so a remote broadcast is one
-// deposit into the worker's broadcast lane and a chaos fault one mailbox
-// mask, exactly as in the single-process engine (DESIGN.md §12).
+// slice and ships its sends as one shard-slab per peer; decode_peer_slab()
+// turns each peer's slab into a sender-ascending stream, and merge_round()
+// hands those to SyncSimulator::finish_round(), which merges them with the
+// local sends on sender id — so a remote broadcast is one deposit into the
+// worker's broadcast lane and a chaos fault one mailbox mask, exactly as in
+// the single-process engine (DESIGN.md §12).
 //
 // The worker reconstructs the ENTIRE run description from the shipped
 // script text — scenario, chaos plan, churn stream — because the
@@ -25,8 +26,8 @@
 //     the single-process run.
 //
 // The worker never decides when the run ends — the coordinator owns the
-// round loop and the early-exit policy; the worker executes kStep/kDeliver
-// commands until kFinish.
+// round loop and the early-exit policy; the worker executes kStep commands
+// until kFinish.
 #pragma once
 
 #include <cstdint>
@@ -75,34 +76,27 @@ class ShardWorker {
   /// deterministic, so the peer needs no placeholder).
   [[nodiscard]] std::vector<OutboundSlab> begin_round();
 
-  /// Second half: decode the peers' slabs and run the deterministic merge.
-  /// False on a malformed slab or frame (error() explains; wire-fault
-  /// counters record what was rejected) — the caller must abort the run, as
-  /// dropping cross-shard traffic would silently fork determinism.
-  [[nodiscard]] bool finish_round(std::span<const std::vector<std::byte>> peer_slabs);
-
-  /// Decode ONE peer slab into a merge stream — the mesh path's incremental
-  /// half of finish_round(): the boundary merge is order-blind across peer
-  /// streams, so each slab can be decoded the moment it arrives (overlapping
-  /// with the remaining peers' transfers) and merged once all are in. Same
-  /// failure contract as finish_round().
+  /// Second half, step one: decode ONE peer slab into a merge stream. The
+  /// boundary merge is order-blind across peer streams, so each slab can be
+  /// decoded the moment it arrives (overlapping with the remaining peers'
+  /// transfers) and merged once all are in. False on a malformed slab or
+  /// frame (error() explains; wire-fault counters record what was rejected)
+  /// — the caller must abort the run, as dropping cross-shard traffic would
+  /// silently fork determinism.
   [[nodiscard]] bool decode_peer_slab(std::span<const std::byte> bytes,
                                       std::vector<SyncSimulator::Send>& stream);
-  /// Run the deterministic boundary merge over already-decoded streams
-  /// (stream order is irrelevant — the merge orders by sender id).
+  /// Second half, step two: run the deterministic boundary merge over every
+  /// peer's decoded stream (stream order is irrelevant — the merge orders by
+  /// sender id; one shard passes none).
   void merge_round(std::span<const std::vector<SyncSimulator::Send>> streams);
-
-  /// Compute/communication overlap accounting, folded into finalize()'s
-  /// metrics. The protocol loop (and its MeshExchange) owns the timing; the
-  /// worker owns the ledger.
-  [[nodiscard]] OverlapCounters& overlap() noexcept { return overlap_; }
 
   /// Done flags for the local correct nodes (the coordinator's early-exit
   /// and liveness inputs).
   [[nodiscard]] ShardStatus status();
 
   /// Final outputs/chains (a leaver's as of its departure), metrics, chaos
-  /// counters, and trace rings.
+  /// counters, and trace rings. The overlap counters are the mesh's; the
+  /// protocol loop fills them in.
   [[nodiscard]] ShardResult finalize();
 
   [[nodiscard]] const std::string& error() const noexcept { return error_; }
@@ -122,22 +116,26 @@ class ShardWorker {
   std::vector<ShardSlabWriter> writers_;  // indexed by destination shard
   std::vector<std::pair<NodeId, NodeOutcome>> departed_;  // end states of leavers
   FaultCounters wire_faults_;
-  OverlapCounters overlap_;
   std::size_t initial_members_ = 0;
   std::string error_;
 };
 
-/// Child-side protocol loop: reads kInit, answers kHello, then executes
-/// coordinator commands until kFinish (reply kResult, return 0). Any
-/// protocol or worker failure sends kError when possible and returns
-/// non-zero. Honors ShardInit::crash_at_round by dying abruptly (_exit)
-/// before executing that round — the coordinator's crash-detection test
-/// hook.
+/// run_worker_loop's return on any failure it detected itself — after
+/// sending kError when the control socket still allowed it. The coordinator
+/// tells this exit (and its own SIGKILL) apart from a worker that died.
+inline constexpr int kWorkerFailedExit = 1;
+
+/// Child-side protocol loop: reads kInit, completes the mesh handshake,
+/// answers kHello, then executes coordinator commands until kFinish (reply
+/// kResult, return 0). Any protocol or worker failure sends kError when
+/// possible and returns kWorkerFailedExit. Honors ShardInit::crash_at_round
+/// by dying abruptly (_exit(13)) before executing that round — the
+/// coordinator's crash-detection test hook.
 ///
 /// `peer_fds` (indexed by shard id, -1 for self) are this worker's ends of
-/// the mesh socketpairs; required when the init says mesh and shards > 1.
-/// In mesh mode a kStep runs the WHOLE round — post slabs to peers, drain
-/// theirs, merge — and kSlabs/kDeliver never appear on the control socket.
+/// the mesh socketpairs — one per peer shard, none for a single shard. A
+/// kStep runs the WHOLE round — post slabs to peers, drain theirs, merge —
+/// and only its kStatus reaches the control socket.
 [[nodiscard]] int run_worker_loop(int fd, std::vector<int> peer_fds = {});
 
 }  // namespace idonly

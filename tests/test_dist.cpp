@@ -182,7 +182,6 @@ TEST(ShardWire, InitStatusRoundTripAndRejectTruncation) {
   init.shard = 3;
   init.shards = 8;
   init.want_trace = true;
-  init.mesh = false;  // non-default, so the round-trip proves the bit moves
   init.crash_at_round = 17;
   init.script_text = kConsensusScript;
   const auto init_bytes = encode_init(init);
@@ -191,7 +190,6 @@ TEST(ShardWire, InitStatusRoundTripAndRejectTruncation) {
   EXPECT_EQ(init2->shard, init.shard);
   EXPECT_EQ(init2->shards, init.shards);
   EXPECT_EQ(init2->want_trace, init.want_trace);
-  EXPECT_EQ(init2->mesh, init.mesh);
   EXPECT_EQ(init2->crash_at_round, init.crash_at_round);
   EXPECT_EQ(init2->script_text, init.script_text);
   EXPECT_FALSE(decode_init(std::span(init_bytes.data(), init_bytes.size() - 1)).has_value());
@@ -215,7 +213,6 @@ TEST(ShardWire, ResultRoundTripCarriesEveryMergedField) {
   result.metrics.fanout.dedup_hits = 3;
   result.metrics.rounds_executed = 42;
   result.metrics.done_round[9] = 17;
-  result.metrics.fanout.coordinator_relay_bytes = 4096;
   result.metrics.overlap.rounds_overlapped = 40;
   result.metrics.overlap.recv_stall_ns = 123456789;
   result.metrics.overlap.slabs_direct = 84;
@@ -251,7 +248,6 @@ TEST(ShardWire, ResultRoundTripCarriesEveryMergedField) {
   EXPECT_EQ(back->metrics.messages.delivered, result.metrics.messages.delivered);
   EXPECT_EQ(back->metrics.fanout.deliveries, result.metrics.fanout.deliveries);
   EXPECT_EQ(back->metrics.fanout.dedup_hits, result.metrics.fanout.dedup_hits);
-  EXPECT_EQ(back->metrics.fanout.coordinator_relay_bytes, 4096u);
   EXPECT_EQ(back->metrics.overlap.rounds_overlapped, 40u);
   EXPECT_EQ(back->metrics.overlap.recv_stall_ns, 123456789u);
   EXPECT_EQ(back->metrics.overlap.slabs_direct, 84u);
@@ -304,8 +300,14 @@ struct InProcessFleet {
         inbox[slab.dest].emplace_back(slab.bytes.begin(), slab.bytes.end());
       }
     }
+    // The mesh loop's second half: decode each peer slab, then merge.
     for (auto& worker : workers) {
-      ASSERT_TRUE(worker->finish_round(inbox[worker->shard()])) << worker->error();
+      std::vector<std::vector<SyncSimulator::Send>> streams;
+      for (const std::vector<std::byte>& bytes : inbox[worker->shard()]) {
+        streams.emplace_back();
+        ASSERT_TRUE(worker->decode_peer_slab(bytes, streams.back())) << worker->error();
+      }
+      worker->merge_round(streams);
     }
     round += 1;
   }
@@ -628,7 +630,7 @@ void expect_same_verdict(const ScriptRun& dist, const ScriptRun& single, const s
   }
 }
 
-TEST(RunDist, ConsensusMatchesSingleProcessAcrossShardCountsAndTopologies) {
+TEST(RunDist, ConsensusMatchesSingleProcessAcrossShardCounts) {
   for (const char* const text : {kConsensusScript, kPlainConsensusScript}) {
     const bool plain = text == kPlainConsensusScript;
     const SingleRun single = run_single_process(text);
@@ -639,91 +641,84 @@ TEST(RunDist, ConsensusMatchesSingleProcessAcrossShardCountsAndTopologies) {
     ASSERT_GT(single.recorder->size(), 0u);
     EXPECT_FALSE(single.run.metrics_exposition.empty());
     EXPECT_EQ(run_single_process(text, 4).recorder->jsonl(), raw);
-    for (const bool mesh : {true, false}) {
-      for (const std::uint32_t shards : {1u, 2u, 4u}) {
-        DistConfig config;
-        config.script_text = text;
-        config.shards = shards;
-        config.mesh = mesh;
-        config.want_trace = true;
-        const DistRun dist = run_dist(config);
-        const std::string tag = std::string(plain ? "plain " : "chaos ") +
-                                (mesh ? "mesh" : "relay") + " shards " + std::to_string(shards);
-        ASSERT_TRUE(dist.infra_ok) << tag << ": " << dist.infra_error;
-        expect_same_verdict(dist.script, single.run, tag);
-        EXPECT_FALSE(dist.script.metrics_exposition.empty()) << tag;
-        ASSERT_NE(dist.trace, nullptr) << tag;
-        EXPECT_EQ(dist.trace->canonical_jsonl(), canonical) << tag;
-        EXPECT_EQ(dist.trace->jsonl(), raw) << tag;
-        // Topology shows only in the overlap/relay ledgers, never the
-        // result: the mesh moves slabs peer-to-peer, the relay moves them
-        // through the coordinator, and exactly one of the two ledgers is
-        // active.
-        if (shards > 1 && mesh) {
-          EXPECT_GT(dist.metrics.overlap.slabs_direct, 0u) << tag;
-          EXPECT_EQ(dist.metrics.fanout.coordinator_relay_bytes, 0u) << tag;
-        }
-        if (shards > 1 && !mesh) {
-          EXPECT_EQ(dist.metrics.overlap.slabs_direct, 0u) << tag;
-          EXPECT_GT(dist.metrics.fanout.coordinator_relay_bytes, 0u) << tag;
-        }
+    for (const std::uint32_t shards : {1u, 2u, 4u}) {
+      DistConfig config;
+      config.script_text = text;
+      config.shards = shards;
+      config.want_trace = true;
+      const DistRun dist = run_dist(config);
+      const std::string tag =
+          std::string(plain ? "plain " : "chaos ") + "shards " + std::to_string(shards);
+      ASSERT_TRUE(dist.infra_ok) << tag << ": " << dist.infra_error;
+      expect_same_verdict(dist.script, single.run, tag);
+      EXPECT_FALSE(dist.script.metrics_exposition.empty()) << tag;
+      ASSERT_NE(dist.trace, nullptr) << tag;
+      EXPECT_EQ(dist.trace->canonical_jsonl(), canonical) << tag;
+      EXPECT_EQ(dist.trace->jsonl(), raw) << tag;
+      // The slab ledger shows the data plane, never the result: slabs move
+      // peer-to-peer over the mesh, and one shard has no peer to send to.
+      if (shards > 1) {
+        EXPECT_GT(dist.metrics.overlap.slabs_direct, 0u) << tag;
+      } else {
+        EXPECT_EQ(dist.metrics.overlap.slabs_direct, 0u) << tag;
       }
     }
   }
 }
 
-TEST(RunDist, TotalOrderMatchesSingleProcessAcrossShardCountsAndTopologies) {
+TEST(RunDist, TotalOrderMatchesSingleProcessAcrossShardCounts) {
   const SingleRun single = run_single_process(kTotalOrderScript);
   const std::string reference = single.recorder->canonical_jsonl();
-  for (const bool mesh : {true, false}) {
-    for (const std::uint32_t shards : {1u, 2u, 4u}) {
-      DistConfig config;
-      config.script_text = kTotalOrderScript;
-      config.shards = shards;
-      config.mesh = mesh;
-      config.want_trace = true;
-      const DistRun dist = run_dist(config);
-      const std::string tag =
-          std::string(mesh ? "mesh" : "relay") + " shards " + std::to_string(shards);
-      ASSERT_TRUE(dist.infra_ok) << tag << ": " << dist.infra_error;
-      expect_same_verdict(dist.script, single.run, tag);
-      ASSERT_NE(dist.trace, nullptr) << tag;
-      EXPECT_EQ(dist.trace->canonical_jsonl(), reference) << tag;
-    }
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    DistConfig config;
+    config.script_text = kTotalOrderScript;
+    config.shards = shards;
+    config.want_trace = true;
+    const DistRun dist = run_dist(config);
+    const std::string tag = "shards " + std::to_string(shards);
+    ASSERT_TRUE(dist.infra_ok) << tag << ": " << dist.infra_error;
+    expect_same_verdict(dist.script, single.run, tag);
+    ASSERT_NE(dist.trace, nullptr) << tag;
+    EXPECT_EQ(dist.trace->canonical_jsonl(), reference) << tag;
   }
 }
 
 TEST(RunDist, CrashedWorkerIsDetectedNotHungAndNamed) {
-  // Relay topology: the coordinator reads the dead worker's control EOF.
-  DistConfig config;
-  config.script_text = kConsensusScript;
-  config.shards = 2;
-  config.mesh = false;
-  config.crash_at_round = 3;
-  config.crash_shard = 1;
-  config.wedge_timeout_ms = 30000;  // EOF detection must not need the budget
-  const DistRun dist = run_dist(config);
-  EXPECT_FALSE(dist.infra_ok);
-  EXPECT_NE(dist.infra_error.find("shard worker 1"), std::string::npos) << dist.infra_error;
-  EXPECT_NE(dist.infra_error.find("died"), std::string::npos) << dist.infra_error;
-  EXPECT_FALSE(dist.script.all_satisfied);
+  // One shard: the coordinator can only read the victim's control EOF.
+  // Two shards: it harvests shard 0 first, so it usually reads the
+  // survivor's kError about its dead mesh peer before the victim's control
+  // EOF — the message must still blame the victim.
+  for (const std::uint32_t shards : {1u, 2u}) {
+    DistConfig config;
+    config.script_text = kConsensusScript;
+    config.shards = shards;
+    config.crash_at_round = 3;
+    config.crash_shard = shards - 1;
+    config.wedge_timeout_ms = 30000;  // EOF detection must not need the budget
+    const DistRun dist = run_dist(config);
+    const std::string victim = "shard worker " + std::to_string(shards - 1);
+    EXPECT_FALSE(dist.infra_ok) << shards;
+    EXPECT_NE(dist.infra_error.find(victim), std::string::npos) << dist.infra_error;
+    EXPECT_NE(dist.infra_error.find("died"), std::string::npos) << dist.infra_error;
+    EXPECT_FALSE(dist.script.all_satisfied) << shards;
+  }
 }
 
 TEST(RunDist, PeerSocketEofMidRoundFailsTheMeshRunNotHangsIt) {
-  // Mesh topology: the dying worker's PEERS see the mesh-socket EOF while
-  // waiting for its round frame. Whichever signal the coordinator reads
-  // first — the victim's control EOF or a survivor's kError naming the dead
-  // peer — the run must fail promptly and name a shard.
+  // The dying worker's PEERS see the mesh-socket EOF while waiting for its
+  // round frame. Whichever signal the coordinator reads first — the victim's
+  // control EOF or a survivor's kError naming the dead peer — the run must
+  // fail promptly and blame the victim.
   DistConfig config;
   config.script_text = kConsensusScript;
   config.shards = 4;
-  config.mesh = true;
   config.crash_at_round = 3;
   config.crash_shard = 2;
   config.wedge_timeout_ms = 30000;  // failure must come from EOF, not timeout
   const DistRun dist = run_dist(config);
   EXPECT_FALSE(dist.infra_ok);
-  EXPECT_NE(dist.infra_error.find("shard"), std::string::npos) << dist.infra_error;
+  EXPECT_NE(dist.infra_error.find("shard worker 2"), std::string::npos) << dist.infra_error;
+  EXPECT_NE(dist.infra_error.find("died"), std::string::npos) << dist.infra_error;
   EXPECT_EQ(dist.infra_error.find("wedged"), std::string::npos) << dist.infra_error;
   EXPECT_FALSE(dist.script.all_satisfied);
 }
