@@ -3,6 +3,8 @@
 // baseline the algorithm generalizes.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <cstdint>
 #include <memory>
 
 #include "baselines/phase_king.hpp"
@@ -39,16 +41,26 @@ void BM_Consensus_VaryN(benchmark::State& state) {
   config.n_byzantine = 2;
   config.adversary = AdversaryKind::kTwoFaced;
   ConsensusRun last;
+  std::chrono::nanoseconds elapsed{0};
+  std::uint64_t deliveries = 0;
   for (auto _ : state) {
     config.seed += 1;
+    const auto start = std::chrono::steady_clock::now();
     last = run_consensus(config, {0.0, 1.0});
+    elapsed += std::chrono::steady_clock::now() - start;
+    deliveries += last.messages;
     benchmark::DoNotOptimize(last.agreement);
   }
   state.counters["phases"] = static_cast<double>(last.max_decision_phase);
   state.counters["rounds"] = static_cast<double>(last.rounds);
   state.counters["messages"] = static_cast<double>(last.messages);
+  // Wall time per delivered message: deliveries grow as n³ (Alg. 1's
+  // every-round re-echo), so this is the figure that should stay flat in n.
+  state.counters["ns_per_delivery"] =
+      deliveries == 0 ? 0.0
+                      : static_cast<double>(elapsed.count()) / static_cast<double>(deliveries);
 }
-BENCHMARK(BM_Consensus_VaryN)->Arg(7)->Arg(13)->Arg(25)->Arg(49)
+BENCHMARK(BM_Consensus_VaryN)->Arg(7)->Arg(13)->Arg(25)->Arg(49)->Arg(128)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Consensus_UnanimousFastPath(benchmark::State& state) {

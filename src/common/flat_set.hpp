@@ -1,19 +1,29 @@
 // Sorted-vector flat containers for hot-path quorum bookkeeping.
 //
-// The core protocols touch their quorum sets once per message per round —
-// Θ(n²) probes per round across an all-to-all network — and the node-based
-// std::set/std::map they used to sit on pay a heap allocation plus a
-// pointer-chasing tree walk per probe. A FlatSet keeps its elements in one
-// sorted contiguous vector: membership tests are cache-friendly binary
-// searches, and the dominant insertion pattern (senders arrive in ascending
-// id order because the engine routes members in ascending id order) hits an
-// O(1) append fast path. FlatMap is the same idea for small key → value
-// tables (quorum counters key by payload/candidate; a round sees a handful
-// of distinct keys but thousands of probes).
+// The core protocols touch their quorum sets once per delivered message, and
+// echo traffic dominates deliveries: one rotor batch (Alg. 2's candidate
+// echoes) is n echoes from each of n senders to each of n receivers, n³
+// deliveries network-wide. The node-based std::set/std::map they used to sit
+// on paid a heap allocation plus a pointer-chasing tree walk per probe. A
+// FlatSet keeps its elements in one sorted contiguous vector: membership
+// tests are cache-friendly binary searches, and the dominant insertion
+// pattern (senders arrive in ascending id order because the engine routes
+// members in ascending id order) hits an O(1) append fast path. FlatMap is
+// the same idea for key → value tables (quorum counters key by
+// payload/candidate).
+//
+// FlatMap::operator[] keeps a finger on the last entry it returned and
+// probes that entry and its successor before binary-searching: one sender's
+// echoes name their subjects in ascending order (each sender walks its own
+// ascending tally), so consecutive probes hit the same or the next key and
+// a lookup costs O(1). A miss falls back to the binary search and re-aims
+// the finger; clear() resets it. The const find() is finger-free.
 //
 // Deliberately minimal: only the operations the protocol layer uses. Both
 // containers iterate in ascending key order, so replacing std::set/std::map
 // never changes the deterministic iteration order protocol code relies on.
+// Keys must be strictly weakly ordered by Compare (Value excludes NaN for
+// this reason).
 #pragma once
 
 #include <algorithm>
@@ -95,11 +105,19 @@ class FlatMap {
 
   FlatMap() = default;
 
-  /// std::map semantics: default-construct on first access.
+  /// std::map semantics: default-construct on first access. Probes the
+  /// finger (last hit) and its successor before binary-searching.
   V& operator[](const Key& key) {
-    const auto it = lower_bound(key);
-    if (it != entries_.end() && !comp_(key, it->first)) return it->second;
-    return entries_.emplace(it, key, V{})->second;
+    for (std::size_t i = finger_; i < entries_.size() && i <= finger_ + 1; ++i) {
+      if (equivalent(entries_[i].first, key)) {
+        finger_ = i;
+        return entries_[i].second;
+      }
+    }
+    auto it = lower_bound(key);
+    if (it == entries_.end() || comp_(key, it->first)) it = entries_.emplace(it, key, V{});
+    finger_ = static_cast<std::size_t>(it - entries_.begin());
+    return it->second;
   }
 
   [[nodiscard]] const_iterator find(const Key& key) const {
@@ -111,12 +129,18 @@ class FlatMap {
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-  void clear() noexcept { entries_.clear(); }
+  void clear() noexcept {
+    entries_.clear();
+    finger_ = 0;
+  }
 
   [[nodiscard]] const_iterator begin() const noexcept { return entries_.begin(); }
   [[nodiscard]] const_iterator end() const noexcept { return entries_.end(); }
 
  private:
+  [[nodiscard]] bool equivalent(const Key& a, const Key& b) const {
+    return !comp_(a, b) && !comp_(b, a);
+  }
   [[nodiscard]] const_iterator lower_bound(const Key& key) const {
     return std::lower_bound(entries_.begin(), entries_.end(), key,
                             [this](const value_type& e, const Key& k) { return comp_(e.first, k); });
@@ -127,6 +151,7 @@ class FlatMap {
   }
 
   std::vector<value_type> entries_;
+  std::size_t finger_ = 0;  ///< index of the last entry operator[] returned
   [[no_unique_address]] Compare comp_;
 };
 

@@ -23,7 +23,9 @@ class Value {
   /// The distinguished "no opinion" element.
   [[nodiscard]] static constexpr Value bot() noexcept { return Value{}; }
 
-  /// A real-valued opinion.
+  /// A real-valued opinion. NaN is outside the domain: it breaks the strict
+  /// weak order below, which would merge keys in sorted quorum tallies. Entry
+  /// points reject it (parse_script's `inputs`, the wire codec's decode).
   [[nodiscard]] static constexpr Value real(double v) noexcept {
     Value out;
     out.is_bot_ = false;

@@ -8,10 +8,14 @@
 // the paper hold (a correct node echoes a given message once per round at
 // most, and per-round duplicates are already dropped by the engine).
 //
-// Both sit on sorted-vector flat containers (common/flat_set.hpp): they are
-// probed once per message per round — Θ(n²) probes per round network-wide —
-// and inbox senders arrive in ascending id order, so inserts hit the flat
-// set's append fast path instead of allocating tree nodes.
+// Both sit on sorted-vector flat containers (common/flat_set.hpp). Echo
+// traffic dominates their load: one rotor batch (Alg. 2's candidate echoes)
+// is n echoes from each of n senders at each of n nodes, n³ deliveries
+// network-wide. ParticipantTracker::note therefore inserts once per run of
+// equal senders (the inbox is grouped by sender), so it costs one probe per
+// sender, not per message. QuorumCounter::add rides FlatMap's finger, which
+// one sender's ascending subjects hit in O(1), and FlatSet's append fast
+// path for the ascending senders.
 #pragma once
 
 #include <optional>
@@ -28,7 +32,8 @@ namespace idonly {
 class ParticipantTracker {
  public:
   /// Record the senders of this round's inbox (call once per round, before
-  /// evaluating any threshold).
+  /// evaluating any threshold). Any order is counted correctly; a grouped
+  /// inbox costs one insert per sender.
   void note(std::span<const Message> inbox);
 
   /// Record a single id (e.g. self — a node always counts itself once it

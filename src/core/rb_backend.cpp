@@ -36,9 +36,12 @@ class Alg1Backend final : public RbBackend {
                                 std::size_t n_v, std::vector<Outgoing>& out) override {
     // Accumulate echo(m, s) senders from every round (cumulative distinct
     // counting). A Byzantine source may put several payloads m in flight;
-    // each is tracked independently.
-    for (const Message& m : inbox) {
-      if (m.kind == MsgKind::kEcho && m.subject == source_) echoes_.add(m.value, m.sender);
+    // each is tracked independently. Once accepted, the amplification loop
+    // below breaks before reading a tally, so tallying stops too.
+    if (!accepted_) {
+      for (const Message& m : inbox) {
+        if (m.kind == MsgKind::kEcho && m.subject == source_) echoes_.add(m.value, m.sender);
+      }
     }
 
     if (round.local == 1) {

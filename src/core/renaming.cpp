@@ -20,7 +20,11 @@ void RenamingProcess::on_round(RoundInfo round, std::span<const Message> inbox,
   if (terminated_) return;
   tracker_.note(inbox);
   for (const Message& m : inbox) {
-    if (m.kind == MsgKind::kEcho && m.value.is_bot()) echoes_.add(m.subject, m.sender);
+    // Ids already in S are skipped by the accumulation loop below, so their
+    // tallies are never read again.
+    if (m.kind == MsgKind::kEcho && m.value.is_bot() && !s_.contains(m.subject)) {
+      echoes_.add(m.subject, m.sender);
+    }
     if (m.kind == MsgKind::kTerminate) terminates_.add(m.round_tag, m.sender);
   }
 

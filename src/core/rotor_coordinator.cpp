@@ -1,5 +1,6 @@
 #include "core/rotor_coordinator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/thresholds.hpp"
@@ -25,10 +26,28 @@ void RotorCore::round2(std::span<const Message> inbox, std::vector<Message>& out
 }
 
 void RotorCore::absorb(std::span<const Message> inbox) {
+  // Echoes for candidates already in C_v are dropped: step() skips those
+  // keys, so their tallies are never read again. `cur` is lower_bound(C_v,
+  // previous subject); each sender names its subjects in ascending order, so
+  // the next subject is almost always at `cur` or `cur + 1`. A subject that
+  // goes backwards (next sender, or a Byzantine order) restarts the search.
+  // Only an exact hit is skipped, so a misplaced cursor could cost a missed
+  // skip, never a lost echo.
+  const std::vector<NodeId>& accepted = candidates_.values();
+  auto cur = accepted.begin();
   for (const Message& m : inbox) {
-    if (m.kind == MsgKind::kEcho && m.instance == instance_ && m.value.is_bot()) {
-      echoes_.add(m.subject, m.sender);
+    if (m.kind != MsgKind::kEcho || m.instance != instance_ || !m.value.is_bot()) continue;
+    const NodeId subject = m.subject;
+    if (cur != accepted.begin() && subject <= *(cur - 1)) {
+      cur = std::lower_bound(accepted.begin(), cur, subject);
+    } else if (cur != accepted.end() && *cur < subject) {
+      ++cur;
+      if (cur != accepted.end() && *cur < subject) {
+        cur = std::lower_bound(cur + 1, accepted.end(), subject);
+      }
     }
+    if (cur != accepted.end() && *cur == subject) continue;
+    echoes_.add(subject, m.sender);
   }
 }
 

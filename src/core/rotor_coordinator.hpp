@@ -15,6 +15,18 @@
 // Lemma 6 shows the adversary can force at most 2f non-silent and f silent
 // bad rounds, so |C_v| > r holds until a good round has been witnessed.
 //
+// Cost: the candidate echoes are most of the traffic wherever a rotor runs.
+// Round 2 echoes every init, and at the first rotor step C_v is still empty,
+// so every node relays an echo for every candidate: each batch is n echoes
+// from each of n senders at each of n nodes, n³ deliveries network-wide.
+// Without faults the second batch names only candidates the first batch
+// already got accepted, so absorb() drops echoes whose subject is in C_v.
+// The drop cannot be observed: step() skips accepted keys before reading
+// their tallies, C_v never shrinks, and nothing else reads the tallies. The
+// C_v test is a cursor that follows each sender's ascending subject run
+// (O(1) per echo) and restarts with a binary search when a subject goes
+// backwards, so a Byzantine order costs O(log n), never O(n).
+//
 // RotorCore is the embeddable state machine (consensus/parallel consensus
 // execute one rotor step per phase); RotorProcess is the standalone
 // algorithm with the termination rule and an audit log used by tests.
@@ -48,6 +60,7 @@ class RotorCore {
   /// Absorb candidate echoes from an inbox. Call every round — embedded in
   /// consensus, relay echoes sent at one rotor step arrive in the *next*
   /// protocol round and must not be lost before the next rotor step.
+  /// Echoes for candidates already in C_v are dropped (see the file header).
   void absorb(std::span<const Message> inbox);
 
   struct StepResult {
@@ -71,7 +84,7 @@ class RotorCore {
  private:
   NodeId self_;
   InstanceTag instance_;
-  QuorumCounter<NodeId> echoes_;  // candidate id -> distinct echoers
+  QuorumCounter<NodeId> echoes_;  // candidate id -> distinct echoers (until accepted)
   FlatSet<NodeId> candidates_;    // C_v, ascending (selection indexes .values())
   FlatSet<NodeId> selected_;      // S_v
 };

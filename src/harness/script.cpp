@@ -1,6 +1,7 @@
 #include "harness/script.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -149,11 +150,15 @@ std::variant<ScenarioScript, ParseError> parse_script(const std::string& text) {
       if (!(words >> list)) return fail("inputs: missing list");
       script.inputs.clear();
       for (const std::string& item : split(list, ',')) {
+        double input = 0.0;
         try {
-          script.inputs.push_back(std::stod(item));
+          input = std::stod(item);
         } catch (...) {
           return fail("inputs: bad number '" + item + "'");
         }
+        // NaN has no place in Value's order and ±inf in no decision.
+        if (!std::isfinite(input)) return fail("inputs: non-finite number '" + item + "'");
+        script.inputs.push_back(input);
       }
       if (script.inputs.empty()) return fail("inputs: empty list");
     } else if (keyword == "byzantine") {

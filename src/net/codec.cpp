@@ -1,6 +1,7 @@
 #include "net/codec.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -106,7 +107,9 @@ std::optional<Message> decode(std::span<const std::byte> bytes) {
       bits |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes[offset + i])) << (8 * i);
     }
     offset += 8;
-    msg.value = Value::real(std::bit_cast<double>(bits));
+    const auto real = std::bit_cast<double>(bits);
+    if (std::isnan(real)) return std::nullopt;  // outside Value's domain
+    msg.value = Value::real(real);
   }
   if (offset != bytes.size()) return std::nullopt;  // trailing bytes
   return msg;

@@ -12,7 +12,7 @@
 //   varint      subject
 //   varint      instance
 //   varint      round_tag
-//   8 bytes     IEEE-754 value payload (omitted when ⊥)
+//   8 bytes     IEEE-754 value payload (omitted when ⊥; never NaN)
 //
 // decode() is total: any input that is not a well-formed frame yields
 // nullopt (never UB, never a partial message) — a Byzantine peer controls
@@ -61,7 +61,8 @@ std::size_t encode(const Message& msg, std::vector<std::byte>& out);
 
 /// Decode one frame occupying the whole span. Returns nullopt on any
 /// malformation: wrong version, unknown kind, truncation, trailing bytes,
-/// or non-canonical varints.
+/// non-canonical varints, or a NaN value payload (outside Value's domain;
+/// ±inf, -0.0 and denormals decode as sent).
 [[nodiscard]] std::optional<Message> decode(std::span<const std::byte> bytes);
 
 /// Size encode() would produce, without encoding (pure arithmetic — safe on

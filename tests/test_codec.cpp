@@ -2,6 +2,8 @@
 // robustness against malformed frames (a Byzantine peer controls the bytes).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -84,6 +86,33 @@ TEST(Codec, ExtremeDoublesSurvive) {
     const auto decoded = decode(encode(m));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->value.as_real(), v);
+  }
+}
+
+TEST(Codec, NanPayloadsRejected) {
+  // NaN breaks Value's strict weak order (a NaN key would swallow every real
+  // in a sorted quorum tally), so a frame carrying one is malformed.
+  for (double v : {std::numeric_limits<double>::quiet_NaN(),
+                   -std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::signaling_NaN(),
+                   std::bit_cast<double>(0x7FF0000000000001ULL),
+                   std::bit_cast<double>(0xFFFFFFFFFFFFFFFFULL)}) {
+    Message m = sample_message();
+    m.value = Value::real(v);
+    EXPECT_FALSE(decode(encode(m)).has_value()) << std::bit_cast<std::uint64_t>(v);
+  }
+  // The rest of the IEEE-754 edge still round-trips bit for bit.
+  for (double v : {std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(), -0.0,
+                   std::numeric_limits<double>::denorm_min(),
+                   -std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::min() / 2}) {
+    Message m = sample_message();
+    m.value = Value::real(v);
+    const auto decoded = decode(encode(m));
+    ASSERT_TRUE(decoded.has_value()) << v;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded->value.as_real()),
+              std::bit_cast<std::uint64_t>(v));
   }
 }
 

@@ -8,14 +8,17 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "check/explorer.hpp"
 #include "common/chaos.hpp"
+#include "common/rng.hpp"
 #include "common/thresholds.hpp"
 #include "common/trace.hpp"
+#include "core/participant_tracker.hpp"
 #include "core/rb_backend.hpp"
 #include "core/reliable_broadcast.hpp"
 #include "fuzz/scn_writer.hpp"
@@ -51,6 +54,104 @@ TEST(RbBackendKindNames, RoundTripAndRejectUnknown) {
   EXPECT_FALSE(parse_rb_backend("").has_value());
   EXPECT_FALSE(parse_rb_backend("IMBS").has_value());
   EXPECT_FALSE(parse_rb_backend("bracha").has_value());
+}
+
+// ------------------------------------------- Alg. 1 tally-stop reference --
+
+// Alg1Backend before it stopped tallying after acceptance, its logic kept as
+// the reference for the differential test below.
+class ReferenceAlg1 {
+ public:
+  ReferenceAlg1(NodeId self, NodeId source, Value payload)
+      : self_(self), source_(source), payload_(payload) {}
+
+  std::optional<Value> on_round(RoundInfo round, std::span<const Message> inbox,
+                                std::size_t n_v, std::vector<Outgoing>& out) {
+    for (const Message& m : inbox) {
+      if (m.kind == MsgKind::kEcho && m.subject == source_) echoes_.add(m.value, m.sender);
+    }
+
+    if (round.local == 1) {
+      if (self_ == source_) {
+        broadcast(out, Message{.kind = MsgKind::kPayload, .subject = source_, .value = payload_});
+      } else {
+        broadcast(out, Message{.kind = MsgKind::kPresent});
+      }
+      return std::nullopt;
+    }
+
+    if (round.local == 2) {
+      for (const Message& m : inbox) {
+        if (m.kind == MsgKind::kPayload && m.sender == source_ && m.subject == source_) {
+          broadcast(out, Message{.kind = MsgKind::kEcho, .subject = source_, .value = m.value});
+          break;
+        }
+      }
+      return std::nullopt;
+    }
+
+    std::optional<Value> newly_accepted;
+    for (const auto& [payload, senders] : echoes_.all()) {
+      if (accepted_) break;
+      if (at_least_one_third(senders.size(), n_v)) {
+        broadcast(out, Message{.kind = MsgKind::kEcho, .subject = source_, .value = payload});
+      }
+      if (at_least_two_thirds(senders.size(), n_v)) {
+        accepted_ = true;
+        newly_accepted = payload;
+      }
+    }
+    return newly_accepted;
+  }
+
+ private:
+  NodeId self_;
+  NodeId source_;
+  Value payload_;
+  QuorumCounter<Value> echoes_;
+  bool accepted_ = false;
+};
+
+TEST(Alg1Backend, TallyStopAfterAcceptanceMatchesReferenceOnRandomInboxes) {
+  // Random echo/payload inboxes with several payloads in flight (a
+  // Byzantine source), echoes for another source and interleaved senders:
+  // every round's outbox and acceptance must equal the reference's.
+  constexpr NodeId kSource = 3;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    Rng rng(seed);
+    const NodeId self = rng.chance(0.3) ? kSource : 1;
+    const std::size_t n_senders = 3 + rng.below(8);
+    auto backend = make_rb_backend(RbBackendKind::kAlg1, self, kSource, Value::real(7.0));
+    ReferenceAlg1 reference(self, kSource, Value::real(7.0));
+    for (Round r = 1; r <= 8; ++r) {
+      std::vector<Message> inbox;
+      for (NodeId sender = 1; sender <= n_senders; ++sender) {
+        if (rng.chance(0.25)) continue;
+        const std::size_t count = 1 + rng.below(3);
+        for (std::size_t i = 0; i < count; ++i) {
+          Message m;
+          m.sender = sender;
+          m.kind = rng.chance(0.85) ? MsgKind::kEcho : MsgKind::kPayload;
+          m.subject = rng.chance(0.9) ? kSource : kSource + 1;
+          m.value = rng.chance(0.1) ? Value::bot() : Value::real(static_cast<double>(rng.below(3)));
+          inbox.push_back(m);
+        }
+      }
+      if (rng.chance(0.3)) rng.shuffle(inbox);
+      const std::size_t n_v = n_senders + rng.below(3);
+      const RoundInfo round{r, r};
+      std::vector<Outgoing> got_out;
+      std::vector<Outgoing> want_out;
+      const auto got = backend->on_round(round, inbox, n_v, got_out);
+      const auto want = reference.on_round(round, inbox, n_v, want_out);
+      ASSERT_EQ(got, want) << "seed " << seed << " round " << r;
+      ASSERT_EQ(got_out.size(), want_out.size()) << "seed " << seed << " round " << r;
+      for (std::size_t i = 0; i < got_out.size(); ++i) {
+        EXPECT_EQ(got_out[i].to, want_out[i].to);
+        EXPECT_EQ(got_out[i].msg, want_out[i].msg) << "seed " << seed << " round " << r;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------- Imbs correctness --

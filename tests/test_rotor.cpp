@@ -3,8 +3,12 @@
 // before termination, with the opinion accepted the round after.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <tuple>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "common/thresholds.hpp"
 #include "core/rotor_coordinator.hpp"
 #include "harness/runner.hpp"
@@ -107,6 +111,123 @@ TEST(RotorCore, EmptyCandidateSetSelectsNobody) {
   auto result = core.step(4, 0);
   EXPECT_FALSE(result.coordinator.has_value());
   EXPECT_FALSE(result.repeated);
+}
+
+// RotorCore's tallying before echoes for accepted candidates were dropped,
+// kept verbatim as the reference for the differential test below.
+class ReferenceRotorCore {
+ public:
+  explicit ReferenceRotorCore(InstanceTag instance) : instance_(instance) {}
+
+  void absorb(std::span<const Message> inbox) {
+    for (const Message& m : inbox) {
+      if (m.kind == MsgKind::kEcho && m.instance == instance_ && m.value.is_bot()) {
+        echoes_.add(m.subject, m.sender);
+      }
+    }
+  }
+
+  RotorCore::StepResult step(std::size_t n_v, std::int64_t r) {
+    RotorCore::StepResult result;
+    for (const auto& [candidate, senders] : echoes_.all()) {
+      if (candidates_.contains(candidate)) continue;
+      if (at_least_one_third(senders.size(), n_v)) {
+        Message echo;
+        echo.kind = MsgKind::kEcho;
+        echo.subject = candidate;
+        echo.instance = instance_;
+        result.relay.push_back(echo);
+      }
+      if (at_least_two_thirds(senders.size(), n_v)) candidates_.insert(candidate);
+    }
+    if (!candidates_.empty()) {
+      const std::size_t idx =
+          static_cast<std::size_t>(r % static_cast<std::int64_t>(candidates_.size()));
+      const NodeId p = candidates_.values()[idx];
+      result.coordinator = p;
+      if (!selected_.insert(p)) result.repeated = true;
+    }
+    return result;
+  }
+
+  [[nodiscard]] const std::vector<NodeId>& candidates() const noexcept {
+    return candidates_.values();
+  }
+  [[nodiscard]] const FlatSet<NodeId>& selected() const noexcept { return selected_; }
+
+ private:
+  InstanceTag instance_;
+  QuorumCounter<NodeId> echoes_;
+  FlatSet<NodeId> candidates_;
+  FlatSet<NodeId> selected_;
+};
+
+/// One round's echo inbox: each sender's subjects mostly ascend (as a
+/// correct relay's do), but runs may be reversed, repeated, shuffled or
+/// interleaved with other senders', and some echoes carry the wrong
+/// instance, a non-⊥ value, another kind, or a subject nobody announced.
+std::vector<Message> random_echo_inbox(Rng& rng, InstanceTag instance, std::size_t n_senders,
+                                       std::size_t n_subjects) {
+  std::vector<Message> inbox;
+  for (NodeId sender = 1; sender <= n_senders; ++sender) {
+    if (rng.chance(0.2)) continue;  // silent this round
+    std::vector<NodeId> run;
+    for (NodeId subject = 1; subject <= n_subjects; ++subject) {
+      if (rng.chance(0.7)) run.push_back(subject * 10);
+    }
+    if (rng.chance(0.15)) run.push_back(rng.chance(0.5) ? 5 : 1'000'003);  // unknown
+    if (rng.chance(0.2)) std::reverse(run.begin(), run.end());
+    if (rng.chance(0.2) && !run.empty()) {
+      run.insert(run.begin() + static_cast<std::ptrdiff_t>(rng.below(run.size())),
+                 run[rng.below(run.size())]);
+    }
+    if (rng.chance(0.1)) rng.shuffle(run);
+    for (NodeId subject : run) {
+      Message m;
+      m.sender = sender;
+      m.kind = rng.chance(0.05) ? MsgKind::kInit : MsgKind::kEcho;
+      m.subject = subject;
+      m.instance = rng.chance(0.05) ? instance + 1 : instance;
+      if (rng.chance(0.05)) m.value = Value::real(1.0);
+      inbox.push_back(m);
+    }
+  }
+  if (rng.chance(0.15)) {
+    rng.shuffle(inbox);
+  } else if (rng.chance(0.2)) {  // riffle the two halves: senders interleave
+    std::vector<Message> riffled;
+    const std::size_t half = inbox.size() / 2;
+    for (std::size_t i = 0; i < half || half + i < inbox.size(); ++i) {
+      if (i < half) riffled.push_back(inbox[i]);
+      if (half + i < inbox.size()) riffled.push_back(inbox[half + i]);
+    }
+    inbox = std::move(riffled);
+  }
+  return inbox;
+}
+
+TEST(RotorCore, AcceptedCandidateSkipMatchesReferenceOnRandomInboxes) {
+  for (std::uint64_t seed = 1; seed <= 600; ++seed) {
+    Rng rng(seed);
+    const InstanceTag instance = rng.chance(0.5) ? 0 : 3;
+    const std::size_t n_senders = 3 + rng.below(8);
+    const std::size_t n_subjects = 1 + rng.below(12);
+    RotorCore core(1, instance);
+    ReferenceRotorCore reference(instance);
+    for (std::int64_t r = 0; r < 10; ++r) {
+      const auto inbox = random_echo_inbox(rng, instance, n_senders, n_subjects);
+      core.absorb(inbox);
+      reference.absorb(inbox);
+      const std::size_t n_v = n_senders + rng.below(3);
+      const auto got = core.step(n_v, r);
+      const auto want = reference.step(n_v, r);
+      ASSERT_EQ(got.coordinator, want.coordinator) << "seed " << seed << " r " << r;
+      ASSERT_EQ(got.repeated, want.repeated) << "seed " << seed << " r " << r;
+      ASSERT_EQ(got.relay, want.relay) << "seed " << seed << " r " << r;
+      ASSERT_EQ(core.candidates(), reference.candidates()) << "seed " << seed << " r " << r;
+      ASSERT_EQ(core.selected(), reference.selected()) << "seed " << seed << " r " << r;
+    }
+  }
 }
 
 TEST(Rotor, AllCorrectTerminateWithGoodRound) {

@@ -2,6 +2,7 @@
 // (each protocol, satisfied and violated expectations).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <variant>
 
 #include "harness/script.hpp"
@@ -69,6 +70,18 @@ TEST(ScriptParser, ErrorsCarryLineNumbers) {
   EXPECT_EQ(parse_fail("expect luck\n").line, 1);
   EXPECT_EQ(parse_fail("max-rounds 0\n").line, 1);
   EXPECT_EQ(parse_fail("nodes 7 extra\n").line, 1);
+}
+
+TEST(ScriptParser, NonFiniteInputsRejected) {
+  // NaN would break Value's order inside quorum tallies; ±inf has no place
+  // in an agreement domain either. Each is a line-numbered parse error.
+  for (const char* item : {"nan", "NaN", "-nan", "inf", "-inf", "infinity"}) {
+    const auto error =
+        parse_fail(std::string("protocol consensus\ninputs 0,") + item + ",1\n");
+    EXPECT_EQ(error.line, 2) << item;
+    EXPECT_NE(error.message.find("non-finite"), std::string::npos) << error.message;
+  }
+  EXPECT_EQ(parse_ok("inputs -0.0,1e308,-2.5\n").inputs.size(), 3u);
 }
 
 TEST(ScriptRunner, ConsensusExpectationsHold) {
