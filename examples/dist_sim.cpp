@@ -1,8 +1,8 @@
-// dist_sim — run a scenario-script file across N forked shard worker
-// processes (src/dist/) and report each expectation, exactly as scenario_sim
-// does for the in-process engines. For the same script and seed the merged
-// canonical trace is byte-identical to `scenario_sim --threads 1` — the CI
-// dist-smoke job byte-compares the two `--trace-canonical` exports.
+// dist_sim — run a scenario-script file of any protocol across N forked
+// shard worker processes (src/dist/) and report each expectation, exactly as
+// scenario_sim does for the in-process engines. For the same script and seed
+// the merged raw and canonical traces are byte-identical to
+// `scenario_sim --threads 1` — the CI dist-smoke job byte-compares them.
 //
 // Exit codes extend scenario_sim's classes (docs/testing.md):
 //   0  every expectation held, no invariant violations

@@ -168,10 +168,6 @@ DistRun run_dist(const DistConfig& config) {
                         err->message);
   }
   const ScenarioScript script = std::get<ScenarioScript>(std::move(parsed));
-  if (script.protocol != ScriptProtocol::kConsensus &&
-      script.protocol != ScriptProtocol::kTotalOrder) {
-    return infra_failure("distributed runner supports consensus and totalorder only");
-  }
   const Scenario scenario = make_scenario(script.config);
 
   // ---------------------------------------------------------- spawn fleet --
@@ -363,16 +359,17 @@ DistRun run_dist(const DistConfig& config) {
     return true;
   };
 
-  // The coordinator is control-plane only. For totalorder (round count
-  // data-independent) it keeps up to TWO rounds stepped-but-unharvested, so a
-  // worker can post round r+1's slabs while its slowest peer still merges
-  // round r — the double-buffering the mesh staging was built for.
-  // Consensus keeps lookahead 1: its early exit reads every round's statuses
-  // before deciding to step again.
-  const Round lookahead = stops_early(script.protocol) ? 1 : 2;
+  // The coordinator is control-plane only. When the round count is
+  // data-independent (rb, totalorder) it keeps up to TWO rounds stepped but
+  // unharvested, so a worker can post round r+1's slabs while its slowest
+  // peer still merges round r — the double-buffering the mesh staging was
+  // built for. A protocol that stops early keeps lookahead 1: its early exit
+  // reads every round's statuses before deciding to step again.
+  const LoopLimits limits = loop_limits(script);
+  const Round lookahead = limits.stops_early ? 1 : 2;
   Round stepped = 0;
-  while (round < script.max_rounds && !loop_finished(script, churn.tracked(), done)) {
-    while (stepped < std::min<Round>(round + lookahead, script.max_rounds)) {
+  while (round < limits.budget && !loop_finished(script, churn.tracked(), done)) {
+    while (stepped < std::min<Round>(round + lookahead, limits.budget)) {
       stepped += 1;
       if (!broadcast_step(stepped)) return *std::move(failed);
     }
@@ -446,22 +443,10 @@ DistRun run_dist(const DistConfig& config) {
       chaos.restarts += result.chaos.restarts;
     }
     wire_faults += result.wire_faults;
-    for (const ShardResult::Decision& d : result.decisions) {
-      nodes[d.id] = {d.done, d.has_output ? std::optional(d.output) : std::nullopt, {}};
-    }
-    for (ShardResult::Chain& c : result.chains) nodes[c.id].chain = std::move(c.chain);
+    for (auto& [id, node] : result.nodes) nodes[id] = std::move(node);
     if (run.trace != nullptr) run.trace->absorb_shard(std::move(result.rings));
   }
 
-  ScriptRun& script_run = run.script;
-  script_run.rounds = round;
-  script_run.messages = metrics.messages.total_delivered();
-  if (has_chaos) {
-    script_run.chaos_summary = chaos.summary();
-    script_run.metrics_exposition = prometheus_exposition(metrics, &chaos, &wire_faults);
-  } else {
-    script_run.metrics_exposition = prometheus_exposition(metrics, nullptr, &wire_faults);
-  }
   run.metrics = metrics;
 
   // The monitor watches the same initial correct nodes as run_script's, fed
@@ -482,8 +467,8 @@ DistRun run_dist(const DistConfig& config) {
     }
     monitor->finish(round);
   }
-  judge_loop_run(script, scenario, churn.tracked(), nodes, monitor.get(), script_run);
-  script_run.summary = summary_line(script, script_run);
+  run.script = judge_loop_run(script, scenario, churn.tracked(), nodes, monitor.get(), round,
+                              metrics, has_chaos ? &chaos : nullptr, &wire_faults);
   return run;
 }
 

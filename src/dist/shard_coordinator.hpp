@@ -7,18 +7,19 @@
 // round's slabs peer-to-peer (dist/shard_mesh.hpp); a single shard has no
 // pairs and its worker steps and merges with zero peers. The coordinator is
 // a pure CONTROL plane — round pacing, the early-exit policy, the crash
-// watchdog, and the merged counters; no slab byte transits it. For
+// watchdog, and the merged counters; no slab byte transits it. For rb and
 // totalorder (round count data-independent) it runs the round loop with
 // lookahead 2: kStep r+1 is broadcast before round r's statuses are
 // harvested, so workers double-buffer rounds instead of barriering on the
-// coordinator. Consensus keeps strict alternation — its early exit depends
-// on every round's statuses.
+// coordinator. Protocols that stop early keep strict alternation — their
+// early exit depends on every round's statuses.
 //
-// The run itself is the harness's: harness/script.hpp defines
-// each round-loop protocol once ("Round-loop protocols") — the workers
-// build and prime their processes with its factories, and the coordinator
-// asks its stop rule (worker statuses standing in for the processes) and
-// hands the merged end states to its verdict and summary line. Only the
+// The run itself is the harness's: harness/script.hpp defines every
+// protocol's run once ("Round-loop protocols") — the workers build and
+// prime their processes with its factories, and the coordinator asks its
+// stop rule and round budget (worker statuses standing in for the
+// processes) and hands the merged end states to its verdict and summary
+// line. Only the
 // invariant monitor's feed differs: run_script's is online, run_dist's
 // replays the initial correct nodes' final decisions. The coordinator's own
 // ChurnDriver (engine-agnostic, same seed stream as the workers') tracks
@@ -92,9 +93,9 @@ struct DistRun {
 };
 
 /// Execute the scripted run across `config.shards` forked worker processes.
-/// Supports the consensus and totalorder protocols, chaos and churn
-/// included. Never throws on worker failure — that is an infra_ok=false
-/// result; throws only on programmer error (e.g. empty script text).
+/// Supports every script protocol, chaos and churn included. Never throws
+/// on worker failure — that is an infra_ok=false result; throws only on
+/// programmer error (e.g. empty script text).
 [[nodiscard]] DistRun run_dist(const DistConfig& config);
 
 }  // namespace idonly

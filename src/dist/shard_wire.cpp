@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 
 namespace idonly {
 
@@ -249,6 +250,77 @@ FaultCounters decode_fault_counters(ByteReader& r) {
   return f;
 }
 
+/// Absent ids and rounds on the wire: no run draws either value.
+constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
+constexpr Round kNoRound = -1;
+
+/// nullopt, ⊥ or a real: a tag byte, then the real's bits.
+void encode_value(ByteWriter& w, const std::optional<Value>& value) {
+  w.u8(!value.has_value() ? 0 : value->is_bot() ? 1 : 2);
+  if (value.has_value() && !value->is_bot()) w.f64(value->as_real());
+}
+
+std::optional<Value> decode_value(ByteReader& r) {
+  const std::uint8_t tag = r.u8();
+  if (tag == 0) return std::nullopt;
+  return tag == 1 ? Value::bot() : Value::real(r.f64());
+}
+
+/// Every protocol's fields: a field the node's protocol leaves empty costs
+/// its length word or flag.
+void encode_node(ByteWriter& w, NodeId id, const NodeOutcome& node) {
+  w.u64(id);
+  w.u8(node.done ? 1 : 0);
+  encode_value(w, node.output);
+  w.i64(node.accept_round.value_or(kNoRound));
+  w.f64(node.estimate);
+  w.u64(node.trajectory.size());
+  for (double v : node.trajectory) w.f64(v);
+  w.u64(node.history.size());
+  for (const RotorProcess::RoundRecord& record : node.history) {
+    w.i64(record.rotor_round);
+    w.u64(record.selected.value_or(kNoNode));
+    encode_value(w, record.accepted_opinion);
+    w.u64(record.accepted_from.value_or(kNoNode));
+  }
+  w.u64(node.id_set.size());
+  for (NodeId member : node.id_set) w.u64(member);
+  w.u64(node.chain.size());
+  for (const ChainEntry& entry : node.chain) {
+    w.i64(entry.instance);
+    w.u64(entry.witness);
+    w.f64(entry.event);
+  }
+}
+
+std::pair<NodeId, NodeOutcome> decode_node(ByteReader& r) {
+  const auto id_or_none = [](NodeId id) {
+    return id == kNoNode ? std::nullopt : std::optional<NodeId>(id);
+  };
+  const NodeId id = r.u64();
+  NodeOutcome node;
+  node.done = r.u8() != 0;
+  node.output = decode_value(r);
+  if (const Round round = r.i64(); round != kNoRound) node.accept_round = round;
+  node.estimate = r.f64();
+  for (std::uint64_t k = r.u64(); k > 0 && !r.failed(); --k) node.trajectory.push_back(r.f64());
+  for (std::uint64_t k = r.u64(); k > 0 && !r.failed(); --k) {
+    RotorProcess::RoundRecord& record = node.history.emplace_back();
+    record.rotor_round = r.i64();
+    record.selected = id_or_none(r.u64());
+    record.accepted_opinion = decode_value(r);
+    record.accepted_from = id_or_none(r.u64());
+  }
+  for (std::uint64_t k = r.u64(); k > 0 && !r.failed(); --k) node.id_set.insert(r.u64());
+  for (std::uint64_t k = r.u64(); k > 0 && !r.failed(); --k) {
+    ChainEntry& entry = node.chain.emplace_back();
+    entry.instance = r.i64();
+    entry.witness = r.u64();
+    entry.event = r.f64();
+  }
+  return {id, std::move(node)};
+}
+
 }  // namespace
 
 std::vector<std::byte> encode_result(const ShardResult& result) {
@@ -281,24 +353,8 @@ std::vector<std::byte> encode_result(const ShardResult& result) {
     w.u64(result.chaos.restarts);
   }
   encode_fault_counters(w, result.wire_faults);
-  w.u64(result.decisions.size());
-  for (const ShardResult::Decision& d : result.decisions) {
-    w.u64(d.id);
-    w.u8(d.done ? 1 : 0);
-    w.u8(d.has_output ? 1 : 0);
-    w.u8(d.output.is_bot() ? 1 : 0);
-    w.f64(d.output.real_or(0.0));
-  }
-  w.u64(result.chains.size());
-  for (const ShardResult::Chain& c : result.chains) {
-    w.u64(c.id);
-    w.u64(c.chain.size());
-    for (const ChainEntry& entry : c.chain) {
-      w.i64(entry.instance);
-      w.u64(entry.witness);
-      w.f64(entry.event);
-    }
-  }
+  w.u64(result.nodes.size());
+  for (const auto& [id, node] : result.nodes) encode_node(w, id, node);
   w.u64(result.rings.size());
   for (const ShardResult::Ring& ring : result.rings) {
     w.u64(ring.node);
@@ -354,31 +410,8 @@ std::optional<ShardResult> decode_result(std::span<const std::byte> payload) {
     result.chaos.restarts = r.u64();
   }
   result.wire_faults = decode_fault_counters(r);
-  const std::uint64_t decisions = r.u64();
-  for (std::uint64_t i = 0; i < decisions && !r.failed(); ++i) {
-    ShardResult::Decision d;
-    d.id = r.u64();
-    d.done = r.u8() != 0;
-    d.has_output = r.u8() != 0;
-    const bool is_bot = r.u8() != 0;
-    const double real = r.f64();
-    d.output = is_bot ? Value::bot() : Value::real(real);
-    result.decisions.push_back(d);
-  }
-  const std::uint64_t chains = r.u64();
-  for (std::uint64_t i = 0; i < chains && !r.failed(); ++i) {
-    ShardResult::Chain c;
-    c.id = r.u64();
-    const std::uint64_t len = r.u64();
-    for (std::uint64_t k = 0; k < len && !r.failed(); ++k) {
-      ChainEntry entry;
-      entry.instance = r.i64();
-      entry.witness = r.u64();
-      entry.event = r.f64();
-      c.chain.push_back(entry);
-    }
-    result.chains.push_back(std::move(c));
-  }
+  const std::uint64_t nodes = r.u64();
+  for (std::uint64_t i = 0; i < nodes && !r.failed(); ++i) result.nodes.push_back(decode_node(r));
   const std::uint64_t rings = r.u64();
   for (std::uint64_t i = 0; i < rings && !r.failed(); ++i) {
     ShardResult::Ring ring;

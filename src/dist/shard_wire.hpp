@@ -21,7 +21,7 @@
 //                          step and merge back to back)
 //     w → c  kStatus       per local correct node: done flag
 //   c → w  kFinish         finalize
-//   w → c  kResult         ShardResult (outputs/chains, metrics, trace rings)
+//   w → c  kResult         ShardResult (node end states, metrics, trace rings)
 //   w → c  kError          fatal worker-side failure (detail = message)
 //
 // The coordinator is a pure control plane: round pacing, the early-exit
@@ -35,13 +35,13 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "common/types.hpp"
-#include "common/value.hpp"
-#include "core/total_order.hpp"
+#include "harness/script.hpp"
 
 namespace idonly {
 
@@ -154,18 +154,8 @@ struct ShardResult {
   /// had to reject) — exported as idonly_wire_faults_total by the merged
   /// exposition. All-zero in a healthy run, and that zero is the signal.
   FaultCounters wire_faults;
-  struct Decision {
-    NodeId id = 0;
-    bool done = false;
-    bool has_output = false;
-    Value output;
-  };
-  std::vector<Decision> decisions;  ///< consensus: local correct nodes
-  struct Chain {
-    NodeId id = 0;
-    std::vector<ChainEntry> chain;
-  };
-  std::vector<Chain> chains;  ///< totalorder: local correct nodes
+  /// End states of the local correct nodes, leavers' as of their departure.
+  std::vector<std::pair<NodeId, NodeOutcome>> nodes;
   struct Ring {
     NodeId node = 0;
     std::uint64_t next_seq = 0;

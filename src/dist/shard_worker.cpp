@@ -18,10 +18,6 @@ ShardWorker::ShardWorker(const ShardInit& init) : shard_(init.shard), shards_(in
                                 ": " + err->message);
   }
   script_ = std::get<ScenarioScript>(std::move(parsed));
-  if (script_.protocol != ScriptProtocol::kConsensus &&
-      script_.protocol != ScriptProtocol::kTotalOrder) {
-    throw std::invalid_argument("distributed runner supports consensus and totalorder only");
-  }
 
   scenario_ = make_scenario(script_.config);
   const std::vector<NodeId> all_ids = scenario_.all_ids();
@@ -43,7 +39,9 @@ ShardWorker::ShardWorker(const ShardInit& init) : shard_(init.shard), shards_(in
   // keep only this shard's slice.
   build_processes(
       scenario_,
-      [&](NodeId id, std::size_t index) { return make_loop_process(script_, id, index); },
+      [&](NodeId id, std::size_t index) {
+        return make_loop_process(script_, scenario_, id, index);
+      },
       [&](std::unique_ptr<Process> process) {
         if (plan_.owner(process->id()) == shard_) {
           engine_.add_process(std::move(process));
@@ -152,18 +150,10 @@ ShardResult ShardWorker::finalize() {
     result.chaos = chaos_->counters();
   }
   result.wire_faults = wire_faults_;
-  std::vector<std::pair<NodeId, NodeOutcome>> outcomes = std::move(departed_);
+  result.nodes = std::move(departed_);
   for (NodeId id : engine_.member_ids()) {
     const Process* p = engine_.find(id);
-    if (p != nullptr && !p->byzantine()) outcomes.emplace_back(id, node_outcome(*p));
-  }
-  for (auto& [id, node] : outcomes) {
-    if (script_.protocol == ScriptProtocol::kTotalOrder) {
-      result.chains.push_back({id, std::move(node.chain)});
-    } else {
-      result.decisions.push_back(
-          {id, node.done, node.output.has_value(), node.output.value_or(Value::bot())});
-    }
+    if (p != nullptr && !p->byzantine()) result.nodes.emplace_back(id, node_outcome(*p));
   }
   if (recorder_ != nullptr) {
     // Records come out of snapshot() grouped by node in capture order — the

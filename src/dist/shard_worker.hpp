@@ -53,8 +53,7 @@ using ShardEngine = SyncSimulator;
 class ShardWorker {
  public:
   /// Builds the worker's slice of the run described by `init`. Throws
-  /// std::invalid_argument on a script parse failure or an unsupported
-  /// protocol (the distributed runner covers consensus and totalorder).
+  /// std::invalid_argument on a script parse failure.
   explicit ShardWorker(const ShardInit& init);
 
   [[nodiscard]] std::uint32_t shard() const noexcept { return shard_; }
@@ -94,7 +93,7 @@ class ShardWorker {
   /// and liveness inputs).
   [[nodiscard]] ShardStatus status();
 
-  /// Final outputs/chains (a leaver's as of its departure), metrics, chaos
+  /// Final node end states (a leaver's as of its departure), metrics, chaos
   /// counters, and trace rings. The overlap counters are the mesh's; the
   /// protocol loop fills them in.
   [[nodiscard]] ShardResult finalize();

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/approx_agreement.hpp"
-#include "core/consensus.hpp"
-#include "core/reliable_broadcast.hpp"
 #include "baselines/known_f_approx.hpp"
+#include "core/consensus.hpp"
 #include "net/sync_simulator.hpp"
 
 namespace idonly {
@@ -59,34 +57,28 @@ ConsensusRun run_consensus(const ScenarioConfig& config, const std::vector<doubl
 ReliableBroadcastRun run_reliable_broadcast(const ScenarioConfig& config, double payload,
                                             bool byzantine_source, Round run_rounds,
                                             RbBackendKind backend) {
-  const Scenario scenario = make_scenario(config);
-  const NodeId source = byzantine_source && !scenario.byzantine_ids.empty()
-                            ? scenario.byzantine_ids.front()
-                            : scenario.correct_ids.front();
-  SyncSimulator sim;
-  auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
-    // Adversary faces (crash inners, two-faced personas) get distinct
-    // payloads so an equivocating source really equivocates.
-    const double p = index < config.n_correct
-                         ? payload
-                         : payload + 100.0 * static_cast<double>(index - config.n_correct + 1);
-    return std::make_unique<ReliableBroadcastProcess>(id, source, Value::real(p), backend);
-  };
-  populate(sim, scenario, factory);
-  sim.run_rounds(run_rounds);
-
-  ReliableBroadcastRun run;
+  const LoopRun loop = run_loop_script({.protocol = ScriptProtocol::kRb,
+                                        .config = config,
+                                        .inputs = {payload},
+                                        .byz_source = byzantine_source,
+                                        .rb_backend = backend,
+                                        .max_rounds = run_rounds});
+  ReliableBroadcastRun run = fold_reliable_broadcast(loop.nodes);
   run.source_correct = !byzantine_source;
-  run.rounds = sim.round();
-  run.messages = sim.metrics().messages.total_delivered();
-  run.fanout = sim.metrics().fanout;
+  run.rounds = loop.run.rounds;
+  run.messages = loop.run.messages;
+  run.fanout = loop.metrics.fanout;
+  return run;
+}
+
+ReliableBroadcastRun fold_reliable_broadcast(const std::map<NodeId, NodeOutcome>& correct) {
+  ReliableBroadcastRun run;
   std::vector<Value> payloads;
-  for (NodeId id : scenario.correct_ids) {
-    auto* p = sim.get<ReliableBroadcastProcess>(id);
-    if (p == nullptr || !p->accepted()) continue;
+  for (const auto& [id, node] : correct) {
+    if (!node.output.has_value()) continue;
     run.accepted_count += 1;
-    payloads.push_back(*p->accepted_payload());
-    const Round accept = *p->accept_round();
+    payloads.push_back(*node.output);
+    const Round accept = *node.accept_round;
     run.first_accept_round = run.first_accept_round.has_value()
                                  ? std::min(*run.first_accept_round, accept)
                                  : accept;
@@ -96,49 +88,43 @@ ReliableBroadcastRun run_reliable_broadcast(const ScenarioConfig& config, double
   run.agreement = std::all_of(payloads.begin(), payloads.end(),
                               [&](const Value& v) { return v == payloads.front(); });
   run.relay_ok = !run.first_accept_round.has_value() ||
-                 (run.accepted_count == scenario.correct_ids.size() &&
+                 (run.accepted_count == correct.size() &&
                   *run.last_accept_round - *run.first_accept_round <= 1);
   return run;
 }
 
 ApproxRun run_approx_agreement(const ScenarioConfig& config, const std::vector<double>& inputs,
                                int iterations) {
-  const Scenario scenario = make_scenario(config);
-  SyncSimulator sim;
-  auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
-    const double input = inputs[index % inputs.size()];
-    return std::make_unique<ApproxAgreementProcess>(id, input, iterations);
-  };
-  populate(sim, scenario, factory);
-  sim.run_until_all_correct_done(/*max_rounds=*/iterations + 4);
+  const LoopRun loop = run_loop_script({.protocol = ScriptProtocol::kApprox,
+                                        .config = config,
+                                        .inputs = inputs,
+                                        .iterations = iterations});
+  ApproxRun run = fold_approx(inputs, iterations, loop.nodes);
+  run.rounds = loop.run.rounds;
+  run.messages = loop.run.messages;
+  return run;
+}
 
+ApproxRun fold_approx(const std::vector<double>& inputs, int iterations,
+                      const std::map<NodeId, NodeOutcome>& correct) {
   ApproxRun run;
-  run.rounds = sim.round();
-  run.messages = sim.metrics().messages.total_delivered();
   std::vector<double> correct_inputs;
-  for (std::size_t i = 0; i < config.n_correct; ++i) {
+  for (std::size_t i = 0; i < correct.size(); ++i) {
     correct_inputs.push_back(inputs[i % inputs.size()]);
   }
   run.input_range = range_of(correct_inputs);
 
-  std::vector<std::vector<double>> trajectories;
   std::vector<double> outputs;
-  for (NodeId id : scenario.correct_ids) {
-    auto* p = sim.get<ApproxAgreementProcess>(id);
-    if (p == nullptr) continue;
-    outputs.push_back(p->value());
-    trajectories.push_back(p->trajectory());
-  }
+  for (const auto& [id, node] : correct) outputs.push_back(node.estimate);
   run.output_range = outputs.empty() ? 0.0 : range_of(outputs);
-  const double lo = *std::min_element(correct_inputs.begin(), correct_inputs.end());
-  const double hi = *std::max_element(correct_inputs.begin(), correct_inputs.end());
+  const auto [lo, hi] = std::minmax_element(correct_inputs.begin(), correct_inputs.end());
   run.within_input_range = std::all_of(outputs.begin(), outputs.end(), [&](double o) {
-    return o >= lo - 1e-12 && o <= hi + 1e-12;
+    return o >= *lo - 1e-12 && o <= *hi + 1e-12;
   });
-  for (int it = 0; it < iterations; ++it) {
+  for (std::size_t it = 0; it < static_cast<std::size_t>(iterations); ++it) {
     std::vector<double> at_iter;
-    for (const auto& trajectory : trajectories) {
-      if (static_cast<std::size_t>(it) < trajectory.size()) at_iter.push_back(trajectory[it]);
+    for (const auto& [id, node] : correct) {
+      if (it < node.trajectory.size()) at_iter.push_back(node.trajectory[it]);
     }
     if (!at_iter.empty()) run.range_per_iteration.push_back(range_of(at_iter));
   }
@@ -162,83 +148,60 @@ ApproxRun run_known_f_approx(std::size_t n_correct, std::size_t f,
   populate(sim, scenario, factory);
   sim.run_until_all_correct_done(/*max_rounds=*/iterations + 4);
 
-  ApproxRun run;
+  std::map<NodeId, NodeOutcome> correct;
+  for (NodeId id : scenario.correct_ids) {
+    if (auto* p = sim.get<KnownFApproxProcess>(id)) {
+      correct[id].estimate = p->value();
+      correct[id].trajectory = p->trajectory();
+    }
+  }
+  ApproxRun run = fold_approx(inputs, iterations, correct);
   run.rounds = sim.round();
   run.messages = sim.metrics().messages.total_delivered();
-  std::vector<double> correct_inputs;
-  for (std::size_t i = 0; i < n_correct; ++i) correct_inputs.push_back(inputs[i % inputs.size()]);
-  run.input_range = range_of(correct_inputs);
-  std::vector<std::vector<double>> trajectories;
-  std::vector<double> outputs;
-  for (NodeId id : scenario.correct_ids) {
-    auto* p = sim.get<KnownFApproxProcess>(id);
-    if (p == nullptr) continue;
-    outputs.push_back(p->value());
-    trajectories.push_back(p->trajectory());
-  }
-  run.output_range = outputs.empty() ? 0.0 : range_of(outputs);
-  const double lo = *std::min_element(correct_inputs.begin(), correct_inputs.end());
-  const double hi = *std::max_element(correct_inputs.begin(), correct_inputs.end());
-  run.within_input_range = std::all_of(outputs.begin(), outputs.end(), [&](double o) {
-    return o >= lo - 1e-12 && o <= hi + 1e-12;
-  });
-  for (int it = 0; it < iterations; ++it) {
-    std::vector<double> at_iter;
-    for (const auto& trajectory : trajectories) {
-      if (static_cast<std::size_t>(it) < trajectory.size()) at_iter.push_back(trajectory[it]);
-    }
-    if (!at_iter.empty()) run.range_per_iteration.push_back(range_of(at_iter));
-  }
   return run;
 }
 
 RotorRun run_rotor(const ScenarioConfig& config, Round max_rounds) {
-  const Scenario scenario = make_scenario(config);
-  SyncSimulator sim;
-  auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
-    return std::make_unique<RotorProcess>(id, Value::real(static_cast<double>(index)));
-  };
-  populate(sim, scenario, factory);
-  RotorRun run;
-  run.all_terminated = sim.run_until_all_correct_done(max_rounds);
-  run.rounds = sim.round();
-  run.messages = sim.metrics().messages.total_delivered();
-
-  // Collect per-node histories to find a good round: a rotor round where
-  // every correct node selected the same CORRECT coordinator.
-  std::vector<const RotorProcess*> nodes;
-  for (NodeId id : scenario.correct_ids) {
-    if (auto* p = sim.get<RotorProcess>(id); p != nullptr) nodes.push_back(p);
-  }
-  if (nodes.empty()) return run;
-  std::size_t min_len = nodes.front()->history().size();
-  for (const auto* p : nodes) min_len = std::min(min_len, p->history().size());
-  const auto is_correct = [&](NodeId id) {
-    return std::binary_search(scenario.correct_ids.begin(), scenario.correct_ids.end(), id);
-  };
-  for (std::size_t r = 0; r < min_len && !run.good_round_witnessed; ++r) {
-    const auto& first = nodes.front()->history()[r].selected;
-    if (!first.has_value() || !is_correct(*first)) continue;
-    bool common = true;
-    for (const auto* p : nodes) {
-      common = common && p->history()[r].selected == first;
+  const LoopRun loop = run_loop_script(
+      {.protocol = ScriptProtocol::kRotor, .config = config, .max_rounds = max_rounds});
+  RotorRun run = fold_rotor(loop.nodes);
+  run.rounds = loop.run.rounds;
+  run.messages = loop.run.messages;
+  for (const auto& [id, round] : loop.metrics.done_round) {
+    if (loop.nodes.contains(id)) {
+      run.max_termination_round = std::max(run.max_termination_round, round);
     }
+  }
+  return run;
+}
+
+RotorRun fold_rotor(const std::map<NodeId, NodeOutcome>& correct) {
+  RotorRun run;
+  if (correct.empty()) return run;
+  run.all_terminated = std::all_of(correct.begin(), correct.end(),
+                                   [](const auto& entry) { return entry.second.done; });
+  // A good round: a rotor round where every correct node selected the same
+  // CORRECT coordinator.
+  const auto& reference = correct.begin()->second.history;
+  std::size_t min_len = reference.size();
+  for (const auto& [id, node] : correct) min_len = std::min(min_len, node.history.size());
+  for (std::size_t r = 0; r < min_len && !run.good_round_witnessed; ++r) {
+    const std::optional<NodeId>& first = reference[r].selected;
+    if (!first.has_value() || !correct.contains(*first)) continue;
+    bool common = true;
+    for (const auto& [id, node] : correct) common = common && node.history[r].selected == first;
     if (!common) continue;
     run.good_round_witnessed = true;
     run.first_good_round = static_cast<std::int64_t>(r);
     // Theorem 2's payoff: in the round after a good round, every correct
     // node accepts the good coordinator's opinion.
     bool all_accepted = true;
-    for (const auto* p : nodes) {
-      const bool has_next = r + 1 < p->history().size();
-      all_accepted = all_accepted && has_next &&
-                     p->history()[r + 1].accepted_from == first &&
-                     p->history()[r + 1].accepted_opinion.has_value();
+    for (const auto& [id, node] : correct) {
+      const bool has_next = r + 1 < node.history.size();
+      all_accepted = all_accepted && has_next && node.history[r + 1].accepted_from == first &&
+                     node.history[r + 1].accepted_opinion.has_value();
     }
     run.good_opinion_accepted = all_accepted;
-  }
-  for (const auto& [id, round] : sim.metrics().done_round) {
-    if (is_correct(id)) run.max_termination_round = std::max(run.max_termination_round, round);
   }
   return run;
 }

@@ -1,8 +1,11 @@
-// One-call experiment runners: build the scenario, run the protocol to
-// completion, and return a structured result with the properties the paper
-// claims. Tests assert on these; benchmarks time/print them.
+// One-call experiment runners: run the protocol to completion and return a
+// structured result with the properties the paper claims. Tests assert on
+// these; benchmarks time/print them. run_reliable_broadcast,
+// run_approx_agreement and run_rotor are thin builders over the script loop
+// (harness/script.hpp) whose fold_* functions judge_loop_run shares.
 #pragma once
 
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -12,7 +15,7 @@
 #include "core/rb_backend.hpp"
 #include "core/rotor_coordinator.hpp"
 #include "core/parallel_consensus.hpp"
-#include "harness/scenario.hpp"
+#include "harness/script.hpp"
 
 namespace idonly {
 
@@ -49,10 +52,16 @@ struct ReliableBroadcastRun {
 /// When `byzantine_source` is true the designated source is the first
 /// Byzantine id (it behaves per the scenario's adversary kind). `backend`
 /// selects the RB state machine (core/rb_backend.hpp) — note kImbs needs
-/// n > 5f for its guarantees.
+/// n > 5f for its guarantees. The run lasts exactly `run_rounds` rounds,
+/// capped at 60 like an rb script's.
 [[nodiscard]] ReliableBroadcastRun run_reliable_broadcast(
     const ScenarioConfig& config, double payload, bool byzantine_source = false,
     Round run_rounds = 30, RbBackendKind backend = RbBackendKind::kAlg1);
+
+/// The folds over the correct nodes' end states, by id: every field but the
+/// run-wide ones (source_correct, rounds, messages, fanout).
+[[nodiscard]] ReliableBroadcastRun fold_reliable_broadcast(
+    const std::map<NodeId, NodeOutcome>& correct);
 
 // ---------------------------------------------------- approximate agreement --
 struct ApproxRun {
@@ -67,6 +76,10 @@ struct ApproxRun {
 [[nodiscard]] ApproxRun run_approx_agreement(const ScenarioConfig& config,
                                              const std::vector<double>& inputs,
                                              int iterations = 1);
+
+/// Correct node i's input is inputs[i % inputs.size()].
+[[nodiscard]] ApproxRun fold_approx(const std::vector<double>& inputs, int iterations,
+                                    const std::map<NodeId, NodeOutcome>& correct);
 
 /// Classical known-f baseline on the same inputs (no Byzantine strategies
 /// beyond value-reporting — the baseline assumes known membership).
@@ -86,6 +99,8 @@ struct RotorRun {
 };
 
 [[nodiscard]] RotorRun run_rotor(const ScenarioConfig& config, Round max_rounds = 500);
+
+[[nodiscard]] RotorRun fold_rotor(const std::map<NodeId, NodeOutcome>& correct);
 
 // -------------------------------------------------------- parallel consensus --
 struct ParallelRun {

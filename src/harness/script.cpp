@@ -9,9 +9,12 @@
 
 #include "common/invariants.hpp"
 #include "common/rng.hpp"
+#include "core/approx_agreement.hpp"
 #include "core/consensus.hpp"
 #include "core/king_consensus.hpp"
+#include "core/reliable_broadcast.hpp"
 #include "core/renaming.hpp"
+#include "core/rotor_coordinator.hpp"
 #include "core/total_order.hpp"
 #include "harness/runner.hpp"
 #include "net/sync_simulator.hpp"
@@ -123,6 +126,11 @@ std::variant<ScenarioScript, ParseError> parse_script(const std::string& text) {
   auto fail = [&](const std::string& message) {
     return ParseError{line_number, message};
   };
+  // (line, index) of every node reference, checked once `nodes` and
+  // `byzantine` are known: chaos indices range over all nodes, leaves over
+  // the correct ones.
+  std::vector<std::pair<int, std::size_t>> chaos_refs;
+  std::vector<std::pair<int, std::size_t>> leave_refs;
 
   while (std::getline(stream, line)) {
     line_number += 1;
@@ -163,8 +171,10 @@ std::variant<ScenarioScript, ParseError> parse_script(const std::string& text) {
       if (script.inputs.empty()) return fail("inputs: empty list");
     } else if (keyword == "byzantine") {
       std::string kinds;
-      if (!(words >> script.config.n_byzantine) || !(words >> kinds)) {
-        return fail("byzantine: expected <count> <kind>[,<kind>...]");
+      // The ceiling doubles as the negative-input check, as for `nodes`.
+      if (!(words >> script.config.n_byzantine) || script.config.n_byzantine > 10'000 ||
+          !(words >> kinds)) {
+        return fail("byzantine: expected <count> (at most 10000) <kind>[,<kind>...]");
       }
       script.config.adversary_mix.clear();
       for (const std::string& name : split(kinds, ',')) {
@@ -238,6 +248,7 @@ std::variant<ScenarioScript, ParseError> parse_script(const std::string& text) {
           if (!range.has_value()) return fail("chaos: partition needs <index>-<index>");
           phase.partition = std::make_pair(static_cast<std::size_t>(range->first),
                                            static_cast<std::size_t>(range->second));
+          chaos_refs.emplace_back(line_number, phase.partition->second);
         } else if (key == "crash") {
           // crash=<index>:<first>-<last>
           const auto parts = split(value, ':');
@@ -255,6 +266,7 @@ std::variant<ScenarioScript, ParseError> parse_script(const std::string& text) {
           crash.first = crash_rounds->first;
           crash.last = crash_rounds->second;
           phase.crashes.push_back(crash);
+          chaos_refs.emplace_back(line_number, crash.index);
         } else {
           return fail("chaos: unknown fault '" + key + "'");
         }
@@ -284,6 +296,7 @@ std::variant<ScenarioScript, ParseError> parse_script(const std::string& text) {
         } else if (key == "leave") {
           event.is_join = false;
           event.leave_index = static_cast<std::size_t>(std::stoull(value));
+          leave_refs.emplace_back(line_number, event.leave_index);
         } else {
           return fail("churn: unknown event '" + key + "'");
         }
@@ -317,6 +330,16 @@ std::variant<ScenarioScript, ParseError> parse_script(const std::string& text) {
   }
   if (script.rb_backend != RbBackendKind::kAlg1 && script.protocol != ScriptProtocol::kRb) {
     return ParseError{0, "rb backend selection is supported for the rb protocol only"};
+  }
+  const std::size_t n = script.config.n_correct + script.config.n_byzantine;
+  for (const auto& [line, index] : chaos_refs) {
+    if (index >= n) return ParseError{line, "chaos: index past " + std::to_string(n) + " nodes"};
+  }
+  for (const auto& [line, index] : leave_refs) {
+    if (index >= script.config.n_correct) {
+      return ParseError{line, "churn: leave index past " +
+                                  std::to_string(script.config.n_correct) + " correct nodes"};
+    }
   }
   return script;
 }
@@ -404,11 +427,6 @@ void ChurnDriver::apply(SyncSimulator& sim, Round round, const JoinerFactory& ma
 
 namespace {
 
-void check(ScriptRun& run, Expectation expectation, bool satisfied, std::string detail) {
-  run.outcomes.push_back(ExpectationOutcome{expectation, satisfied, std::move(detail)});
-  run.all_satisfied = run.all_satisfied && satisfied;
-}
-
 bool wants(const ScenarioScript& script, Expectation expectation) {
   return std::find(script.expectations.begin(), script.expectations.end(), expectation) !=
          script.expectations.end();
@@ -423,70 +441,43 @@ std::vector<Value> correct_inputs(const ScenarioScript& script, const Scenario& 
   return inputs;
 }
 
-/// A round-loop protocol on one SyncSimulator. The monitor is fed online by
-/// the initial correct nodes (so it also catches a node deciding twice).
-ScriptRun run_loop_script(const ScenarioScript& script, const ScriptOptions& options) {
-  ScriptRun result;
-  const Scenario scenario = make_scenario(script.config);
-  SyncSimulator sim;
-  sim.set_trace_recorder(options.recorder);
-  sim.set_threads(options.threads);
-  std::shared_ptr<ChaosSchedule> chaos;
-  if (!script.chaos_phases.empty()) {
-    chaos = std::make_shared<ChaosSchedule>(
-        materialize_chaos_plan(script.chaos_phases, scenario.all_ids()), script.config.seed);
-    sim.set_chaos(chaos);
-  }
-
-  const std::unique_ptr<InvariantMonitor> monitor = make_loop_monitor(script, scenario);
-  // With a recorder, protocol events flow into the flight recording AND on
-  // to the invariant monitor (TraceObserver chains).
-  TraceObserver trace_observer(options.recorder, monitor.get());
-  ProtocolObserver* observer =
-      options.recorder != nullptr ? &trace_observer : static_cast<ProtocolObserver*>(monitor.get());
-  populate(sim, scenario,
-           [&](NodeId id, std::size_t index) { return make_loop_process(script, id, index); });
-  prime_loop_nodes(scenario, [&](NodeId id) { return sim.find(id); }, observer);
-
-  ChurnDriver churn(script, scenario);
-  const auto make_joiner = [&](NodeId id, std::size_t joiner_index) {
-    return make_loop_joiner(script, scenario, id, joiner_index);
-  };
-  const auto done = [&](NodeId id) {
-    const Process* p = sim.find(id);
-    return p != nullptr && p->done();
-  };
-  for (Round i = 0; i < script.max_rounds && !loop_finished(script, churn.tracked(), done); ++i) {
-    churn.apply(sim, sim.round() + 1, make_joiner);
-    sim.step();
-  }
-  if (monitor != nullptr) monitor->finish(sim.round());
-
-  result.rounds = sim.round();
-  result.messages = sim.metrics().messages.total_delivered();
-  std::optional<ChaosCounters> chaos_counters;
-  if (chaos != nullptr) {
-    chaos_counters = chaos->counters();
-    result.chaos_summary = chaos_counters->summary();
-  }
-  result.metrics_exposition =
-      prometheus_exposition(sim.metrics(), chaos_counters ? &*chaos_counters : nullptr);
-
-  std::map<NodeId, NodeOutcome> nodes;
-  for (NodeId id : churn.tracked()) {
-    if (const Process* p = sim.find(id)) nodes.emplace(id, node_outcome(*p));
-  }
-  judge_loop_run(script, scenario, churn.tracked(), nodes, monitor.get(), result);
-  return result;
+/// "<protocol> n=<correct>+<byzantine> seed=<s> rounds=<r> msgs=<m> — OK"
+/// (or "EXPECTATION FAILED"): ScriptRun::summary, for every engine.
+std::string summary_line(const ScenarioScript& script, const ScriptRun& run) {
+  std::ostringstream summary;
+  summary << to_string(script.protocol) << " n=" << script.config.n_correct << "+"
+          << script.config.n_byzantine << " seed=" << script.config.seed
+          << " rounds=" << run.rounds << " msgs=" << run.messages << " — "
+          << (run.all_satisfied ? "OK" : "EXPECTATION FAILED");
+  return summary.str();
 }
 
 }  // namespace
 
-std::unique_ptr<Process> make_loop_process(const ScenarioScript& script, NodeId id,
-                                           std::size_t index) {
+std::unique_ptr<Process> make_loop_process(const ScenarioScript& script, const Scenario& scenario,
+                                           NodeId id, std::size_t index) {
   const Value input = Value::real(script.inputs[index % script.inputs.size()]);
   switch (script.protocol) {
     case ScriptProtocol::kKing: return std::make_unique<KingConsensusProcess>(id, input);
+    case ScriptProtocol::kRb: {
+      const NodeId source = script.byz_source && !scenario.byzantine_ids.empty()
+                                ? scenario.byzantine_ids.front()
+                                : scenario.correct_ids.front();
+      // Adversary faces get distinct payloads so an equivocating source
+      // really equivocates.
+      const std::size_t n_correct = scenario.correct_ids.size();
+      const double payload =
+          index < n_correct
+              ? script.inputs.front()
+              : script.inputs.front() + 100.0 * static_cast<double>(index - n_correct + 1);
+      return std::make_unique<ReliableBroadcastProcess>(id, source, Value::real(payload),
+                                                        script.rb_backend);
+    }
+    case ScriptProtocol::kApprox:
+      return std::make_unique<ApproxAgreementProcess>(id, input.as_real(), script.iterations);
+    case ScriptProtocol::kRotor:
+      return std::make_unique<RotorProcess>(id, Value::real(static_cast<double>(index)));
+    case ScriptProtocol::kRenaming: return std::make_unique<RenamingProcess>(id);
     case ScriptProtocol::kTotalOrder:
       return std::make_unique<TotalOrderProcess>(id, /*founder=*/true);
     default: return std::make_unique<ConsensusProcess>(id, input);
@@ -498,17 +489,21 @@ std::unique_ptr<Process> make_loop_joiner(const ScenarioScript& script, const Sc
   if (script.protocol == ScriptProtocol::kTotalOrder) {
     return std::make_unique<TotalOrderProcess>(id, /*founder=*/false);
   }
-  return make_loop_process(script, id, scenario.correct_ids.size() + joiner_index);
+  return make_loop_process(script, scenario, id, scenario.correct_ids.size() + joiner_index);
 }
 
 void prime_loop_nodes(const Scenario& scenario, const std::function<Process*(NodeId)>& find,
                       ProtocolObserver* observer) {
   for (std::size_t i = 0; i < scenario.correct_ids.size(); ++i) {
     Process* p = find(scenario.correct_ids[i]);
-    if (auto* c = dynamic_cast<ConsensusProcess*>(p); c != nullptr && observer != nullptr) {
-      c->set_observer(observer);
-    } else if (auto* t = dynamic_cast<TotalOrderProcess*>(p)) {
+    if (auto* t = dynamic_cast<TotalOrderProcess*>(p)) {
       for (int k = 0; k < 4; ++k) t->submit_event(static_cast<double>(i * 10 + k));
+    } else if (auto* c = dynamic_cast<ConsensusProcess*>(p)) {
+      c->set_observer(observer);
+    } else if (auto* rb = dynamic_cast<ReliableBroadcastProcess*>(p)) {
+      rb->set_observer(observer);
+    } else if (auto* rotor = dynamic_cast<RotorProcess*>(p)) {
+      rotor->set_observer(observer);
     }
   }
 }
@@ -529,11 +524,18 @@ std::unique_ptr<InvariantMonitor> make_loop_monitor(const ScenarioScript& script
   return monitor;
 }
 
-bool stops_early(ScriptProtocol protocol) { return protocol != ScriptProtocol::kTotalOrder; }
+LoopLimits loop_limits(const ScenarioScript& script) {
+  switch (script.protocol) {
+    case ScriptProtocol::kRb: return {std::min<Round>(script.max_rounds, 60), false};
+    case ScriptProtocol::kApprox: return {static_cast<Round>(script.iterations) + 4, true};
+    case ScriptProtocol::kTotalOrder: return {script.max_rounds, false};
+    default: return {script.max_rounds, true};
+  }
+}
 
 bool loop_finished(const ScenarioScript& script, const std::vector<NodeId>& tracked,
                    const std::function<bool(NodeId)>& done) {
-  return stops_early(script.protocol) && !tracked.empty() &&
+  return loop_limits(script).stops_early && !tracked.empty() &&
          std::all_of(tracked.begin(), tracked.end(), done);
 }
 
@@ -546,19 +548,70 @@ NodeOutcome node_outcome(const Process& process) {
     out.output = k->output();
   } else if (const auto* t = dynamic_cast<const TotalOrderProcess*>(&process)) {
     out.chain = t->chain();
+  } else if (const auto* rb = dynamic_cast<const ReliableBroadcastProcess*>(&process)) {
+    out.output = rb->accepted_payload();
+    out.accept_round = rb->accept_round();
+  } else if (const auto* a = dynamic_cast<const ApproxAgreementProcess*>(&process)) {
+    out.estimate = a->value();
+    out.trajectory = a->trajectory();
+  } else if (const auto* rotor = dynamic_cast<const RotorProcess*>(&process)) {
+    out.history = rotor->history();
+  } else if (const auto* r = dynamic_cast<const RenamingProcess*>(&process)) {
+    out.id_set = r->id_set();
   }
   return out;
 }
 
-void judge_loop_run(const ScenarioScript& script, const Scenario& scenario,
-                    const std::vector<NodeId>& tracked, const std::map<NodeId, NodeOutcome>& nodes,
-                    const InvariantMonitor* monitor, ScriptRun& run) {
+ScriptRun judge_loop_run(
+    const ScenarioScript& script, const Scenario& scenario, const std::vector<NodeId>& tracked,
+    const std::map<NodeId, NodeOutcome>& nodes, const InvariantMonitor* monitor, Round rounds,
+    const Metrics& metrics, const ChaosCounters* chaos, const FaultCounters* wire_faults) {
+  ScriptRun run;
+  run.rounds = rounds;
+  run.messages = metrics.messages.total_delivered();
+  if (chaos != nullptr) run.chaos_summary = chaos->summary();
+  run.metrics_exposition = prometheus_exposition(metrics, chaos, wire_faults);
+  const auto check = [&](Expectation expectation, bool satisfied, std::string detail) {
+    if (!wants(script, expectation)) return;
+    run.outcomes.push_back(ExpectationOutcome{expectation, satisfied, std::move(detail)});
+    run.all_satisfied = run.all_satisfied && satisfied;
+  };
   const auto find = [&](NodeId id) -> const NodeOutcome* {
     const auto it = nodes.find(id);
     return it != nodes.end() ? &it->second : nullptr;
   };
+  // Termination is the stop rule, read at the end of the run.
+  const bool all_done = loop_finished(script, tracked, [&](NodeId id) {
+    const NodeOutcome* node = find(id);
+    return node != nullptr && node->done;
+  });
 
-  if (script.protocol == ScriptProtocol::kTotalOrder) {
+  if (script.protocol == ScriptProtocol::kRb) {
+    const ReliableBroadcastRun rb = fold_reliable_broadcast(nodes);
+    check(Expectation::kAcceptance, rb.accepted_count == script.config.n_correct,
+          "all correct nodes accepted");
+    check(Expectation::kAgreement, rb.agreement && rb.relay_ok,
+          "acceptance uniform within one round");
+  } else if (script.protocol == ScriptProtocol::kApprox) {
+    const ApproxRun approx = fold_approx(script.inputs, script.iterations, nodes);
+    check(Expectation::kWithinRange, approx.within_input_range,
+          "outputs inside correct input range");
+    check(Expectation::kContraction,
+          approx.input_range == 0.0 || approx.output_range <= approx.input_range / 2.0 + 1e-12,
+          "range at least halved");
+  } else if (script.protocol == ScriptProtocol::kRotor) {
+    const RotorRun rotor = fold_rotor(nodes);
+    check(Expectation::kTermination, rotor.all_terminated, "rotor terminated");
+    check(Expectation::kGoodRound, rotor.good_round_witnessed && rotor.good_opinion_accepted,
+          "common correct coordinator witnessed and its opinion accepted");
+  } else if (script.protocol == ScriptProtocol::kRenaming) {
+    // all_done means every tracked node is in `nodes`.
+    const bool consistent = all_done && std::all_of(tracked.begin(), tracked.end(), [&](NodeId id) {
+                              return find(id)->id_set == find(tracked.front())->id_set;
+                            });
+    check(Expectation::kTermination, all_done, "all renamed");
+    check(Expectation::kAgreement, consistent, "identical id sets");
+  } else if (script.protocol == ScriptProtocol::kTotalOrder) {
     // Chain-prefix: any two tracked correct chains must be prefix-comparable
     // (the shorter one is a literal prefix of the longer). Chain-growth:
     // every tracked correct node finalized something by the end of the run.
@@ -582,148 +635,90 @@ void judge_loop_run(const ScenarioScript& script, const Scenario& scenario,
                                  "'s chain is not a prefix of the longest chain");
       }
     }
-    if (wants(script, Expectation::kTermination)) {
-      check(run, Expectation::kTermination, growth, "every correct chain grew");
+    check(Expectation::kTermination, growth, "every correct chain grew");
+    check(Expectation::kAgreement, prefix_ok, "chains prefix-comparable");
+    check(Expectation::kNoViolations, prefix_ok,
+          run.violations.empty() ? "chain-prefix invariant clean" : run.violations.front());
+  } else {
+    std::optional<Value> first;
+    bool agreement = true;
+    for (NodeId id : tracked) {
+      const NodeOutcome* node = find(id);
+      if (node == nullptr || !node->output.has_value()) continue;
+      if (!first.has_value()) first = node->output;
+      agreement = agreement && *node->output == *first;
     }
-    if (wants(script, Expectation::kAgreement)) {
-      check(run, Expectation::kAgreement, prefix_ok, "chains prefix-comparable");
-    }
-    if (wants(script, Expectation::kNoViolations)) {
-      check(run, Expectation::kNoViolations, prefix_ok,
-            run.violations.empty() ? "chain-prefix invariant clean" : run.violations.front());
-    }
-    return;
-  }
+    const std::vector<Value> inputs = correct_inputs(script, scenario);
+    const bool validity =
+        first.has_value() && std::find(inputs.begin(), inputs.end(), *first) != inputs.end();
+    if (monitor != nullptr) run.violations = monitor->violations();
 
-  // Termination is the stop rule, read at the end of the run.
-  const bool all_decided = loop_finished(script, tracked, [&](NodeId id) {
-    const NodeOutcome* node = find(id);
-    return node != nullptr && node->done;
-  });
-  std::optional<Value> first;
-  bool agreement = true;
-  for (NodeId id : tracked) {
-    const NodeOutcome* node = find(id);
-    if (node == nullptr || !node->output.has_value()) continue;
-    if (!first.has_value()) first = node->output;
-    agreement = agreement && *node->output == *first;
-  }
-  const std::vector<Value> inputs = correct_inputs(script, scenario);
-  const bool validity =
-      first.has_value() && std::find(inputs.begin(), inputs.end(), *first) != inputs.end();
-  if (monitor != nullptr) run.violations = monitor->violations();
-
-  if (wants(script, Expectation::kTermination)) {
-    check(run, Expectation::kTermination, all_decided, "all correct nodes decided");
-  }
-  if (wants(script, Expectation::kAgreement)) {
-    check(run, Expectation::kAgreement, agreement && all_decided, "identical outputs");
-  }
-  if (wants(script, Expectation::kValidity)) {
-    check(run, Expectation::kValidity, validity, "output is a correct input");
-  }
-  if (wants(script, Expectation::kNoViolations)) {
-    check(run, Expectation::kNoViolations, (monitor == nullptr || monitor->ok()) && agreement,
+    check(Expectation::kTermination, all_done, "all correct nodes decided");
+    check(Expectation::kAgreement, agreement && all_done, "identical outputs");
+    check(Expectation::kValidity, validity, "output is a correct input");
+    check(Expectation::kNoViolations, (monitor == nullptr || monitor->ok()) && agreement,
           run.violations.empty() ? "invariant monitor clean" : run.violations.front());
   }
+  run.summary = summary_line(script, run);
+  return run;
 }
 
-std::string summary_line(const ScenarioScript& script, const ScriptRun& run) {
-  std::ostringstream summary;
-  summary << to_string(script.protocol) << " n=" << script.config.n_correct << "+"
-          << script.config.n_byzantine << " seed=" << script.config.seed
-          << " rounds=" << run.rounds << " msgs=" << run.messages << " — "
-          << (run.all_satisfied ? "OK" : "EXPECTATION FAILED");
-  return summary.str();
-}
 
 ScriptRun run_script(const ScenarioScript& script) { return run_script(script, ScriptOptions{}); }
 
 ScriptRun run_script(const ScenarioScript& script, const ScriptOptions& options) {
-  ScriptRun result;
-  switch (script.protocol) {
-    case ScriptProtocol::kConsensus:
-    case ScriptProtocol::kKing:
-    case ScriptProtocol::kTotalOrder:
-      result = run_loop_script(script, options);
-      break;
-    case ScriptProtocol::kRb: {
-      const auto run = run_reliable_broadcast(script.config, script.inputs.front(),
-                                              script.byz_source,
-                                              std::min<Round>(script.max_rounds, 60),
-                                              script.rb_backend);
-      result.rounds = run.rounds;
-      result.messages = run.messages;
-      if (wants(script, Expectation::kAcceptance)) {
-        check(result, Expectation::kAcceptance, run.accepted_count == script.config.n_correct,
-              "all correct nodes accepted");
-      }
-      if (wants(script, Expectation::kAgreement)) {
-        check(result, Expectation::kAgreement, run.agreement && run.relay_ok,
-              "acceptance uniform within one round");
-      }
-      break;
-    }
-    case ScriptProtocol::kApprox: {
-      const auto run = run_approx_agreement(script.config, script.inputs, script.iterations);
-      result.rounds = run.rounds;
-      result.messages = run.messages;
-      if (wants(script, Expectation::kWithinRange)) {
-        check(result, Expectation::kWithinRange, run.within_input_range,
-              "outputs inside correct input range");
-      }
-      if (wants(script, Expectation::kContraction)) {
-        const bool contracted =
-            run.input_range == 0.0 || run.output_range <= run.input_range / 2.0 + 1e-12;
-        check(result, Expectation::kContraction, contracted, "range at least halved");
-      }
-      break;
-    }
-    case ScriptProtocol::kRotor: {
-      const auto run = run_rotor(script.config, script.max_rounds);
-      result.rounds = run.rounds;
-      result.messages = run.messages;
-      if (wants(script, Expectation::kTermination)) {
-        check(result, Expectation::kTermination, run.all_terminated, "rotor terminated");
-      }
-      if (wants(script, Expectation::kGoodRound)) {
-        check(result, Expectation::kGoodRound,
-              run.good_round_witnessed && run.good_opinion_accepted,
-              "common correct coordinator witnessed and its opinion accepted");
-      }
-      break;
-    }
-    case ScriptProtocol::kRenaming: {
-      const Scenario scenario = make_scenario(script.config);
-      SyncSimulator sim;
-      auto factory = [](NodeId id, std::size_t) { return std::make_unique<RenamingProcess>(id); };
-      populate(sim, scenario, factory);
-      const bool done = sim.run_until_all_correct_done(script.max_rounds);
-      result.rounds = sim.round();
-      result.messages = sim.metrics().messages.total_delivered();
-      bool consistent = done;
-      std::optional<std::set<NodeId>> reference;
-      for (NodeId id : scenario.correct_ids) {
-        auto* p = sim.get<RenamingProcess>(id);
-        if (p == nullptr || !p->done()) {
-          consistent = false;
-          continue;
-        }
-        if (!reference.has_value()) reference = p->id_set();
-        consistent = consistent && p->id_set() == *reference;
-      }
-      if (wants(script, Expectation::kTermination)) {
-        check(result, Expectation::kTermination, done, "all renamed");
-      }
-      if (wants(script, Expectation::kAgreement)) {
-        check(result, Expectation::kAgreement, consistent, "identical id sets");
-      }
-      break;
-    }
+  return run_loop_script(script, options).run;
+}
+
+LoopRun run_loop_script(const ScenarioScript& script, const ScriptOptions& options) {
+  LoopRun out;
+  const Scenario scenario = make_scenario(script.config);
+  SyncSimulator sim;
+  sim.set_trace_recorder(options.recorder);
+  sim.set_threads(options.threads);
+  std::shared_ptr<ChaosSchedule> chaos;
+  if (!script.chaos_phases.empty()) {
+    chaos = std::make_shared<ChaosSchedule>(
+        materialize_chaos_plan(script.chaos_phases, scenario.all_ids()), script.config.seed);
+    sim.set_chaos(chaos);
   }
 
-  result.summary = summary_line(script, result);
-  return result;
+  // The monitor is fed online by the initial correct nodes (so it also
+  // catches a node deciding twice).
+  const std::unique_ptr<InvariantMonitor> monitor = make_loop_monitor(script, scenario);
+  // With a recorder, protocol events flow into the flight recording AND on
+  // to the invariant monitor (TraceObserver chains).
+  TraceObserver trace_observer(options.recorder, monitor.get());
+  ProtocolObserver* observer =
+      options.recorder != nullptr ? &trace_observer : static_cast<ProtocolObserver*>(monitor.get());
+  populate(sim, scenario, [&](NodeId id, std::size_t index) {
+    return make_loop_process(script, scenario, id, index);
+  });
+  prime_loop_nodes(scenario, [&](NodeId id) { return sim.find(id); }, observer);
+
+  ChurnDriver churn(script, scenario);
+  const auto make_joiner = [&](NodeId id, std::size_t joiner_index) {
+    return make_loop_joiner(script, scenario, id, joiner_index);
+  };
+  const auto done = [&](NodeId id) {
+    const Process* p = sim.find(id);
+    return p != nullptr && p->done();
+  };
+  const Round budget = loop_limits(script).budget;
+  for (Round i = 0; i < budget && !loop_finished(script, churn.tracked(), done); ++i) {
+    churn.apply(sim, sim.round() + 1, make_joiner);
+    sim.step();
+  }
+  if (monitor != nullptr) monitor->finish(sim.round());
+
+  for (NodeId id : churn.tracked()) {
+    if (const Process* p = sim.find(id)) out.nodes.emplace(id, node_outcome(*p));
+  }
+  out.metrics = sim.metrics();
+  const ChaosCounters counters = chaos != nullptr ? chaos->counters() : ChaosCounters{};
+  out.run = judge_loop_run(script, scenario, churn.tracked(), out.nodes, monitor.get(),
+                           sim.round(), out.metrics, chaos != nullptr ? &counters : nullptr);
+  return out;
 }
 
 }  // namespace idonly

@@ -37,8 +37,8 @@
 //   crash=<i>:<f>-<l>  crash window — all_ids[i] is down rounds f..l
 // Node references are INDICES into the scenario's sorted id list (ids are
 // seed-derived, so scripts cannot name them directly); the runner
-// materialises the plan once the scenario ids exist. Chaos lines are
-// accepted for the consensus and totalorder protocols.
+// materialises the plan once the scenario ids exist (an index must be below
+// nodes + byzantine). Chaos lines are accepted for consensus and totalorder.
 //
 // A `churn` line declares one membership event. `join=<count>` adds count
 // fresh correct processes before the given round executes (seed-derived
@@ -48,8 +48,8 @@
 // paper's guarantees quantify over initial participants; a joiner is load
 // and membership pressure). A departed node is likewise dropped from the
 // termination/agreement checks from its leave round on — a correct leave is
-// a crash, so the generator budgets leaves against the n > 3f bound. Churn
-// lines are accepted for the consensus and totalorder protocols.
+// a crash, so the generator budgets leaves against the n > 3f bound (a leave
+// index must be below nodes). Churn is accepted for consensus and totalorder.
 //
 // `liveness <budget>` arms the InvariantMonitor's bounded-termination probe
 // (consensus runs): if no initial correct node decides within `budget`
@@ -57,14 +57,15 @@
 // wedges, not just safety breaks.
 //
 // parse() reports errors with line numbers; run() executes and evaluates
-// every expectation. consensus, king and totalorder run their own round
-// loop, defined once below ("Round-loop protocols") for both engines.
+// every expectation. Every protocol runs one round loop, defined once below
+// ("Round-loop protocols") for both engines.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <variant>
@@ -72,8 +73,10 @@
 
 #include "common/chaos.hpp"
 #include "common/invariants.hpp"
+#include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "core/rb_backend.hpp"
+#include "core/rotor_coordinator.hpp"
 #include "core/total_order.hpp"
 #include "harness/scenario.hpp"
 
@@ -211,14 +214,15 @@ struct ScriptRun {
   std::vector<ExpectationOutcome> outcomes;
   Round rounds = 0;
   std::uint64_t messages = 0;
-  std::string summary;  ///< human-readable result line
+  /// "<protocol> n=<correct>+<byzantine> seed=<s> rounds=<r> msgs=<m> — OK"
+  /// (or "EXPECTATION FAILED"), for every engine.
+  std::string summary;
   /// Chaos runs only: injected-fault accounting and observed safety
   /// violations (empty when the run was clean / chaos-free).
   std::string chaos_summary;
   std::vector<std::string> violations;
-  /// Prometheus-style snapshot of the run's metrics counters. Filled by the
-  /// round-loop protocols (consensus, king, totalorder — plain, chaos or
-  /// churn); empty for the protocols routed through the one-call harness.
+  /// Prometheus-style snapshot of the run's metrics counters, for every
+  /// protocol.
   std::string metrics_exposition;
 };
 
@@ -226,12 +230,11 @@ struct ScriptRun {
 struct ScriptOptions {
   /// Flight recorder (common/trace.hpp) wired through the run's engine:
   /// sends, deliveries, link verdicts (chaos runs), and protocol events are
-  /// captured for the round-loop protocols — the same set that fills
-  /// ScriptRun::metrics_exposition.
+  /// captured for every protocol.
   std::shared_ptr<TraceRecorder> recorder;
-  /// Worker threads for the round engine (net/parallel_exec.hpp). Applies
-  /// to the round-loop protocols; results — including the trace — are
-  /// bit-identical for every value, so this is purely a speed knob.
+  /// Worker threads for the round engine (net/parallel_exec.hpp). Results —
+  /// including the trace — are bit-identical for every value, so this is
+  /// purely a speed knob.
   unsigned threads = 1;
 };
 
@@ -239,27 +242,26 @@ struct ScriptOptions {
 [[nodiscard]] ScriptRun run_script(const ScenarioScript& script);
 [[nodiscard]] ScriptRun run_script(const ScenarioScript& script, const ScriptOptions& options);
 
-/// "<protocol> n=<correct>+<byzantine> seed=<s> rounds=<r> msgs=<m> — OK"
-/// (or "EXPECTATION FAILED"): ScriptRun::summary, for every engine.
-[[nodiscard]] std::string summary_line(const ScenarioScript& script, const ScriptRun& run);
-
 // --------------------------------------------------- round-loop protocols --
-// consensus, king and totalorder run their own round loop: the run is
-// defined once by the functions below, and both engines use them —
-// run_script's SyncSimulator loop and run_dist's forked ShardWorker fleet
-// (dist/shard_coordinator.hpp). Each is a pure function of the script, the
-// scenario and the nodes' states, so the engines agree byte for byte.
+// Every protocol runs one round loop: the run is defined once by the
+// functions below, and both engines use them — run_script's SyncSimulator
+// loop and run_dist's forked ShardWorker fleet (dist/shard_coordinator.hpp).
+// Each is a pure function of the script, the scenario and the nodes'
+// states, so the engines agree byte for byte.
 //
 // The loop itself, in either engine: build every process with
-// make_loop_process, prime the initial correct nodes, then per round —
-// unless loop_finished — apply the round's churn (joiners from
-// make_loop_joiner) and step. The verdict reads the tracked nodes' end
-// states and the monitor that watched the initial correct nodes.
+// make_loop_process, prime the initial correct nodes, then per round of
+// loop_limits' budget — unless loop_finished — apply the round's churn
+// (joiners from make_loop_joiner) and step. The verdict reads the tracked
+// nodes' end states and the monitor that watched the initial correct nodes.
 
-/// Correct process for correct-node index `index`. Adversary faces (crash
-/// and two-faced inner protocols) get indices past the correct range, so
-/// they draw inputs[index % inputs.size()] like everyone else.
-[[nodiscard]] std::unique_ptr<Process> make_loop_process(const ScenarioScript& script, NodeId id,
+/// Process for correct-node index `index`; adversary faces (crash and
+/// two-faced inner protocols) get indices past the correct range. Input:
+/// inputs[index % inputs.size()]; rb's source (the first Byzantine id under
+/// byz-source, else the first correct id) sends inputs.front() and its k-th
+/// face inputs.front() + 100·k; a rotor node's opinion is `index`.
+[[nodiscard]] std::unique_ptr<Process> make_loop_process(const ScenarioScript& script,
+                                                         const Scenario& scenario, NodeId id,
                                                          std::size_t index);
 /// Process for churn joiner number `joiner_index` (inputs continue the
 /// correct nodes' cycle; totalorder joiners are non-founders).
@@ -268,9 +270,9 @@ struct ScriptOptions {
                                                         std::size_t joiner_index);
 
 /// Pre-run wiring of the initial correct nodes `find` resolves (a shard
-/// worker resolves only its own slice): consensus nodes report protocol
-/// events to `observer` (may be null); totalorder nodes each submit four
-/// events. Churn joiners are never primed.
+/// worker resolves only its own slice): consensus, rb and rotor nodes
+/// report protocol events to `observer` (may be null); totalorder nodes
+/// each submit four events. Churn joiners are never primed.
 void prime_loop_nodes(const Scenario& scenario, const std::function<Process*(NodeId)>& find,
                       ProtocolObserver* observer);
 
@@ -281,9 +283,15 @@ void prime_loop_nodes(const Scenario& scenario, const std::function<Process*(Nod
 [[nodiscard]] std::unique_ptr<InvariantMonitor> make_loop_monitor(const ScenarioScript& script,
                                                                   const Scenario& scenario);
 
-/// Stop rule. Consensus and king stop once every tracked node is done;
-/// totalorder never stops early — it runs max_rounds.
-[[nodiscard]] bool stops_early(ScriptProtocol protocol);
+/// Stop rule and round budget. rb runs exactly min(max_rounds, 60) rounds
+/// and totalorder max_rounds: neither stops early. approx stops once every
+/// tracked node is done, within iterations + 4 rounds; consensus, king,
+/// rotor and renaming likewise, within max_rounds.
+struct LoopLimits {
+  Round budget = 0;
+  bool stops_early = true;
+};
+[[nodiscard]] LoopLimits loop_limits(const ScenarioScript& script);
 /// Asked before each round: `done(id)` is false for a node the engine
 /// does not have.
 [[nodiscard]] bool loop_finished(const ScenarioScript& script, const std::vector<NodeId>& tracked,
@@ -292,18 +300,34 @@ void prime_loop_nodes(const Scenario& scenario, const std::function<Process*(Nod
 /// One correct node's end state, as the verdict reads it.
 struct NodeOutcome {
   bool done = false;
-  std::optional<Value> output;    ///< consensus, king
-  std::vector<ChainEntry> chain;  ///< totalorder
+  std::optional<Value> output;        ///< consensus, king: decision; rb: accepted payload
+  std::optional<Round> accept_round;  ///< rb
+  double estimate = 0.0;              ///< approx: current value
+  std::vector<double> trajectory;     ///< approx: value after each iteration
+  std::vector<RotorProcess::RoundRecord> history;  ///< rotor
+  std::set<NodeId> id_set;                         ///< renaming
+  std::vector<ChainEntry> chain;                   ///< totalorder
 };
 [[nodiscard]] NodeOutcome node_outcome(const Process& process);
 
-/// The verdict: appends `run`'s outcomes (termination, agreement,
-/// validity, no-violations — those the script expects, in that order) and
-/// violations from the tracked nodes' end states (`nodes` may hold more;
-/// a tracked node missing from it is skipped) and, for consensus, the
-/// finished monitor.
-void judge_loop_run(const ScenarioScript& script, const Scenario& scenario,
-                    const std::vector<NodeId>& tracked, const std::map<NodeId, NodeOutcome>& nodes,
-                    const InvariantMonitor* monitor, ScriptRun& run);
+/// The verdict: the run's counters, the expectations the script names (in
+/// the protocol's fixed order) and violations judged from the tracked nodes'
+/// end states (one missing from `nodes` is skipped; rb, approx and rotor have
+/// no churn and fold all of `nodes`, see harness/runner.hpp) and, for
+/// consensus, the finished monitor, and the summary line.
+[[nodiscard]] ScriptRun judge_loop_run(
+    const ScenarioScript& script, const Scenario& scenario, const std::vector<NodeId>& tracked,
+    const std::map<NodeId, NodeOutcome>& nodes, const InvariantMonitor* monitor, Round rounds,
+    const Metrics& metrics, const ChaosCounters* chaos, const FaultCounters* wire_faults = nullptr);
+
+/// run_script's engine — the loop on one SyncSimulator — with the end states
+/// and metrics its verdict read, for harness/runner.hpp's builders.
+struct LoopRun {
+  ScriptRun run;
+  std::map<NodeId, NodeOutcome> nodes;  ///< the tracked nodes' end states
+  Metrics metrics;
+};
+[[nodiscard]] LoopRun run_loop_script(const ScenarioScript& script,
+                                      const ScriptOptions& options = {});
 
 }  // namespace idonly

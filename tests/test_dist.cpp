@@ -222,9 +222,31 @@ TEST(ShardWire, ResultRoundTripCarriesEveryMergedField) {
   result.chaos.per_phase[1].delays = 2;
   result.chaos.restarts = 1;
   result.wire_faults.truncations = 4;
-  result.decisions.push_back({9, true, true, Value::real(1.0)});
-  result.decisions.push_back({11, false, false, Value::bot()});
-  result.chains.push_back({13, {ChainEntry{1, 2, 30.0}, ChainEntry{2, 5, 31.0}}});
+  // One node of each kind: consensus decisions (a real and ⊥), a node
+  // without one, an rb acceptance, an approx trajectory, a rotor history, a
+  // renaming id set and a totalorder chain.
+  NodeOutcome decided;
+  decided.done = true;
+  decided.output = Value::real(1.0);
+  NodeOutcome bot;
+  bot.output = Value::bot();
+  NodeOutcome accepted;
+  accepted.done = true;
+  accepted.output = Value::real(42.0);
+  accepted.accept_round = 3;
+  NodeOutcome approx;
+  approx.estimate = 12.5;
+  approx.trajectory = {40.0, 20.0, 12.5};
+  NodeOutcome rotor;
+  rotor.done = true;
+  rotor.history.push_back({0, 17, std::nullopt, std::nullopt});
+  rotor.history.push_back({1, std::nullopt, Value::real(7.0), 17});
+  NodeOutcome renaming;
+  renaming.id_set = {9, 11, 13};
+  NodeOutcome chain;
+  chain.chain = {ChainEntry{1, 2, 30.0}, ChainEntry{2, 5, 31.0}};
+  result.nodes = {{9, decided},  {10, bot},      {11, NodeOutcome{}}, {12, accepted},
+                  {13, approx},  {14, rotor},    {15, renaming},      {16, chain}};
   ShardResult::Ring ring;
   ring.node = 9;
   ring.next_seq = 6;
@@ -258,16 +280,15 @@ TEST(ShardWire, ResultRoundTripCarriesEveryMergedField) {
   EXPECT_EQ(back->chaos.per_phase[1].delays, 2u);
   EXPECT_EQ(back->chaos.restarts, 1u);
   EXPECT_EQ(back->wire_faults.truncations, 4u);
-  ASSERT_EQ(back->decisions.size(), 2u);
-  EXPECT_EQ(back->decisions[0].id, 9u);
-  EXPECT_TRUE(back->decisions[0].has_output);
-  EXPECT_EQ(back->decisions[0].output, Value::real(1.0));
-  EXPECT_FALSE(back->decisions[1].has_output);
-  ASSERT_EQ(back->chains.size(), 1u);
-  EXPECT_EQ(back->chains[0].chain, result.chains[0].chain);
+  // NodeOutcome has no operator==: equal bytes after a second encode show
+  // that every field of every node survived.
+  ASSERT_EQ(back->nodes.size(), result.nodes.size());
+  EXPECT_EQ(encode_result(*back), bytes);
   ASSERT_EQ(back->rings.size(), 1u);
   EXPECT_EQ(back->rings[0].records, ring.records);
-  EXPECT_FALSE(decode_result(std::span(bytes.data(), bytes.size() - 1)).has_value());
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(decode_result(std::span(bytes.data(), len)).has_value()) << "prefix " << len;
+  }
 }
 
 // -------------------------------------------- in-process worker parity --
@@ -348,7 +369,8 @@ FleetRun run_fleet(const std::string& text, std::uint32_t shards) {
     const auto it = statuses.find(id);
     return it != statuses.end() && it->second;
   };
-  for (Round i = 0; i < script.max_rounds && !loop_finished(script, churn.tracked(), done); ++i) {
+  const Round budget = loop_limits(script).budget;
+  for (Round i = 0; i < budget && !loop_finished(script, churn.tracked(), done); ++i) {
     churn.apply(
         fleet.round + 1, [](NodeId, std::size_t) { return std::unique_ptr<Process>{}; },
         [](std::unique_ptr<Process>) {}, [](NodeId) {});
@@ -379,17 +401,13 @@ FleetRun run_fleet(const std::string& text, std::uint32_t shards) {
         chaos->per_phase[p] += result.chaos.per_phase[p];
       }
     }
-    for (const ShardResult::Decision& d : result.decisions) {
-      nodes[d.id] = {d.done, d.has_output ? std::optional(d.output) : std::nullopt, {}};
-    }
-    for (ShardResult::Chain& c : result.chains) nodes[c.id].chain = std::move(c.chain);
+    for (auto& [id, node] : result.nodes) nodes[id] = std::move(node);
     for (ShardResult::Ring& ring : result.rings) {
       merged.absorb_ring(ring.node, std::move(ring.records), ring.next_seq, ring.evicted);
     }
   }
   out.raw = merged.jsonl();
   out.canonical = merged.canonical_jsonl();
-  out.exposition = prometheus_exposition(metrics, chaos.has_value() ? &*chaos : nullptr);
 
   const std::unique_ptr<InvariantMonitor> monitor = make_loop_monitor(script, scenario);
   if (monitor != nullptr) {
@@ -405,8 +423,9 @@ FleetRun run_fleet(const std::string& text, std::uint32_t shards) {
     }
     monitor->finish(fleet.round);
   }
-  ScriptRun verdict;
-  judge_loop_run(script, scenario, churn.tracked(), nodes, monitor.get(), verdict);
+  ScriptRun verdict = judge_loop_run(script, scenario, churn.tracked(), nodes, monitor.get(),
+                                     fleet.round, metrics, chaos.has_value() ? &*chaos : nullptr);
+  out.exposition = std::move(verdict.metrics_exposition);
   out.violations = std::move(verdict.violations);
   return out;
 }
@@ -683,6 +702,50 @@ TEST(RunDist, TotalOrderMatchesSingleProcessAcrossShardCounts) {
   }
 }
 
+TEST(RunDist, EveryScriptProtocolMatchesSingleProcessAcrossShardCounts) {
+  // rb (both backends, one with a Byzantine source), approx, rotor and
+  // renaming run the same loop as consensus: a non-empty recording, equal
+  // at --threads 4, and from every shard count the same verdict and traces
+  // plus a metrics exposition.
+  const char* const scripts[] = {
+      "protocol rb\nnodes 7\ninputs 42\nbyzantine 2 forgedecho\nseed 7\n"
+      "expect acceptance\nexpect agreement\n",
+      "protocol rb\nnodes 7\ninputs 5\nbyzantine 2 twofaced\nbyz-source\nseed 6\n"
+      "max-rounds 20\nexpect agreement\n",
+      "protocol rb\nnodes 11\ninputs 42\nbyzantine 2 forgedecho\nseed 7\nrb imbs\n"
+      "expect acceptance\nexpect agreement\n",
+      "protocol approx\nnodes 10\ninputs 0,10,20,30\nbyzantine 3 extreme\niterations 6\n"
+      "seed 2\nexpect within-range\nexpect contraction\n",
+      "protocol rotor\nnodes 10\nbyzantine 3 rotorstuffer,silent,noise\nseed 11\n"
+      "expect termination\nexpect good-round\n",
+      "protocol renaming\nnodes 10\nbyzantine 3 crash,silent\ncrash-round 4\nseed 21\n"
+      "expect termination\nexpect agreement\n",
+  };
+  for (const char* const text : scripts) {
+    const std::string name = std::string(text).substr(0, std::string(text).find("\nseed"));
+    const SingleRun single = run_single_process(text);
+    const std::string raw = single.recorder->jsonl();
+    ASSERT_GT(single.recorder->size(), 0u) << name;
+    EXPECT_TRUE(single.run.all_satisfied) << single.run.summary;
+    EXPECT_FALSE(single.run.metrics_exposition.empty()) << name;
+    EXPECT_EQ(run_single_process(text, 4).recorder->jsonl(), raw) << name;
+    for (const std::uint32_t shards : {1u, 2u, 4u}) {
+      DistConfig config;
+      config.script_text = text;
+      config.shards = shards;
+      config.want_trace = true;
+      const DistRun dist = run_dist(config);
+      const std::string tag = name + " shards " + std::to_string(shards);
+      ASSERT_TRUE(dist.infra_ok) << tag << ": " << dist.infra_error;
+      expect_same_verdict(dist.script, single.run, tag);
+      EXPECT_FALSE(dist.script.metrics_exposition.empty()) << tag;
+      ASSERT_NE(dist.trace, nullptr) << tag;
+      EXPECT_EQ(dist.trace->jsonl(), raw) << tag;
+      EXPECT_EQ(dist.trace->canonical_jsonl(), single.recorder->canonical_jsonl()) << tag;
+    }
+  }
+}
+
 TEST(RunDist, CrashedWorkerIsDetectedNotHungAndNamed) {
   // One shard: the coordinator can only read the victim's control EOF.
   // Two shards: it harvests shard 0 first, so it usually reads the
@@ -729,6 +792,29 @@ TEST(RunDist, ParseFailureIsAnInfraErrorWithTheLineNumber) {
   const DistRun dist = run_dist(config);
   EXPECT_FALSE(dist.infra_ok);
   EXPECT_NE(dist.infra_error.find("line 2"), std::string::npos) << dist.infra_error;
+}
+
+TEST(RunDist, OutOfRangeNodeIndexIsAParseErrorNotACrash) {
+  // Each index is only out of range against the script's sizes, which the
+  // parser checks once it has read them all.
+  const char* const scripts[] = {
+      "protocol consensus\nnodes 4\nchaos 1-2 crash=99:1-2\n",
+      "protocol consensus\nnodes 4\nbyzantine 1 silent\nchaos 1-2 partition=2-5\n",
+      "protocol consensus\nnodes 4\nchurn 2 leave=9\n",
+      "protocol consensus\nnodes 4\nbyzantine -3 silent\n",
+  };
+  for (const char* const text : scripts) {
+    for (const std::uint32_t shards : {1u, 2u}) {
+      DistConfig config;
+      config.script_text = text;
+      config.shards = shards;
+      const DistRun dist = run_dist(config);
+      EXPECT_FALSE(dist.infra_ok) << text;
+      EXPECT_NE(dist.infra_error.find("script parse error at line "), std::string::npos)
+          << dist.infra_error;
+      EXPECT_FALSE(dist.script.all_satisfied) << text;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // (each protocol, satisfied and violated expectations).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <variant>
 
@@ -70,6 +73,49 @@ TEST(ScriptParser, ErrorsCarryLineNumbers) {
   EXPECT_EQ(parse_fail("expect luck\n").line, 1);
   EXPECT_EQ(parse_fail("max-rounds 0\n").line, 1);
   EXPECT_EQ(parse_fail("nodes 7 extra\n").line, 1);
+}
+
+TEST(ScriptParser, ByzantineCountHasTheNodesCeiling) {
+  // istream wraps "-3" into a huge unsigned count; the ceiling catches it
+  // before anything sizes a vector by it.
+  for (const char* count : {"-3", "10001", "18446744073709551615"}) {
+    const auto error =
+        parse_fail(std::string("protocol consensus\nbyzantine ") + count + " silent\n");
+    EXPECT_EQ(error.line, 2) << count;
+    EXPECT_NE(error.message.find("at most 10000"), std::string::npos) << error.message;
+  }
+  EXPECT_EQ(parse_ok("byzantine 10000 silent\n").config.n_byzantine, 10'000u);
+}
+
+TEST(ScriptParser, NodeIndicesAreCheckedAgainstTheScriptSizes) {
+  // Chaos indices range over nodes + byzantine, leave indices over nodes.
+  // The check runs after the last line, so the error names the line of the
+  // bad index even when the sizes come later.
+  EXPECT_EQ(parse_fail("protocol consensus\nnodes 4\nchaos 1-2 crash=99:1-2\n").line, 3);
+  EXPECT_EQ(parse_fail("protocol consensus\nnodes 4\nbyzantine 1 silent\n"
+                       "chaos 1-2 crash=5:1-2\n")
+                .line,
+            4);
+  EXPECT_EQ(parse_fail("protocol consensus\nchaos 1-2 partition=2-5\nnodes 4\n"
+                       "byzantine 1 silent\n")
+                .line,
+            2);
+  const auto leave = parse_fail("protocol totalorder\nnodes 4\nchurn 3 join=2\n"
+                                "churn 2 leave=9\n");
+  EXPECT_EQ(leave.line, 4);
+  EXPECT_NE(leave.message.find("4 correct nodes"), std::string::npos) << leave.message;
+  // A leave may not name a Byzantine index.
+  EXPECT_EQ(parse_fail("protocol consensus\nnodes 4\nbyzantine 1 silent\nchurn 2 leave=4\n")
+                .line,
+            4);
+
+  // The last index of each range is fine.
+  const auto script = parse_ok(
+      "protocol consensus\nchaos 1-2 partition=3-4 crash=4:1-2\nchurn 2 leave=3\n"
+      "nodes 4\nbyzantine 1 silent\n");
+  ASSERT_EQ(script.chaos_phases.size(), 1u);
+  EXPECT_EQ(script.chaos_phases[0].crashes[0].index, 4u);
+  EXPECT_EQ(script.churn_events[0].leave_index, 3u);
 }
 
 TEST(ScriptParser, NonFiniteInputsRejected) {
@@ -142,6 +188,37 @@ TEST(ScriptRunner, ViolatedExpectationIsReported) {
   const auto run = run_script(script);
   EXPECT_FALSE(run.all_satisfied);
   EXPECT_NE(run.summary.find("FAILED"), std::string::npos);
+}
+
+std::string read_scenario(const std::string& name) {
+  std::ifstream in(std::string(IDONLY_SCENARIO_DIR) + "/" + name + ".scn");
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(ScriptRunner, ShippedRbApproxRotorRenamingScenariosKeepTheirRunsAndRecord) {
+  // Pinned at the values these scenarios gave before they ran the shared
+  // round loop; the loop also gives each a flight recording and metrics.
+  struct Pin {
+    const char* name;
+    Round rounds;
+    std::uint64_t messages;
+  };
+  for (const Pin& pin : {Pin{"rb_forged_echo", 60, 1269}, Pin{"rb_imbs_forged_echo", 60, 1846},
+                         Pin{"approx_extreme", 9, 1280}, Pin{"rotor_mixed_adversaries", 14, 3481},
+                         Pin{"renaming_crash", 6, 4030}}) {
+    const auto script = parse_ok(read_scenario(pin.name));
+    ScriptOptions options;
+    options.recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+    const auto run = run_script(script, options);
+    EXPECT_EQ(run.rounds, pin.rounds) << pin.name;
+    EXPECT_EQ(run.messages, pin.messages) << pin.name;
+    EXPECT_TRUE(run.all_satisfied) << run.summary;
+    EXPECT_EQ(run.outcomes.size(), 2u) << pin.name;
+    EXPECT_GT(options.recorder->size(), 0u) << pin.name;
+    EXPECT_FALSE(run.metrics_exposition.empty()) << pin.name;
+  }
 }
 
 TEST(ScriptRunner, SummaryMentionsShape) {
