@@ -14,6 +14,8 @@
 //     just spends more 5-round phases re-converging.
 //
 // Usage: bench_chaos [output.json]   (default: BENCH_chaos.json)
+// The artifact's `machine` object records the CPU, core count and build
+// type it was measured with (bench_json.hpp).
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -117,7 +119,8 @@ int run(const char* path) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return 1;
   }
-  out << "{\n  \"bench\": \"chaos\",\n";
+  out << "{\n  \"bench\": \"chaos\",\n  \"machine\": " << bench::machine_json(BENCH_BUILD_TYPE)
+      << ",\n";
   out << "  \"nodes\": " << kNodes << ",\n  \"seeds\": " << kSeeds << ",\n";
   out << "  \"burst_rounds\": \"2-11\",\n";
   out << "  \"clean\": {\"rounds_per_sec\": "

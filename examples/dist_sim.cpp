@@ -23,7 +23,9 @@
 // transport and the idonly_overlap_* counters). --crash-shard S
 // --crash-round R make worker S die abruptly before round R — the
 // crash-detection smoke (expects exit 5, not a hang, with worker S named).
-// An unknown option is a usage error (exit 2).
+// An unknown option, or a numeric value that is not a whole number in its
+// range (cli_args.hpp: shards 1..64, S below the shard count, R and the
+// wedge timeout at least 1), is a usage error (exit 2).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +33,7 @@
 #include <sstream>
 #include <variant>
 
+#include "cli_args.hpp"
 #include "dist/shard_coordinator.hpp"
 
 namespace {
@@ -59,28 +62,44 @@ int main(int argc, char** argv) {
   const char* canonical_path = nullptr;
   bool print_metrics = false;
   DistConfig config;
+  bool crash_shard_set = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      config.shards = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+    const char* flag = argv[i];
+    if (std::strcmp(flag, "--shards") == 0 && i + 1 < argc) {
+      const auto value = cli::parse_flag(flag, argv[++i], 1, cli::kMaxShards);
+      if (!value.has_value()) return 2;
+      config.shards = static_cast<std::uint32_t>(*value);
+    } else if (std::strcmp(flag, "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace-canonical") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--trace-canonical") == 0 && i + 1 < argc) {
       canonical_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
+    } else if (std::strcmp(flag, "--metrics") == 0) {
       print_metrics = true;
-    } else if (std::strcmp(argv[i], "--crash-shard") == 0 && i + 1 < argc) {
-      config.crash_shard = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--crash-round") == 0 && i + 1 < argc) {
-      config.crash_at_round = static_cast<Round>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--wedge-timeout-ms") == 0 && i + 1 < argc) {
-      config.wedge_timeout_ms = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strncmp(argv[i], "--", 2) == 0 || path != nullptr) {
+    } else if (std::strcmp(flag, "--crash-shard") == 0 && i + 1 < argc) {
+      const auto value = cli::parse_flag(flag, argv[++i], 0, cli::kMaxShards - 1);
+      if (!value.has_value()) return 2;
+      config.crash_shard = static_cast<std::uint32_t>(*value);
+      crash_shard_set = true;
+    } else if (std::strcmp(flag, "--crash-round") == 0 && i + 1 < argc) {
+      const auto value = cli::parse_flag(flag, argv[++i], 1, cli::kMaxCrashRound);
+      if (!value.has_value()) return 2;
+      config.crash_at_round = static_cast<Round>(*value);
+    } else if (std::strcmp(flag, "--wedge-timeout-ms") == 0 && i + 1 < argc) {
+      const auto value = cli::parse_flag(flag, argv[++i], 1, cli::kMaxWedgeTimeoutMs);
+      if (!value.has_value()) return 2;
+      config.wedge_timeout_ms = static_cast<int>(*value);
+    } else if (std::strncmp(flag, "--", 2) == 0 || path != nullptr) {
       return usage();
     } else {
-      path = argv[i];
+      path = flag;
     }
   }
-  if (path == nullptr || config.shards == 0) return usage();
+  if (path == nullptr) return usage();
+  if (crash_shard_set && config.crash_shard >= config.shards) {
+    std::fprintf(stderr, "--crash-shard: %u names no worker of %u shards\n", config.crash_shard,
+                 config.shards);
+    return 2;
+  }
   std::ifstream file(path);
   if (!file) {
     std::fprintf(stderr, "cannot open %s\n", path);

@@ -21,7 +21,8 @@
 // dist-smoke CI job diffs against dist_sim); --trace-chrome PATH writes the
 // chrome://tracing JSON view; --metrics prints the Prometheus text
 // exposition of the run's counters.
-// --threads N runs the round engine on N worker threads; the run — and its
+// --threads N runs the round engine on N worker threads (1 to
+// cli::kMaxThreads; anything else is a usage error); the run — and its
 // trace export — is bit-identical for every N (CI diffs them to prove it).
 // --rb NAME overrides the script's reliable-broadcast backend (alg1 | imbs,
 // rb protocol only) — the backend-ablation sweeps reuse one script file.
@@ -34,6 +35,7 @@
 #include <sstream>
 #include <variant>
 
+#include "cli_args.hpp"
 #include "harness/script.hpp"
 
 namespace {
@@ -67,7 +69,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
+      const auto value = cli::parse_flag("--threads", argv[++i], 1, cli::kMaxThreads);
+      if (!value.has_value()) return 2;
+      threads = static_cast<unsigned>(*value);
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
       trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace-canonical") == 0 && i + 1 < argc) {

@@ -241,7 +241,11 @@ int run_worker_loop(int fd, std::vector<int> peer_fds) {
               mesh_error);
         }
         if (!ok) return fail(worker->error().empty() ? mesh_error : worker->error());
-        worker->merge_round(streams);
+        try {
+          worker->merge_round(streams);  // rejects a peer stream that splits a sender
+        } catch (const std::exception& e) {
+          return fail(e.what());
+        }
         if (!send_frame(fd, ShardMsgType::kStatus, encode_status(worker->status()))) {
           return kWorkerFailedExit;
         }

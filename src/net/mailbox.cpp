@@ -126,52 +126,77 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
   }
 
   // Slow path: merge the unmasked lane entries and the private entries by
-  // send order. A private entry whose content reaches this receiver through
-  // the lane is the "broadcast + unicast of the same message" duplicate —
-  // suppressed, like the per-receiver dedup of old, but against the cached
-  // hash. A masked twin never reaches the receiver, so it suppresses nothing.
+  // send order. Unmasked stretches of the lane are copied straight out of
+  // its contiguous view, and the lane's share of the counters is its totals
+  // minus the masked entries. A private entry whose content reaches this
+  // receiver through the lane is the "broadcast + unicast of the same
+  // message" duplicate — suppressed, like the per-receiver dedup of old, but
+  // against the cached hash. A masked twin never reaches the receiver, so it
+  // suppresses nothing.
+  const std::span<const Message> view = lane != nullptr ? lane->view() : std::span<const Message>{};
   const std::span<const MessageRef> lane_refs =
       lane != nullptr ? lane->refs() : std::span<const MessageRef>{};
   const std::span<const std::uint64_t> lane_seqs =
       lane != nullptr ? lane->seqs() : std::span<const std::uint64_t>{};
+  scratch.clear();
+  scratch.reserve(view.size() + entries.size());
+  std::uint64_t bytes = lane != nullptr ? lane->wire_bytes() : 0;
+  std::array<std::uint64_t, MessageCounters::kKinds> kinds{};
+  if (lane != nullptr) kinds = lane->kind_counts();
+  std::size_t i = 0;  // lane cursor
+  std::size_t k = 0;  // first mask the lane cursor has not passed
+  const auto at = [](auto span, std::size_t index) {
+    return span.begin() + static_cast<std::ptrdiff_t>(index);
+  };
+  // Copy the lane entries from the cursor up to `stop`, skipping masked ones.
+  const auto copy_lane_until = [&](std::size_t stop) {
+    while (i < stop) {
+      while (k < masks.size() && masks[k] < lane_seqs[i]) k += 1;
+      std::size_t cut = stop;
+      if (k < masks.size() && masks[k] <= lane_seqs[stop - 1]) {
+        cut = static_cast<std::size_t>(
+            std::lower_bound(at(lane_seqs, i), at(lane_seqs, stop), masks[k]) - lane_seqs.begin());
+      }
+      scratch.insert(scratch.end(), at(view, i), at(view, cut));
+      i = cut;
+      if (i < stop && lane_seqs[i] == masks[k]) {
+        kinds[static_cast<std::size_t>(view[i].kind)] -= 1;
+        bytes -= lane_refs[i].wire_bytes();
+        i += 1;
+        k += 1;
+      }
+    }
+  };
   const auto masked = [&](std::uint64_t seq) {
     return std::binary_search(masks.begin(), masks.end(), seq);
   };
-  scratch.clear();
-  scratch.reserve(lane_refs.size() + entries.size());
-  const auto push = [&](const MessageRef& ref) {
-    scratch.push_back(ref.get());
-    if (fanout != nullptr) {
-      fanout->deliveries += 1;
-      fanout->bytes_delivered += ref.wire_bytes();
-    }
-    if (counters != nullptr) counters->delivered[static_cast<std::size_t>(ref->kind)] += 1;
-  };
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t k = 0;  // first mask the lane cursor has not passed
-  while (i < lane_refs.size() || j < entries.size()) {
-    const bool take_lane = j >= entries.size() || (i < lane_refs.size() && lane_seqs[i] < seqs[j]);
-    if (take_lane) {
-      while (k < masks.size() && masks[k] < lane_seqs[i]) k += 1;
-      if (k == masks.size() || masks[k] != lane_seqs[i]) push(lane_refs[i]);
-      i += 1;
+  for (std::size_t j = 0; j < entries.size(); ++j) {
+    // Lane entries sent before this one (equal keys: private first).
+    copy_lane_until(static_cast<std::size_t>(
+        std::lower_bound(at(lane_seqs, i), lane_seqs.end(), seqs[j]) - lane_seqs.begin()));
+    const std::optional<std::uint64_t> twin =
+        lane != nullptr ? lane->seq_of(entries[j]) : std::nullopt;
+    if (twin.has_value() && !masked(*twin)) {
+      if (fanout != nullptr) fanout->dedup_hits += 1;
     } else {
-      const std::optional<std::uint64_t> twin =
-          lane != nullptr ? lane->seq_of(entries[j]) : std::nullopt;
-      if (twin.has_value() && !masked(*twin)) {
-        if (fanout != nullptr) fanout->dedup_hits += 1;
-      } else {
-        push(entries[j]);
-      }
-      j += 1;
+      scratch.push_back(entries[j].get());
+      kinds[static_cast<std::size_t>(entries[j]->kind)] += 1;
+      bytes += entries[j].wire_bytes();
     }
+  }
+  copy_lane_until(lane_seqs.size());
+  if (fanout != nullptr) {
+    fanout->deliveries += scratch.size();
+    fanout->bytes_delivered += bytes;
+    if (!scratch.empty()) fanout->slab_sends += 1;
+  }
+  if (counters != nullptr) {
+    for (std::size_t kind = 0; kind < kinds.size(); ++kind) counters->delivered[kind] += kinds[kind];
   }
   entries.clear();
   seqs.clear();
   seen.clear();
   masks.clear();
-  if (fanout != nullptr && !scratch.empty()) fanout->slab_sends += 1;
   return scratch;
 }
 

@@ -28,8 +28,10 @@
 //     receiver-specific (unicasts, delayed redeliveries), plus MASKS: lane
 //     entries a fault withholds from this receiver (a chaos drop or delay of
 //     one link). `collect()` merges it with the shared lane in send order,
-//     skipping masked entries; when a receiver has neither private traffic
-//     nor masks the returned span aliases the lane view directly.
+//     skipping masked entries, into a buffer the caller owns (the sync
+//     engine keeps one per worker thread and reuses it for every receiver
+//     that worker steps); when a receiver has neither private traffic nor
+//     masks the returned span aliases the lane view directly.
 //   * `FrameRef`/`FrameView`/`FrameMailbox` — the same idea one level down,
 //     for the runtime's byte frames: a broadcast domain shares one
 //     ref-counted frame and each endpoint's mailbox holds views into it.
@@ -224,10 +226,14 @@ class Mailbox {
   /// private entry is suppressed as a duplicate only when its lane twin (same
   /// sender and content) reaches this receiver, i.e. is not masked. Fast
   /// path: with no private traffic and no masks the returned span aliases
-  /// the lane's shared view — zero per-receiver work. Slow path: merges into
-  /// `scratch` (reused across rounds by the caller).
+  /// the lane's shared view — zero per-receiver work. Slow path: clears
+  /// `scratch` and merges into it, copying each unmasked stretch of the
+  /// lane's contiguous view in one go; the span aliases `scratch`, so it is
+  /// valid until the caller reuses that buffer (the sync engine reuses one
+  /// per worker, for the next receiver that worker steps).
   /// Updates `fanout` / `counters` with per-recipient delivery stats when
-  /// non-null. Resets the private buffer and the masks.
+  /// non-null — the lane's share from its per-kind totals minus the masked
+  /// entries. Resets the private buffer and the masks.
   std::span<const Message> collect(const BroadcastLane* lane, std::vector<Message>& scratch,
                                    FanoutCounters* fanout = nullptr,
                                    MessageCounters* counters = nullptr);

@@ -6,8 +6,8 @@ namespace idonly {
 
 ParallelExecutor::ParallelExecutor(unsigned threads) : threads_(threads < 1 ? 1 : threads) {
   // The calling thread participates in every batch, so spawn threads-1.
-  for (unsigned i = 1; i < threads_; ++i) {
-    pool_.emplace_back([this] { worker_loop(); });
+  for (unsigned slot = 1; slot < threads_; ++slot) {
+    pool_.emplace_back([this, slot] { worker_loop(slot); });
   }
 }
 
@@ -20,7 +20,7 @@ ParallelExecutor::~ParallelExecutor() {
   for (std::thread& t : pool_) t.join();
 }
 
-void ParallelExecutor::worker_loop() {
+void ParallelExecutor::worker_loop(unsigned slot) {
   std::uint64_t seen_generation = 0;
   while (true) {
     {
@@ -29,7 +29,7 @@ void ParallelExecutor::worker_loop() {
       if (stopping_) return;
       seen_generation = generation_;
     }
-    work();
+    work(slot);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       busy_workers_ -= 1;
@@ -38,7 +38,7 @@ void ParallelExecutor::worker_loop() {
   }
 }
 
-void ParallelExecutor::work() {
+void ParallelExecutor::work(unsigned slot) {
   // Claim contiguous chunks with one atomic bump each: n can be tens of
   // thousands of slots per round, and a mutex (or per-index fetch_add) on
   // that path costs more than the work it hands out.
@@ -48,7 +48,7 @@ void ParallelExecutor::work() {
     const std::size_t end = std::min(begin + chunk_, batch_size_);
     for (std::size_t index = begin; index < end; ++index) {
       try {
-        (*fn_)(index);
+        (*fn_)(index, slot);
       } catch (...) {
         std::lock_guard<std::mutex> lock(mutex_);
         if (first_error_ == nullptr) first_error_ = std::current_exception();
@@ -58,9 +58,14 @@ void ParallelExecutor::work() {
 }
 
 void ParallelExecutor::run(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  run(n, [&fn](std::size_t index, unsigned) { fn(index); });
+}
+
+void ParallelExecutor::run(std::size_t n,
+                           const std::function<void(std::size_t, unsigned)>& fn) {
   if (n == 0) return;
   if (pool_.empty()) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
+    for (std::size_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }
   {
@@ -76,7 +81,7 @@ void ParallelExecutor::run(std::size_t n, const std::function<void(std::size_t)>
     generation_ += 1;
   }
   wake_.notify_all();
-  work();  // the caller claims indices too
+  work(0);  // the caller claims indices too, as slot 0
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);

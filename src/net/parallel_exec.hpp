@@ -10,8 +10,9 @@
 // each index; it makes no ordering promises between indices and must never
 // be used for work whose side effects depend on cross-index order. The
 // engines therefore split a round into two PARALLEL phases:
-//   1. fill — each process steps into a PRIVATE outbox slab (per-index, no
-//      shared mutation), and
+//   1. fill — each process assembles its inbox (into a buffer owned by the
+//      worker slot running it) and steps into a PRIVATE outbox slab
+//      (per-index, no shared mutation), and
 //   2. lane merge — destination slots are partitioned into contiguous
 //      per-worker lanes; each lane routes every slab's messages for ITS
 //      receivers using precomputed deterministic ordering keys (per-slab
@@ -55,9 +56,15 @@ class ParallelExecutor {
   /// executor.
   void run(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  /// Same, passing the worker slot that runs each index as well: slot 0 is
+  /// the calling thread, pool threads are 1..thread_count()-1, and no two
+  /// invocations in flight at once share a slot. Lets a caller keep one
+  /// scratch buffer per slot instead of one per index.
+  void run(std::size_t n, const std::function<void(std::size_t index, unsigned slot)>& fn);
+
  private:
-  void worker_loop();
-  void work();
+  void worker_loop(unsigned slot);
+  void work(unsigned slot);
 
   unsigned threads_ = 1;
   std::vector<std::thread> pool_;
@@ -69,7 +76,7 @@ class ParallelExecutor {
   bool stopping_ = false;
 
   // Current batch (valid while busy_workers_ > 0 or the caller is in work()).
-  const std::function<void(std::size_t)>* fn_ = nullptr;
+  const std::function<void(std::size_t, unsigned)>* fn_ = nullptr;
   std::size_t batch_size_ = 0;
   std::size_t chunk_ = 1;         // indices claimed per cursor bump
   std::atomic<std::size_t> cursor_{0};  // next unclaimed index (lock-free)

@@ -52,7 +52,8 @@ class Process {
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
 
-  /// Execute one synchronous round.
+  /// Execute one synchronous round. `inbox` is valid for the duration of
+  /// this call only: the engine may reuse its storage for the next receiver.
   virtual void on_round(RoundInfo round, std::span<const Message> inbox,
                         std::vector<Outgoing>& out) = 0;
 

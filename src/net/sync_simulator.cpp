@@ -2,11 +2,22 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 
 namespace idonly {
+
+namespace {
+
+/// Equal content down to the bits: ±0.0 compare equal but encode differently,
+/// so two such messages must not share one wrap.
+bool same_bits(const Message& a, const Message& b) {
+  return a == b && std::signbit(a.value.real_or(0.0)) == std::signbit(b.value.real_or(0.0));
+}
+
+}  // namespace
 
 void SyncSimulator::add_process(std::unique_ptr<Process> process) {
   if (process == nullptr) throw std::invalid_argument("add_process: null process");
@@ -45,11 +56,12 @@ void SyncSimulator::set_threads(unsigned threads) {
   executor_ = threads_ > 1 ? std::make_unique<ParallelExecutor>(threads_) : nullptr;
 }
 
-void SyncSimulator::run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn) {
+void SyncSimulator::run_tasks(std::size_t count,
+                              const std::function<void(std::size_t, unsigned)>& fn) {
   if (executor_ != nullptr && count > 1) {
     executor_->run(count, fn);
   } else {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
+    for (std::size_t i = 0; i < count; ++i) fn(i, 0);
   }
 }
 
@@ -85,7 +97,7 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
     const NodeId to = dispatches_[t].id;
     FaultDecision fault;
     if (chaos_) {
-      const std::uint64_t link_seq = arena.link_seq[{from, to}]++;
+      const std::uint64_t link_seq = arena.link_seq[t - begin]++;
       const LinkEvent event{round_, from, to, link_seq};
       fault = chaos_->peek(event);
       if (fault.faulted()) arena.chaos_stage.emplace_back(event, fault);
@@ -137,6 +149,7 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
   for (std::size_t r = 0; r < runs_.size(); ++r) {
     const SenderRun& run = runs_[r];
     const bool own_run = r >= own_begin && r < own_end;
+    if (chaos_) arena.link_seq.assign(end - begin, 0);
     for (std::size_t m = 0; m < run.sends.size(); ++m) {
       const Send& send = run.sends[m];
       const MessageRef& ref = send.ref;
@@ -270,47 +283,12 @@ void SyncSimulator::begin_round() {
     LaneArena& arena = arenas_[l];
     arena.messages = MessageCounters{};
     arena.fanout.reset();
-    arena.link_seq.clear();  // link-event sequence numbers are per sent-round
     arena.trace_stage.clear();
     arena.chaos_stage.clear();
     arena.delayed_stage.clear();
     arena.debug_stage.clear();
   }
   lanes_[fill_lane_].reset(lane_count);
-
-  // Phase 1 — parallel inbox assembly, one task per lane: every member's
-  // inbox is built BEFORE anyone steps (lock-step semantics, no same-round
-  // delivery). Each lane collects only its own slots' mailboxes against the
-  // sealed (read-only) deliver lane, staging delivery records and counters
-  // in its arena.
-  run_tasks(lane_count, [&](std::size_t l) {
-    LaneArena& arena = arenas_[l];
-    for (std::size_t s = lane_starts_[l]; s < lane_starts_[l + 1]; ++s) {
-      Dispatch& dispatch = dispatches_[s];
-      Member& member = *dispatch.member;
-      // A member admitted at the start of THIS step was not a receiver of
-      // last round's broadcasts — it gets no lane, and its mailbox is empty.
-      const ShardedLane* lane = member.joined_round == round_ ? nullptr : &deliver_lane;
-      dispatch.inbox =
-          member.mailbox.collect(lane, member.scratch, &arena.fanout, &arena.messages);
-      if (recorder_) {
-        for (const Message& msg : dispatch.inbox) {
-          arena.trace_stage.push_back(make_deliver_record(dispatch.id, round_, msg.sender));
-        }
-      }
-    }
-  });
-  if (recorder_) {
-    // Flush delivery records before the merge stages send/verdict records
-    // into the same buffers. A node's records are staged by exactly one lane,
-    // so per-ring order (what every export is built from) is lane-local and
-    // thread-count-independent; flushing in lane order keeps it fully
-    // deterministic.
-    for (std::size_t l = 0; l < lane_count; ++l) {
-      recorder_->record_batch(arenas_[l].trace_stage);
-      arenas_[l].trace_stage.clear();
-    }
-  }
 
   // The merge walks every (sender, receiver) link only when a link may be
   // faulted or observed: a chaos phase covers this round, a recorder logs
@@ -319,22 +297,56 @@ void SyncSimulator::begin_round() {
   walk_links_ = delay_hook_ != nullptr ||
                 (chaos_ != nullptr && (recorder_ != nullptr || chaos_->phase_for(round_)));
 
-  // Phase 2 — parallel stepping, one task per process: each steps into its
-  // private outbox slab, then stamps and wraps its messages (the content
-  // hashing is the round's other big CPU sink). No shared engine state is
-  // touched; inbox spans stay valid because routing hasn't started.
-  run_tasks(n, [this](std::size_t index) {
+  if (step_arenas_.size() != threads_) step_arenas_.resize(threads_);
+  for (StepArena& arena : step_arenas_) {
+    arena.messages = MessageCounters{};
+    arena.fanout.reset();
+  }
+
+  // Phase 1 — parallel stepping, one task per process: assemble the inbox,
+  // step into the private outbox slab, then stamp and wrap the messages (the
+  // content hashing is the round's other big CPU sink). Lock-step semantics
+  // hold although some members step before others' inboxes exist: until
+  // finish_round, the mailboxes are touched only by their own member's
+  // collect() and the sealed deliver lane is read-only, so an inbox holds
+  // the same messages whenever it is built. A receiver that cannot alias the
+  // lane is merged into its worker slot's buffer, which stays put until the
+  // step returns (one task per slot at a time).
+  run_tasks(n, [this, &deliver_lane](std::size_t index, unsigned slot) {
     Dispatch& dispatch = dispatches_[index];
     Member& member = *dispatch.member;
+    StepArena& arena = step_arenas_[slot];
+    // A member admitted at the start of THIS step was not a receiver of last
+    // round's broadcasts — it gets no lane, and its mailbox is empty.
+    const ShardedLane* lane = member.joined_round == round_ ? nullptr : &deliver_lane;
+    const std::span<const Message> inbox =
+        member.mailbox.collect(lane, arena.inbox, &arena.fanout, &arena.messages);
+    if (recorder_ && !inbox.empty()) {
+      // Recorded before the callback, so this node's ring holds its deliveries
+      // ahead of the protocol events on_round records. Rings are per node, so
+      // how other nodes' batches interleave with this one is unobservable.
+      for (const Message& msg : inbox) {
+        arena.deliveries.push_back(make_deliver_record(dispatch.id, round_, msg.sender));
+      }
+      recorder_->record_batch(arena.deliveries);
+      arena.deliveries.clear();
+    }
     const bool was_done = member.process->done();
     RoundInfo info{round_, round_ - member.joined_round + 1};
-    member.process->on_round(info, dispatch.inbox, dispatch.outbox);
+    member.process->on_round(info, inbox, dispatch.outbox);
     dispatch.became_done = !was_done && member.process->done();
     dispatch.sends.reserve(dispatch.outbox.size());
     for (Outgoing& out : dispatch.outbox) {
       Message msg = std::move(out.msg);
       msg.sender = dispatch.id;  // unforgeable identity
-      dispatch.sends.push_back(Send{out.to, MessageRef::wrap(std::move(msg))});
+      // A two-faced sender repeats one message to every receiver of a side:
+      // consecutive equal contents share one wrap (one hash, one cell).
+      if (!dispatch.sends.empty() && same_bits(dispatch.sends.back().ref.get(), msg)) {
+        MessageRef shared = dispatch.sends.back().ref;
+        dispatch.sends.push_back(Send{out.to, std::move(shared)});
+      } else {
+        dispatch.sends.push_back(Send{out.to, MessageRef::wrap(std::move(msg))});
+      }
     }
   });
 }
@@ -350,7 +362,8 @@ void SyncSimulator::mark_repeats(std::span<const Send> sends, std::vector<std::u
 }
 
 void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_streams) {
-  // Merge on sender id: one run per local member with sends, one per
+  // Phase 2 — sequential prefix pass. Merge on sender id: one run per local
+  // member with sends, one per
   // remote sender (a remote stream is ascending by sender, so each sender's
   // sends are contiguous). Sender sets are disjoint, so ordering the runs
   // by sender id replays the visible subsequence of the global send order.
@@ -370,6 +383,15 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
   if (!remote_streams.empty()) {
     std::sort(runs_.begin(), runs_.end(),
               [](const SenderRun& a, const SenderRun& b) { return a.id < b.id; });
+    // One run per sender: merge_lane restarts a run's per-link counters at
+    // 0, which is the per-round (from, to) link sequence only if no sender's
+    // sends are split across runs.
+    for (std::size_t r = 1; r < runs_.size(); ++r) {
+      if (runs_[r - 1].id == runs_[r].id) {
+        throw std::invalid_argument("finish_round: sender " + std::to_string(runs_[r].id) +
+                                    " is split across runs");
+      }
+    }
   }
   repeats_.clear();
   std::uint64_t total_msgs = 0;
@@ -395,7 +417,7 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
 
   // Phase 3 — parallel lane merge: no sequential replay pass. Each lane
   // routes the whole round's traffic for its own destination slots.
-  run_tasks(lane_count, [this](std::size_t l) { merge_lane(l); });
+  run_tasks(lane_count, [this](std::size_t l, unsigned) { merge_lane(l); });
 
   // Sequential epilogue: fold the lane arenas into the shared engine state
   // in lane order (deterministic), advance the global send stamp past every
@@ -405,14 +427,8 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
     LaneArena& arena = arenas_[l];
     for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
       metrics_.messages.sent[k] += arena.messages.sent[k];
-      metrics_.messages.delivered[k] += arena.messages.delivered[k];
     }
-    metrics_.fanout.deliveries += arena.fanout.deliveries;
-    metrics_.fanout.unique_payloads += arena.fanout.unique_payloads;
-    metrics_.fanout.dedup_hits += arena.fanout.dedup_hits;
-    metrics_.fanout.bytes_delivered += arena.fanout.bytes_delivered;
-    metrics_.fanout.slab_sends += arena.fanout.slab_sends;
-    metrics_.fanout.send_failures += arena.fanout.send_failures;
+    metrics_.fanout += arena.fanout;
     if (chaos_) chaos_->commit_batch(arena.chaos_stage);
     if (recorder_) recorder_->record_batch(arena.trace_stage);
     for (LaneArena::Delayed& delayed : arena.delayed_stage) {
@@ -424,6 +440,12 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
         trace_.push_back(std::move(entry));
       }
     }
+  }
+  for (const StepArena& arena : step_arenas_) {
+    for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
+      metrics_.messages.delivered[k] += arena.messages.delivered[k];
+    }
+    metrics_.fanout += arena.fanout;
   }
   for (Dispatch& dispatch : dispatches_) {
     if (dispatch.became_done) metrics_.done_round[dispatch.id] = round_;

@@ -15,8 +15,9 @@
 // Determinism: processes are stepped in ascending id order and all protocol
 // randomness flows from explicit seeds, so a (scenario, seed) pair replays
 // bit-identically. With set_threads(k > 1) BOTH halves of a round run on a
-// persistent worker pool (net/parallel_exec.hpp): processes fill private
-// outbox slabs in parallel, then the destination slots are partitioned into
+// persistent worker pool (net/parallel_exec.hpp): each process's task builds
+// its inbox into its worker's buffer and fills a private outbox slab, all in
+// parallel, then the destination slots are partitioned into
 // contiguous per-worker merge LANES and every lane routes its receivers'
 // traffic concurrently. There is no sequential replay pass — order-sensitive
 // effects are reconstructed from precomputed deterministic keys (per-slab
@@ -42,8 +43,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "common/flat_set.hpp"
 
 #include "common/chaos.hpp"
 #include "common/metrics.hpp"
@@ -79,8 +78,8 @@ class SyncSimulator {
   /// Execute one synchronous round: begin_round(), then finish_round({}).
   void step();
 
-  /// First half of a round: membership changes, delayed-message flush,
-  /// inbox assembly, process stepping, outbox wrapping.
+  /// First half of a round: membership changes, delayed-message flush, then
+  /// per member inbox assembly, stepping and outbox wrapping in one task.
   void begin_round();
 
   /// Call `fn(send)` for each of the local members' sends of the round
@@ -98,7 +97,8 @@ class SyncSimulator {
   /// the sends of senders hosted elsewhere that reach a local member, one
   /// stream per remote slice, each ascending by sender id, sender sets
   /// pairwise disjoint and disjoint from the local members (stream order is
-  /// irrelevant) — and route them into local mailboxes and the broadcast
+  /// irrelevant; a sender split across runs throws std::invalid_argument) —
+  /// and route them into local mailboxes and the broadcast
   /// lane for delivery at the next begin_round(). A remote sender's
   /// broadcast is one lane deposit here, exactly like a local one; sender-
   /// side accounting (sent, unique payloads, send records, lane dedup hits)
@@ -196,20 +196,17 @@ class SyncSimulator {
  private:
   struct Member {
     std::unique_ptr<Process> process;
-    Round joined_round = 0;        // global round of first participation
-    Mailbox mailbox;               // receiver-specific traffic (unicasts, delays, masks)
-    std::vector<Message> scratch;  // merge buffer, reused across rounds
+    Round joined_round = 0;  // global round of first participation
+    Mailbox mailbox;         // receiver-specific traffic (unicasts, delays, masks)
   };
 
-  /// One member's slice of a round, assembled before anyone steps. The
-  /// outbox slab, wrapped sends, and done flags live here so the parallel
-  /// phases touch only private state; dispatches_ persists across rounds
-  /// (the round arena — slab/scratch capacity is reused, steady-state rounds
-  /// allocate nothing).
+  /// One member's slice of a round. The outbox slab, wrapped sends, and done
+  /// flags live here so the parallel phases touch only private state;
+  /// dispatches_ persists across rounds (the round arena — slab capacity is
+  /// reused, steady-state rounds allocate nothing).
   struct Dispatch {
     NodeId id = 0;
     Member* member = nullptr;
-    std::span<const Message> inbox;
     std::vector<Outgoing> outbox;     // private slab filled by on_round
     std::vector<Send> sends;          // outbox wrapped (stamped + hashed), same order
     bool became_done = false;
@@ -230,9 +227,12 @@ class SyncSimulator {
   /// state in lane order by the sequential epilogue. Cache-line aligned so
   /// concurrent lanes never false-share counters.
   struct alignas(64) LaneArena {
-    MessageCounters messages;  // delivered (inbox phase) + sent (merge phase)
+    MessageCounters messages;  // sent
     FanoutCounters fanout;
-    FlatMap<std::pair<NodeId, NodeId>, std::uint64_t> link_seq;  // per round, lane-owned links
+    // Link-event sequence numbers of the run being walked, per receiver slot
+    // of this lane: a sender is exactly one run per round, so its per-link
+    // counters start at 0 with its run.
+    std::vector<std::uint64_t> link_seq;
     std::vector<TraceRecord> trace_stage;       // recorder records, per-ring order
     std::vector<std::pair<LinkEvent, FaultDecision>> chaos_stage;  // faulted verdicts only
     struct Delayed {
@@ -244,9 +244,21 @@ class SyncSimulator {
     std::vector<TraceEntry> debug_stage;        // enable_trace() ring entries
   };
 
-  /// Run `fn(0..count)` on the pool when it exists (and count warrants it),
-  /// inline otherwise.
-  void run_tasks(std::size_t count, const std::function<void(std::size_t)>& fn);
+  /// One executor worker's share of the stepping phase: the buffer a
+  /// receiver's inbox is assembled into right before its step (when it cannot
+  /// alias the lane), and the delivery counters and records of the receivers
+  /// the worker stepped. One per worker slot, never per member, so at most
+  /// `threads` inbox copies exist at once; reused across rounds.
+  struct alignas(64) StepArena {
+    std::vector<Message> inbox;
+    MessageCounters messages;  // delivered
+    FanoutCounters fanout;
+    std::vector<TraceRecord> deliveries;  // one receiver's, recorded before its step
+  };
+
+  /// Run `fn(index, slot)` for index in 0..count on the pool when it exists
+  /// (and count warrants it), inline as slot 0 otherwise.
+  void run_tasks(std::size_t count, const std::function<void(std::size_t, unsigned)>& fn);
   /// Dispatch slot of a live member (dispatches_ is ascending by id), or
   /// dispatches_.size() when the id is not a member this round.
   [[nodiscard]] std::size_t slot_of(NodeId id) const noexcept;
@@ -264,6 +276,7 @@ class SyncSimulator {
   std::vector<NodeId> pending_removals_;
   std::vector<Dispatch> dispatches_;                 // round arena, reused across rounds
   std::vector<LaneArena> arenas_;                    // lane arenas, reused across rounds
+  std::vector<StepArena> step_arenas_;               // one per worker slot
   std::vector<std::size_t> lane_starts_;  // lane l owns slots [starts[l], starts[l+1])
   std::vector<std::size_t> run_starts_;   // ... and runs [run_starts[l], run_starts[l+1])
   // Rounds that walk links only, by send ordinal: 1 where a broadcast repeats

@@ -5,7 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "common/siphash.hpp"
@@ -312,6 +318,174 @@ TEST(ShardedLane, ResetReclaimsSegmentsAcrossRounds) {
   lane.seal();
   EXPECT_EQ(lane.size(), 1u);
   EXPECT_EQ(lane.view()[0].sender, 1u);
+}
+
+// ------------------------------------------------- slow-path oracle --
+
+/// One receiver's round as the oracle sees it: lane entries (seq, ref) and
+/// private entries, both accepted by their deposit, plus the masks.
+struct OracleRound {
+  std::vector<std::pair<std::uint64_t, MessageRef>> lane;
+  std::vector<std::pair<std::uint64_t, MessageRef>> priv;
+  std::vector<std::uint64_t> masks;
+};
+
+/// What collect() must return, computed the slow obvious way: every unmasked
+/// lane entry and every private entry without an unmasked lane twin, sorted
+/// by seq (a private entry first on equal seqs), with counters summed per
+/// delivered message.
+struct OracleInbox {
+  std::vector<Message> inbox;
+  FanoutCounters fanout;
+  MessageCounters counters;
+};
+
+OracleInbox brute_force_collect(const OracleRound& round) {
+  const auto masked = [&](std::uint64_t seq) {
+    return std::find(round.masks.begin(), round.masks.end(), seq) != round.masks.end();
+  };
+  struct Item {
+    std::uint64_t seq;
+    int lane;  // 0 = private, 1 = lane: a private entry wins a tie
+    MessageRef ref;
+  };
+  std::vector<Item> items;
+  OracleInbox out;
+  for (const auto& [seq, ref] : round.lane) {
+    if (!masked(seq)) items.push_back({seq, 1, ref});
+  }
+  for (const auto& [seq, ref] : round.priv) {
+    const bool twin_arrives = std::any_of(round.lane.begin(), round.lane.end(), [&](const auto& e) {
+      return e.second == ref && !masked(e.first);
+    });
+    if (twin_arrives) {
+      out.fanout.dedup_hits += 1;
+    } else {
+      items.push_back({seq, 0, ref});
+    }
+  }
+  std::stable_sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+    return a.seq != b.seq ? a.seq < b.seq : a.lane < b.lane;
+  });
+  for (const Item& item : items) {
+    out.inbox.push_back(item.ref.get());
+    out.fanout.deliveries += 1;
+    out.fanout.bytes_delivered += item.ref.wire_bytes();
+    out.counters.delivered[static_cast<std::size_t>(item.ref->kind)] += 1;
+  }
+  if (!items.empty()) out.fanout.slab_sends = 1;
+  return out;
+}
+
+/// Deposit `round` into a fresh lane of type Lane (a ShardedLane split into
+/// two segments) and a Mailbox, collect, and compare with the oracle.
+template <typename Lane>
+void expect_collect_matches_oracle(const OracleRound& round, const std::string& label) {
+  Lane lane;
+  if constexpr (std::is_same_v<Lane, ShardedLane>) {
+    lane.reset(2);
+    for (std::size_t e = 0; e < round.lane.size(); ++e) {
+      ASSERT_TRUE(lane.segment(e < round.lane.size() / 2 ? 0 : 1)
+                      .deposit(round.lane[e].second, round.lane[e].first));
+    }
+    lane.seal();
+  } else {
+    for (const auto& [seq, ref] : round.lane) ASSERT_TRUE(lane.deposit(ref, seq));
+  }
+  Mailbox box;
+  for (const auto& [seq, ref] : round.priv) ASSERT_TRUE(box.deposit(ref, seq));
+  for (const std::uint64_t seq : round.masks) box.mask(seq);
+
+  std::vector<Message> scratch = {make_msg(99, MsgKind::kNoise, 99)};  // stale content
+  FanoutCounters fanout;
+  MessageCounters counters;
+  const auto inbox = box.collect(&lane, scratch, &fanout, &counters);
+  const OracleInbox expected = brute_force_collect(round);
+  EXPECT_EQ(std::vector<Message>(inbox.begin(), inbox.end()), expected.inbox) << label;
+  EXPECT_EQ(fanout.deliveries, expected.fanout.deliveries) << label;
+  EXPECT_EQ(fanout.bytes_delivered, expected.fanout.bytes_delivered) << label;
+  EXPECT_EQ(fanout.dedup_hits, expected.fanout.dedup_hits) << label;
+  EXPECT_EQ(fanout.slab_sends, expected.fanout.slab_sends) << label;
+  EXPECT_EQ(counters.delivered, expected.counters.delivered) << label;
+  EXPECT_TRUE(box.empty()) << label;
+}
+
+void expect_both_lanes_match_oracle(const OracleRound& round, const std::string& label) {
+  expect_collect_matches_oracle<BroadcastLane>(round, label + " (BroadcastLane)");
+  expect_collect_matches_oracle<ShardedLane>(round, label + " (ShardedLane)");
+}
+
+/// Five lane broadcasts at seqs 10, 20, ..., 50 from senders 1..5, with
+/// different kinds so per-kind counters are checked too.
+OracleRound five_lane_entries() {
+  OracleRound round;
+  for (NodeId s = 1; s <= 5; ++s) {
+    round.lane.emplace_back(10 * s, MessageRef::wrap(make_msg(
+                                        s, s % 2 == 0 ? MsgKind::kEcho : MsgKind::kInput,
+                                        static_cast<double>(s))));
+  }
+  return round;
+}
+
+TEST(MailboxOracle, MasksOnFirstLastAndAdjacentLaneEntries) {
+  for (const auto& masks : std::vector<std::vector<std::uint64_t>>{
+           {10}, {50}, {10, 50}, {20, 30}, {10, 20, 30, 40, 50}, {30, 40, 50}, {10, 20}}) {
+    OracleRound round = five_lane_entries();
+    round.masks = masks;
+    std::string label = "masks";
+    for (const std::uint64_t m : masks) label += " " + std::to_string(m);
+    expect_both_lanes_match_oracle(round, label);
+    // The same masks with private traffic before, between and after them.
+    round.priv.emplace_back(5, MessageRef::wrap(make_msg(7, MsgKind::kAck, 1)));
+    round.priv.emplace_back(25, MessageRef::wrap(make_msg(8, MsgKind::kAck, 2)));
+    round.priv.emplace_back(55, MessageRef::wrap(make_msg(9, MsgKind::kAck, 3)));
+    expect_both_lanes_match_oracle(round, label + " + private");
+  }
+}
+
+TEST(MailboxOracle, PrivateTwinOfMaskedAndOfUnmaskedLaneEntry) {
+  OracleRound round = five_lane_entries();
+  round.masks = {20};
+  // Twin of the masked entry: delivered in its own slot. Twin of an unmasked
+  // entry: a dedup hit.
+  round.priv.emplace_back(21, MessageRef::wrap(round.lane[1].second.get()));
+  round.priv.emplace_back(31, MessageRef::wrap(round.lane[2].second.get()));
+  expect_both_lanes_match_oracle(round, "twins");
+  round.masks = {20, 30};
+  expect_both_lanes_match_oracle(round, "twins, both masked");
+}
+
+TEST(MailboxOracle, RandomRoundsMatchBruteForce) {
+  std::mt19937_64 rng(0x5EED);
+  const auto coin = [&](double p) { return std::uniform_real_distribution<double>(0, 1)(rng) < p; };
+  for (int trial = 0; trial < 400; ++trial) {
+    OracleRound round;
+    const std::size_t lane_size = rng() % 12;
+    std::uint64_t seq = rng() % 3;
+    for (std::size_t e = 0; e < lane_size; ++e) {
+      round.lane.emplace_back(seq, MessageRef::wrap(make_msg(
+                                       static_cast<NodeId>(1 + e), static_cast<MsgKind>(rng() % 4),
+                                       static_cast<double>(rng() % 3))));
+      if (coin(0.4)) round.masks.push_back(seq);
+      seq += 1 + rng() % 3;
+    }
+    const std::size_t private_count = rng() % 6;
+    std::vector<std::uint64_t> private_seqs;
+    for (std::size_t j = 0; j < private_count; ++j) private_seqs.push_back(rng() % (seq + 2));
+    std::sort(private_seqs.begin(), private_seqs.end());
+    for (const std::uint64_t p : private_seqs) {
+      // Half the private entries twin a lane entry; the rest are fresh.
+      const MessageRef ref =
+          !round.lane.empty() && coin(0.5)
+              ? MessageRef::wrap(round.lane[rng() % round.lane.size()].second.get())
+              : MessageRef::wrap(make_msg(static_cast<NodeId>(20 + rng() % 4), MsgKind::kAck,
+                                          static_cast<double>(rng() % 2)));
+      const bool fresh = std::none_of(round.priv.begin(), round.priv.end(),
+                                      [&](const auto& e) { return e.second == ref; });
+      if (fresh) round.priv.emplace_back(p, ref);
+    }
+    expect_both_lanes_match_oracle(round, "trial " + std::to_string(trial));
+  }
 }
 
 TEST(FrameLayer, ViewSharesOwnershipOfOneBuffer) {

@@ -175,11 +175,51 @@ class HotspotProcess final : public Process {
   std::vector<std::string> log;
 };
 
+/// Two-faced chatter: besides its own broadcast, each node tells odd ids one
+/// value and even ids another through runs of equal unicasts (the shape the
+/// two-faced adversary gives its equivocation), and unicasts its broadcast's
+/// content to a fixed peer as well (a private twin of a lane entry).
+class TwoFacedChatterProcess final : public Process {
+ public:
+  using Process::Process;
+  static constexpr NodeId kPeers = 16;  // covers the churn scenario's ids
+
+  void on_round(RoundInfo round, std::span<const Message> inbox,
+                std::vector<Outgoing>& out) override {
+    std::ostringstream line;
+    line << "r" << round.global << ":";
+    for (const Message& m : inbox) {
+      line << " " << m.sender << "/" << static_cast<int>(m.kind) << "/" << m.value.to_string();
+    }
+    log.push_back(line.str());
+    Message m;
+    m.kind = MsgKind::kEcho;
+    m.value = Value::real(static_cast<double>(id()) * 1000 + static_cast<double>(round.global));
+    broadcast(out, m);
+    unicast(out, (id() % 5) + 1, m);
+    for (const NodeId parity : {NodeId{1}, NodeId{0}}) {
+      Message face;
+      face.kind = MsgKind::kInput;
+      face.value = Value::real(static_cast<double>(parity));
+      for (NodeId to = 1; to <= kPeers; ++to) {
+        if (to % 2 == parity) unicast(out, to, face);
+      }
+    }
+  }
+  [[nodiscard]] bool done() const override { return false; }
+
+  std::vector<std::string> log;
+};
+
 struct SyncRunResult {
   std::map<NodeId, std::vector<std::string>> logs;
   std::vector<NodeId> member_ids;
   std::uint64_t dedup_hits = 0;
   std::uint64_t deliveries = 0;
+  // Every Metrics counter the round engine feeds: sent and delivered per
+  // kind, then the fan-out deliveries, unique payloads, dedup hits, bytes
+  // and slab sends.
+  std::vector<std::uint64_t> counters;
   std::string full_trace;
   std::string canonical_trace;
   std::string chaos_trace;
@@ -255,8 +295,16 @@ SyncRunResult run_churn_scenario(unsigned threads, const ChurnSpec& spec) {
 
   for (const P* p : procs) harvest(p);
   result.member_ids = sim.member_ids();
-  result.dedup_hits = sim.metrics().fanout.dedup_hits;
-  result.deliveries = sim.metrics().fanout.deliveries;
+  const Metrics& metrics = sim.metrics();
+  result.dedup_hits = metrics.fanout.dedup_hits;
+  result.deliveries = metrics.fanout.deliveries;
+  result.counters.assign(metrics.messages.sent.begin(), metrics.messages.sent.end());
+  result.counters.insert(result.counters.end(), metrics.messages.delivered.begin(),
+                         metrics.messages.delivered.end());
+  result.counters.insert(result.counters.end(),
+                         {metrics.fanout.deliveries, metrics.fanout.unique_payloads,
+                          metrics.fanout.dedup_hits, metrics.fanout.bytes_delivered,
+                          metrics.fanout.slab_sends});
   if (recorder) {
     result.full_trace = recorder->jsonl();
     result.canonical_trace = recorder->canonical_jsonl();
@@ -271,6 +319,7 @@ void expect_identical_sweep(const SyncRunResult& reference, const SyncRunResult&
   EXPECT_EQ(sweep.member_ids, reference.member_ids) << "threads=" << threads;
   EXPECT_EQ(sweep.dedup_hits, reference.dedup_hits) << "threads=" << threads;
   EXPECT_EQ(sweep.deliveries, reference.deliveries) << "threads=" << threads;
+  EXPECT_EQ(sweep.counters, reference.counters) << "threads=" << threads;
   EXPECT_EQ(sweep.canonical_trace, reference.canonical_trace) << "threads=" << threads;
   EXPECT_EQ(sweep.full_trace, reference.full_trace) << "threads=" << threads;
   EXPECT_EQ(sweep.chaos_trace, reference.chaos_trace) << "threads=" << threads;
@@ -301,6 +350,32 @@ TEST(ParallelSyncEngine, LargeChurnChaosSweepIdenticalAcrossThreadCounts) {
   for (const unsigned threads : {2U, 8U}) {
     expect_identical_sweep(reference, run_churn_scenario<DigestChatterProcess>(threads, spec),
                            threads);
+  }
+}
+
+TEST(ParallelSyncEngine, TwoFacedChaosChurnIdenticalAcrossThreadCounts) {
+  // Private unicast runs and lane masks in the same inboxes — drop, dup and
+  // delay on top of two-faced traffic, with churn — at every thread count,
+  // with the flight recorder and without. The recorder changes which rounds
+  // walk links, so counters are compared per recorder mode; the inboxes
+  // every process saw must not depend on it.
+  SyncRunResult recorded;
+  for (const bool with_recorder : {true, false}) {
+    const ChurnSpec spec{.n = 12, .with_recorder = with_recorder};
+    const SyncRunResult reference =
+        run_churn_scenario<TwoFacedChatterProcess>(/*threads=*/1, spec);
+    EXPECT_GT(reference.dedup_hits, 0u);
+    EXPECT_NE(reference.chaos_trace.find("drop"), std::string::npos);
+    for (const unsigned threads : {2U, 3U, 8U}) {
+      expect_identical_sweep(
+          reference, run_churn_scenario<TwoFacedChatterProcess>(threads, spec), threads);
+    }
+    if (with_recorder) {
+      EXPECT_FALSE(reference.full_trace.empty());
+      recorded = reference;
+    } else {
+      EXPECT_EQ(reference.logs, recorded.logs) << "the recorder must not change any inbox";
+    }
   }
 }
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <sstream>
+#include <string>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -12,6 +15,7 @@
 
 #include "common/chaos.hpp"
 #include "common/metrics.hpp"
+#include "common/observer.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
 #include "net/process.hpp"
@@ -494,6 +498,175 @@ void exchange_round(SyncSimulator& a, SyncSimulator& b) {
   const std::vector<std::vector<SyncSimulator::Send>> to_b{local_sends(a)};
   a.finish_round(to_a);
   b.finish_round(to_b);
+}
+
+/// Each round: one broadcast and one unicast to `peer` with different
+/// content, so every receiver's inbox mixes lane and private traffic and is
+/// assembled into an engine buffer instead of aliasing the lane.
+class Pinger final : public Process {
+ public:
+  Pinger(NodeId id, NodeId peer) : Process(id), peer_(peer) {}
+
+  void on_round(RoundInfo round, std::span<const Message> /*inbox*/,
+                std::vector<Outgoing>& out) override {
+    broadcast(out, text_msg(MsgKind::kEcho, static_cast<double>(round.global)));
+    unicast(out, peer_, text_msg(MsgKind::kAck, static_cast<double>(id()) * 100 + round.global));
+  }
+
+ private:
+  NodeId peer_;
+};
+
+/// A Pinger that also steps a simulator of its own inside on_round, then
+/// checks that its inbox still reads as it did before the nested step.
+class NestingPinger final : public Process {
+ public:
+  NestingPinger(NodeId id, NodeId peer) : Process(id), pinger_(id, peer) {
+    inner_.add_process(std::make_unique<Pinger>(1, 2));
+    inner_.add_process(std::make_unique<Pinger>(2, 1));
+  }
+
+  void on_round(RoundInfo round, std::span<const Message> inbox,
+                std::vector<Outgoing>& out) override {
+    const std::vector<Message> before(inbox.begin(), inbox.end());
+    inner_.step();
+    inbox_kept = inbox_kept && std::equal(before.begin(), before.end(), inbox.begin(),
+                                          inbox.end());
+    max_inbox = std::max(max_inbox, before.size());
+    pinger_.on_round(round, inbox, out);
+  }
+
+  bool inbox_kept = true;
+  std::size_t max_inbox = 0;
+  SyncSimulator inner_;
+
+ private:
+  Pinger pinger_;
+};
+
+TEST(SyncSimulator, NestedSimulatorInsideOnRoundLeavesTheInboxIntact) {
+  // The outer and inner engines run on the same thread, so an inbox buffer
+  // shared per thread would be overwritten by the inner step's assembly.
+  for (const unsigned threads : {1U, 2U}) {
+    SyncSimulator sim;
+    sim.set_threads(threads);
+    auto a = std::make_unique<NestingPinger>(1, 2);
+    auto b = std::make_unique<NestingPinger>(2, 1);
+    const NestingPinger* pa = a.get();
+    const NestingPinger* pb = b.get();
+    sim.add_process(std::move(a));
+    sim.add_process(std::move(b));
+    sim.run_rounds(4);
+    EXPECT_TRUE(pa->inbox_kept) << "threads=" << threads;
+    EXPECT_TRUE(pb->inbox_kept) << "threads=" << threads;
+    EXPECT_EQ(pa->max_inbox, 3u) << "two broadcasts and the peer's unicast";
+    EXPECT_GT(pa->inner_.metrics().fanout.deliveries, 0u);
+  }
+}
+
+/// A Pinger that records one protocol event from inside each on_round, as a
+/// protocol with a TraceObserver does.
+class RecordingPinger final : public Process {
+ public:
+  RecordingPinger(NodeId id, NodeId peer, std::shared_ptr<TraceRecorder> recorder)
+      : Process(id), pinger_(id, peer), recorder_(std::move(recorder)) {}
+
+  void on_round(RoundInfo round, std::span<const Message> inbox,
+                std::vector<Outgoing>& out) override {
+    recorder_->record_protocol(ProtocolEvent{.type = ProtocolEvent::Type::kOpinionAdopted,
+                                             .node = id(),
+                                             .round = round.global,
+                                             .value = Value::real(1)});
+    pinger_.on_round(round, inbox, out);
+  }
+
+ private:
+  Pinger pinger_;
+  std::shared_ptr<TraceRecorder> recorder_;
+};
+
+/// The integer after `"key":` in one JSONL record.
+std::uint64_t json_field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\":");
+  return at == std::string::npos ? 0 : std::stoull(line.substr(at + key.size() + 3));
+}
+
+TEST(SyncSimulator, DeliveryRecordsPrecedeTheStepsProtocolEventsInEveryRing) {
+  // A node's deliveries of round r are recorded before its on_round of round
+  // r runs, so in its ring they come before that callback's protocol events.
+  for (const unsigned threads : {1U, 3U}) {
+    SyncSimulator sim;
+    sim.set_threads(threads);
+    auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+    sim.set_trace_recorder(recorder);
+    for (NodeId id = 1; id <= 6; ++id) {
+      sim.add_process(std::make_unique<RecordingPinger>(id, id % 6 + 1, recorder));
+    }
+    sim.run_rounds(5);
+    std::map<std::uint64_t, std::uint64_t> protocol_round;  // node → last event's round
+    std::size_t deliveries = 0;
+    std::istringstream jsonl(recorder->jsonl());
+    for (std::string line; std::getline(jsonl, line);) {
+      const std::uint64_t node = json_field(line, "node");
+      const std::uint64_t round = json_field(line, "round");
+      if (line.find("\"kind\":\"protocol\"") != std::string::npos) {
+        protocol_round[node] = round;
+      } else if (line.find("\"kind\":\"deliver\"") != std::string::npos) {
+        deliveries += 1;
+        EXPECT_GT(round, protocol_round[node]) << "threads=" << threads << ": " << line;
+      }
+    }
+    EXPECT_EQ(deliveries, 6u * 7 * 4) << "six broadcasts and one unicast per node, rounds 2-5";
+  }
+}
+
+TEST(SyncSimulator, SignedZerosInEqualConsecutiveSendsKeepTheirSigns) {
+  // Consecutive equal outbox entries share one wrapped message. 0.0 and -0.0
+  // compare equal but encode differently, so each must arrive as sent.
+  SyncSimulator sim;
+  auto a = std::make_unique<ScriptedProcess>(1);
+  auto b = std::make_unique<ScriptedProcess>(2);
+  auto c = std::make_unique<ScriptedProcess>(3);
+  a->send_in_round(1, Outgoing{NodeId{2}, text_msg(MsgKind::kAck, 0.0)});
+  a->send_in_round(1, Outgoing{NodeId{3}, text_msg(MsgKind::kAck, -0.0)});
+  a->send_in_round(1, Outgoing{NodeId{2}, text_msg(MsgKind::kEcho, -0.0)});
+  a->send_in_round(1, Outgoing{NodeId{3}, text_msg(MsgKind::kEcho, -0.0)});
+  const ScriptedProcess* pb = b.get();
+  const ScriptedProcess* pc = c.get();
+  sim.add_process(std::move(a));
+  sim.add_process(std::move(b));
+  sim.add_process(std::move(c));
+  sim.run_rounds(2);
+  ASSERT_EQ(pb->received_.at(2).size(), 2u);
+  ASSERT_EQ(pc->received_.at(2).size(), 2u);
+  EXPECT_FALSE(std::signbit(pb->received_.at(2)[0].value.as_real()));
+  EXPECT_TRUE(std::signbit(pc->received_.at(2)[0].value.as_real()));
+  EXPECT_TRUE(std::signbit(pb->received_.at(2)[1].value.as_real()));
+  EXPECT_TRUE(std::signbit(pc->received_.at(2)[1].value.as_real()));
+}
+
+TEST(SplitRound, RemoteSenderSplitAcrossRunsIsRejected) {
+  // finish_round's per-link sequence counters assume one run per sender: a
+  // remote stream that returns to a sender after another one breaks that.
+  SyncSimulator sim;
+  sim.add_process(std::make_unique<Pinger>(1, 2));
+  sim.begin_round();
+  const auto send_from = [](NodeId sender, double v) {
+    Message m = text_msg(MsgKind::kEcho, v);
+    m.sender = sender;
+    return SyncSimulator::Send{std::nullopt, MessageRef::wrap(m)};
+  };
+  const std::vector<std::vector<SyncSimulator::Send>> streams = {
+      {send_from(5, 1), send_from(6, 2), send_from(5, 3)}};
+  EXPECT_THROW(sim.finish_round(streams), std::invalid_argument);
+
+  // The same sender in two streams is split just the same.
+  SyncSimulator other;
+  other.add_process(std::make_unique<Pinger>(1, 2));
+  other.begin_round();
+  const std::vector<std::vector<SyncSimulator::Send>> twice = {{send_from(5, 1)},
+                                                               {send_from(5, 2)}};
+  EXPECT_THROW(other.finish_round(twice), std::invalid_argument);
 }
 
 TEST(SplitRound, StepEqualsBeginThenFinish) {
