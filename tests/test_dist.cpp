@@ -3,6 +3,8 @@
 // (byte-identical canonical traces), the forked end-to-end coordinator, and
 // crashed-worker detection.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -16,12 +18,14 @@
 #include <vector>
 
 #include "dist/shard_coordinator.hpp"
+#include "dist/shard_mesh.hpp"
 #include "dist/shard_plan.hpp"
 #include "dist/shard_trace.hpp"
 #include "dist/shard_wire.hpp"
 #include "dist/shard_worker.hpp"
 #include "fuzz/generator.hpp"
 #include "harness/script.hpp"
+#include "net/codec.hpp"
 
 namespace idonly {
 namespace {
@@ -289,6 +293,130 @@ TEST(ShardWire, ResultRoundTripCarriesEveryMergedField) {
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(decode_result(std::span(bytes.data(), len)).has_value()) << "prefix " << len;
   }
+}
+
+// ------------------------------------------------ mesh data-plane rejects --
+
+/// One MeshExchange (shard 0 of 2) on a socketpair, with the test playing
+/// peer shard 1 by hand: it writes raw `u32 LE length + payload` mesh frames
+/// to the other end. The handshake runs in the constructor.
+class MeshPeerHarness {
+ public:
+  MeshPeerHarness() {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    peer_fd_ = fds[1];
+    mesh_ = std::make_unique<MeshExchange>(0, 2, std::vector<int>{-1, fds[0]});
+    write_frame(encode_peer_hello(1, 2));
+    std::string error;
+    EXPECT_TRUE(mesh_->handshake(error)) << error;
+  }
+  ~MeshPeerHarness() { hang_up(); }
+  MeshPeerHarness(const MeshPeerHarness&) = delete;
+  MeshPeerHarness& operator=(const MeshPeerHarness&) = delete;
+
+  void write_frame(std::span<const std::byte> payload) const {
+    std::vector<std::byte> frame;
+    const auto len = static_cast<std::uint32_t>(payload.size());
+    for (int i = 0; i < 4; ++i) frame.push_back(static_cast<std::byte>((len >> (8 * i)) & 0xFF));
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    EXPECT_EQ(::send(peer_fd_, frame.data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+  }
+
+  /// Close the peer end: a frame the mesh wrongly accepts then ends in a
+  /// "closed its socket" error instead of a hang.
+  void hang_up() {
+    if (peer_fd_ >= 0) ::close(peer_fd_);
+    peer_fd_ = -1;
+  }
+
+  [[nodiscard]] bool post(Round round, std::string& error) {
+    return mesh_->post_round(round, {}, error);
+  }
+  [[nodiscard]] bool collect(Round round, std::string& error) {
+    return mesh_->collect_round(
+        round, [](std::uint32_t, std::span<const std::byte>) { return true; }, error);
+  }
+
+ private:
+  int peer_fd_ = -1;
+  std::unique_ptr<MeshExchange> mesh_;
+};
+
+std::vector<std::byte> mesh_slab(std::uint32_t shard, Round round) {
+  ShardSlabWriter writer;
+  writer.reset(shard, round);
+  writer.add(std::nullopt, Message{.sender = 7, .kind = MsgKind::kPresent});
+  const auto bytes = writer.bytes();
+  return {bytes.begin(), bytes.end()};
+}
+
+struct MeshRejectCase {
+  const char* name;
+  std::vector<std::vector<std::byte>> frames;  ///< written by peer shard 1, in order
+  const char* reason;                          ///< expected in the error
+};
+
+std::vector<MeshRejectCase> mesh_reject_cases() {
+  Frame round_zero_beacon{std::byte{kPeerBeaconMagic}, std::byte{1}, std::byte{0}};
+  return {
+      {"slab naming another shard", {mesh_slab(0, 1)}, "malformed slab header"},
+      {"beacon naming another shard", {encode_peer_beacon(0, 1)}, "malformed beacon"},
+      {"slab for round 0", {mesh_slab(1, 0)}, "malformed slab header"},
+      {"beacon for round 0", {round_zero_beacon}, "malformed beacon"},
+      {"round regression",
+       {encode_peer_beacon(1, 1), encode_peer_beacon(1, 1)},
+       "broke round order"},
+      {"slab then an older beacon",
+       {mesh_slab(1, 2), encode_peer_beacon(1, 1)},
+       "broke round order"},
+      {"round two ahead", {encode_peer_beacon(1, 3)}, "broke round order"},
+      {"unknown magic", {encode(Message{.sender = 7, .kind = MsgKind::kPresent})},
+       "unknown mesh payload"},
+      {"empty payload", {Frame{}}, "empty mesh frame"},
+  };
+}
+
+TEST(MeshReject, BadPeerFrameFailsPostRoundAndNamesThePeer) {
+  // The frames are already buffered when this worker posts its round:
+  // post_round drains them between its sends and rejects them.
+  for (const MeshRejectCase& c : mesh_reject_cases()) {
+    MeshPeerHarness harness;
+    for (const auto& frame : c.frames) harness.write_frame(frame);
+    harness.hang_up();
+    std::string error;
+    EXPECT_FALSE(harness.post(1, error)) << c.name;
+    EXPECT_NE(error.find("mesh peer shard 1"), std::string::npos) << c.name << ": " << error;
+    EXPECT_NE(error.find(c.reason), std::string::npos) << c.name << ": " << error;
+  }
+}
+
+TEST(MeshReject, BadPeerFrameFailsCollectRoundAndNamesThePeer) {
+  // The frames land after this worker has posted its round: collect_round,
+  // not post_round, is the call that reads and rejects them.
+  for (const MeshRejectCase& c : mesh_reject_cases()) {
+    MeshPeerHarness harness;
+    std::string error;
+    ASSERT_TRUE(harness.post(1, error)) << c.name << ": " << error;
+    for (const auto& frame : c.frames) harness.write_frame(frame);
+    harness.hang_up();
+    EXPECT_FALSE(harness.collect(1, error)) << c.name;
+    EXPECT_NE(error.find("mesh peer shard 1"), std::string::npos) << c.name << ": " << error;
+    EXPECT_NE(error.find(c.reason), std::string::npos) << c.name << ": " << error;
+  }
+}
+
+TEST(MeshReject, WellFormedPeerRoundsAreAccepted) {
+  // The harness's own control: a slab then a beacon, one per round, pass.
+  MeshPeerHarness harness;
+  harness.write_frame(mesh_slab(1, 1));
+  harness.write_frame(encode_peer_beacon(1, 2));
+  std::string error;
+  ASSERT_TRUE(harness.post(1, error)) << error;
+  ASSERT_TRUE(harness.collect(1, error)) << error;
+  ASSERT_TRUE(harness.post(2, error)) << error;
+  EXPECT_TRUE(harness.collect(2, error)) << error;
 }
 
 // -------------------------------------------- in-process worker parity --
