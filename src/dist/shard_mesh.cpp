@@ -66,38 +66,28 @@ bool MeshExchange::route_frame(Peer& peer, std::vector<std::byte> payload, std::
     peer.hello_seen = true;
     return true;
   }
-  // Data plane: a shard slab or an empty-round beacon, exactly one per
+  // Data plane: a slab or an empty-round beacon, exactly one per
   // round, rounds strictly ascending and at most one ahead of ours.
   if (payload.empty()) {
     error = peer_name + " sent an empty mesh frame";
     return false;
   }
   const auto magic = static_cast<std::uint8_t>(payload[0]);
-  std::uint64_t frame_round = 0;
-  if (magic == kPeerBeaconMagic) {
-    const auto beacon = parse_peer_beacon(payload);
-    if (!beacon.has_value() || beacon->shard != peer.shard) {
-      error = peer_name + " sent a malformed beacon";
-      return false;
-    }
-    frame_round = static_cast<std::uint64_t>(beacon->round);
-  } else if (magic == kShardSlabMagic) {
-    // Structural peek only — the slab header shares the beacon's layout
-    // (magic, varint shard, varint round); the full parse happens in the
-    // worker's decode sink.
-    std::size_t offset = 1;
-    const auto from = get_varint(payload, offset);
-    const auto round = get_varint(payload, offset);
-    if (!from || !round || *from != peer.shard || *round == 0) {
-      error = peer_name + " sent a malformed slab header";
-      return false;
-    }
-    frame_round = *round;
-  } else {
+  if (magic != kShardSlabMagic && magic != kPeerBeaconMagic) {
     error = peer_name + " sent an unknown mesh payload";
     return false;
   }
-  const auto round = static_cast<Round>(frame_round);
+  // Both kinds open with the slab header and a beacon is nothing else; the
+  // slab's full parse happens in the worker's decode sink.
+  const bool beacon = magic == kPeerBeaconMagic;
+  std::size_t offset = 0;
+  const auto header = read_slab_header(payload, offset);
+  if (!header.has_value() || header->shard != peer.shard ||
+      (beacon && offset != payload.size())) {
+    error = peer_name + (beacon ? " sent a malformed beacon" : " sent a malformed slab header");
+    return false;
+  }
+  const Round round = header->round;
   if (round <= peer.last_round || round > current_round_ + 1) {
     error = peer_name + " broke round order (frame round " + std::to_string(round) +
             ", local round " + std::to_string(current_round_) + ")";
@@ -106,7 +96,7 @@ bool MeshExchange::route_frame(Peer& peer, std::vector<std::byte> payload, std::
   peer.last_round = round;
   auto& slot = staged_[round];
   slot.arrived += 1;
-  if (magic == kShardSlabMagic) slot.payloads.push_back({peer.shard, std::move(payload)});
+  if (!beacon) slot.payloads.push_back({peer.shard, std::move(payload)});
   return true;
 }
 

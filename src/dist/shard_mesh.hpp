@@ -3,14 +3,16 @@
 //
 // The coordinator plumbs one AF_UNIX stream socketpair per shard PAIR at
 // fork time; each worker keeps the ends that involve it and exchanges the
-// round's 0xAC shard slabs peer-to-peer, so no slab byte ever transits the
-// coordinator. A single-shard run has zero peers: the handshake, posts and
-// collects complete at once. Mesh framing is minimal: `u32 LE payload length
-// + payload`, where the payload is one of the net/codec mesh payloads —
-// a peer hello (0xAD, handshake), a shard slab (0xAC), or an empty-round
-// beacon (0xAE). Every peer sends EXACTLY ONE frame per round (slab or
-// beacon), which is what lets the receiver tell "nothing for me this round"
-// from "still in flight" without a barrier.
+// round's slabs (net/codec.hpp, 0xAC — the one slab format, also the UDP
+// runtime's) peer-to-peer, so no slab byte ever transits the coordinator. A
+// single-shard run has zero peers: the handshake, posts and collects
+// complete at once. Mesh framing is minimal: `u32 LE payload length +
+// payload`, where the payload is a peer hello (0xAD, handshake), a slab, or
+// an empty-round beacon (0xAE, a bare slab header). Slab and beacon are
+// routed by the codec's one header reader (read_slab_header). Every peer
+// sends EXACTLY ONE frame per round (slab or beacon), which is what lets the
+// receiver tell "nothing for me this round" from "still in flight" without a
+// barrier.
 //
 // Overlap model (double-buffered rounds):
 //   * post_round() frames this round's outbound payloads and drives them

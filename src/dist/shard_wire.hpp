@@ -6,8 +6,8 @@
 // control plane is coordinator↔worker on one host, so the compactness of the
 // codec varints buys nothing here). No slab byte rides the control plane:
 // the inter-shard message slabs travel worker↔worker over the mesh
-// (dist/shard_mesh.hpp) in the shard-slab wire format (net/codec.hpp,
-// kShardSlabMagic), i.e. exactly the bytes a UDP fan-out would carry.
+// (dist/shard_mesh.hpp) in the one slab format (net/codec.hpp,
+// kShardSlabMagic), the same format the UDP runtime broadcasts.
 //
 // Round protocol (coordinator-driven; the worker is purely reactive):
 //

@@ -115,17 +115,25 @@ std::optional<Message> decode(std::span<const std::byte> bytes) {
   return msg;
 }
 
-void SlabWriter::reset(Round round) {
-  buffer_.clear();
-  frames_ = 0;
-  buffer_.push_back(static_cast<std::byte>(kSlabMagic));
-  put_varint(static_cast<std::uint64_t>(round), buffer_);
+void put_slab_header(const SlabHeader& header, std::vector<std::byte>& out) {
+  out.push_back(static_cast<std::byte>(header.magic));
+  put_varint(header.shard, out);
+  put_varint(static_cast<std::uint64_t>(header.round), out);
 }
 
-void SlabWriter::add(const Message& msg) {
-  put_varint(encoded_size(msg), buffer_);
-  encode(msg, buffer_);
-  frames_ += 1;
+std::optional<SlabHeader> read_slab_header(std::span<const std::byte> bytes,
+                                           std::size_t& offset) {
+  if (bytes.empty()) return std::nullopt;
+  offset = 1;
+  const auto shard = get_varint(bytes, offset);
+  const auto round = get_varint(bytes, offset);
+  if (!shard || !round) return std::nullopt;
+  if (*shard > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
+  if (*round == 0 || *round > static_cast<std::uint64_t>(std::numeric_limits<Round>::max())) {
+    return std::nullopt;  // rounds are 1-based and must fit Round
+  }
+  return SlabHeader{static_cast<std::uint8_t>(bytes[0]), static_cast<std::uint32_t>(*shard),
+                    static_cast<Round>(*round)};
 }
 
 void ShardSlabWriter::reset(std::uint32_t shard, Round round) {
@@ -144,11 +152,17 @@ void ShardSlabWriter::add(std::optional<NodeId> to, const Message& msg) {
   buffer_.clear();  // header depends on the frame count; reassemble lazily
 }
 
+void ShardSlabWriter::add_frame(std::optional<NodeId> to, std::span<const std::byte> frame) {
+  put_varint(to.has_value() ? *to + 1 : 0, body_);
+  put_varint(frame.size(), body_);
+  body_.insert(body_.end(), frame.begin(), frame.end());
+  frames_ += 1;
+  buffer_.clear();
+}
+
 std::span<const std::byte> ShardSlabWriter::bytes() const {
   if (buffer_.empty()) {
-    buffer_.push_back(static_cast<std::byte>(kShardSlabMagic));
-    put_varint(shard_, buffer_);
-    put_varint(static_cast<std::uint64_t>(round_), buffer_);
+    put_slab_header(SlabHeader{kShardSlabMagic, shard_, round_}, buffer_);
     put_varint(frames_, buffer_);
     buffer_.insert(buffer_.end(), body_.begin(), body_.end());
   }
@@ -156,22 +170,14 @@ std::span<const std::byte> ShardSlabWriter::bytes() const {
 }
 
 std::optional<ShardSlabView> parse_shard_slab(std::span<const std::byte> bytes) {
-  if (bytes.empty() || static_cast<std::uint8_t>(bytes[0]) != kShardSlabMagic) {
-    return std::nullopt;
-  }
-  std::size_t offset = 1;
-  const auto shard = get_varint(bytes, offset);
-  const auto round = get_varint(bytes, offset);
+  std::size_t offset = 0;
+  const auto header = read_slab_header(bytes, offset);
+  if (!header || header->magic != kShardSlabMagic) return std::nullopt;
   const auto count = get_varint(bytes, offset);
-  if (!shard || !round || !count) return std::nullopt;
-  if (*shard > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
-  if (*round == 0 || *round > static_cast<std::uint64_t>(std::numeric_limits<Round>::max())) {
-    return std::nullopt;  // rounds are 1-based and must fit Round
-  }
-  if (*count == 0) return std::nullopt;  // an empty shard slab is never sent
+  if (!count || *count == 0) return std::nullopt;  // an empty slab is never sent
   ShardSlabView view;
-  view.shard = static_cast<std::uint32_t>(*shard);
-  view.round = static_cast<Round>(*round);
+  view.shard = header->shard;
+  view.round = header->round;
   for (std::uint64_t i = 0; i < *count; ++i) {
     const auto to_tag = get_varint(bytes, offset);
     if (!to_tag) return std::nullopt;
@@ -212,47 +218,16 @@ std::optional<PeerHello> parse_peer_hello(std::span<const std::byte> bytes) {
 
 std::vector<std::byte> encode_peer_beacon(std::uint32_t shard, Round round) {
   std::vector<std::byte> out;
-  out.push_back(static_cast<std::byte>(kPeerBeaconMagic));
-  put_varint(shard, out);
-  put_varint(static_cast<std::uint64_t>(round), out);
+  put_slab_header(SlabHeader{kPeerBeaconMagic, shard, round}, out);
   return out;
 }
 
 std::optional<PeerBeacon> parse_peer_beacon(std::span<const std::byte> bytes) {
-  if (bytes.empty() || static_cast<std::uint8_t>(bytes[0]) != kPeerBeaconMagic) {
-    return std::nullopt;
-  }
-  std::size_t offset = 1;
-  const auto shard = get_varint(bytes, offset);
-  const auto round = get_varint(bytes, offset);
-  if (!shard || !round) return std::nullopt;
-  if (*shard > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
-  if (*round == 0 || *round > static_cast<std::uint64_t>(std::numeric_limits<Round>::max())) {
-    return std::nullopt;  // rounds are 1-based and must fit Round
-  }
+  std::size_t offset = 0;
+  const auto header = read_slab_header(bytes, offset);
+  if (!header || header->magic != kPeerBeaconMagic) return std::nullopt;
   if (offset != bytes.size()) return std::nullopt;  // trailing bytes
-  return PeerBeacon{static_cast<std::uint32_t>(*shard), static_cast<Round>(*round)};
-}
-
-std::optional<SlabView> parse_slab(std::span<const std::byte> bytes) {
-  if (bytes.empty() || static_cast<std::uint8_t>(bytes[0]) != kSlabMagic) return std::nullopt;
-  std::size_t offset = 1;
-  const auto round = get_varint(bytes, offset);
-  if (!round) return std::nullopt;
-  if (*round == 0 || *round > static_cast<std::uint64_t>(std::numeric_limits<Round>::max())) {
-    return std::nullopt;  // rounds are 1-based and must fit Round
-  }
-  SlabView view;
-  view.round = static_cast<Round>(*round);
-  while (offset < bytes.size()) {
-    const auto length = get_varint(bytes, offset);
-    if (!length) return std::nullopt;
-    if (*length == 0 || *length > bytes.size() - offset) return std::nullopt;
-    view.frames.push_back(bytes.subspan(offset, *length));
-    offset += *length;
-  }
-  if (view.frames.empty()) return std::nullopt;  // an empty slab is never sent
-  return view;
+  return PeerBeacon{header->shard, header->round};
 }
 
 }  // namespace idonly

@@ -18,19 +18,28 @@
 // nullopt (never UB, never a partial message) — a Byzantine peer controls
 // these bytes.
 //
-// Slab format (frame coalescing): the runtime sends ONE datagram per peer per
-// round instead of one per message. A slab is:
+// Slab format: the one batch format on every wire. A slab carries one
+// round's frames from one sender to one destination — a UDP broadcast by
+// the runtime's RoundDriver, a worker-to-worker mesh transfer in the
+// distributed shard engine (src/dist/). Layout:
 //
-//   byte 0      kSlabMagic (0xAB — never a valid frame: version byte is 1)
-//   varint      round the slab was sent in
-//   repeated:   varint frame length (> 0), then that many frame bytes
+//   byte 0      kShardSlabMagic (0xAC — never a valid frame: version byte is 1)
+//   varint      source shard id (the UDP runtime writes 0)
+//   varint      round the frames were sent in (1-based)
+//   varint      frame count (> 0 — an empty slab is never sent)
+//   repeated:   varint destination tag (0 = broadcast, id+1 = unicast to id),
+//               varint frame length (> 0), then that many frame bytes
 //
-// parse_slab() is structural only — it slices the payload into per-frame
-// subspans without decoding them, so receivers can reuse zero-copy FrameViews
-// and apply the normal per-frame decode()/drop accounting. It is total like
-// decode(): any malformation (bad magic, zero/overlong length, trailing or
-// missing bytes, zero frames) yields nullopt so callers can fall back to the
-// legacy one-frame-per-datagram format.
+// The first three fields are the SLAB HEADER, which the mesh beacon shares
+// (see below); one writer/reader pair (put_slab_header / read_slab_header)
+// handles it for every payload kind. parse_shard_slab() is structural only —
+// it slices the payload into routed per-frame subspans without decoding
+// them, so receivers apply the normal per-frame decode()/drop accounting and
+// a corrupt inner frame never takes down its slab-mates. It is total like
+// decode(): any malformation yields nullopt. The explicit frame count means
+// no strict prefix of a slab parses, so truncation is detected before any
+// frame is touched. The `ShardSlab` names date from when only the shard
+// engine sent slabs; the format is the same on every wire.
 #pragma once
 
 #include <cstddef>
@@ -45,13 +54,6 @@
 namespace idonly {
 
 inline constexpr std::uint8_t kWireVersion = 1;
-
-/// First byte of a coalesced slab datagram. Distinct from kWireVersion so a
-/// receiver can tell slab and legacy frames apart from byte 0 (a legacy
-/// varint round header can also start with 0xAB — e.g. varint(171) — which is
-/// why slab detection is "magic byte AND structurally valid", with a legacy
-/// fallback on parse failure).
-inline constexpr std::uint8_t kSlabMagic = 0xAB;
 
 /// Append the encoded frame to `out`; returns the encoded size.
 std::size_t encode(const Message& msg, std::vector<std::byte>& out);
@@ -75,68 +77,37 @@ void put_varint(std::uint64_t value, std::vector<std::byte>& out);
 [[nodiscard]] std::optional<std::uint64_t> get_varint(std::span<const std::byte> bytes,
                                                       std::size_t& offset);
 
-/// Builds one coalesced slab datagram: magic + round header + length-prefixed
-/// encoded frames. Reusable across rounds via reset() so the send path does
-/// not reallocate per round.
-class SlabWriter {
- public:
-  /// Drops any accumulated frames and starts a slab for `round`.
-  void reset(Round round);
-  /// Appends one length-prefixed encoded frame.
-  void add(const Message& msg);
-  /// Number of frames added since the last reset().
-  [[nodiscard]] std::size_t frame_count() const noexcept { return frames_; }
-  /// The full slab datagram (magic + header + frames added so far).
-  [[nodiscard]] std::span<const std::byte> bytes() const noexcept { return buffer_; }
-
- private:
-  std::vector<std::byte> buffer_;
-  std::size_t frames_ = 0;
-};
-
-/// Result of a structural slab parse: the round header plus one subspan of
-/// the input per contained frame (zero-copy — spans alias the parsed bytes).
-struct SlabView {
-  Round round = 0;
-  std::vector<std::span<const std::byte>> frames;
-};
-
-/// Structurally parse a slab. Total: nullopt on bad magic, malformed or
-/// out-of-range round, zero frames, zero-length or overlong frame prefixes,
-/// or trailing bytes. Does NOT decode the contained frames.
-[[nodiscard]] std::optional<SlabView> parse_slab(std::span<const std::byte> bytes);
-
-// ------------------------------------------------------------ shard slab --
-// Cross-shard batch format used by the distributed shard engine (src/dist/):
-// one slab per (source shard, destination shard) per round, carrying every
-// frame the destination shard must merge. Extends the plain slab with a
-// shard header and per-frame routing tags:
-//
-//   byte 0      kShardSlabMagic (0xAC — distinct from frames and plain slabs)
-//   varint      source shard id
-//   varint      round the frames were sent in
-//   varint      frame count (> 0 — an empty shard slab is never sent)
-//   repeated:   varint destination tag (0 = broadcast, id+1 = unicast to id),
-//               varint frame length (> 0), then that many frame bytes
-//
-// The explicit frame count (plain slabs rely on "until end of buffer") lets
-// a receiver distinguish truncation from completion before touching any
-// frame — a shard slab crosses a process boundary, where a short read is a
-// wedged or dying peer, not background noise.
-
-/// First byte of a cross-shard slab. Never a valid frame (version byte is 1)
-/// and never a plain slab (kSlabMagic is 0xAB); like kSlabMagic, detection
-/// is "magic AND structurally valid".
+/// First byte of a slab. Never a valid frame (version byte is 1).
 inline constexpr std::uint8_t kShardSlabMagic = 0xAC;
 
-/// Builds one cross-shard slab: shard header + routed length-prefixed
-/// frames. Reusable across rounds via reset().
+/// The header a slab and a mesh beacon start with: magic byte, varint
+/// source shard, varint round.
+struct SlabHeader {
+  std::uint8_t magic = 0;
+  std::uint32_t shard = 0;
+  Round round = 0;
+};
+
+/// Appends `header` in wire form.
+void put_slab_header(const SlabHeader& header, std::vector<std::byte>& out);
+
+/// Reads the header at the start of `bytes` (any magic byte — callers
+/// dispatch on it) and sets `offset` just past it. Total: nullopt on
+/// truncation, a malformed varint, a shard that does not fit 32 bits, or a
+/// round that is zero or does not fit Round.
+[[nodiscard]] std::optional<SlabHeader> read_slab_header(std::span<const std::byte> bytes,
+                                                         std::size_t& offset);
+
+/// Builds one slab: header + routed length-prefixed frames. Reusable
+/// across rounds via reset() so the send path does not reallocate per round.
 class ShardSlabWriter {
  public:
   /// Drops any accumulated frames and starts a slab from `shard` for `round`.
   void reset(std::uint32_t shard, Round round);
   /// Appends one frame routed to `to` (nullopt = broadcast).
   void add(std::optional<NodeId> to, const Message& msg);
+  /// Appends already-encoded frame bytes (non-empty) routed to `to`.
+  void add_frame(std::optional<NodeId> to, std::span<const std::byte> frame);
   [[nodiscard]] std::size_t frame_count() const noexcept { return frames_; }
   [[nodiscard]] bool empty() const noexcept { return frames_ == 0; }
   /// The full slab (header with the final frame count + frames). Valid
@@ -151,8 +122,8 @@ class ShardSlabWriter {
   std::size_t frames_ = 0;
 };
 
-/// Result of a structural shard-slab parse: the header plus one routed
-/// subspan per frame (zero-copy — spans alias the parsed bytes).
+/// Result of a structural slab parse: the header plus one routed subspan
+/// per frame (zero-copy — spans alias the parsed bytes).
 struct ShardSlabView {
   std::uint32_t shard = 0;
   Round round = 0;
@@ -163,17 +134,14 @@ struct ShardSlabView {
   std::vector<Entry> entries;
 };
 
-/// Structurally parse a shard slab. Total like parse_slab(): nullopt on bad
-/// magic, malformed header, a frame count that disagrees with the body,
-/// zero frames, zero-length or overlong frame prefixes, or trailing bytes.
+/// Structurally parse a slab. Total: nullopt on bad magic, malformed
+/// header, a frame count that disagrees with the body, zero frames,
+/// zero-length or overlong frame prefixes, or trailing bytes.
 [[nodiscard]] std::optional<ShardSlabView> parse_shard_slab(std::span<const std::byte> bytes);
 
 // ---------------------------------------------------------- mesh peering --
 // The distributed shard engine's direct worker↔worker mesh (src/dist/)
-// carries two more payload kinds on its peer sockets, both sharing the
-// shard-slab header prefix (magic, varint shard, varint round where
-// applicable) so a receiver can route any mesh payload from its first
-// bytes:
+// carries two more payload kinds on its peer sockets:
 //
 //   peer hello (handshake, once per socket at fork time):
 //     byte 0    kPeerHelloMagic (0xAD)
@@ -181,16 +149,16 @@ struct ShardSlabView {
 //     varint    total shard count (echoed so both ends pin ONE topology)
 //
 //   empty-round beacon (one per peer per round with no cross-shard traffic):
-//     byte 0    kPeerBeaconMagic (0xAE)
-//     varint    sender's shard id
-//     varint    round (1-based)
+//     a slab header and nothing else — kPeerBeaconMagic (0xAE), varint
+//     sender's shard id, varint round (1-based)
 //
-// An empty shard slab is never sent (see above), but a mesh receiver must
-// still distinguish "peer has nothing for me this round" from "slab still in
+// An empty slab is never sent (see above), but a mesh receiver must still
+// distinguish "peer has nothing for me this round" from "slab still in
 // flight" — the beacon is that explicit absence, which is what lets the
-// boundary merge start the moment every peer has spoken. Both parsers are
-// total: a garbled handshake or beacon is rejected before any slab is
-// parsed, exactly like a malformed slab.
+// boundary merge start the moment every peer has spoken. Because slab and
+// beacon share the header, read_slab_header() routes either from its first
+// bytes. Both parsers are total: a garbled handshake or beacon is rejected
+// before any slab is parsed, exactly like a malformed slab.
 
 /// First byte of a mesh handshake payload.
 inline constexpr std::uint8_t kPeerHelloMagic = 0xAD;

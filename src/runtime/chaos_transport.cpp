@@ -4,18 +4,6 @@
 
 namespace idonly {
 
-namespace {
-
-/// A held view must survive the inner transport's buffer reuse: copy the
-/// bytes into an owned ref when the view does not share ownership already.
-FrameView materialize(FrameView view) {
-  if (view.owner != nullptr) return view;
-  const FrameRef owned = make_frame_ref(view.bytes);
-  return FrameView{owned, std::span<const std::byte>(owned->data(), owned->size())};
-}
-
-}  // namespace
-
 ChaosTransport::ChaosTransport(std::unique_ptr<Transport> inner,
                                std::shared_ptr<ChaosSchedule> chaos, NodeId self)
     : inner_(std::move(inner)), chaos_(std::move(chaos)), self_(self) {}
@@ -40,64 +28,56 @@ std::vector<FrameView> ChaosTransport::drain_views() {
   }
   held_ = std::move(still_held);
 
-  // Per-frame fault application on a LEGACY-format frame (varint round +
-  // codec frame): the verdict key and seq accounting are per message, so
-  // slabs are exploded below before reaching this point — keeping per-link
-  // seq counters (and therefore whole fault traces) byte-identical to the
-  // simulators, which decide per message.
-  const auto apply = [&](FrameView view) {
-    // Recover the link key from the frame: round header + codec sender.
-    std::size_t offset = 0;
-    const auto header = get_varint(view.bytes, offset);
-    const auto msg = header.has_value() ? decode(view.bytes.subspan(offset)) : std::nullopt;
-    if (!msg.has_value()) {
-      out.push_back(std::move(view));  // unparseable — the driver drops it anyway
-      return;
-    }
-    const auto round = static_cast<Round>(*header);
-    const NodeId from = msg->sender;
-    const std::uint64_t seq = seq_[{round, from}]++;
-    const LinkEvent event{round, from, self_, seq};
-    const FaultDecision verdict = chaos_->decide(event);
-    if (recorder_ != nullptr) recorder_->record_link_verdict(event, verdict);
-    if (verdict.drop) return;
-
-    if (verdict.corrupt && view.bytes.size() > offset) {
-      // Flip one payload byte past the round header in a private copy —
-      // wire corruption that decode() (or the protocol) must survive.
-      auto corrupted = std::make_shared<Frame>(view.bytes.begin(), view.bytes.end());
-      const std::size_t pos = offset + verdict.entropy % (corrupted->size() - offset);
-      (*corrupted)[pos] ^= static_cast<std::byte>(1u << ((verdict.entropy >> 8) % 8));
-      view = FrameView{corrupted,
-                       std::span<const std::byte>(corrupted->data(), corrupted->size())};
-    }
-
-    const int copies = verdict.duplicate ? 2 : 1;
-    for (int i = 0; i < copies; ++i) {
-      if (verdict.delay_rounds > 0) {
-        held_.push_back(Held{materialize(view), verdict.delay_rounds});
-      } else {
-        out.push_back(view);
-      }
-    }
-  };
-
+  // Verdicts are per message, so every entry of a slab is judged on its
+  // own, in slab order — keeping per-link seq counters (and therefore whole
+  // fault traces) byte-identical to the simulators, which decide per
+  // message. Each surviving copy leaves as a one-entry slab under the
+  // input's header and tag, i.e. an owned frame, so holding it across the
+  // inner transport's buffer reuse is safe.
   for (FrameView& view : inner_->drain_views()) {
-    if (!view.bytes.empty() && static_cast<std::uint8_t>(view.bytes[0]) == kSlabMagic) {
-      if (const auto slab = parse_slab(view.bytes)) {
-        // Explode the slab into owned legacy frames in slab order so each
-        // message gets its own verdict (see `apply` above).
-        for (const auto frame : slab->frames) {
-          Frame legacy;
-          legacy.reserve(frame.size() + 10);
-          put_varint(static_cast<std::uint64_t>(slab->round), legacy);
-          legacy.insert(legacy.end(), frame.begin(), frame.end());
-          apply(make_frame_view(std::make_shared<const Frame>(std::move(legacy))));
-        }
+    const auto slab = parse_shard_slab(view.bytes);
+    if (!slab.has_value()) {
+      out.push_back(std::move(view));  // not a slab — the driver drops it anyway
+      continue;
+    }
+    for (const ShardSlabView::Entry& entry : slab->entries) {
+      const auto emit = [&](std::span<const std::byte> frame) {
+        ShardSlabWriter writer;
+        writer.reset(slab->shard, slab->round);
+        writer.add_frame(entry.to, frame);
+        return make_frame_view(make_frame_ref(writer.bytes()));
+      };
+      const auto msg = decode(entry.frame);
+      if (!msg.has_value()) {
+        out.push_back(emit(entry.frame));  // undecodable — unfaulted, dropped downstream
         continue;
       }
+      const LinkEvent event{slab->round, msg->sender, self_, seq_[{slab->round, msg->sender}]++};
+      const FaultDecision verdict = chaos_->decide(event);
+      if (recorder_ != nullptr) recorder_->record_link_verdict(event, verdict);
+      if (verdict.drop) continue;
+
+      std::span<const std::byte> frame = entry.frame;
+      Frame corrupted;
+      if (verdict.corrupt) {
+        // Flip one bit of one frame byte in a private copy — wire corruption
+        // that decode() (or the protocol) must survive. The slab header and
+        // length prefix stay intact: the header keys the schedule.
+        corrupted.assign(frame.begin(), frame.end());
+        corrupted[verdict.entropy % corrupted.size()] ^=
+            static_cast<std::byte>(1u << ((verdict.entropy >> 8) % 8));
+        frame = corrupted;
+      }
+      const FrameView copy = emit(frame);
+      const int copies = verdict.duplicate ? 2 : 1;
+      for (int i = 0; i < copies; ++i) {
+        if (verdict.delay_rounds > 0) {
+          held_.push_back(Held{copy, verdict.delay_rounds});
+        } else {
+          out.push_back(copy);
+        }
+      }
     }
-    apply(std::move(view));
   }
   return out;
 }

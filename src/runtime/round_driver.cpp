@@ -40,52 +40,41 @@ Round RoundDriver::run() {
     heartbeat_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t late_before = frames_late_.load(std::memory_order_relaxed);
 
-    // Sort arrivals into per-round buffers by their round header. Views are
-    // decoded in place — the shared frame buffer is never copied here.
-    // `route` handles one codec frame already stripped of its round tag; it
-    // is shared by the slab and legacy paths below.
-    const auto route = [&](Round sent_round, std::span<const std::byte> frame_bytes) {
-      const auto msg = decode(frame_bytes);
-      if (!msg.has_value()) {
-        frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      if (sent_round < r - 1) {
-        frames_late_.fetch_add(1, std::memory_order_relaxed);  // synchrony violated
-        if (rec != nullptr) {
-          rec->record(TraceRecord{.kind = TraceEventKind::kLateFrame,
-                                  .node = self,
-                                  .round = r,
-                                  .seq = 0,
-                                  .from = msg->sender,
-                                  .to = self,
-                                  .link_seq = 0,
-                                  .extra = sent_round,
-                                  .detail = {}});
-        }
-        return;
-      }
-      buffered_[sent_round].push_back(*msg);
-    };
+    // Sort arrivals into per-round buffers by their round header. Each
+    // datagram is one slab; its frames are decoded in place — the shared
+    // frame buffer is never copied here. A datagram that is not a slab is
+    // one dropped frame.
     for (const FrameView& view : transport_->drain_views()) {
-      // Coalesced slab (one datagram per peer per round): magic byte + round
-      // header + length-prefixed frames, sliced zero-copy. A legacy varint
-      // header can also start with 0xAB, so slab detection requires the
-      // structural parse to succeed — otherwise fall through to legacy.
-      if (!view.bytes.empty() && static_cast<std::uint8_t>(view.bytes[0]) == kSlabMagic) {
-        if (const auto slab = parse_slab(view.bytes)) {
-          for (const auto frame : slab->frames) route(slab->round, frame);
-          continue;
-        }
-      }
-      // Legacy one-frame-per-datagram format: varint round + codec frame.
-      std::size_t offset = 0;
-      const auto header = get_varint(view.bytes, offset);
-      if (!header.has_value()) {
+      const auto slab = parse_shard_slab(view.bytes);
+      if (!slab.has_value()) {
         frames_dropped_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      route(static_cast<Round>(*header), view.bytes.subspan(offset));
+      for (const ShardSlabView::Entry& entry : slab->entries) {
+        const auto msg = decode(entry.frame);
+        // A frame sent after our last round can never be delivered: buffering
+        // it would only pin memory and, adaptively, force a resync per round.
+        if (!msg.has_value() || slab->round > config_.max_rounds) {
+          frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        if (slab->round < r - 1) {
+          frames_late_.fetch_add(1, std::memory_order_relaxed);  // synchrony violated
+          if (rec != nullptr) {
+            rec->record(TraceRecord{.kind = TraceEventKind::kLateFrame,
+                                    .node = self,
+                                    .round = r,
+                                    .seq = 0,
+                                    .from = msg->sender,
+                                    .to = self,
+                                    .link_seq = 0,
+                                    .extra = slab->round,
+                                    .detail = {}});
+          }
+          continue;
+        }
+        buffered_[slab->round].push_back(*msg);
+      }
     }
 
     // This round's inbox: exactly the frames our peers sent in round r-1.
@@ -105,14 +94,16 @@ Round RoundDriver::run() {
     // Coalesce the round's sends into ONE slab datagram per peer: the
     // runtime wire is a broadcast domain (engine-level unicast degrades to
     // broadcast + receiver-side relevance), so one broadcast() carries the
-    // whole round — syscalls per round drop from |out| to 1.
-    slab_.reset(r);
+    // whole round — syscalls per round drop from |out| to 1. Nothing on
+    // this wire reads the shard id or the routing tags, so they are 0 and
+    // broadcast.
+    slab_.reset(0, r);
     for (Outgoing& o : out) {
       o.msg.sender = self;  // stamp our identity (see header note)
-      slab_.add(o.msg);
+      slab_.add(std::nullopt, o.msg);
       if (rec != nullptr) rec->record_send(self, r, o.to);
     }
-    if (slab_.frame_count() > 0) transport_->broadcast(slab_.bytes());
+    if (!slab_.empty()) transport_->broadcast(slab_.bytes());
 
     const std::uint64_t late_this_round =
         frames_late_.load(std::memory_order_relaxed) - late_before;

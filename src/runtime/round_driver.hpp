@@ -13,13 +13,14 @@
 // happens when it does not.
 //
 // ON THE WIRE the driver COALESCES: all of a round's outgoing messages go
-// into one slab datagram (kSlabMagic + varint round + length-prefixed codec
-// frames, see net/codec.hpp) and a single broadcast() ships it — syscalls
-// per round drop from one-per-message to one-per-peer. Receive slices slabs
-// into zero-copy frame subspans and still accepts the legacy
-// one-frame-per-datagram format (varint round + codec frame) so mixed-build
-// fleets interoperate; a datagram whose first byte happens to be the slab
-// magic but fails the structural parse falls back to the legacy decoder.
+// into one slab datagram (the net/codec.hpp slab: header with shard 0 and
+// the round, then broadcast-tagged, length-prefixed codec frames) and a
+// single broadcast() ships it — syscalls per round drop from
+// one-per-message to one-per-peer. Receive slices slabs into zero-copy
+// frame subspans; a datagram that does not parse as a slab counts as one
+// dropped frame. A frame whose round header lies beyond max_rounds can never
+// be delivered and is dropped on arrival (counted in `frames_dropped()`)
+// rather than buffered.
 //
 // SELF-HEALING (config.adaptive): instead of treating a smeared clock as a
 // terminal condition, the driver heals it. When one round sees
@@ -43,7 +44,9 @@
 // Sender identity: frames carry the sender field. The driver stamps its own
 // outgoing frames but — unlike the simulator — cannot police incoming ones
 // without an authentication layer (see transport.hpp). Runtime tests include
-// a forgery probe documenting this boundary.
+// a forgery probe documenting this boundary. The round header is just as
+// unauthenticated: a spoofed header at or below max_rounds is buffered like
+// any other (AuthTransport is the layer that rejects it).
 #pragma once
 
 #include <atomic>
@@ -114,7 +117,8 @@ class RoundDriver {
   [[nodiscard]] Round rounds_executed() const noexcept {
     return rounds_executed_.load(std::memory_order_relaxed);
   }
-  /// Malformed frames (bad header or codec reject).
+  /// Malformed frames (a datagram that is not a slab, a codec reject, or a
+  /// round header beyond max_rounds).
   [[nodiscard]] std::uint64_t frames_dropped() const noexcept {
     return frames_dropped_.load(std::memory_order_relaxed);
   }
@@ -152,7 +156,7 @@ class RoundDriver {
   std::unique_ptr<Transport> transport_;
   RoundDriverConfig config_;
   std::map<Round, std::vector<Message>> buffered_;  // by sender round header
-  SlabWriter slab_;  // reused send buffer: one coalesced datagram per round
+  ShardSlabWriter slab_;  // reused send buffer: one coalesced datagram per round
   std::atomic<Round> rounds_executed_{0};
   std::atomic<std::uint64_t> frames_dropped_{0};
   std::atomic<std::uint64_t> frames_late_{0};

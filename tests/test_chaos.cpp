@@ -20,10 +20,10 @@
 #include "harness/script.hpp"
 #include "net/async_simulator.hpp"
 #include "net/chaos_hooks.hpp"
-#include "net/codec.hpp"
 #include "net/sync_simulator.hpp"
 #include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
+#include "wire_frames.hpp"
 
 namespace idonly {
 namespace {
@@ -240,13 +240,6 @@ class AsyncChatter final : public AsyncProcess {
   Time next_ = 0;
 };
 
-Frame framed(Round round, NodeId sender) {
-  Frame frame;
-  put_varint(static_cast<std::uint64_t>(round), frame);
-  encode(Message{.sender = sender, .kind = MsgKind::kPresent}, frame);
-  return frame;
-}
-
 TEST(ChaosCrossEngine, OneSeedOneTraceOnAllThreeEngines) {
   ChaosPhase phase = phase_window(2, 4);
   phase.drop = 0.25;
@@ -282,7 +275,8 @@ TEST(ChaosCrossEngine, OneSeedOneTraceOnAllThreeEngines) {
   EXPECT_EQ(sync_trace, async_chaos->canonical_trace_string());
 
   // Runtime engine: receive-side ChaosTransport recovers the link key from
-  // the round header + codec sender — one broadcast per node per round.
+  // the slab's round header + codec sender — one broadcast per node per
+  // round.
   auto runtime_chaos = std::make_shared<ChaosSchedule>(plan, seed);
   InMemoryHub hub;
   std::vector<std::unique_ptr<ChaosTransport>> transports;
@@ -331,6 +325,12 @@ TEST(ChaosTransportUnit, CorruptionFlipsExactlyOnePayloadByte) {
   ChaosTransport sender(hub.make_endpoint(), chaos, 1);
   ChaosTransport receiver(hub.make_endpoint(), chaos, 2);
   const Frame original = framed(3, 1);
+  const auto sent = parse_shard_slab(original);
+  ASSERT_TRUE(sent.has_value());
+  ASSERT_EQ(sent->entries.size(), 1u);
+  const auto frame_begin = static_cast<std::size_t>(sent->entries[0].frame.data() - original.data());
+  const std::size_t frame_end = frame_begin + sent->entries[0].frame.size();
+  ASSERT_EQ(frame_end, original.size());
   sender.broadcast(original);
   const auto views = receiver.drain_views();
   ASSERT_EQ(views.size(), 1u);
@@ -344,7 +344,15 @@ TEST(ChaosTransportUnit, CorruptionFlipsExactlyOnePayloadByte) {
     }
   }
   EXPECT_EQ(diffs, 1u);
-  EXPECT_GE(diff_pos, 1u) << "the round header must stay intact (it keys the schedule)";
+  // The slab header keys the schedule and the length prefix frames the
+  // entry: the flip must land inside the entry's frame bytes.
+  EXPECT_GE(diff_pos, frame_begin) << "header, tag and length must stay intact";
+  EXPECT_LT(diff_pos, frame_end);
+  const auto received = parse_shard_slab(views[0].bytes);
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(received->round, 3);
+  ASSERT_EQ(received->entries.size(), 1u);
+  EXPECT_EQ(received->entries[0].to, sent->entries[0].to);
 }
 
 TEST(ChaosTransportUnit, DelayHoldsFrameForItsVerdictThenReleasesIntact) {

@@ -5,7 +5,6 @@
 #include <bit>
 #include <limits>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -210,163 +209,6 @@ std::vector<Message> slab_sample_messages() {
   return {a, b, c};
 }
 
-Frame build_slab(Round round, const std::vector<Message>& messages) {
-  SlabWriter writer;
-  writer.reset(round);
-  for (const Message& m : messages) writer.add(m);
-  EXPECT_EQ(writer.frame_count(), messages.size());
-  const auto bytes = writer.bytes();
-  return Frame(bytes.begin(), bytes.end());
-}
-
-TEST(CodecSlab, RoundTripsEveryFrameAndAMultiByteRound) {
-  const auto messages = slab_sample_messages();
-  const Frame slab = build_slab(/*round=*/300, messages);  // round > 127: 2-byte varint
-  ASSERT_EQ(static_cast<std::uint8_t>(slab[0]), kSlabMagic);
-  const auto view = parse_slab(slab);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->round, 300);
-  ASSERT_EQ(view->frames.size(), messages.size());
-  for (std::size_t i = 0; i < messages.size(); ++i) {
-    const auto decoded = decode(view->frames[i]);
-    ASSERT_TRUE(decoded.has_value()) << i;
-    EXPECT_EQ(*decoded, messages[i]) << i;
-  }
-}
-
-TEST(CodecSlab, ResetDiscardsThePreviousRoundsFrames) {
-  SlabWriter writer;
-  writer.reset(1);
-  writer.add(sample_message());
-  writer.add(sample_message());
-  writer.reset(2);
-  EXPECT_EQ(writer.frame_count(), 0u);
-  writer.add(sample_message());
-  const auto view = parse_slab(writer.bytes());
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->round, 2);
-  EXPECT_EQ(view->frames.size(), 1u);
-}
-
-TEST(CodecSlab, StructuralRejects) {
-  const Frame slab = build_slab(5, slab_sample_messages());
-  EXPECT_FALSE(parse_slab({}).has_value()) << "empty";
-  Frame wrong_magic = slab;
-  wrong_magic[0] = std::byte{0x01};  // a legacy round-1 header byte
-  EXPECT_FALSE(parse_slab(wrong_magic).has_value()) << "magic mismatch";
-  // Header only — a slab must carry at least one frame.
-  Frame headless;
-  headless.push_back(std::byte{kSlabMagic});
-  put_varint(5, headless);
-  EXPECT_FALSE(parse_slab(headless).has_value()) << "empty slab";
-  // Round 0 is not a valid protocol round (rounds are 1-based).
-  Frame round_zero;
-  round_zero.push_back(std::byte{kSlabMagic});
-  put_varint(0, round_zero);
-  put_varint(1, round_zero);
-  round_zero.push_back(std::byte{0x42});
-  EXPECT_FALSE(parse_slab(round_zero).has_value()) << "round 0";
-  // A zero-length entry can never occur (codec frames are non-empty).
-  Frame zero_len;
-  zero_len.push_back(std::byte{kSlabMagic});
-  put_varint(5, zero_len);
-  put_varint(0, zero_len);
-  EXPECT_FALSE(parse_slab(zero_len).has_value()) << "zero-length frame";
-  // A length prefix that overruns the remaining bytes.
-  Frame overrun;
-  overrun.push_back(std::byte{kSlabMagic});
-  put_varint(5, overrun);
-  put_varint(100, overrun);
-  overrun.push_back(std::byte{0x42});
-  EXPECT_FALSE(parse_slab(overrun).has_value()) << "length overrun";
-}
-
-TEST(CodecSlab, TruncationParsesExactlyAtFrameBoundaries) {
-  // parse_slab consumes to the end of the buffer, so a prefix cut exactly at
-  // an inner frame boundary IS a valid (shorter) slab — UDP delivers whole
-  // datagrams or nothing, so mid-datagram truncation cannot happen on the
-  // wire; the driver relies only on "parses ⇒ every frame span is intact".
-  const auto messages = slab_sample_messages();
-  const Frame slab = build_slab(9, messages);
-  std::set<std::size_t> boundaries;
-  std::size_t offset = 1;
-  {
-    const auto round = get_varint(slab, offset);
-    ASSERT_TRUE(round.has_value());
-  }
-  while (offset < slab.size()) {
-    const auto length = get_varint(slab, offset);
-    ASSERT_TRUE(length.has_value());
-    offset += *length;
-    boundaries.insert(offset);  // prefix ending after a complete frame
-  }
-  for (std::size_t len = 0; len <= slab.size(); ++len) {
-    const auto view = parse_slab(std::span(slab.data(), len));
-    if (boundaries.count(len) != 0) {
-      ASSERT_TRUE(view.has_value()) << "boundary prefix " << len;
-      for (const auto frame : view->frames) {
-        EXPECT_TRUE(decode(frame).has_value());
-      }
-    } else {
-      EXPECT_FALSE(view.has_value()) << "mid-frame prefix " << len;
-    }
-  }
-}
-
-TEST(CodecSlab, BitflipFuzzNeverCrashesAndNeverYieldsOutOfBoundsFrames) {
-  Rng rng(2025);
-  const Frame original = build_slab(17, slab_sample_messages());
-  for (int trial = 0; trial < 4000; ++trial) {
-    Frame bytes = original;
-    const std::size_t pos = rng.below(bytes.size());
-    bytes[pos] ^= static_cast<std::byte>(1u << rng.below(8));
-    const auto view = parse_slab(bytes);  // must not crash; may or may not parse
-    if (!view.has_value()) continue;
-    const std::byte* begin = bytes.data();
-    const std::byte* end = bytes.data() + bytes.size();
-    for (const auto frame : view->frames) {
-      ASSERT_GE(frame.data(), begin);
-      ASSERT_LE(frame.data() + frame.size(), end);
-      (void)decode(frame);  // inner frames may be garbage; decode must cope
-    }
-  }
-}
-
-TEST(CodecSlab, RandomGarbageWithTheMagicByteAlmostNeverParses) {
-  Rng rng(31);
-  int accepted = 0;
-  for (int trial = 0; trial < 5000; ++trial) {
-    std::vector<std::byte> garbage(1 + rng.below(48));
-    garbage[0] = std::byte{kSlabMagic};
-    for (std::size_t i = 1; i < garbage.size(); ++i) {
-      garbage[i] = static_cast<std::byte>(rng.below(256));
-    }
-    if (parse_slab(garbage).has_value()) accepted += 1;
-  }
-  // The chained length prefixes must consume the buffer exactly — random
-  // tails almost never line up.
-  EXPECT_LT(accepted, 250);
-}
-
-TEST(CodecSlab, LegacyRound171FrameIsNotMistakenForASlab) {
-  // varint(171) = 0xAB 0x01 — a legacy header that starts with the slab
-  // magic (the documented collision at kSlabMagic). The structural parse
-  // must fail on it so the driver's fallback keeps routing it as legacy:
-  // after the bogus "round 1" the codec version byte reads as length 1 and
-  // the flags byte 0x00 then reads as a zero length, which is rejected.
-  Frame legacy;
-  put_varint(171, legacy);
-  ASSERT_EQ(static_cast<std::uint8_t>(legacy[0]), kSlabMagic);
-  Message m;
-  m.sender = 4;
-  m.kind = MsgKind::kPresent;
-  m.value = Value::bot();
-  encode(m, legacy);
-  EXPECT_FALSE(parse_slab(legacy).has_value());
-}
-
-// ------------------------------------------------------- cross-shard slabs --
-
 using RoutedMessage = std::pair<std::optional<NodeId>, Message>;
 
 std::vector<RoutedMessage> shard_sample_messages() {
@@ -389,6 +231,7 @@ Frame build_shard_slab(std::uint32_t shard, Round round,
 
 TEST(CodecShardSlab, RoundTripsHeaderRoutingTagsAndEveryFrame) {
   const auto routed = shard_sample_messages();
+  // round > 127: a multi-byte round varint.
   const Frame slab = build_shard_slab(/*shard=*/5, /*round=*/300, routed);
   ASSERT_EQ(static_cast<std::uint8_t>(slab[0]), kShardSlabMagic);
   const auto view = parse_shard_slab(slab);
@@ -428,9 +271,10 @@ TEST(CodecShardSlab, EmptySlabIsNeverValid) {
 }
 
 TEST(CodecShardSlab, TruncationAtEveryPrefixRejected) {
-  // The explicit frame count means NO strict prefix parses — unlike plain
-  // slabs, a shard slab cut at a frame boundary is detectably truncated
-  // (this is the property the worker's wedged-peer handling relies on).
+  // The explicit frame count means NO strict prefix parses — a slab cut at a
+  // frame boundary is detectably truncated. The worker's wedged-peer
+  // handling relies on this, and so does the UDP runtime: a datagram cut
+  // short is rejected whole, never read as a shorter slab.
   const Frame slab = build_shard_slab(2, 17, shard_sample_messages());
   for (std::size_t len = 0; len < slab.size(); ++len) {
     EXPECT_FALSE(parse_shard_slab(std::span(slab.data(), len)).has_value())
@@ -441,10 +285,48 @@ TEST(CodecShardSlab, TruncationAtEveryPrefixRejected) {
 
 TEST(CodecShardSlab, StructuralRejects) {
   const Frame slab = build_shard_slab(1, 5, shard_sample_messages());
+  EXPECT_FALSE(parse_shard_slab({}).has_value()) << "empty";
 
-  Frame wrong_magic = slab;
-  wrong_magic[0] = std::byte{kSlabMagic};
-  EXPECT_FALSE(parse_shard_slab(wrong_magic).has_value());
+  // 0xAB was the retired uncounted slab's magic; 0x01 is a frame's version
+  // byte and the varint of round 1.
+  for (const std::byte magic : {std::byte{0xAB}, std::byte{0x01}, std::byte{kPeerBeaconMagic}}) {
+    Frame wrong_magic = slab;
+    wrong_magic[0] = magic;
+    EXPECT_FALSE(parse_shard_slab(wrong_magic).has_value()) << "magic mismatch";
+  }
+
+  // Header without a frame count.
+  Frame countless;
+  countless.push_back(std::byte{kShardSlabMagic});
+  put_varint(1, countless);  // shard
+  put_varint(5, countless);  // round
+  EXPECT_FALSE(parse_shard_slab(countless).has_value()) << "no frame count";
+
+  // Round 0 is not a valid protocol round (rounds are 1-based), and a round
+  // beyond Round's range does not fit.
+  for (const std::uint64_t bad_round :
+       {std::uint64_t{0}, static_cast<std::uint64_t>(std::numeric_limits<Round>::max()) + 1}) {
+    Frame bad;
+    bad.push_back(std::byte{kShardSlabMagic});
+    put_varint(1, bad);          // shard
+    put_varint(bad_round, bad);  // round
+    put_varint(1, bad);          // one frame
+    put_varint(0, bad);          // broadcast tag
+    put_varint(1, bad);
+    bad.push_back(std::byte{0x42});
+    EXPECT_FALSE(parse_shard_slab(bad).has_value()) << "round " << bad_round;
+  }
+
+  // A shard id that does not fit 32 bits.
+  Frame wide_shard;
+  wide_shard.push_back(std::byte{kShardSlabMagic});
+  put_varint(std::uint64_t{1} << 32, wide_shard);
+  put_varint(5, wide_shard);
+  put_varint(1, wide_shard);
+  put_varint(0, wide_shard);
+  put_varint(1, wide_shard);
+  wide_shard.push_back(std::byte{0x42});
+  EXPECT_FALSE(parse_shard_slab(wide_shard).has_value()) << "shard overflow";
 
   Frame trailing = slab;
   trailing.push_back(std::byte{0});
@@ -470,26 +352,56 @@ TEST(CodecShardSlab, StructuralRejects) {
   put_varint(0, zero_len);  // broadcast tag
   put_varint(0, zero_len);  // zero length — rejected
   EXPECT_FALSE(parse_shard_slab(zero_len).has_value());
+
+  // A length prefix that overruns the remaining bytes.
+  Frame overrun;
+  overrun.push_back(std::byte{kShardSlabMagic});
+  put_varint(0, overrun);    // shard
+  put_varint(1, overrun);    // round
+  put_varint(1, overrun);    // one frame
+  put_varint(0, overrun);    // broadcast tag
+  put_varint(100, overrun);  // 100 bytes promised, one present
+  overrun.push_back(std::byte{0x42});
+  EXPECT_FALSE(parse_shard_slab(overrun).has_value());
 }
 
 TEST(CodecShardSlab, LegacyFormatsAndShardSlabsAreMutuallyUnparseable) {
-  // Interop: the three wire formats on a dual-use socket must never be
-  // mistaken for one another. A plain (headerless-routing) slab is not a
-  // shard slab, a shard slab is not a plain slab, and neither is a frame.
-  const Frame plain = build_slab(5, slab_sample_messages());
-  EXPECT_TRUE(parse_slab(plain).has_value());
-  EXPECT_FALSE(parse_shard_slab(plain).has_value());
+  // Three byte layouts are left on the wires: the slab, the mesh hello and
+  // the mesh beacon. None may be mistaken for another or decode as a bare
+  // frame, and the retired one-frame datagram (varint round + codec frame)
+  // parses as none of them — it is a counted wire fault, nothing more.
+  const Frame slab = build_shard_slab(0, 5, shard_sample_messages());
+  const auto hello = encode_peer_hello(0, 2);
+  const auto beacon = encode_peer_beacon(0, 5);
+  EXPECT_TRUE(parse_shard_slab(slab).has_value());
+  EXPECT_TRUE(parse_peer_hello(hello).has_value());
+  EXPECT_TRUE(parse_peer_beacon(beacon).has_value());
 
-  const Frame sharded = build_shard_slab(0, 5, shard_sample_messages());
-  EXPECT_TRUE(parse_shard_slab(sharded).has_value());
-  EXPECT_FALSE(parse_slab(sharded).has_value());
-  EXPECT_FALSE(decode(sharded).has_value());
+  EXPECT_FALSE(parse_peer_hello(slab).has_value());
+  EXPECT_FALSE(parse_peer_beacon(slab).has_value());
+  EXPECT_FALSE(parse_shard_slab(hello).has_value());
+  EXPECT_FALSE(parse_peer_beacon(hello).has_value());
+  EXPECT_FALSE(parse_shard_slab(beacon).has_value());
+  EXPECT_FALSE(parse_peer_hello(beacon).has_value());
+  EXPECT_FALSE(decode(slab).has_value());
+  EXPECT_FALSE(decode(hello).has_value());
+  EXPECT_FALSE(decode(beacon).has_value());
+
+  // varint(171) = 0xAB 0x01 once collided with the retired slab magic.
+  for (const std::uint64_t round : {std::uint64_t{1}, std::uint64_t{171}, std::uint64_t{172}}) {
+    Frame legacy;
+    put_varint(round, legacy);
+    encode(Message{.sender = 4, .kind = MsgKind::kPresent, .value = Value::bot()}, legacy);
+    EXPECT_FALSE(parse_shard_slab(legacy).has_value()) << "legacy round " << round;
+    EXPECT_FALSE(parse_peer_hello(legacy).has_value()) << "legacy round " << round;
+    EXPECT_FALSE(parse_peer_beacon(legacy).has_value()) << "legacy round " << round;
+  }
 }
 
 TEST(CodecShardSlab, BitflipFuzzNeverCrashesAndNeverYieldsOutOfBoundsFrames) {
   const Frame original = build_shard_slab(6, 23, shard_sample_messages());
   Rng rng(0xD157);
-  for (int trial = 0; trial < 2000; ++trial) {
+  for (int trial = 0; trial < 6000; ++trial) {
     Frame mutated = original;
     const std::size_t index = rng.below(mutated.size());
     mutated[index] ^= static_cast<std::byte>(1u << rng.below(8));
@@ -501,8 +413,28 @@ TEST(CodecShardSlab, BitflipFuzzNeverCrashesAndNeverYieldsOutOfBoundsFrames) {
       EXPECT_GE(entry.frame.data(), begin);
       EXPECT_LE(entry.frame.data() + entry.frame.size(), end);
       EXPECT_GT(entry.frame.size(), 0u);
+      (void)decode(entry.frame);  // inner frames may be garbage; decode must cope
     }
   }
+}
+
+TEST(CodecShardSlab, RandomGarbageWithTheMagicByteAlmostNeverParses) {
+  Rng rng(31);
+  int accepted = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::vector<std::byte> garbage(1 + rng.below(48));
+    garbage[0] = std::byte{kShardSlabMagic};
+    for (std::size_t i = 1; i < garbage.size(); ++i) {
+      garbage[i] = static_cast<std::byte>(rng.below(256));
+    }
+    const auto view = parse_shard_slab(garbage);  // must not crash
+    if (!view.has_value()) continue;
+    accepted += 1;
+    for (const auto& entry : view->entries) (void)decode(entry.frame);
+  }
+  // The frame count and the chained length prefixes must consume the buffer
+  // exactly — random tails almost never line up.
+  EXPECT_LT(accepted, 250);
 }
 
 // ------------------------------------------------------------ mesh peering --

@@ -30,6 +30,7 @@
 #include "net/sync_simulator.hpp"
 #include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
+#include "wire_frames.hpp"
 
 namespace idonly {
 namespace {
@@ -438,10 +439,11 @@ std::string run_rb_async(const RbGolden& g, RbBackendKind backend) {
 
 /// Manual lock-step over the runtime transports, driving the real slab wire
 /// path: each node's round traffic is coalesced into ONE slab datagram
-/// (net/codec.hpp), the ChaosTransport explodes it back into per-message
-/// verdicts, and the drained frames become the next round's inbox. Delayed
-/// frames carry a stale round header by design — they are delivered on
-/// release, just like the sync engine's delayed deposits.
+/// (net/codec.hpp), the ChaosTransport judges each entry of it in place and
+/// emits the survivors as one-entry slabs, and the drained slabs become the
+/// next round's inbox. Delayed slabs carry a stale round header by design —
+/// they are delivered on release, just like the sync engine's delayed
+/// deposits.
 std::string run_rb_runtime(const RbGolden& g, RbBackendKind backend) {
   auto chaos = std::make_shared<ChaosSchedule>(g.plan, g.seed);
   auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kRuntime);
@@ -455,27 +457,23 @@ std::string run_rb_runtime(const RbGolden& g, RbBackendKind backend) {
         id, g.source, id == g.source ? Value::real(g.payload) : Value::bot(), backend));
   }
   std::vector<std::vector<Message>> inboxes(g.ids.size());
-  SlabWriter slab;
+  ShardSlabWriter slab;
   for (Round r = 1; r <= g.rounds; ++r) {
     for (std::size_t i = 0; i < procs.size(); ++i) {
       std::vector<Message> inbox = std::move(inboxes[i]);
       inboxes[i].clear();
       std::vector<Outgoing> out;
       procs[i]->on_round(RoundInfo{r, r}, inbox, out);
-      slab.reset(r);
+      slab.reset(0, r);
       for (Outgoing& o : out) {
         o.msg.sender = g.ids[i];
-        slab.add(o.msg);
+        slab.add(std::nullopt, o.msg);
       }
-      if (slab.frame_count() > 0) transports[i]->broadcast(slab.bytes());
+      if (!slab.empty()) transports[i]->broadcast(slab.bytes());
     }
     for (std::size_t i = 0; i < transports.size(); ++i) {
       for (const FrameView& view : transports[i]->drain_views()) {
-        std::size_t offset = 0;
-        const auto header = get_varint(view.bytes, offset);
-        if (!header.has_value()) continue;
-        const auto msg = decode(view.bytes.subspan(offset));
-        if (msg.has_value()) inboxes[i].push_back(*msg);
+        for (const Message& msg : decode_slab(view.bytes)) inboxes[i].push_back(msg);
       }
     }
   }

@@ -21,6 +21,7 @@
 #include "runtime/inmemory_transport.hpp"
 #include "runtime/round_driver.hpp"
 #include "runtime/udp_transport.hpp"
+#include "wire_frames.hpp"
 
 namespace idonly {
 namespace {
@@ -231,28 +232,14 @@ TEST(RuntimeChaos, CorruptionIsAlwaysRejectedNeverMisparsed) {
   FaultModel model;
   model.corrupt = 1.0;  // every frame gets one bit flipped
   FaultyTransport chaotic(hub.make_endpoint(), model, Rng(3));
-  const Frame frame = [] {
-    Frame f;
-    put_varint(1, f);
-    Message m;
-    m.sender = 7;
-    m.kind = MsgKind::kInput;
-    m.value = Value::real(2.0);
-    encode(m, f);
-    return f;
-  }();
+  const Frame frame =
+      one_entry_slab(1, Message{.sender = 7, .kind = MsgKind::kInput, .value = Value::real(2.0)});
   // Broadcast through the chaotic endpoint 200 times; whatever survives the
   // bit flip must either fail to parse or parse to a self-consistent frame
   // (codec bijectivity) — never crash.
   for (int i = 0; i < 200; ++i) chaotic.broadcast(frame);
   EXPECT_GT(chaotic.frames_corrupted(), 150u);
-  for (const Frame& received : inner->drain()) {
-    std::size_t offset = 0;
-    const auto header = get_varint(received, offset);
-    if (!header.has_value()) continue;
-    auto decoded = decode(std::span(received).subspan(offset));
-    (void)decoded;
-  }
+  for (const Frame& received : inner->drain()) (void)decode_slab(received);
 }
 
 TEST(RuntimeChaos, ConsensusSurvivesModerateWireFaults) {
@@ -353,8 +340,8 @@ TEST(RuntimeUdp, SlabLargerThanTheOldReceiveBufferArrivesIntact) {
   UdpTransport sender(ports[0], ports);
   UdpTransport receiver(ports[1], ports);
 
-  SlabWriter slab;
-  slab.reset(/*round=*/6);
+  ShardSlabWriter slab;
+  slab.reset(0, /*round=*/6);
   std::vector<Message> sent;
   for (int i = 0; i < 200; ++i) {
     Message m;
@@ -362,7 +349,7 @@ TEST(RuntimeUdp, SlabLargerThanTheOldReceiveBufferArrivesIntact) {
     m.kind = MsgKind::kEcho;
     m.subject = 9;
     m.value = Value::real(static_cast<double>(i));
-    slab.add(m);
+    slab.add(std::nullopt, m);
     sent.push_back(m);
   }
   ASSERT_GT(slab.bytes().size(), 2048u) << "the slab must exceed the old buffer";
@@ -374,15 +361,10 @@ TEST(RuntimeUdp, SlabLargerThanTheOldReceiveBufferArrivesIntact) {
   const auto views = receiver.drain_views();
   ASSERT_EQ(views.size(), 1u);
   EXPECT_EQ(receiver.faults().truncations, 0u);
-  const auto parsed = parse_slab(views[0].bytes);
+  const auto parsed = parse_shard_slab(views[0].bytes);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->round, 6);
-  ASSERT_EQ(parsed->frames.size(), sent.size());
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    const auto decoded = decode(parsed->frames[i]);
-    ASSERT_TRUE(decoded.has_value()) << i;
-    EXPECT_EQ(*decoded, sent[i]) << i;
-  }
+  EXPECT_EQ(decode_slab(views[0].bytes), sent);
 }
 
 TEST(RuntimeUdp, OversizedDatagramIsCountedAndDropped) {
@@ -406,10 +388,10 @@ TEST(RuntimeUdp, OversizedDatagramIsCountedAndDropped) {
   EXPECT_EQ(receiver.faults().truncations, 1u);
 }
 
-TEST(RuntimeUdp, LegacyPerMessageFramesStillReachTheDriver) {
-  // Interop: a peer running the old per-message wire format (varint round +
-  // codec frame) must still be understood by the slab-speaking driver — the
-  // structural slab parse fails on it and the legacy path decodes it.
+TEST(RuntimeUdp, LegacyPerMessageFrameIsOneCountedDrop) {
+  // The old per-message wire format (varint round + codec frame) is not a
+  // slab, so the driver counts the whole datagram as one dropped frame and
+  // the process never sees it.
   InMemoryHub hub;
   auto legacy_peer = hub.make_endpoint();
   const auto config = config_starting_soon(10ms, 6);
@@ -420,7 +402,9 @@ TEST(RuntimeUdp, LegacyPerMessageFramesStillReachTheDriver) {
   encode(Message{.sender = 7, .kind = MsgKind::kPresent}, legacy);
   legacy_peer->broadcast(legacy);
   driver.run();
-  EXPECT_EQ(driver.frames_dropped(), 0u) << "a legacy frame is valid traffic, not junk";
+  EXPECT_EQ(driver.frames_dropped(), 1u) << "a legacy frame is one wire fault";
+  auto& p = dynamic_cast<ApproxAgreementProcess&>(driver.process());
+  EXPECT_DOUBLE_EQ(p.value(), 5.0) << "alone on the wire, the estimate must not move";
 }
 
 TEST(RuntimeUdp, AuthTransportDropsSpamBeforeTheDriver) {

@@ -19,12 +19,12 @@
 #include "harness/script.hpp"
 #include "net/async_simulator.hpp"
 #include "net/chaos_hooks.hpp"
-#include "net/codec.hpp"
 #include "net/sync_simulator.hpp"
 #include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
 #include "runtime/round_driver.hpp"
 #include "runtime/watchdog.hpp"
+#include "wire_frames.hpp"
 
 namespace idonly {
 namespace {
@@ -197,13 +197,6 @@ class AsyncChatter final : public AsyncProcess {
   int remaining_;
   Time next_ = 0;
 };
-
-Frame framed(Round round, NodeId sender) {
-  Frame frame;
-  put_varint(static_cast<std::uint64_t>(round), frame);
-  encode(Message{.sender = sender, .kind = MsgKind::kPresent}, frame);
-  return frame;
-}
 
 struct GoldenSetup {
   ChaosPlan plan;

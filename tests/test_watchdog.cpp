@@ -13,10 +13,10 @@
 #include <utility>
 #include <vector>
 
-#include "net/codec.hpp"
 #include "runtime/inmemory_transport.hpp"
 #include "runtime/round_driver.hpp"
 #include "runtime/watchdog.hpp"
+#include "wire_frames.hpp"
 
 namespace idonly {
 namespace {
@@ -30,13 +30,6 @@ class NullProcess final : public Process {
   void on_round(RoundInfo /*round*/, std::span<const Message> /*inbox*/,
                 std::vector<Outgoing>& /*out*/) override {}
 };
-
-Frame framed(Round round, NodeId sender) {
-  Frame frame;
-  put_varint(static_cast<std::uint64_t>(round), frame);
-  encode(Message{.sender = sender, .kind = MsgKind::kPresent}, frame);
-  return frame;
-}
 
 /// drain_views() call k returns the k-th programmed batch (empty past the
 /// end); broadcasts are discarded. One drain per round makes the script a
@@ -134,6 +127,25 @@ TEST(AdaptiveClock, ResyncsWhenPeersAreAhead) {
   // 10 of 12 sleeps skipped: the run must finish well under the nominal
   // 12 x 10ms schedule would with sleeps (plus the 20ms pre-epoch wait).
   EXPECT_LT(elapsed, 2s) << "sanity: the run terminated promptly";
+}
+
+TEST(AdaptiveClock, FarFutureHeaderIsDroppedNotResyncedOn) {
+  // A forged header for round 1,000,000 names a round this driver never
+  // runs (max_rounds 8), so the frame can never be delivered. It must be
+  // dropped and counted on arrival — buffering it would skip every sleep as
+  // if peers were ahead and race through all 8 rounds at once.
+  std::vector<std::vector<Frame>> script(1);
+  script[0].push_back(framed(1'000'000, 9));
+  const auto config = adaptive_config(10ms, 80ms, 8);
+  RoundDriver driver(std::make_unique<NullProcess>(1),
+                     std::make_unique<ScriptedTransport>(std::move(script)), config);
+  driver.run();
+  EXPECT_EQ(driver.rounds_executed(), 8);
+  EXPECT_EQ(driver.resyncs(), 0u);
+  EXPECT_EQ(driver.frames_dropped(), 1u);
+  EXPECT_EQ(driver.frames_late(), 0u);
+  // The paced schedule: round 8 ends no earlier than epoch + 8 x 10ms.
+  EXPECT_GE(std::chrono::steady_clock::now() - config.epoch, 80ms);
 }
 
 TEST(AdaptiveClock, NoLateFramesMeansFixedSchedule) {
