@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "common/chaos.hpp"
 #include "common/rng.hpp"
 #include "core/consensus.hpp"
 #include "harness/scenario.hpp"
@@ -52,10 +53,11 @@ BENCHMARK(BM_AsyncPartitionDeterministic)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
 // E6b — the constructive companion: run the paper's OWN consensus algorithm
-// while a fault injector delays a fraction p of all messages by 1–3 rounds
-// (violating the synchronous model). Both liveness and safety decay with p;
-// p = 0 is the in-model control.
+// while a chaos schedule delays a fraction p of all messages by 1–3 rounds
+// (violating the synchronous model; loopback stays on time). p = 0 is the
+// in-model control.
 void BM_DesyncedConsensus(benchmark::State& state) {
+  constexpr Round kRoundBudget = 250;
   const double p = static_cast<double>(state.range(0)) / 100.0;
   int trials = 0;
   int undecided = 0;
@@ -71,17 +73,17 @@ void BM_DesyncedConsensus(benchmark::State& state) {
     config.seed = seed;
     const Scenario scenario = make_scenario(config);
     SyncSimulator sim;
-    auto rng = std::make_shared<Rng>(derive_seed(seed, 0xDE1A));
-    if (p > 0) {
-      sim.set_delay_hook([rng, p](NodeId, NodeId, const Message&, Round) -> Round {
-        return rng->chance(p) ? static_cast<Round>(1 + rng->below(3)) : 0;
-      });
-    }
+    ChaosPhase phase;
+    phase.first_round = 1;
+    phase.last_round = kRoundBudget;
+    phase.delay = DelaySpec{p, 3};
+    sim.set_chaos(
+        std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, derive_seed(seed, 0xDE1A)));
     auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
       return std::make_unique<ConsensusProcess>(id, Value::real(static_cast<double>(index % 2)));
     };
     populate(sim, scenario, factory);
-    const bool decided = sim.run_until_all_correct_done(250);
+    const bool decided = sim.run_until_all_correct_done(kRoundBudget);
     if (!decided) undecided += 1;
     std::optional<Value> first;
     bool agreement = true;

@@ -1,14 +1,15 @@
 // Deterministic chaos-injection schedules shared by every engine.
 //
-// The flat FaultModel (runtime/faulty_transport.hpp) flips an independent
-// coin per frame, which makes failures impossible to reproduce across
-// engines: the sync simulator, the async simulator, and the runtime each
-// consume randomness in a different order. A ChaosSchedule fixes that by
-// making every fault verdict a PURE FUNCTION of (seed, link event): the
-// engines merely describe each delivery attempt as a LinkEvent{round, from,
-// to, seq} and ask `decide()` for the verdict. Same seed + same logical
-// traffic ⇒ byte-identical fault trace, no matter which engine replays it or
-// in which order its threads drain mailboxes.
+// An independent coin per frame would make failures impossible to
+// reproduce across engines: the sync simulator, the async simulator, and the
+// runtime each consume randomness in a different order. A ChaosSchedule
+// avoids that by making every fault verdict a PURE FUNCTION of (seed, link
+// event): the engines merely describe each delivery attempt as a
+// LinkEvent{round, from, to, seq} and ask `decide()` for the verdict. Same
+// seed + same logical traffic ⇒ byte-identical fault trace, no matter which
+// engine replays it or in which order its threads drain mailboxes. It is
+// the only link-fault injector: the sync simulator, the async simulator's
+// chaos delay model and the runtime's ChaosTransport all consult one.
 //
 // A schedule is a sequence of PHASES, each active over an inclusive round
 // window: burst loss, duplication, delay distributions (jitter), one-byte

@@ -64,7 +64,7 @@ struct DistConfig {
   /// coordinator splices the rings).
   bool want_trace = false;
   /// Read by nothing: every run exchanges slabs over the worker mesh. Kept
-  /// only because bench/suite/runs.cpp assigns it (ROADMAP item 6).
+  /// only because bench/suite/runs.cpp assigns it (ROADMAP item 8).
   bool mesh = true;
   /// Whole-frame receive budget per worker reply before the worker counts
   /// as wedged (then the watchdog-style grace retries start).

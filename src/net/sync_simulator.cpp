@@ -91,20 +91,14 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
   BroadcastLane& segment = lanes_[fill_lane_].segment(lane_index);
 
   // What the link from `from` to receiver slot `t` does to a message: the
-  // chaos verdict (staged for the fault trace and recorded), with the delay
-  // hook's delay when chaos neither drops nor delays it.
-  const auto link_fault = [&](NodeId from, std::size_t t, const MessageRef& ref) {
-    const NodeId to = dispatches_[t].id;
+  // chaos verdict, staged for the fault trace and recorded.
+  const auto link_fault = [&](NodeId from, std::size_t t) {
     FaultDecision fault;
     if (chaos_) {
-      const std::uint64_t link_seq = arena.link_seq[t - begin]++;
-      const LinkEvent event{round_, from, to, link_seq};
+      const LinkEvent event{round_, from, dispatches_[t].id, arena.link_seq[t - begin]++};
       fault = chaos_->peek(event);
       if (fault.faulted()) arena.chaos_stage.emplace_back(event, fault);
       if (recorder_) arena.trace_stage.push_back(make_link_verdict_record(event, fault));
-    }
-    if (!fault.drop && fault.delay_rounds == 0 && delay_hook_) {
-      fault.delay_rounds = delay_hook_(from, to, ref.get(), round_);
     }
     return fault;
   };
@@ -164,7 +158,6 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
         if (run.local) {
           arena.messages.sent[static_cast<std::size_t>(ref->kind)] += 1;
           arena.fanout.unique_payloads += 1;
-          if (tracing_) arena.debug_stage.push_back(TraceEntry{round_, run.id, send.to, ref.get()});
           if (recorder_) arena.trace_stage.push_back(make_send_record(run.id, round_, send.to));
         }
         if (!send.to.has_value() && !repeat) {
@@ -178,13 +171,13 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
       if (send.to.has_value()) {
         const std::size_t t = slot_of(*send.to);
         if (t >= begin && t < end) {  // recipient gone → no lane owns it; message lost
-          deposit_private(*send.to, *dispatches_[t].member, ref, key, link_fault(run.id, t, ref));
+          deposit_private(*send.to, *dispatches_[t].member, ref, key, link_fault(run.id, t));
         }
       } else if (walk_links_) {
         for (std::size_t t = begin; t < end; ++t) {
           const NodeId to = dispatches_[t].id;
           Member& member = *dispatches_[t].member;
-          const FaultDecision fault = link_fault(run.id, t, ref);
+          const FaultDecision fault = link_fault(run.id, t);
           if (repeat) {
             deposit_private(to, member, ref, key, fault);
           } else {
@@ -269,13 +262,8 @@ void SyncSimulator::begin_round() {
   }
   const std::size_t n = dispatches_.size();
 
-  // Lane plan: contiguous destination-slot ranges, one per worker. A user
-  // delay hook is an arbitrary (possibly stateful) std::function, so it must
-  // see deposits in the sequential order — collapse the merge to one lane
-  // (the fill phase still parallelises; the hook only runs in the merge).
-  std::size_t lane_count =
-      (executor_ != nullptr && delay_hook_ == nullptr) ? std::min<std::size_t>(threads_, n) : 1;
-  if (lane_count == 0) lane_count = 1;
+  // Lane plan: contiguous destination-slot ranges, one per worker.
+  const std::size_t lane_count = std::max<std::size_t>(std::min<std::size_t>(threads_, n), 1);
   lane_starts_.assign(lane_count + 1, 0);
   for (std::size_t l = 0; l <= lane_count; ++l) lane_starts_[l] = n * l / lane_count;
   if (arenas_.size() < lane_count) arenas_.resize(lane_count);
@@ -286,16 +274,14 @@ void SyncSimulator::begin_round() {
     arena.trace_stage.clear();
     arena.chaos_stage.clear();
     arena.delayed_stage.clear();
-    arena.debug_stage.clear();
   }
   lanes_[fill_lane_].reset(lane_count);
 
   // The merge walks every (sender, receiver) link only when a link may be
-  // faulted or observed: a chaos phase covers this round, a recorder logs
-  // every verdict, or a delay hook may hold any message. Otherwise a
-  // broadcast is one lane deposit and nothing else.
-  walk_links_ = delay_hook_ != nullptr ||
-                (chaos_ != nullptr && (recorder_ != nullptr || chaos_->phase_for(round_)));
+  // faulted or observed: a chaos phase covers this round, or a recorder
+  // logs every verdict. Otherwise a broadcast is one lane deposit and
+  // nothing else.
+  walk_links_ = chaos_ != nullptr && (recorder_ != nullptr || chaos_->phase_for(round_));
 
   if (step_arenas_.size() != threads_) step_arenas_.resize(threads_);
   for (StepArena& arena : step_arenas_) {
@@ -434,12 +420,6 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
     for (LaneArena::Delayed& delayed : arena.delayed_stage) {
       delayed_[delayed.due].emplace_back(delayed.to, std::move(delayed.ref));
     }
-    if (tracing_) {
-      for (TraceEntry& entry : arena.debug_stage) {
-        if (trace_.size() >= trace_capacity_) trace_.pop_front();
-        trace_.push_back(std::move(entry));
-      }
-    }
   }
   for (const StepArena& arena : step_arenas_) {
     for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
@@ -512,22 +492,6 @@ const std::vector<NodeId>& SyncSimulator::member_ids() const {
     member_ids_dirty_ = false;
   }
   return member_ids_cache_;
-}
-
-void SyncSimulator::enable_trace(std::size_t capacity) {
-  tracing_ = true;
-  trace_capacity_ = capacity == 0 ? 1 : capacity;
-}
-
-std::string SyncSimulator::dump_trace(std::optional<Round> only_round) const {
-  std::string out;
-  for (const TraceEntry& entry : trace_) {
-    if (only_round.has_value() && entry.round != *only_round) continue;
-    out += "r" + std::to_string(entry.round) + " " + std::to_string(entry.from) + " -> ";
-    out += entry.to.has_value() ? std::to_string(*entry.to) : std::string("*");
-    out += " " + entry.msg.to_string() + "\n";
-  }
-  return out;
 }
 
 void SyncSimulator::for_each_correct(const std::function<void(Process&)>& fn) {

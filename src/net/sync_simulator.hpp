@@ -34,13 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -125,23 +123,6 @@ class SyncSimulator {
   [[nodiscard]] Round round() const noexcept { return round_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
 
-  /// One routed message as observed by the engine (post sender-stamping).
-  struct TraceEntry {
-    Round round = 0;                ///< round in which the message was SENT
-    NodeId from = 0;
-    std::optional<NodeId> to;       ///< empty → broadcast
-    Message msg;
-  };
-
-  /// Synchrony-fault injection: return how many EXTRA rounds to delay this
-  /// message (0 = normal next-round delivery). Delaying traffic between
-  /// correct nodes deliberately violates the paper's model — the hook exists
-  /// to demonstrate, constructively, that the algorithms *need* the
-  /// synchrony assumption (experiment E6). Unset by default.
-  using DelayHook =
-      std::function<Round(NodeId from, NodeId to, const Message& msg, Round sent_round)>;
-  void set_delay_hook(DelayHook hook) { delay_hook_ = std::move(hook); }
-
   /// Install a shared chaos schedule (common/chaos.hpp). Every delivery
   /// attempt — broadcast fan-out and unicast alike — is keyed as a
   /// LinkEvent{sent_round, from, to, per-link seq} and the schedule's
@@ -152,7 +133,9 @@ class SyncSimulator {
   /// typed Message; it is recorded in the trace only. Self-delivery is never
   /// faulted. Broadcasts still ride the shared lane: a fault is a per-link
   /// exception (Mailbox::mask), and rounds no phase covers cost nothing
-  /// extra unless a recorder wants every verdict.
+  /// extra unless a recorder wants every verdict. Delaying traffic between
+  /// correct nodes deliberately breaks the lock-step model; experiment E6b
+  /// does so to show the algorithms need synchrony.
   void set_chaos(std::shared_ptr<ChaosSchedule> chaos) { chaos_ = std::move(chaos); }
   [[nodiscard]] const std::shared_ptr<ChaosSchedule>& chaos() const noexcept { return chaos_; }
 
@@ -166,13 +149,6 @@ class SyncSimulator {
   [[nodiscard]] const std::shared_ptr<TraceRecorder>& trace_recorder() const noexcept {
     return recorder_;
   }
-
-  /// Start recording every routed message (ring-buffered at `capacity`).
-  /// Intended for tests and debugging; off by default.
-  void enable_trace(std::size_t capacity = 1 << 20);
-  [[nodiscard]] const std::deque<TraceEntry>& trace() const noexcept { return trace_; }
-  /// Render the trace (optionally restricted to one round) for debugging.
-  [[nodiscard]] std::string dump_trace(std::optional<Round> only_round = std::nullopt) const;
 
   /// Live process lookup (nullptr when absent). The returned pointer stays
   /// valid until the process is removed.
@@ -241,7 +217,6 @@ class SyncSimulator {
       MessageRef ref;
     };
     std::vector<Delayed> delayed_stage;
-    std::vector<TraceEntry> debug_stage;        // enable_trace() ring entries
   };
 
   /// One executor worker's share of the stepping phase: the buffer a
@@ -289,10 +264,6 @@ class SyncSimulator {
   mutable bool member_ids_dirty_ = true;
   Round round_ = 0;
   Metrics metrics_;
-  bool tracing_ = false;
-  std::size_t trace_capacity_ = 0;
-  std::deque<TraceEntry> trace_;
-  DelayHook delay_hook_;
   std::shared_ptr<ChaosSchedule> chaos_;
   std::shared_ptr<TraceRecorder> recorder_;
   // Broadcast fan-out goes through the shared mailbox layer: one deposit per

@@ -31,30 +31,37 @@ std::vector<FrameView> ChaosTransport::drain_views() {
   // Verdicts are per message, so every entry of a slab is judged on its
   // own, in slab order — keeping per-link seq counters (and therefore whole
   // fault traces) byte-identical to the simulators, which decide per
-  // message. Each surviving copy leaves as a one-entry slab under the
+  // message. A slab with no faulted entry leaves whole, as it arrived.
+  // Otherwise each surviving copy leaves as a one-entry slab under the
   // input's header and tag, i.e. an owned frame, so holding it across the
   // inner transport's buffer reuse is safe.
+  std::vector<FaultDecision> verdicts;
   for (FrameView& view : inner_->drain_views()) {
     const auto slab = parse_shard_slab(view.bytes);
     if (!slab.has_value()) {
       out.push_back(std::move(view));  // not a slab — the driver drops it anyway
       continue;
     }
+    verdicts.clear();
+    bool faulted = false;
     for (const ShardSlabView::Entry& entry : slab->entries) {
-      const auto emit = [&](std::span<const std::byte> frame) {
-        ShardSlabWriter writer;
-        writer.reset(slab->shard, slab->round);
-        writer.add_frame(entry.to, frame);
-        return make_frame_view(make_frame_ref(writer.bytes()));
-      };
-      const auto msg = decode(entry.frame);
-      if (!msg.has_value()) {
-        out.push_back(emit(entry.frame));  // undecodable — unfaulted, dropped downstream
-        continue;
+      FaultDecision verdict;  // undecodable — unfaulted, dropped downstream
+      if (const auto msg = decode(entry.frame)) {
+        const LinkEvent event{slab->round, msg->sender, self_,
+                              seq_[{slab->round, msg->sender}]++};
+        verdict = chaos_->decide(event);
+        if (recorder_ != nullptr) recorder_->record_link_verdict(event, verdict);
       }
-      const LinkEvent event{slab->round, msg->sender, self_, seq_[{slab->round, msg->sender}]++};
-      const FaultDecision verdict = chaos_->decide(event);
-      if (recorder_ != nullptr) recorder_->record_link_verdict(event, verdict);
+      faulted = faulted || verdict.faulted();
+      verdicts.push_back(verdict);
+    }
+    if (!faulted) {
+      out.push_back(std::move(view));
+      continue;
+    }
+    for (std::size_t i = 0; i < slab->entries.size(); ++i) {
+      const ShardSlabView::Entry& entry = slab->entries[i];
+      const FaultDecision& verdict = verdicts[i];
       if (verdict.drop) continue;
 
       std::span<const std::byte> frame = entry.frame;
@@ -68,9 +75,12 @@ std::vector<FrameView> ChaosTransport::drain_views() {
             static_cast<std::byte>(1u << ((verdict.entropy >> 8) % 8));
         frame = corrupted;
       }
-      const FrameView copy = emit(frame);
+      ShardSlabWriter writer;
+      writer.reset(slab->shard, slab->round);
+      writer.add_frame(entry.to, frame);
+      const FrameView copy = make_frame_view(make_frame_ref(writer.bytes()));
       const int copies = verdict.duplicate ? 2 : 1;
-      for (int i = 0; i < copies; ++i) {
+      for (int c = 0; c < copies; ++c) {
         if (verdict.delay_rounds > 0) {
           held_.push_back(Held{copy, verdict.delay_rounds});
         } else {

@@ -1,23 +1,23 @@
 // ChaosSchedule decorator for the runtime's byte transports.
 //
-// Unlike FaultyTransport (an independent coin per frame, send-side), this
-// decorator keys every fault off the shared deterministic schedule so a
-// runtime run reproduces the exact fault trace of a simulator run. Faults
-// are applied on the RECEIVE side: the decorator knows its own endpoint id
-// (`self` = the link's `to`) and judges each entry of an arriving slab
-// (net/codec.hpp) in place, recovering the sent round from the slab header
-// and the sender from the entry's codec frame — so the LinkEvent{round,
-// from, to, seq} it hands the schedule is identical to the one the
-// simulators build for the same logical message. Datagrams that are not
-// slabs, and entries that do not decode, pass through unfaulted; they are
-// already dying in the driver's decode.
+// The runtime's only wire-fault injector. It keys every fault off the shared
+// deterministic schedule, so a runtime run reproduces the exact fault trace
+// of a simulator run. Faults are applied on the RECEIVE side: the decorator
+// knows its own endpoint id (`self` = the link's `to`) and judges each entry
+// of an arriving slab (net/codec.hpp) in place, recovering the sent round
+// from the slab header and the sender from the entry's codec frame — so the
+// LinkEvent{round, from, to, seq} it hands the schedule is identical to the
+// one the simulators build for the same logical message. Datagrams that are
+// not slabs, and entries that do not decode, pass through unfaulted; they
+// are already dying in the driver's decode.
 //
-// Every surviving copy of an entry leaves as a one-entry slab that reuses
-// the input's header and routing tag (an unfaulted entry's frame bytes are
-// unchanged), one view per copy. Verdicts: drop ⇒ the entry vanishes;
-// delay of k rounds ⇒ its view is held for k drain cycles (the driver
-// drains once per round); duplicate ⇒ it is delivered twice this drain;
-// corrupt ⇒ one bit of one byte of the entry's frame (chosen by the
+// A slab none of whose entries is faulted leaves whole, as it arrived.
+// Otherwise every surviving copy of an entry leaves as a one-entry slab
+// that reuses the input's header and routing tag (an unfaulted entry's
+// frame bytes are unchanged), one view per copy. Verdicts: drop ⇒ the entry
+// vanishes; delay of k rounds ⇒ its view is held for k drain cycles (the
+// driver drains once per round); duplicate ⇒ it is delivered twice this
+// drain; corrupt ⇒ one bit of one byte of the entry's frame (chosen by the
 // verdict's entropy) is flipped, header and length prefix intact. The
 // emitted slabs are owned frames, so holding one across the inner
 // transport's buffer reuse is safe.

@@ -181,24 +181,28 @@ TEST(ReliableBroadcast, PayloadBelowRelayThresholdNeverAccepted) {
 }
 
 TEST(ReliableBroadcast, NodesStopEchoingAfterAcceptance) {
-  // Protocol hygiene via the engine trace: once a node accepts, it must not
-  // broadcast further echoes ("not accepted already" guard of Alg. 1).
+  // Protocol hygiene via the engine's send counters: once a node accepts,
+  // it must not broadcast further echoes ("not accepted already" guard of
+  // Alg. 1).
   ScenarioConfig config = config_for(7, 0, AdversaryKind::kNone, 1);
   const Scenario scenario = make_scenario(config);
   SyncSimulator sim;
-  sim.enable_trace();
   const NodeId source = scenario.correct_ids.front();
   auto factory = [&](NodeId id, std::size_t) -> std::unique_ptr<Process> {
     return std::make_unique<ReliableBroadcastProcess>(id, source, Value::real(1.0));
   };
   populate(sim, scenario, factory);
-  sim.run_rounds(10);
   // Acceptance happens in local round 3; echoes are sent in rounds 2 and 3
   // (the round-3 echo precedes the accept check in pseudocode order).
-  for (const auto& entry : sim.trace()) {
-    if (entry.msg.kind == MsgKind::kEcho) {
-      EXPECT_LE(entry.round, 3) << "echo after acceptance from " << entry.from;
-    }
+  const auto echoes_sent = [&sim] {
+    return sim.metrics().messages.sent[static_cast<std::size_t>(MsgKind::kEcho)];
+  };
+  sim.run_rounds(3);
+  const std::uint64_t echoes_by_round_3 = echoes_sent();
+  EXPECT_GT(echoes_by_round_3, 0u);
+  for (Round r = 4; r <= 10; ++r) {
+    sim.step();
+    EXPECT_EQ(echoes_sent(), echoes_by_round_3) << "echo after acceptance in round " << r;
   }
 }
 

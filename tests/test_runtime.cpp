@@ -4,20 +4,17 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/chaos.hpp"
 #include "common/invariants.hpp"
-#include "common/rng.hpp"
 #include "common/siphash.hpp"
 #include "core/approx_agreement.hpp"
 #include "core/consensus.hpp"
 #include "net/codec.hpp"
 #include "runtime/auth_transport.hpp"
 #include "runtime/chaos_transport.hpp"
-#include "runtime/faulty_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
 #include "runtime/round_driver.hpp"
 #include "runtime/udp_transport.hpp"
@@ -96,34 +93,29 @@ TEST(RuntimeInMemory, MalformedFramesAreCountedAndDropped) {
 
 // ------------------------------------------------------------------- chaos --
 
-TEST(RuntimeChaos, FaultModelProbabilitiesAreValidatedAtConstruction) {
-  InMemoryHub hub;
-  FaultModel bad;
-  bad.drop = 1.5;
-  EXPECT_THROW(FaultyTransport(hub.make_endpoint(), bad, Rng(1)), std::invalid_argument);
-  bad = FaultModel{};
-  bad.delay = -0.25;
-  EXPECT_THROW(FaultyTransport(hub.make_endpoint(), bad, Rng(1)), std::invalid_argument);
-  EXPECT_NO_THROW(FaultyTransport(hub.make_endpoint(), FaultModel{}, Rng(1)));
+/// A schedule whose one phase covers rounds 1..last_round with `phase`'s
+/// fault probabilities.
+std::shared_ptr<ChaosSchedule> wire_chaos(ChaosPhase phase, Round last_round,
+                                          std::uint64_t seed) {
+  phase.first_round = 1;
+  phase.last_round = last_round;
+  return std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, seed);
 }
 
 TEST(RuntimeChaos, DuplicatedAndDelayedFramesAreCounted) {
   InMemoryHub hub;
-  auto observer = hub.make_endpoint();
-  FaultModel model;
-  model.duplicate = 1.0;
-  FaultyTransport duplicator(hub.make_endpoint(), model, Rng(7));
-  const Frame frame = encode(Message{.kind = MsgKind::kPresent});
-  for (int i = 0; i < 5; ++i) duplicator.broadcast(frame);
-  EXPECT_EQ(duplicator.frames_duplicated(), 5u);
-  EXPECT_EQ(observer->drain().size(), 10u) << "every frame went out twice";
+  auto sender = hub.make_endpoint();
+  ChaosTransport duplicator(hub.make_endpoint(), wire_chaos(ChaosPhase{.duplicate = 1.0}, 1, 7),
+                            /*self=*/1);
+  for (int i = 0; i < 5; ++i) sender->broadcast(framed(1, 2));
+  EXPECT_EQ(duplicator.drain_views().size(), 10u) << "every frame arrived twice";
+  EXPECT_EQ(duplicator.schedule()->counters().total_faults().duplicates, 5u);
 
-  FaultModel delaying;
-  delaying.delay = 1.0;
-  FaultyTransport delayer(hub.make_endpoint(), delaying, Rng(8));
-  observer->broadcast(frame);
+  ChaosTransport delayer(hub.make_endpoint(),
+                         wire_chaos(ChaosPhase{.delay = DelaySpec{1.0, 1}}, 1, 8), /*self=*/1);
+  sender->broadcast(framed(1, 2));
   EXPECT_TRUE(delayer.drain_views().empty()) << "held for one drain cycle";
-  EXPECT_EQ(delayer.frames_delayed(), 1u);
+  EXPECT_EQ(delayer.schedule()->counters().total_faults().delays, 1u);
 }
 
 /// Inner transport whose drain hands out views into a buffer it REUSES on
@@ -147,16 +139,15 @@ class ReusedBufferTransport final : public Transport {
 };
 
 TEST(RuntimeChaos, DelayedFrameSurvivesInnerBufferReuse) {
-  // Regression: FaultyTransport used to hold the raw view across drains; an
-  // inner transport that reuses its receive buffer would then rewrite the
-  // held frame's bytes. Held views must be materialised into owned frames.
-  FaultModel model;
-  model.delay = 1.0;
+  // Regression: a delaying transport that holds the raw view across drains
+  // lets an inner transport that reuses its receive buffer rewrite the held
+  // frame's bytes. Held views must be materialised into owned frames.
   auto inner = std::make_unique<ReusedBufferTransport>();
   ReusedBufferTransport* wire = inner.get();
-  FaultyTransport chaotic(std::move(inner), model, Rng(9));
+  ChaosTransport chaotic(std::move(inner),
+                         wire_chaos(ChaosPhase{.delay = DelaySpec{1.0, 1}}, 1, 9), /*self=*/1);
 
-  const Frame original = encode(Message{.sender = 3, .kind = MsgKind::kAck});
+  const Frame original = one_entry_slab(1, Message{.sender = 3, .kind = MsgKind::kAck});
   wire->broadcast(original);
   ASSERT_TRUE(chaotic.drain_views().empty()) << "first drain holds the frame";
 
@@ -165,9 +156,9 @@ TEST(RuntimeChaos, DelayedFrameSurvivesInnerBufferReuse) {
   overwrite.sender = 9;
   overwrite.kind = MsgKind::kInput;
   overwrite.value = Value::real(123.0);
-  wire->broadcast(encode(overwrite));
+  wire->broadcast(one_entry_slab(1, overwrite));
 
-  // Only the held frame is released this drain (delay=1.0 holds the new
+  // Only the held frame is released this drain (delay 1.0 holds the new
   // arrival too); its bytes must be the ORIGINAL ones, not the overwrite.
   const auto released = chaotic.drain_views();
   ASSERT_EQ(released.size(), 1u);
@@ -228,18 +219,19 @@ TEST(RuntimeChaos, AdaptiveDriversHealAfterJitterBurst) {
 
 TEST(RuntimeChaos, CorruptionIsAlwaysRejectedNeverMisparsed) {
   InMemoryHub hub;
-  auto inner = hub.make_endpoint();
-  FaultModel model;
-  model.corrupt = 1.0;  // every frame gets one bit flipped
-  FaultyTransport chaotic(hub.make_endpoint(), model, Rng(3));
+  auto sender = hub.make_endpoint();
+  // Every frame gets one bit flipped.
+  ChaosTransport chaotic(hub.make_endpoint(), wire_chaos(ChaosPhase{.corrupt = 1.0}, 1, 3),
+                         /*self=*/1);
   const Frame frame =
       one_entry_slab(1, Message{.sender = 7, .kind = MsgKind::kInput, .value = Value::real(2.0)});
-  // Broadcast through the chaotic endpoint 200 times; whatever survives the
-  // bit flip must either fail to parse or parse to a self-consistent frame
-  // (codec bijectivity) — never crash.
-  for (int i = 0; i < 200; ++i) chaotic.broadcast(frame);
-  EXPECT_GT(chaotic.frames_corrupted(), 150u);
-  for (const Frame& received : inner->drain()) (void)decode_slab(received);
+  // Send 200 frames over the chaotic link; whatever survives the bit flip
+  // must either fail to parse or parse to a self-consistent frame (codec
+  // bijectivity) — never crash.
+  for (int i = 0; i < 200; ++i) sender->broadcast(frame);
+  const auto received = chaotic.drain_views();
+  EXPECT_GT(chaotic.schedule()->counters().total_faults().corrupts, 150u);
+  for (const FrameView& view : received) (void)decode_slab(view.bytes);
 }
 
 TEST(RuntimeChaos, ConsensusSurvivesModerateWireFaults) {
@@ -248,18 +240,19 @@ TEST(RuntimeChaos, ConsensusSurvivesModerateWireFaults) {
   // n = 9 all-correct, a handful of lost frames per round stays under the
   // n_v/3 slack. (This is empirical robustness, not a theorem — the paper's
   // model has reliable links; see EXPERIMENTS E6b for where it breaks.)
+  // Rounds are 25 ms: a ChaosTransport parses and judges every slab entry,
+  // and under ThreadSanitizer nine drivers overrun 10-15 ms rounds; the late
+  // frames that follow are a synchrony violation this test does not intend.
   InMemoryHub hub;
-  const auto config = config_starting_soon(10ms, 80);
+  const auto config = config_starting_soon(25ms, 80);
   std::vector<std::unique_ptr<RoundDriver>> drivers;
   const std::vector<NodeId> ids{11, 22, 33, 44, 55, 66, 77, 88, 99};
-  FaultModel model;
-  model.drop = 0.05;
-  model.duplicate = 0.05;
-  model.corrupt = 0.02;
+  const auto chaos =
+      wire_chaos(ChaosPhase{.drop = 0.05, .duplicate = 0.05, .corrupt = 0.02}, 80, 100);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     drivers.push_back(std::make_unique<RoundDriver>(
         std::make_unique<ConsensusProcess>(ids[i], Value::real(static_cast<double>(i % 2))),
-        std::make_unique<FaultyTransport>(hub.make_endpoint(), model, Rng(100 + i)), config));
+        std::make_unique<ChaosTransport>(hub.make_endpoint(), chaos, ids[i]), config));
   }
   std::vector<std::thread> threads;
   for (auto& driver : drivers) threads.emplace_back([&driver] { driver->run(); });

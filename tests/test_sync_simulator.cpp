@@ -231,60 +231,69 @@ TEST(SyncSimulator, RunUntilStopsEarly) {
 
 TEST(SyncSimulator, TraceRecordsRoutedMessages) {
   SyncSimulator sim;
-  sim.enable_trace();
+  auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+  sim.set_trace_recorder(recorder);
   auto a = std::make_unique<ScriptedProcess>(1);
   a->send_in_round(1, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, 0)});
   a->send_in_round(2, Outgoing{NodeId{2}, text_msg(MsgKind::kAck, 0)});
   sim.add_process(std::move(a));
   sim.add_process(std::make_unique<ScriptedProcess>(2));
   sim.run_rounds(3);
-  ASSERT_EQ(sim.trace().size(), 2u);
-  EXPECT_EQ(sim.trace()[0].round, 1);
-  EXPECT_FALSE(sim.trace()[0].to.has_value());
-  EXPECT_EQ(sim.trace()[1].round, 2);
-  EXPECT_EQ(sim.trace()[1].to, NodeId{2});
-  EXPECT_EQ(sim.trace()[1].msg.sender, 1u);
-  const std::string dump = sim.dump_trace();
-  EXPECT_NE(dump.find("present"), std::string::npos);
-  EXPECT_NE(dump.find("ack"), std::string::npos);
-  EXPECT_TRUE(sim.dump_trace(Round{2}).find("present") == std::string::npos);
-}
-
-TEST(SyncSimulator, TraceRingBufferCapsMemory) {
-  SyncSimulator sim;
-  sim.enable_trace(/*capacity=*/4);
-  auto a = std::make_unique<ScriptedProcess>(1);
-  for (Round r = 1; r <= 10; ++r) {
-    a->send_in_round(r, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, double(r))});
+  std::vector<TraceRecord> sends;
+  for (const TraceRecord& rec : recorder->snapshot()) {
+    if (rec.kind == TraceEventKind::kSend) sends.push_back(rec);
   }
-  sim.add_process(std::move(a));
-  sim.run_rounds(10);
-  EXPECT_EQ(sim.trace().size(), 4u);
-  EXPECT_EQ(sim.trace().front().round, 7);
+  ASSERT_EQ(sends.size(), 2u);
+  EXPECT_EQ(sends[0].node, 1u);
+  EXPECT_EQ(sends[0].from, 1u);
+  EXPECT_EQ(sends[0].round, 1);
+  EXPECT_EQ(sends[0].extra, 1) << "a broadcast";
+  EXPECT_EQ(sends[1].node, 1u);
+  EXPECT_EQ(sends[1].round, 2);
+  EXPECT_EQ(sends[1].extra, 0) << "a unicast";
+  EXPECT_EQ(sends[1].to, NodeId{2});
 }
 
-TEST(SyncSimulator, DelayHookPostponesDelivery) {
-  SyncSimulator sim;
-  sim.set_delay_hook([](NodeId, NodeId, const Message& m, Round) -> Round {
-    return m.kind == MsgKind::kAck ? 2 : 0;
-  });
-  auto a = std::make_unique<ScriptedProcess>(1);
-  a->send_in_round(1, Outgoing{NodeId{2}, text_msg(MsgKind::kAck, 0)});      // delayed by 2
-  a->send_in_round(1, Outgoing{NodeId{2}, text_msg(MsgKind::kPresent, 0)});  // on time
-  auto b = std::make_unique<ScriptedProcess>(2);
-  auto* pb = b.get();
-  sim.add_process(std::move(a));
-  sim.add_process(std::move(b));
-  sim.run_rounds(5);
-  ASSERT_EQ(pb->received_[2].size(), 1u);
-  EXPECT_EQ(pb->received_[2][0].kind, MsgKind::kPresent);
-  ASSERT_EQ(pb->received_[4].size(), 1u) << "delayed by 2 extra rounds: 1 + 1 + 2 = round 4";
-  EXPECT_EQ(pb->received_[4][0].kind, MsgKind::kAck);
+/// A schedule that delays every message sent on the link `from` → `to` in
+/// round 1 by exactly one extra round: the link coin always fires, and the
+/// default delay span (max_extra_rounds = 1) fixes the length.
+std::shared_ptr<ChaosSchedule> delay_link(NodeId from, NodeId to) {
+  ChaosPhase phase;
+  phase.link_faults.push_back(LinkFaultSpec{.from = from, .to = to, .delay = 1.0});
+  return std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, 1);
+}
+
+TEST(SyncSimulator, ChaosDelayPostponesDelivery) {
+  for (const unsigned threads : {1U, 2U}) {
+    SyncSimulator sim;
+    sim.set_threads(threads);
+    sim.set_chaos(delay_link(1, 2));
+    auto a = std::make_unique<ScriptedProcess>(1);
+    a->send_in_round(1, Outgoing{NodeId{2}, text_msg(MsgKind::kAck, 0)});      // delayed by 1
+    a->send_in_round(1, Outgoing{NodeId{3}, text_msg(MsgKind::kPresent, 0)});  // on time
+    auto b = std::make_unique<ScriptedProcess>(2);
+    auto c = std::make_unique<ScriptedProcess>(3);
+    auto* pb = b.get();
+    auto* pc = c.get();
+    sim.add_process(std::move(a));
+    sim.add_process(std::move(b));
+    sim.add_process(std::move(c));
+    sim.run_rounds(5);
+    ASSERT_EQ(pc->received_[2].size(), 1u) << "the clean link delivers next round";
+    EXPECT_EQ(pc->received_[2][0].kind, MsgKind::kPresent);
+    EXPECT_TRUE(pb->received_[2].empty());
+    ASSERT_EQ(pb->received_[3].size(), 1u) << "delayed by 1 extra round: 1 + 1 + 1 = round 3";
+    EXPECT_EQ(pb->received_[3][0].kind, MsgKind::kAck);
+    for (Round r : {4, 5}) {
+      EXPECT_TRUE(pb->received_[r].empty()) << r;
+      EXPECT_TRUE(pc->received_[r].empty()) << r;
+    }
+  }
 }
 
 TEST(SyncSimulator, DelayedMessageToRemovedNodeIsDropped) {
   SyncSimulator sim;
-  sim.set_delay_hook([](NodeId, NodeId, const Message&, Round) -> Round { return 3; });
+  sim.set_chaos(delay_link(1, 2));
   auto a = std::make_unique<ScriptedProcess>(1);
   a->send_in_round(1, Outgoing{NodeId{2}, text_msg(MsgKind::kPresent, 0)});
   sim.add_process(std::move(a));
@@ -389,12 +398,12 @@ TEST(SyncSimulator, DelayedMessageNotResurrectedForReusedId) {
   // A message delayed in flight to node 2 must die with node 2's removal —
   // it must NOT be delivered to a NEW process that later re-uses id 2.
   SyncSimulator sim;
-  sim.set_delay_hook([](NodeId, NodeId, const Message&, Round) -> Round { return 3; });
+  sim.set_chaos(delay_link(1, 2));
   auto a = std::make_unique<ScriptedProcess>(1);
   a->send_in_round(1, Outgoing{NodeId{2}, text_msg(MsgKind::kPresent, 7)});
   sim.add_process(std::move(a));
   sim.add_process(std::make_unique<ScriptedProcess>(2));
-  sim.step();  // round 1: send routed, due in round 1 + 1 + 3 = 5
+  sim.step();  // round 1: send routed, due in round 1 + 1 + 1 = 3
   sim.remove_process(2);
   sim.step();  // round 2: removal takes effect, in-flight message purged
   auto reborn = std::make_unique<ScriptedProcess>(2);
