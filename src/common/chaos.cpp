@@ -260,10 +260,4 @@ ChaosCounters ChaosSchedule::counters() const {
   return out;
 }
 
-void ChaosSchedule::clear_trace() {
-  std::scoped_lock lock(mutex_);
-  trace_.clear();
-  per_phase_.assign(plan_.phases.size(), FaultCounters{});
-}
-
 }  // namespace idonly

@@ -193,8 +193,6 @@ class ChaosSchedule {
   /// are left zero — those belong to the runtime's drivers).
   [[nodiscard]] ChaosCounters counters() const;
 
-  void clear_trace();
-
   /// The deterministic coin: uniform double in [0, 1) from (seed, event,
   /// salt). Exposed for tests; every verdict in decide() flows from it.
   [[nodiscard]] static double coin(std::uint64_t seed, const LinkEvent& event,

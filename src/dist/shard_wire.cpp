@@ -272,6 +272,7 @@ void encode_node(ByteWriter& w, NodeId id, const NodeOutcome& node) {
   w.u64(id);
   w.u8(node.done ? 1 : 0);
   encode_value(w, node.output);
+  w.i64(node.decision_phase.value_or(kNoRound));
   w.i64(node.accept_round.value_or(kNoRound));
   w.f64(node.estimate);
   w.u64(node.trajectory.size());
@@ -301,6 +302,7 @@ std::pair<NodeId, NodeOutcome> decode_node(ByteReader& r) {
   NodeOutcome node;
   node.done = r.u8() != 0;
   node.output = decode_value(r);
+  if (const std::int64_t phase = r.i64(); phase != kNoRound) node.decision_phase = phase;
   if (const Round round = r.i64(); round != kNoRound) node.accept_round = round;
   node.estimate = r.f64();
   for (std::uint64_t k = r.u64(); k > 0 && !r.failed(); --k) node.trajectory.push_back(r.f64());

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "baselines/known_f_approx.hpp"
-#include "core/consensus.hpp"
 #include "net/sync_simulator.hpp"
 
 namespace idonly {
@@ -19,34 +18,32 @@ double range_of(const std::vector<double>& xs) {
 
 ConsensusRun run_consensus(const ScenarioConfig& config, const std::vector<double>& inputs,
                            Round max_rounds) {
-  const Scenario scenario = make_scenario(config);
-  SyncSimulator sim;
-  auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
-    const double input = index < config.n_correct
-                             ? inputs[index % inputs.size()]
-                             : static_cast<double>(index % 2);  // adversary faces alternate
-    return std::make_unique<ConsensusProcess>(id, Value::real(input));
-  };
-  populate(sim, scenario, factory);
-  ConsensusRun run;
-  run.all_decided = sim.run_until_all_correct_done(max_rounds);
-  run.rounds = sim.round();
-  run.messages = sim.metrics().messages.total_delivered();
-
-  for (NodeId id : scenario.correct_ids) {
-    auto* p = sim.get<ConsensusProcess>(id);
-    if (p == nullptr || !p->output().has_value()) continue;
-    run.outputs.push_back(*p->output());
-    if (p->decision_phase().has_value()) {
-      run.max_decision_phase = std::max(run.max_decision_phase, *p->decision_phase());
-    }
+  // One input per process index: correct nodes cycle `inputs`, adversary
+  // faces (indices past the correct range) alternate 0/1.
+  std::vector<double> per_index;
+  for (std::size_t i = 0; i < config.n_correct + 2 * config.n_byzantine; ++i) {
+    per_index.push_back(i < config.n_correct ? inputs[i % inputs.size()]
+                                             : static_cast<double>(i % 2));
   }
-  run.agreement = run.outputs.size() == scenario.correct_ids.size() &&
+  const LoopRun loop = run_loop_script({.protocol = ScriptProtocol::kConsensus,
+                                        .config = config,
+                                        .inputs = std::move(per_index),
+                                        .max_rounds = max_rounds});
+  ConsensusRun run;
+  run.rounds = loop.run.rounds;
+  run.messages = loop.run.messages;
+  run.all_decided = !loop.nodes.empty();
+  for (const auto& [id, node] : loop.nodes) {
+    run.all_decided = run.all_decided && node.done;
+    if (!node.output.has_value()) continue;
+    run.outputs.push_back(*node.output);
+    run.max_decision_phase = std::max(run.max_decision_phase, node.decision_phase.value_or(0));
+  }
+  run.agreement = run.outputs.size() == config.n_correct &&
                   std::all_of(run.outputs.begin(), run.outputs.end(),
                               [&](const Value& v) { return v == run.outputs.front(); });
   if (run.agreement && !run.outputs.empty()) {
     const Value& decided = run.outputs.front();
-    run.validity = false;
     for (std::size_t i = 0; i < config.n_correct; ++i) {
       if (Value::real(inputs[i % inputs.size()]) == decided) run.validity = true;
     }

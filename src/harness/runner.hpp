@@ -1,8 +1,10 @@
 // One-call experiment runners: run the protocol to completion and return a
 // structured result with the properties the paper claims. Tests assert on
-// these; benchmarks time/print them. run_reliable_broadcast,
+// these; benchmarks time/print them. run_consensus, run_reliable_broadcast,
 // run_approx_agreement and run_rotor are thin builders over the script loop
-// (harness/script.hpp) whose fold_* functions judge_loop_run shares.
+// (harness/script.hpp); judge_loop_run shares the latter three's fold_*
+// functions. run_known_f_approx and run_parallel_consensus back no script
+// protocol and set up their own SyncSimulator.
 #pragma once
 
 #include <map>

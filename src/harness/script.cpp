@@ -544,6 +544,7 @@ NodeOutcome node_outcome(const Process& process) {
   out.done = process.done();
   if (const auto* c = dynamic_cast<const ConsensusProcess*>(&process)) {
     out.output = c->output();
+    out.decision_phase = c->decision_phase();
   } else if (const auto* k = dynamic_cast<const KingConsensusProcess*>(&process)) {
     out.output = k->output();
   } else if (const auto* t = dynamic_cast<const TotalOrderProcess*>(&process)) {

@@ -301,6 +301,7 @@ struct LoopLimits {
 struct NodeOutcome {
   bool done = false;
   std::optional<Value> output;        ///< consensus, king: decision; rb: accepted payload
+  std::optional<std::int64_t> decision_phase;  ///< consensus
   std::optional<Round> accept_round;  ///< rb
   double estimate = 0.0;              ///< approx: current value
   std::vector<double> trajectory;     ///< approx: value after each iteration
@@ -313,15 +314,16 @@ struct NodeOutcome {
 /// The verdict: the run's counters, the expectations the script names (in
 /// the protocol's fixed order) and violations judged from the tracked nodes'
 /// end states (one missing from `nodes` is skipped; rb, approx and rotor have
-/// no churn and fold all of `nodes`, see harness/runner.hpp) and, for
-/// consensus, the finished monitor, and the summary line.
+/// no churn and fold all of `nodes` with harness/runner.hpp's fold_*
+/// functions) and, for consensus, the finished monitor, and the summary line.
 [[nodiscard]] ScriptRun judge_loop_run(
     const ScenarioScript& script, const Scenario& scenario, const std::vector<NodeId>& tracked,
     const std::map<NodeId, NodeOutcome>& nodes, const InvariantMonitor* monitor, Round rounds,
     const Metrics& metrics, const ChaosCounters* chaos, const FaultCounters* wire_faults = nullptr);
 
 /// run_script's engine — the loop on one SyncSimulator — with the end states
-/// and metrics its verdict read, for harness/runner.hpp's builders.
+/// and metrics its verdict read, for harness/runner.hpp's builders
+/// (run_consensus, run_reliable_broadcast, run_approx_agreement, run_rotor).
 struct LoopRun {
   ScriptRun run;
   std::map<NodeId, NodeOutcome> nodes;  ///< the tracked nodes' end states

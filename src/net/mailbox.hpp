@@ -256,15 +256,14 @@ class Mailbox {
 // --------------------------------------------------------------- frames --
 // The byte-level half of the layer, used by the runtime transports. A Frame
 // is wrapped into a ref-counted FrameRef once per broadcast; endpoints hold
-// FrameViews (owner + byte span), so fan-out, decorator tag-stripping, and
-// duplication are all reference operations, never buffer copies.
+// FrameViews (owner + byte span), so fan-out and duplication are reference
+// operations, never buffer copies.
 
 using Frame = std::vector<std::byte>;
 using FrameRef = std::shared_ptr<const Frame>;
 
 /// A window into a ref-counted frame. `bytes` stays valid while `owner`
-/// lives; decorators narrow `bytes` (e.g. stripping an auth tag) without
-/// touching the underlying buffer.
+/// lives.
 struct FrameView {
   FrameRef owner;
   std::span<const std::byte> bytes;

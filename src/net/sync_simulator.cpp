@@ -494,10 +494,4 @@ const std::vector<NodeId>& SyncSimulator::member_ids() const {
   return member_ids_cache_;
 }
 
-void SyncSimulator::for_each_correct(const std::function<void(Process&)>& fn) {
-  for (auto& [id, member] : members_) {
-    if (!member.process->byzantine()) fn(*member.process);
-  }
-}
-
 }  // namespace idonly

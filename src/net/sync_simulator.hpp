@@ -166,9 +166,6 @@ class SyncSimulator {
   [[nodiscard]] const std::vector<NodeId>& member_ids() const;
   [[nodiscard]] std::size_t member_count() const noexcept { return members_.size(); }
 
-  /// Iterate live correct (non-Byzantine) processes.
-  void for_each_correct(const std::function<void(Process&)>& fn);
-
  private:
   struct Member {
     std::unique_ptr<Process> process;

@@ -46,7 +46,7 @@
 // without an authentication layer (see transport.hpp). Runtime tests include
 // a forgery probe documenting this boundary. The round header is just as
 // unauthenticated: a spoofed header at or below max_rounds is buffered like
-// any other (AuthTransport is the layer that rejects it).
+// any other.
 #pragma once
 
 #include <atomic>

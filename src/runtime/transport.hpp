@@ -33,7 +33,7 @@ class Transport {
   /// Fetch everything received since the last drain (order unspecified) as
   /// zero-copy views: each view shares ownership of a ref-counted frame, so
   /// a broadcast domain materialises one buffer no matter how many
-  /// endpoints receive it, and decorators narrow views instead of copying.
+  /// endpoints receive it.
   [[nodiscard]] virtual std::vector<FrameView> drain_views() = 0;
 
   /// Materialising convenience drain: copies each view's bytes into an

@@ -232,6 +232,7 @@ TEST(ShardWire, ResultRoundTripCarriesEveryMergedField) {
   NodeOutcome decided;
   decided.done = true;
   decided.output = Value::real(1.0);
+  decided.decision_phase = 2;
   NodeOutcome bot;
   bot.output = Value::bot();
   NodeOutcome accepted;

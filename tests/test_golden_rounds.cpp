@@ -41,6 +41,20 @@ TEST(GoldenRounds, ConsensusMixedSilentIsTwoPhases) {
   EXPECT_EQ(run.max_decision_phase, 2);
 }
 
+TEST(GoldenRounds, ConsensusTwoFacedFacesSplitZeroOne) {
+  // Each two-faced node's faces propose 0 and 1 whatever the correct inputs
+  // are; faces that cycled the correct inputs would end this run a phase
+  // early (7 rounds, 1791 deliveries).
+  const auto run =
+      run_consensus(config_for(7, 2, AdversaryKind::kTwoFaced, 1), {3.25, -1.5, 3.25, 3.25});
+  ASSERT_TRUE(run.all_decided);
+  ASSERT_TRUE(run.agreement);
+  EXPECT_EQ(run.outputs.front(), Value::real(3.25));
+  EXPECT_EQ(run.max_decision_phase, 2);
+  EXPECT_EQ(run.rounds, 12);
+  EXPECT_EQ(run.messages, 2043u);
+}
+
 TEST(GoldenRounds, RotorNoFaultsTerminatesAtNPlusThree) {
   // All n ids are candidates before the first selection; the wrap-around
   // repeat lands at rotor round n, i.e. local round n + 3.

@@ -14,11 +14,9 @@
 #include <vector>
 
 #include "common/metrics.hpp"
-#include "common/siphash.hpp"
 #include "net/codec.hpp"
 #include "net/mailbox.hpp"
 #include "net/message.hpp"
-#include "runtime/auth_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
 
 namespace idonly {
@@ -534,25 +532,6 @@ TEST(FrameLayer, HubFanOutSharesOneFrameAcrossEndpoints) {
   EXPECT_EQ(fanout.unique_payloads, 1u);
   EXPECT_EQ(fanout.deliveries, 3u);
   EXPECT_EQ(fanout.bytes_delivered, 6u);
-}
-
-TEST(FrameLayer, AuthDecoratorStripsTagByNarrowingView) {
-  InMemoryHub hub;
-  const SipHashKey key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16};
-  AuthTransport a(hub.make_endpoint(), key);
-  AuthTransport b(hub.make_endpoint(), key);
-  const std::byte raw[] = {std::byte{9}, std::byte{8}, std::byte{7}};
-  a.broadcast(raw);
-
-  const auto va = a.drain_views();
-  const auto vb = b.drain_views();
-  ASSERT_EQ(va.size(), 1u);
-  ASSERT_EQ(vb.size(), 1u);
-  ASSERT_EQ(vb[0].bytes.size(), 3u) << "tag stripped";
-  EXPECT_EQ(vb[0].bytes[0], std::byte{9});
-  EXPECT_EQ(va[0].bytes.data(), vb[0].bytes.data())
-      << "verify-and-strip must narrow the shared buffer, not copy it";
-  EXPECT_EQ(va[0].owner.use_count(), 2) << "both receivers still share one frame";
 }
 
 }  // namespace

@@ -171,10 +171,10 @@ TEST(ImbsBackend, CorrectSourceAcceptedByRoundThree) {
 }
 
 TEST(ImbsBackend, SweepAcrossSizesAdversariesAndSeeds) {
-  for (const auto [n_correct, n_byz] : {std::pair<std::size_t, std::size_t>{6, 1},
-                                        {11, 2},
-                                        {16, 3},
-                                        {9, 0}}) {
+  for (const auto& [n_correct, n_byz] : {std::pair<std::size_t, std::size_t>{6, 1},
+                                         {11, 2},
+                                         {16, 3},
+                                         {9, 0}}) {
     ASSERT_TRUE(resilient_imbs(n_correct + n_byz, n_byz));
     for (AdversaryKind adversary : {AdversaryKind::kSilent, AdversaryKind::kNoise,
                                     AdversaryKind::kForgedEcho, AdversaryKind::kTwoFaced}) {

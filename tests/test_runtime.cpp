@@ -9,11 +9,9 @@
 
 #include "common/chaos.hpp"
 #include "common/invariants.hpp"
-#include "common/siphash.hpp"
 #include "core/approx_agreement.hpp"
 #include "core/consensus.hpp"
 #include "net/codec.hpp"
-#include "runtime/auth_transport.hpp"
 #include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
 #include "runtime/round_driver.hpp"
@@ -398,53 +396,6 @@ TEST(RuntimeUdp, LegacyPerMessageFrameIsOneCountedDrop) {
   EXPECT_EQ(driver.frames_dropped(), 1u) << "a legacy frame is one wire fault";
   auto& p = dynamic_cast<ApproxAgreementProcess&>(driver.process());
   EXPECT_DOUBLE_EQ(p.value(), 5.0) << "alone on the wire, the estimate must not move";
-}
-
-TEST(RuntimeUdp, AuthTransportDropsSpamBeforeTheDriver) {
-  // Same hostile-spammer setup, but the cluster shares a group key: the
-  // junk dies in the AuthTransport (frames_rejected), and the driver's own
-  // malformed-frame counter stays at zero.
-  const std::vector<NodeId> ids{11, 22, 33, 44};
-  auto ports = UdpTransport::pick_free_ports(ids.size() + 1);
-  ASSERT_EQ(ports.size(), ids.size() + 1);
-  const std::uint16_t hostile_port = ports.back();
-  const auto config = config_starting_soon(25ms, 40);
-  SipHashKey key{};
-  for (std::uint8_t i = 0; i < 16; ++i) key[i] = static_cast<std::uint8_t>(0x42 + i);
-
-  std::vector<std::unique_ptr<RoundDriver>> drivers;
-  std::vector<AuthTransport*> transports;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    auto transport = std::make_unique<AuthTransport>(
-        std::make_unique<UdpTransport>(ports[i], ports), key);
-    transports.push_back(transport.get());
-    drivers.push_back(std::make_unique<RoundDriver>(
-        std::make_unique<ConsensusProcess>(ids[i], Value::real(1.0)), std::move(transport),
-        config));
-  }
-  std::atomic<bool> stop{false};
-  std::thread hostile([&] {
-    UdpTransport spammer(hostile_port, ports);  // no key
-    Frame junk(24, std::byte{0x55});
-    while (!stop.load()) {
-      spammer.broadcast(junk);
-      std::this_thread::sleep_for(1ms);
-    }
-  });
-  std::vector<std::thread> threads;
-  for (auto& driver : drivers) threads.emplace_back([&driver] { driver->run(); });
-  for (auto& thread : threads) thread.join();
-  stop.store(true);
-  hostile.join();
-
-  for (std::size_t i = 0; i < drivers.size(); ++i) {
-    auto& p = dynamic_cast<ConsensusProcess&>(drivers[i]->process());
-    ASSERT_TRUE(p.output().has_value()) << p.id();
-    EXPECT_EQ(*p.output(), Value::real(1.0));
-    EXPECT_EQ(drivers[i]->frames_dropped(), 0u)
-        << "junk must never reach the driver's decoder";
-    EXPECT_GT(transports[i]->frames_rejected(), 0u);
-  }
 }
 
 TEST(RuntimeUdp, SurvivesAHostilePeerSpammingGarbage) {
