@@ -39,13 +39,12 @@ std::string ChaosCounters::summary() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < per_phase.size(); ++i) {
     const FaultCounters& p = per_phase[i];
+    if (i > 0) os << ' ';
     os << "phase" << i << "[drop=" << p.drops << " dup=" << p.duplicates
        << " delay=" << p.delays << " corrupt=" << p.corrupts
        << " partition=" << p.partition_drops << " crash=" << p.crash_drops
-       << " trunc=" << p.truncations << "] ";
+       << " trunc=" << p.truncations << ']';
   }
-  os << "recovery[backoffs=" << backoffs << " shrinks=" << shrinks << " resyncs=" << resyncs
-     << " restarts=" << restarts << "]";
   return os.str();
 }
 
@@ -139,14 +138,6 @@ std::string prometheus_exposition(const Metrics& metrics, const ChaosCounters* c
         os << "idonly_chaos_faults_total{phase=\"" << i << "\",fault=\"" << fault << "\"} "
            << count << "\n";
       }
-    }
-    os << "# TYPE idonly_recovery_actions_total counter\n";
-    const std::pair<const char*, std::uint64_t> actions[] = {{"backoff", chaos->backoffs},
-                                                             {"shrink", chaos->shrinks},
-                                                             {"resync", chaos->resyncs},
-                                                             {"restart", chaos->restarts}};
-    for (const auto& [action, count] : actions) {
-      os << "idonly_recovery_actions_total{action=\"" << action << "\"} " << count << "\n";
     }
   }
   if (wire_faults != nullptr) {

@@ -102,18 +102,13 @@ struct FaultCounters {
   FaultCounters& operator+=(const FaultCounters& other) noexcept;
 };
 
-/// Full fault/recovery accounting for one chaos run: injected faults per
-/// phase (filled by the ChaosSchedule) and the recovery actions the
-/// self-healing runtime took in response (filled by RoundDriver/DriverPool).
+/// Fault accounting for one chaos run: injected faults per phase (filled by
+/// the ChaosSchedule).
 struct ChaosCounters {
   std::vector<FaultCounters> per_phase;  ///< indexed by phase position in the plan
-  std::uint64_t backoffs = 0;   ///< round-duration growths (late frames crossed threshold)
-  std::uint64_t shrinks = 0;    ///< round-duration reductions after clean rounds
-  std::uint64_t resyncs = 0;    ///< rounds fast-forwarded to catch up with peers
-  std::uint64_t restarts = 0;   ///< wedged driver threads restarted by the watchdog
 
   [[nodiscard]] FaultCounters total_faults() const noexcept;
-  /// Human-readable per-phase + recovery one-liner for benches and logs.
+  /// Human-readable per-phase one-liner for benches and logs.
   [[nodiscard]] std::string summary() const;
 };
 

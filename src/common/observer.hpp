@@ -59,10 +59,9 @@ class EventLog final : public ProtocolObserver {
 };
 
 /// Mutex-guarded collecting observer for multi-threaded runs: one instance
-/// may be shared across RoundDriver threads (and survive watchdog
-/// restarts). Readers get snapshot copies — the internal vector is never
-/// exposed by reference, so a concurrent on_event cannot invalidate a
-/// reader's view.
+/// may be shared across RoundDriver threads. Readers get snapshot copies —
+/// the internal vector is never exposed by reference, so a concurrent
+/// on_event cannot invalidate a reader's view.
 class ConcurrentEventLog final : public ProtocolObserver {
  public:
   void on_event(const ProtocolEvent& event) override {

@@ -63,10 +63,6 @@ const char* to_string(TraceEventKind kind) noexcept {
     case TraceEventKind::kDeliver: return "deliver";
     case TraceEventKind::kLateFrame: return "late_frame";
     case TraceEventKind::kProtocol: return "protocol";
-    case TraceEventKind::kClockBackoff: return "backoff";
-    case TraceEventKind::kClockShrink: return "shrink";
-    case TraceEventKind::kClockResync: return "resync";
-    case TraceEventKind::kWatchdogRestart: return "restart";
   }
   return "?";
 }
@@ -182,19 +178,6 @@ void TraceRecorder::record_protocol(const ProtocolEvent& event) {
                      .link_seq = 0,
                      .extra = event.phase,
                      .detail = event.to_string()});
-}
-
-void TraceRecorder::record_clock(NodeId node, TraceEventKind kind, Round round,
-                                 std::int64_t extra) {
-  record(TraceRecord{.kind = kind,
-                     .node = node,
-                     .round = round,
-                     .seq = 0,
-                     .from = node,
-                     .to = node,
-                     .link_seq = 0,
-                     .extra = extra,
-                     .detail = {}});
 }
 
 std::size_t TraceRecorder::size() const {

@@ -4,7 +4,7 @@
 // fault verdicts on the sync simulator, the async simulator, and the
 // runtime. When a run *does* diverge — a real bug — that guarantee is only
 // useful if we can see WHERE: this layer records structured per-node events
-// (protocol events, frame-level link verdicts, round-clock transitions)
+// (protocol events, frame-level link verdicts, engine sends and deliveries)
 // into bounded ring buffers, exports them as JSONL (tooling) and Chrome
 // `about://tracing` JSON (humans), and feeds the `trace_diff` tool
 // (check/trace_diff.hpp) that pinpoints the first divergent record between
@@ -23,8 +23,6 @@
 //     debugging one run; excluded from the canonical export.
 //   * PROTOCOL EVENTS (kProtocol): a ProtocolEvent captured via
 //     TraceObserver; `detail` holds its rendering.
-//   * CLOCK EVENTS (kClockBackoff, kClockShrink, kClockResync,
-//     kWatchdogRestart): the self-healing runtime's recovery actions.
 //
 // Thread safety: every recorder method is safe to call from any thread (one
 // mutex; tracing is opt-in and off the hot path — see DESIGN.md
@@ -65,10 +63,6 @@ enum class TraceEventKind : std::uint8_t {
   kDeliver,
   kLateFrame,
   kProtocol,
-  kClockBackoff,
-  kClockShrink,
-  kClockResync,
-  kWatchdogRestart,
 };
 
 [[nodiscard]] const char* to_string(TraceEventKind kind) noexcept;
@@ -80,8 +74,7 @@ enum class TraceEventKind : std::uint8_t {
 ///     sequence, extra = delay rounds;
 ///   kSend: to = unicast target (extra = 1 marks broadcast, to unused);
 ///   kDeliver: from = sender;
-///   kLateFrame: from = sender, extra = the frame's sent round;
-///   clock events: extra = new duration (ms) / peer round / restart count.
+///   kLateFrame: from = sender, extra = the frame's sent round.
 struct TraceRecord {
   TraceEventKind kind{};
   NodeId node = 0;          ///< owning node (whose ring buffer holds it)
@@ -150,8 +143,6 @@ class TraceRecorder {
   void record_send(NodeId node, Round round, std::optional<NodeId> to);
   void record_deliver(NodeId node, Round round, NodeId from);
   void record_protocol(const ProtocolEvent& event);
-  /// Clock family + kLateFrame; `extra` is the kind-specific payload.
-  void record_clock(NodeId node, TraceEventKind kind, Round round, std::int64_t extra = 0);
 
   [[nodiscard]] TraceEngine engine() const noexcept { return engine_; }
   [[nodiscard]] std::size_t per_node_capacity() const noexcept { return capacity_; }

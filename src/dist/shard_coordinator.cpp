@@ -19,7 +19,6 @@
 #include "common/invariants.hpp"
 #include "dist/shard_wire.hpp"
 #include "dist/shard_worker.hpp"
-#include "runtime/watchdog.hpp"
 
 namespace idonly {
 
@@ -71,13 +70,16 @@ std::string describe_exit(int status) {
   return "status " + std::to_string(status);
 }
 
-/// Receive one frame with the watchdog-style wedge budget: the base timeout
-/// plus WatchdogConfig::max_restarts_per_slot grace retries (restarting a
-/// deterministic shard mid-round is meaningless, so a spent restart budget
-/// retires the run instead of the slot).
+/// Extra polling periods a silent worker is granted after its base timeout
+/// before it counts as wedged.
+constexpr std::size_t kWedgeGraceRetries = 1;
+
+/// Receive one frame with the wedge budget: the base timeout plus
+/// kWedgeGraceRetries grace retries (restarting a deterministic shard
+/// mid-round is meaningless, so a spent budget retires the run).
 RecvStatus recv_with_grace(int fd, ShardMsgType& type, std::vector<std::byte>& payload,
                            int timeout_ms) {
-  const std::size_t attempts = 1 + WatchdogConfig{}.max_restarts_per_slot;
+  const std::size_t attempts = 1 + kWedgeGraceRetries;
   RecvStatus status = RecvStatus::kTimeout;
   for (std::size_t i = 0; i < attempts; ++i) {
     status = recv_frame(fd, type, payload, timeout_ms);
@@ -131,7 +133,7 @@ DistRun fleet_failure(Fleet& fleet, const Worker& worker, RecvStatus status,
   } else if (status == RecvStatus::kTimeout) {
     report = worker_name(worker) + " wedged " + when +
              " (no reply; watchdog grace budget of " +
-             std::to_string(WatchdogConfig{}.max_restarts_per_slot) + " retries exhausted)";
+             std::to_string(kWedgeGraceRetries) + " retries exhausted)";
   } else if (status == RecvStatus::kError) {
     report = worker_name(worker) + " socket error " + when;
   }
@@ -437,10 +439,6 @@ DistRun run_dist(const DistConfig& config) {
       for (std::size_t p = 0; p < result.chaos.per_phase.size(); ++p) {
         chaos.per_phase[p] += result.chaos.per_phase[p];
       }
-      chaos.backoffs += result.chaos.backoffs;
-      chaos.shrinks += result.chaos.shrinks;
-      chaos.resyncs += result.chaos.resyncs;
-      chaos.restarts += result.chaos.restarts;
     }
     wire_faults += result.wire_faults;
     for (auto& [id, node] : result.nodes) nodes[id] = std::move(node);

@@ -32,11 +32,10 @@
 // the worker that died on its own (not by the SIGKILL, not with the exit
 // after a kError it sent), whichever socket reported the failure first: a
 // crash shows up on the mesh too, as a survivor's kError naming its dead
-// peer, and that report is appended. The wedge budget reuses
-// the runtime watchdog's retirement policy (runtime/watchdog.hpp): a silent
-// worker is granted WatchdogConfig::max_restarts_per_slot extra polling
-// grace periods — restarting a deterministic shard mid-round is
-// meaningless, so "restart budget spent" maps to "retire the run". There is
+// peer, and that report is appended. A silent worker is granted one extra
+// polling grace period (the coordinator's kWedgeGraceRetries) before it
+// counts as wedged — restarting a deterministic shard mid-round is
+// meaningless, so a spent grace budget retires the run. There is
 // deliberately no partial-result path: a run missing one shard's traffic
 // would be a DIFFERENT run, silently.
 //
@@ -67,7 +66,7 @@ struct DistConfig {
   /// only because bench/suite/runs.cpp assigns it (ROADMAP item 8).
   bool mesh = true;
   /// Whole-frame receive budget per worker reply before the worker counts
-  /// as wedged (then the watchdog-style grace retries start).
+  /// as wedged (then the grace retries start).
   int wedge_timeout_ms = 60000;
   /// Test hook: worker `crash_shard` dies abruptly before executing round
   /// `crash_at_round` (0 = never). The run must fail cleanly, not hang.

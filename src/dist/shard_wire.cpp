@@ -349,10 +349,6 @@ std::vector<std::byte> encode_result(const ShardResult& result) {
   if (result.has_chaos) {
     w.u64(result.chaos.per_phase.size());
     for (const FaultCounters& f : result.chaos.per_phase) encode_fault_counters(w, f);
-    w.u64(result.chaos.backoffs);
-    w.u64(result.chaos.shrinks);
-    w.u64(result.chaos.resyncs);
-    w.u64(result.chaos.restarts);
   }
   encode_fault_counters(w, result.wire_faults);
   w.u64(result.nodes.size());
@@ -406,10 +402,6 @@ std::optional<ShardResult> decode_result(std::span<const std::byte> payload) {
     for (std::uint64_t i = 0; i < phases && !r.failed(); ++i) {
       result.chaos.per_phase.push_back(decode_fault_counters(r));
     }
-    result.chaos.backoffs = r.u64();
-    result.chaos.shrinks = r.u64();
-    result.chaos.resyncs = r.u64();
-    result.chaos.restarts = r.u64();
   }
   result.wire_faults = decode_fault_counters(r);
   const std::uint64_t nodes = r.u64();
@@ -423,7 +415,11 @@ std::optional<ShardResult> decode_result(std::span<const std::byte> payload) {
     const std::uint64_t records = r.u64();
     for (std::uint64_t k = 0; k < records && !r.failed(); ++k) {
       TraceRecord rec;
-      rec.kind = static_cast<TraceEventKind>(r.u8());
+      // A byte that names no kind is a garbled or stale result: reject it
+      // rather than export a record of unknown kind.
+      const std::uint8_t kind = r.u8();
+      if (kind > static_cast<std::uint8_t>(TraceEventKind::kProtocol)) return std::nullopt;
+      rec.kind = static_cast<TraceEventKind>(kind);
       rec.node = r.u64();
       rec.round = r.i64();
       rec.seq = r.u64();

@@ -30,18 +30,12 @@ std::optional<std::uint64_t> BroadcastLane::seq_of(const MessageRef& ref) const 
   return it->second;
 }
 
-std::span<const Message> BroadcastLane::view() const {
-  while (view_.size() < entries_.size()) view_.push_back(entries_[view_.size()].get());
-  return view_;
-}
-
 void BroadcastLane::clear() {
   entries_.clear();
   seqs_.clear();
   seen_.clear();
   kind_counts_.fill(0);
   wire_bytes_ = 0;
-  view_.clear();
 }
 
 void BroadcastLane::drain_into(std::vector<MessageRef>& refs, std::vector<std::uint64_t>& seqs) {
@@ -50,7 +44,6 @@ void BroadcastLane::drain_into(std::vector<MessageRef>& refs, std::vector<std::u
   seqs.insert(seqs.end(), seqs_.begin(), seqs_.end());
   entries_.clear();
   seqs_.clear();
-  view_.clear();
 }
 
 void ShardedLane::reset(std::size_t segments) {
@@ -95,19 +88,11 @@ void Mailbox::mask(std::uint64_t seq) {
   masks_.push_back(seq);
 }
 
-namespace {
-
-/// The merge shared by both lane flavours: Lane needs the BroadcastLane read
-/// interface (empty/view/refs/seqs/seq_of/kind_counts/wire_bytes).
-template <typename Lane>
-std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
-                                      std::vector<std::uint64_t>& seqs,
-                                      std::unordered_set<MessageRef, MessageRefHash>& seen,
-                                      std::vector<std::uint64_t>& masks, const Lane* lane,
-                                      std::vector<Message>& scratch, FanoutCounters* fanout,
-                                      MessageCounters* counters) {
+std::span<const Message> Mailbox::collect(const ShardedLane* lane,
+                                          std::vector<Message>& scratch, FanoutCounters* fanout,
+                                          MessageCounters* counters) {
   // Fast path: nothing receiver-specific — share the lane's view outright.
-  if (entries.empty() && masks.empty()) {
+  if (entries_.empty() && masks_.empty()) {
     if (lane == nullptr || lane->empty()) return {};
     const auto view = lane->view();
     if (fanout != nullptr) {
@@ -139,7 +124,7 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
   const std::span<const std::uint64_t> lane_seqs =
       lane != nullptr ? lane->seqs() : std::span<const std::uint64_t>{};
   scratch.clear();
-  scratch.reserve(view.size() + entries.size());
+  scratch.reserve(view.size() + entries_.size());
   std::uint64_t bytes = lane != nullptr ? lane->wire_bytes() : 0;
   std::array<std::uint64_t, MessageCounters::kKinds> kinds{};
   if (lane != nullptr) kinds = lane->kind_counts();
@@ -151,15 +136,15 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
   // Copy the lane entries from the cursor up to `stop`, skipping masked ones.
   const auto copy_lane_until = [&](std::size_t stop) {
     while (i < stop) {
-      while (k < masks.size() && masks[k] < lane_seqs[i]) k += 1;
+      while (k < masks_.size() && masks_[k] < lane_seqs[i]) k += 1;
       std::size_t cut = stop;
-      if (k < masks.size() && masks[k] <= lane_seqs[stop - 1]) {
+      if (k < masks_.size() && masks_[k] <= lane_seqs[stop - 1]) {
         cut = static_cast<std::size_t>(
-            std::lower_bound(at(lane_seqs, i), at(lane_seqs, stop), masks[k]) - lane_seqs.begin());
+            std::lower_bound(at(lane_seqs, i), at(lane_seqs, stop), masks_[k]) - lane_seqs.begin());
       }
       scratch.insert(scratch.end(), at(view, i), at(view, cut));
       i = cut;
-      if (i < stop && lane_seqs[i] == masks[k]) {
+      if (i < stop && lane_seqs[i] == masks_[k]) {
         kinds[static_cast<std::size_t>(view[i].kind)] -= 1;
         bytes -= lane_refs[i].wire_bytes();
         i += 1;
@@ -168,20 +153,20 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
     }
   };
   const auto masked = [&](std::uint64_t seq) {
-    return std::binary_search(masks.begin(), masks.end(), seq);
+    return std::binary_search(masks_.begin(), masks_.end(), seq);
   };
-  for (std::size_t j = 0; j < entries.size(); ++j) {
+  for (std::size_t j = 0; j < entries_.size(); ++j) {
     // Lane entries sent before this one (equal keys: private first).
     copy_lane_until(static_cast<std::size_t>(
-        std::lower_bound(at(lane_seqs, i), lane_seqs.end(), seqs[j]) - lane_seqs.begin()));
+        std::lower_bound(at(lane_seqs, i), lane_seqs.end(), seqs_[j]) - lane_seqs.begin()));
     const std::optional<std::uint64_t> twin =
-        lane != nullptr ? lane->seq_of(entries[j]) : std::nullopt;
+        lane != nullptr ? lane->seq_of(entries_[j]) : std::nullopt;
     if (twin.has_value() && !masked(*twin)) {
       if (fanout != nullptr) fanout->dedup_hits += 1;
     } else {
-      scratch.push_back(entries[j].get());
-      kinds[static_cast<std::size_t>(entries[j]->kind)] += 1;
-      bytes += entries[j].wire_bytes();
+      scratch.push_back(entries_[j].get());
+      kinds[static_cast<std::size_t>(entries_[j]->kind)] += 1;
+      bytes += entries_[j].wire_bytes();
     }
   }
   copy_lane_until(lane_seqs.size());
@@ -193,25 +178,11 @@ std::span<const Message> collect_impl(std::vector<MessageRef>& entries,
   if (counters != nullptr) {
     for (std::size_t kind = 0; kind < kinds.size(); ++kind) counters->delivered[kind] += kinds[kind];
   }
-  entries.clear();
-  seqs.clear();
-  seen.clear();
-  masks.clear();
+  entries_.clear();
+  seqs_.clear();
+  seen_.clear();
+  masks_.clear();
   return scratch;
-}
-
-}  // namespace
-
-std::span<const Message> Mailbox::collect(const BroadcastLane* lane,
-                                          std::vector<Message>& scratch, FanoutCounters* fanout,
-                                          MessageCounters* counters) {
-  return collect_impl(entries_, seqs_, seen_, masks_, lane, scratch, fanout, counters);
-}
-
-std::span<const Message> Mailbox::collect(const ShardedLane* lane,
-                                          std::vector<Message>& scratch, FanoutCounters* fanout,
-                                          MessageCounters* counters) {
-  return collect_impl(entries_, seqs_, seen_, masks_, lane, scratch, fanout, counters);
 }
 
 FrameRef make_frame_ref(std::span<const std::byte> bytes) {

@@ -11,19 +11,18 @@
 //     dedup) and wire size (for byte accounting) are computed at wrap time
 //     and cached, so fanning out to n receivers costs n reference bumps,
 //     never n rehashes.
-//   * `BroadcastLane` — the per-round broadcast buffer of a synchronous
-//     engine. A broadcast is deposited ONCE (dedup against the cached hash
-//     happens once per message, not once per receiver) and every member of
-//     the round reads the same contiguous materialised view, so the common
-//     all-broadcast round does zero per-receiver work.
-//   * `ShardedLane` — the parallel engine's view of the same idea: one
-//     `BroadcastLane` segment per merge lane, each filled lock-free by its
-//     owning worker (senders are partitioned across lanes, so per-segment
-//     dedup sees exactly the deposits the global set would), then `seal()`ed
-//     once per round into a single contiguous send-ordered view shared by
-//     every receiver. Segments cover ascending sender ranges and sequence
-//     keys are globally ordered, so concatenation in segment order IS send
-//     order — no sort, no merge.
+//   * `BroadcastLane` — one segment of a round's broadcast buffer. A
+//     broadcast is deposited ONCE (dedup against the cached hash happens
+//     once per message, not once per receiver).
+//   * `ShardedLane` — the synchronous engine's per-round broadcast buffer:
+//     one `BroadcastLane` segment per merge lane, each filled lock-free by
+//     its owning worker (senders are partitioned across lanes, so
+//     per-segment dedup sees exactly the deposits the global set would),
+//     then `seal()`ed once per round into a single contiguous send-ordered
+//     view shared by every receiver, so the common all-broadcast round does
+//     zero per-receiver work. Segments cover ascending sender ranges and
+//     sequence keys are globally ordered, so concatenation in segment order
+//     IS send order — no sort, no merge.
 //   * `Mailbox` — the per-receiver buffer for traffic that is genuinely
 //     receiver-specific (unicasts, delayed redeliveries), plus MASKS: lane
 //     entries a fault withholds from this receiver (a chaos drop or delay of
@@ -106,8 +105,7 @@ struct MessageRefHash {
   }
 };
 
-/// Per-round broadcast buffer shared by every member of a synchronous round.
-/// Deposit once; all receivers read the same contiguous view. Duplicate
+/// One segment of a round's broadcast buffer (see ShardedLane). Duplicate
 /// suppression (identical sender + content within the round) happens at
 /// deposit, once per message — the engine's model semantics, hoisted out of
 /// the per-receiver loop.
@@ -118,20 +116,14 @@ class BroadcastLane {
   /// duplicate is suppressed for every receiver at once).
   bool deposit(MessageRef ref, std::uint64_t seq);
 
-  /// The round's broadcasts as contiguous storage, materialised lazily once
-  /// per round and shared by all receivers. Valid until clear().
-  [[nodiscard]] std::span<const Message> view() const;
-
-  [[nodiscard]] bool contains(const MessageRef& ref) const { return seen_.contains(ref); }
   /// Sequence number of the deposited copy of `ref`'s content, if any.
   [[nodiscard]] std::optional<std::uint64_t> seq_of(const MessageRef& ref) const;
   [[nodiscard]] std::span<const MessageRef> refs() const noexcept { return entries_; }
-  [[nodiscard]] std::span<const std::uint64_t> seqs() const noexcept { return seqs_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
 
-  /// Per-kind deposit counts and total wire bytes — lets a receiver account
-  /// a whole lane in O(kinds) instead of O(messages).
+  /// Per-kind deposit counts and total wire bytes — lets the sealed lane
+  /// account a whole segment in O(kinds) instead of O(messages).
   [[nodiscard]] const std::array<std::uint64_t, MessageCounters::kKinds>& kind_counts()
       const noexcept {
     return kind_counts_;
@@ -142,9 +134,9 @@ class BroadcastLane {
   void clear();
 
   /// Move this segment's entries/seqs into `refs`/`seqs` (appending) and
-  /// reset them, KEEPING the dedup set — `contains()` keeps answering for
+  /// reset them, KEEPING the dedup set — `seq_of()` keeps answering for
   /// everything deposited this round. Used by ShardedLane::seal(); after
-  /// draining, `view()`/`refs()` on the segment are empty.
+  /// draining, `refs()` on the segment is empty.
   void drain_into(std::vector<MessageRef>& refs, std::vector<std::uint64_t>& seqs);
 
  private:
@@ -153,10 +145,9 @@ class BroadcastLane {
   std::unordered_map<MessageRef, std::uint64_t, MessageRefHash> seen_;  // content → seq
   std::array<std::uint64_t, MessageCounters::kKinds> kind_counts_{};
   std::uint64_t wire_bytes_ = 0;
-  mutable std::vector<Message> view_;  // materialised prefix of entries_
 };
 
-/// The parallel round engine's broadcast buffer: one BroadcastLane segment
+/// The synchronous round engine's broadcast buffer: one BroadcastLane segment
 /// per merge lane. During the lane-merge phase each worker deposits its own
 /// senders' broadcasts into its own segment — no locks, and per-segment
 /// dedup is exact because duplicate suppression is per (sender, content) and
@@ -164,7 +155,7 @@ class BroadcastLane {
 /// round) concatenates the segments into one contiguous send-ordered view:
 /// segments cover ascending sender ranges and deposit keys are globally
 /// ordered, so segment order IS send order. After seal the read side is
-/// BroadcastLane-compatible and shared by every receiver's collect().
+/// shared by every receiver's collect().
 class ShardedLane {
  public:
   /// Start a new round with `segments` lane segments (capacity reused).
@@ -178,7 +169,7 @@ class ShardedLane {
   /// concurrent lanes next round, so no lazy mutation is allowed after this.
   void seal();
 
-  // Sealed read interface (mirrors BroadcastLane).
+  // Sealed read interface.
   [[nodiscard]] bool contains(const MessageRef& ref) const { return seq_of(ref).has_value(); }
   [[nodiscard]] std::optional<std::uint64_t> seq_of(const MessageRef& ref) const;
   [[nodiscard]] std::span<const MessageRef> refs() const noexcept { return entries_; }
@@ -221,8 +212,8 @@ class Mailbox {
   /// arrive in ascending `seq` order (the merge walks in send order).
   void mask(std::uint64_t seq);
 
-  /// Assemble this receiver's round inbox: the shared lane (may be null),
-  /// minus masked entries, merged with private traffic in send order. A
+  /// Assemble this receiver's round inbox: the sealed shared lane (may be
+  /// null), minus masked entries, merged with private traffic in send order. A
   /// private entry is suppressed as a duplicate only when its lane twin (same
   /// sender and content) reaches this receiver, i.e. is not masked. Fast
   /// path: with no private traffic and no masks the returned span aliases
@@ -233,13 +224,9 @@ class Mailbox {
   /// per worker, for the next receiver that worker steps).
   /// Updates `fanout` / `counters` with per-recipient delivery stats when
   /// non-null — the lane's share from its per-kind totals minus the masked
-  /// entries. Resets the private buffer and the masks.
-  std::span<const Message> collect(const BroadcastLane* lane, std::vector<Message>& scratch,
-                                   FanoutCounters* fanout = nullptr,
-                                   MessageCounters* counters = nullptr);
-  /// Same merge against a sealed ShardedLane (the parallel engine's round
-  /// buffer). Safe to run concurrently for DIFFERENT receivers: the sealed
-  /// lane is read-only and each Mailbox is owned by one merge lane.
+  /// entries. Resets the private buffer and the masks. Safe to run
+  /// concurrently for DIFFERENT receivers: the sealed lane is read-only and
+  /// each Mailbox is owned by one merge lane.
   std::span<const Message> collect(const ShardedLane* lane, std::vector<Message>& scratch,
                                    FanoutCounters* fanout = nullptr,
                                    MessageCounters* counters = nullptr);

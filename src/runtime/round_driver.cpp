@@ -1,7 +1,7 @@
 #include "runtime/round_driver.hpp"
 
-#include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "net/codec.hpp"
 
@@ -9,37 +9,15 @@ namespace idonly {
 
 RoundDriver::RoundDriver(std::unique_ptr<Process> process, std::unique_ptr<Transport> transport,
                          RoundDriverConfig config)
-    : process_(std::move(process)), transport_(std::move(transport)), config_(config) {
-  current_duration_ms_.store(config_.round_duration.count(), std::memory_order_relaxed);
-}
-
-void RoundDriver::interruptible_sleep_until(std::chrono::steady_clock::time_point deadline) {
-  constexpr auto kSlice = std::chrono::milliseconds(5);
-  while (!stop_requested()) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return;
-    std::this_thread::sleep_for(std::min<std::chrono::steady_clock::duration>(
-        kSlice, deadline - now));
-  }
-}
+    : process_(std::move(process)), transport_(std::move(transport)), config_(config) {}
 
 Round RoundDriver::run() {
-  interruptible_sleep_until(config_.epoch);
+  std::this_thread::sleep_until(config_.epoch);
 
-  // The adaptive clock paces by an accumulated deadline so a grown duration
-  // stretches only the rounds it covers; the fixed clock keeps the exact
-  // epoch + r·D schedule (no accumulation drift).
-  auto duration = config_.round_duration;
-  auto deadline = config_.epoch;
-  Round clean_streak = 0;
   TraceRecorder* const rec = config_.recorder.get();
   const NodeId self = process_->id();
 
   for (Round r = 1; r <= config_.max_rounds; ++r) {
-    if (stop_requested()) return rounds_executed();
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t late_before = frames_late_.load(std::memory_order_relaxed);
-
     // Sort arrivals into per-round buffers by their round header. Each
     // datagram is one slab; its frames are decoded in place — the shared
     // frame buffer is never copied here. A datagram that is not a slab is
@@ -53,7 +31,7 @@ Round RoundDriver::run() {
       for (const ShardSlabView::Entry& entry : slab->entries) {
         const auto msg = decode(entry.frame);
         // A frame sent after our last round can never be delivered: buffering
-        // it would only pin memory and, adaptively, force a resync per round.
+        // it would only pin memory.
         if (!msg.has_value() || slab->round > config_.max_rounds) {
           frames_dropped_.fetch_add(1, std::memory_order_relaxed);
           continue;
@@ -105,63 +83,9 @@ Round RoundDriver::run() {
     }
     if (!slab_.empty()) transport_->broadcast(slab_.bytes());
 
-    const std::uint64_t late_this_round =
-        frames_late_.load(std::memory_order_relaxed) - late_before;
-    frames_late_last_round_.store(late_this_round, std::memory_order_relaxed);
-
     if (process_->done()) return rounds_executed();
-
-    if (!config_.adaptive) {
-      interruptible_sleep_until(config_.epoch + r * config_.round_duration);
-      continue;
-    }
-
-    // --- self-healing clock -------------------------------------------
-    if (late_this_round >= config_.backoff_late_threshold) {
-      const auto grown = std::min(
-          std::chrono::milliseconds(static_cast<std::int64_t>(
-              static_cast<double>(duration.count()) * config_.backoff_factor)),
-          config_.max_round_duration);
-      if (grown > duration) {
-        duration = grown;
-        backoffs_.fetch_add(1, std::memory_order_relaxed);
-        if (rec != nullptr) {
-          rec->record_clock(self, TraceEventKind::kClockBackoff, r, duration.count());
-        }
-      }
-      clean_streak = 0;
-    } else if (late_this_round == 0) {
-      clean_streak += 1;
-      if (clean_streak >= config_.shrink_after_clean_rounds &&
-          duration > config_.round_duration) {
-        duration = std::max(
-            config_.round_duration,
-            std::chrono::milliseconds(static_cast<std::int64_t>(
-                static_cast<double>(duration.count()) / config_.backoff_factor)));
-        shrinks_.fetch_add(1, std::memory_order_relaxed);
-        if (rec != nullptr) {
-          rec->record_clock(self, TraceEventKind::kClockShrink, r, duration.count());
-        }
-        clean_streak = 0;
-      }
-    } else {
-      clean_streak = 0;
-    }
-    current_duration_ms_.store(duration.count(), std::memory_order_relaxed);
-
-    deadline += duration;
-    // Header-based resync: buffered traffic from rounds AHEAD of ours means
-    // peers' clocks are already there and we are the laggard — skip the
-    // sleep and catch up instead of letting every subsequent inbox be late.
-    const bool peers_ahead = !buffered_.empty() && buffered_.rbegin()->first > r;
-    if (peers_ahead) {
-      resyncs_.fetch_add(1, std::memory_order_relaxed);
-      if (rec != nullptr) {
-        rec->record_clock(self, TraceEventKind::kClockResync, r, buffered_.rbegin()->first);
-      }
-    } else {
-      interruptible_sleep_until(deadline);
-    }
+    // The fixed epoch + r·D schedule: no drift accumulates across rounds.
+    std::this_thread::sleep_until(config_.epoch + r * config_.round_duration);
   }
   return rounds_executed();
 }

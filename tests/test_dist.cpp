@@ -224,7 +224,6 @@ TEST(ShardWire, ResultRoundTripCarriesEveryMergedField) {
   result.chaos.per_phase.resize(2);
   result.chaos.per_phase[0].drops = 5;
   result.chaos.per_phase[1].delays = 2;
-  result.chaos.restarts = 1;
   result.wire_faults.truncations = 4;
   // One node of each kind: consensus decisions (a real and ⊥), a node
   // without one, an rb acceptance, an approx trajectory, a rotor history, a
@@ -283,7 +282,6 @@ TEST(ShardWire, ResultRoundTripCarriesEveryMergedField) {
   ASSERT_EQ(back->chaos.per_phase.size(), 2u);
   EXPECT_EQ(back->chaos.per_phase[0].drops, 5u);
   EXPECT_EQ(back->chaos.per_phase[1].delays, 2u);
-  EXPECT_EQ(back->chaos.restarts, 1u);
   EXPECT_EQ(back->wire_faults.truncations, 4u);
   // NodeOutcome has no operator==: equal bytes after a second encode show
   // that every field of every node survived.
@@ -293,6 +291,39 @@ TEST(ShardWire, ResultRoundTripCarriesEveryMergedField) {
   EXPECT_EQ(back->rings[0].records, ring.records);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     EXPECT_FALSE(decode_result(std::span(bytes.data(), len)).has_value()) << "prefix " << len;
+  }
+}
+
+TEST(ShardWire, ResultWithAnUnknownTraceKindIsRejected) {
+  // One trace record; the byte that differs between its kSend and its
+  // kProtocol encoding is the record's kind byte.
+  const auto encode_with = [](TraceEventKind kind) {
+    ShardResult result;
+    ShardResult::Ring ring;
+    ring.node = 4;
+    ring.next_seq = 1;
+    TraceRecord rec;
+    rec.kind = kind;
+    rec.node = 4;
+    rec.round = 2;
+    ring.records.push_back(rec);
+    result.rings.push_back(ring);
+    return encode_result(result);
+  };
+  const auto sent = encode_with(TraceEventKind::kSend);
+  const auto last_kind = encode_with(TraceEventKind::kProtocol);
+  ASSERT_EQ(sent.size(), last_kind.size());
+  std::vector<std::size_t> diff;
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    if (sent[i] != last_kind[i]) diff.push_back(i);
+  }
+  ASSERT_EQ(diff.size(), 1u);
+  ASSERT_TRUE(decode_result(last_kind).has_value()) << "kProtocol is the last kind";
+
+  for (const std::uint8_t byte : {std::uint8_t{9}, std::uint8_t{255}}) {
+    auto garbled = sent;
+    garbled[diff[0]] = static_cast<std::byte>(byte);
+    EXPECT_FALSE(decode_result(garbled).has_value()) << "kind byte " << int{byte};
   }
 }
 

@@ -6,10 +6,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <random>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -87,10 +87,10 @@ TEST(BroadcastLane, DepositDedupsOncePerRound) {
       << "identical sender + content suppressed at deposit, for all receivers at once";
   EXPECT_TRUE(lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 3)), 2));
   EXPECT_EQ(lane.size(), 2u);
-  const auto view = lane.view();
-  ASSERT_EQ(view.size(), 2u);
-  EXPECT_EQ(view[0].value, Value::real(2));
-  EXPECT_EQ(view[1].value, Value::real(3));
+  const auto refs = lane.refs();
+  ASSERT_EQ(refs.size(), 2u);
+  EXPECT_EQ(refs[0]->value, Value::real(2));
+  EXPECT_EQ(refs[1]->value, Value::real(3));
   EXPECT_EQ(lane.kind_counts()[static_cast<std::size_t>(MsgKind::kPresent)], 2u);
 
   lane.clear();
@@ -99,21 +99,19 @@ TEST(BroadcastLane, DepositDedupsOncePerRound) {
       << "dedup scope is one round";
 }
 
-TEST(BroadcastLane, ViewIsStableAcrossIncrementalDeposits) {
-  BroadcastLane lane;
-  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
-  EXPECT_EQ(lane.view().size(), 1u);
-  lane.deposit(MessageRef::wrap(make_msg(2, MsgKind::kPresent, 2)), 1);
-  const auto view = lane.view();
-  ASSERT_EQ(view.size(), 2u);
-  EXPECT_EQ(view[0].sender, 1u);
-  EXPECT_EQ(view[1].sender, 2u);
+/// Start a round on `lane` with one segment holding `entries` (seq, message)
+/// in deposit order, and seal it — the shape of a one-thread engine round.
+void fill_one_segment(ShardedLane& lane,
+                      std::initializer_list<std::pair<std::uint64_t, Message>> entries) {
+  lane.reset(1);
+  for (const auto& [seq, msg] : entries) lane.segment(0).deposit(MessageRef::wrap(msg), seq);
+  lane.seal();
 }
 
 TEST(Mailbox, CollectWithoutPrivateTrafficAliasesLaneView) {
-  BroadcastLane lane;
-  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
-  lane.deposit(MessageRef::wrap(make_msg(2, MsgKind::kAck, 2)), 1);
+  ShardedLane lane;
+  fill_one_segment(lane,
+                   {{0, make_msg(1, MsgKind::kPresent, 1)}, {1, make_msg(2, MsgKind::kAck, 2)}});
 
   Mailbox box;
   std::vector<Message> scratch;
@@ -130,9 +128,9 @@ TEST(Mailbox, CollectWithoutPrivateTrafficAliasesLaneView) {
 TEST(Mailbox, CollectMergesInSendOrder) {
   // seq: lane gets 0 and 2, private unicast gets 1 — the merged inbox must
   // interleave by send order, like the old single-inbox engine did.
-  BroadcastLane lane;
-  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
-  lane.deposit(MessageRef::wrap(make_msg(3, MsgKind::kPresent, 3)), 2);
+  ShardedLane lane;
+  fill_one_segment(lane, {{0, make_msg(1, MsgKind::kPresent, 1)},
+                          {2, make_msg(3, MsgKind::kPresent, 3)}});
 
   Mailbox box;
   box.deposit(MessageRef::wrap(make_msg(2, MsgKind::kAck, 2)), 1);
@@ -148,8 +146,8 @@ TEST(Mailbox, CollectMergesInSendOrder) {
 TEST(Mailbox, CollectSuppressesPrivateDuplicateOfLaneMessage) {
   // The same payload broadcast AND unicast to one receiver in a round is the
   // per-receiver duplicate the model discards.
-  BroadcastLane lane;
-  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
+  ShardedLane lane;
+  fill_one_segment(lane, {{0, make_msg(1, MsgKind::kPresent, 1)}});
 
   Mailbox box;
   box.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 1);
@@ -162,10 +160,10 @@ TEST(Mailbox, CollectSuppressesPrivateDuplicateOfLaneMessage) {
 }
 
 TEST(Mailbox, MaskedLaneEntryIsSkippedWhileNeighboursKeepSendOrder) {
-  BroadcastLane lane;
-  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
-  lane.deposit(MessageRef::wrap(make_msg(2, MsgKind::kPresent, 2)), 2);
-  lane.deposit(MessageRef::wrap(make_msg(3, MsgKind::kPresent, 3)), 4);
+  ShardedLane lane;
+  fill_one_segment(lane, {{0, make_msg(1, MsgKind::kPresent, 1)},
+                          {2, make_msg(2, MsgKind::kPresent, 2)},
+                          {4, make_msg(3, MsgKind::kPresent, 3)}});
 
   Mailbox box;
   box.mask(2);  // sender 2's broadcast is withheld from this receiver only
@@ -191,9 +189,7 @@ TEST(Mailbox, UnicastWhoseLaneTwinIsMaskedIsStillDelivered) {
   // link to this receiver is dropped, so the unicast is the copy that lands.
   const Message x = make_msg(1, MsgKind::kPresent, 1);
   ShardedLane lane;
-  lane.reset(1);
-  lane.segment(0).deposit(MessageRef::wrap(x), 2);
-  lane.seal();
+  fill_one_segment(lane, {{2, x}});
 
   Mailbox box;
   box.deposit(MessageRef::wrap(x), 1);
@@ -207,8 +203,8 @@ TEST(Mailbox, UnicastWhoseLaneTwinIsMaskedIsStillDelivered) {
 }
 
 TEST(Mailbox, CollectClearsMasksSoNoneLeaksIntoTheNextRound) {
-  BroadcastLane lane;
-  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
+  ShardedLane lane;
+  fill_one_segment(lane, {{0, make_msg(1, MsgKind::kPresent, 1)}});
   Mailbox box;
   box.mask(0);
   EXPECT_FALSE(box.empty());
@@ -218,8 +214,7 @@ TEST(Mailbox, CollectClearsMasksSoNoneLeaksIntoTheNextRound) {
 
   // Next round reuses the sequence number: the stale mask must not apply,
   // and with nothing receiver-specific left the fast path aliases again.
-  lane.clear();
-  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 2)), 0);
+  fill_one_segment(lane, {{0, make_msg(1, MsgKind::kPresent, 2)}});
   const auto inbox = box.collect(&lane, scratch);
   ASSERT_EQ(inbox.size(), 1u);
   EXPECT_EQ(inbox.data(), lane.view().data());
@@ -230,7 +225,7 @@ TEST(Mailbox, PrivateDepositDedups) {
   EXPECT_TRUE(box.deposit(MessageRef::wrap(make_msg(1, MsgKind::kAck, 1)), 0));
   EXPECT_FALSE(box.deposit(MessageRef::wrap(make_msg(1, MsgKind::kAck, 1)), 1));
   std::vector<Message> scratch;
-  EXPECT_EQ(box.collect(static_cast<const BroadcastLane*>(nullptr), scratch).size(), 1u);
+  EXPECT_EQ(box.collect(nullptr, scratch).size(), 1u);
 }
 
 TEST(ShardedLane, SealConcatenatesSegmentsInKeyOrder) {
@@ -272,8 +267,8 @@ TEST(ShardedLane, ContainsProbesEverySegmentAfterSeal) {
 }
 
 TEST(ShardedLane, CollectMergesAndDedupsLikeBroadcastLane) {
-  // The receiver-side contract must be identical to the single-lane engine:
-  // send-order merge with private traffic, cross-buffer duplicate
+  // The receiver-side contract across two segments is the one-segment
+  // contract: send-order merge with private traffic, cross-buffer duplicate
   // suppression, fast-path aliasing of the sealed view.
   ShardedLane lane;
   lane.reset(2);
@@ -375,21 +370,16 @@ OracleInbox brute_force_collect(const OracleRound& round) {
   return out;
 }
 
-/// Deposit `round` into a fresh lane of type Lane (a ShardedLane split into
-/// two segments) and a Mailbox, collect, and compare with the oracle.
-template <typename Lane>
+/// Deposit `round` into a fresh ShardedLane split into two segments and a
+/// Mailbox, collect, and compare with the oracle.
 void expect_collect_matches_oracle(const OracleRound& round, const std::string& label) {
-  Lane lane;
-  if constexpr (std::is_same_v<Lane, ShardedLane>) {
-    lane.reset(2);
-    for (std::size_t e = 0; e < round.lane.size(); ++e) {
-      ASSERT_TRUE(lane.segment(e < round.lane.size() / 2 ? 0 : 1)
-                      .deposit(round.lane[e].second, round.lane[e].first));
-    }
-    lane.seal();
-  } else {
-    for (const auto& [seq, ref] : round.lane) ASSERT_TRUE(lane.deposit(ref, seq));
+  ShardedLane lane;
+  lane.reset(2);
+  for (std::size_t e = 0; e < round.lane.size(); ++e) {
+    ASSERT_TRUE(lane.segment(e < round.lane.size() / 2 ? 0 : 1)
+                    .deposit(round.lane[e].second, round.lane[e].first));
   }
+  lane.seal();
   Mailbox box;
   for (const auto& [seq, ref] : round.priv) ASSERT_TRUE(box.deposit(ref, seq));
   for (const std::uint64_t seq : round.masks) box.mask(seq);
@@ -406,11 +396,6 @@ void expect_collect_matches_oracle(const OracleRound& round, const std::string& 
   EXPECT_EQ(fanout.slab_sends, expected.fanout.slab_sends) << label;
   EXPECT_EQ(counters.delivered, expected.counters.delivered) << label;
   EXPECT_TRUE(box.empty()) << label;
-}
-
-void expect_both_lanes_match_oracle(const OracleRound& round, const std::string& label) {
-  expect_collect_matches_oracle<BroadcastLane>(round, label + " (BroadcastLane)");
-  expect_collect_matches_oracle<ShardedLane>(round, label + " (ShardedLane)");
 }
 
 /// Five lane broadcasts at seqs 10, 20, ..., 50 from senders 1..5, with
@@ -432,12 +417,12 @@ TEST(MailboxOracle, MasksOnFirstLastAndAdjacentLaneEntries) {
     round.masks = masks;
     std::string label = "masks";
     for (const std::uint64_t m : masks) label += " " + std::to_string(m);
-    expect_both_lanes_match_oracle(round, label);
+    expect_collect_matches_oracle(round, label);
     // The same masks with private traffic before, between and after them.
     round.priv.emplace_back(5, MessageRef::wrap(make_msg(7, MsgKind::kAck, 1)));
     round.priv.emplace_back(25, MessageRef::wrap(make_msg(8, MsgKind::kAck, 2)));
     round.priv.emplace_back(55, MessageRef::wrap(make_msg(9, MsgKind::kAck, 3)));
-    expect_both_lanes_match_oracle(round, label + " + private");
+    expect_collect_matches_oracle(round, label + " + private");
   }
 }
 
@@ -448,9 +433,9 @@ TEST(MailboxOracle, PrivateTwinOfMaskedAndOfUnmaskedLaneEntry) {
   // entry: a dedup hit.
   round.priv.emplace_back(21, MessageRef::wrap(round.lane[1].second.get()));
   round.priv.emplace_back(31, MessageRef::wrap(round.lane[2].second.get()));
-  expect_both_lanes_match_oracle(round, "twins");
+  expect_collect_matches_oracle(round, "twins");
   round.masks = {20, 30};
-  expect_both_lanes_match_oracle(round, "twins, both masked");
+  expect_collect_matches_oracle(round, "twins, both masked");
 }
 
 TEST(MailboxOracle, RandomRoundsMatchBruteForce) {
@@ -482,7 +467,7 @@ TEST(MailboxOracle, RandomRoundsMatchBruteForce) {
                                       [&](const auto& e) { return e.second == ref; });
       if (fresh) round.priv.emplace_back(p, ref);
     }
-    expect_both_lanes_match_oracle(round, "trial " + std::to_string(trial));
+    expect_collect_matches_oracle(round, "trial " + std::to_string(trial));
   }
 }
 

@@ -2,8 +2,8 @@
 // run under ThreadSanitizer (the CI tsan job includes this binary): every
 // test hammers a shared object from at least two threads while a reader
 // polls it, which is exactly the access pattern that used to race before
-// the RoundDriver/DriverPool counters became atomics and EventLog grew its
-// locked ConcurrentEventLog sibling.
+// the RoundDriver counters became atomics and EventLog grew its locked
+// ConcurrentEventLog sibling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,19 +17,11 @@
 #include "common/trace.hpp"
 #include "runtime/inmemory_transport.hpp"
 #include "runtime/round_driver.hpp"
-#include "runtime/watchdog.hpp"
 
 namespace idonly {
 namespace {
 
 using namespace std::chrono_literals;
-
-class NullProcess final : public Process {
- public:
-  using Process::Process;
-  void on_round(RoundInfo /*round*/, std::span<const Message> /*inbox*/,
-                std::vector<Outgoing>& /*out*/) override {}
-};
 
 /// Broadcasts every round and never finishes, so the driver runs exactly
 /// max_rounds with live wire traffic under the polled counters.
@@ -48,9 +40,6 @@ TEST(MetricsRace, DriverCountersAreReadableWhileTwoDriversRun) {
   config.epoch = std::chrono::steady_clock::now() + 20ms;
   config.round_duration = 10ms;
   config.max_rounds = 20;
-  config.adaptive = true;
-  config.backoff_late_threshold = 1;
-  config.max_round_duration = 40ms;
 
   std::vector<std::unique_ptr<RoundDriver>> drivers;
   for (NodeId id : {1u, 2u}) {
@@ -60,54 +49,20 @@ TEST(MetricsRace, DriverCountersAreReadableWhileTwoDriversRun) {
   std::vector<std::thread> threads;
   for (auto& driver : drivers) threads.emplace_back([&driver] { driver->run(); });
 
-  // Poll every counter the watchdog / soak harnesses read mid-run. The sum
-  // is kept live so the loop cannot be optimized away; the assertions are
-  // the absence of TSan reports.
+  // Poll every counter the driver exposes mid-run. The sum is kept live so
+  // the loop cannot be optimized away; the assertions are the absence of
+  // TSan reports.
   std::uint64_t observed = 0;
   for (int i = 0; i < 200; ++i) {
     for (auto& driver : drivers) {
       observed += static_cast<std::uint64_t>(driver->rounds_executed());
-      observed += driver->frames_dropped() + driver->frames_late() +
-                  driver->frames_late_last_round() + driver->backoffs() + driver->shrinks() +
-                  driver->resyncs() + driver->heartbeat();
-      observed += static_cast<std::uint64_t>(driver->current_round_duration().count());
+      observed += driver->frames_dropped() + driver->frames_late();
     }
     std::this_thread::sleep_for(1ms);
   }
   for (auto& thread : threads) thread.join();
   EXPECT_GT(observed, 0u);
   for (auto& driver : drivers) EXPECT_EQ(driver->rounds_executed(), 20);
-}
-
-TEST(MetricsRace, WatchdogRestartCounterIsReadableWhileThePoolRuns) {
-  WatchdogConfig watchdog;
-  watchdog.poll_interval = 5ms;
-  watchdog.stall_timeout = 60ms;
-  watchdog.max_restarts_per_slot = 1;
-  DriverPool pool(watchdog);
-
-  InMemoryHub hub;
-  auto attempts = std::make_shared<std::atomic<int>>(0);
-  pool.add([&hub, attempts]() {
-    const int attempt = attempts->fetch_add(1);
-    RoundDriverConfig config;
-    config.round_duration = 5ms;
-    config.max_rounds = 3;
-    // First incarnation wedges (epoch never arrives); the relaunch finishes.
-    config.epoch = std::chrono::steady_clock::now() + (attempt == 0 ? 10min : 10ms);
-    return std::make_unique<RoundDriver>(std::make_unique<NullProcess>(1), hub.make_endpoint(),
-                                         config);
-  });
-
-  std::thread runner([&pool] { pool.run(); });
-  std::uint64_t observed = 0;
-  for (int i = 0; i < 100; ++i) {
-    observed += pool.restarts();  // the write comes from the watchdog thread
-    std::this_thread::sleep_for(2ms);
-  }
-  runner.join();
-  EXPECT_EQ(pool.restarts(), 1u);
-  (void)observed;
 }
 
 TEST(MetricsRace, ConcurrentEventLogSurvivesWritersPlusReader) {

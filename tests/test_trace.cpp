@@ -23,7 +23,6 @@
 #include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
 #include "runtime/round_driver.hpp"
-#include "runtime/watchdog.hpp"
 #include "wire_frames.hpp"
 
 namespace idonly {
@@ -348,14 +347,6 @@ TEST(TraceDiffTool, FullExportComparesEqualToCanonicalExport) {
 
 // --------------------------------------------------------- runtime wiring --
 
-/// Never finishes, never sends — pure clock observation (as in test_watchdog).
-class NullProcess final : public Process {
- public:
-  using Process::Process;
-  void on_round(RoundInfo /*round*/, std::span<const Message> /*inbox*/,
-                std::vector<Outgoing>& /*out*/) override {}
-};
-
 std::size_t count_kind(const std::vector<TraceRecord>& records, TraceEventKind kind) {
   std::size_t n = 0;
   for (const TraceRecord& rec : records) n += rec.kind == kind ? 1 : 0;
@@ -387,38 +378,6 @@ TEST(TraceRuntime, RoundDriverRecordsSendsDeliversAndClockTransitions) {
   EXPECT_GT(count_kind(records, TraceEventKind::kDeliver), 0u);
 }
 
-TEST(TraceRuntime, WatchdogRestartIsRecordedOnTheWedgedNode) {
-  auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kRuntime);
-  WatchdogConfig watchdog;
-  watchdog.poll_interval = 5ms;
-  watchdog.stall_timeout = 60ms;
-  watchdog.max_restarts_per_slot = 1;
-  watchdog.recorder = recorder;
-  DriverPool pool(watchdog);
-
-  InMemoryHub hub;
-  auto attempts = std::make_shared<int>(0);
-  pool.add([&hub, attempts]() {
-    const int attempt = (*attempts)++;
-    RoundDriverConfig config;
-    config.round_duration = 5ms;
-    config.max_rounds = 3;
-    config.epoch = std::chrono::steady_clock::now() + (attempt == 0 ? 10min : 10ms);
-    return std::make_unique<RoundDriver>(std::make_unique<NullProcess>(1), hub.make_endpoint(),
-                                         config);
-  });
-  pool.run();
-
-  ASSERT_EQ(pool.restarts(), 1u);
-  const auto records = recorder->snapshot();
-  ASSERT_EQ(count_kind(records, TraceEventKind::kWatchdogRestart), 1u);
-  for (const TraceRecord& rec : records) {
-    if (rec.kind != TraceEventKind::kWatchdogRestart) continue;
-    EXPECT_EQ(rec.node, 1u);
-    EXPECT_EQ(rec.extra, 1) << "first restart of the slot";
-  }
-}
-
 // ---------------------------------------------------- harness + metrics --
 
 TEST(TraceScript, RunScriptWiresRecorderAndFillsMetricsExposition) {
@@ -441,8 +400,6 @@ TEST(TraceScript, RunScriptWiresRecorderAndFillsMetricsExposition) {
       << "chaos runs must capture link verdicts";
   EXPECT_NE(run.metrics_exposition.find("idonly_rounds_executed"), std::string::npos);
   EXPECT_NE(run.metrics_exposition.find("idonly_chaos_faults_total"), std::string::npos);
-  EXPECT_NE(run.metrics_exposition.find("idonly_recovery_actions_total{action=\"backoff\"}"),
-            std::string::npos);
 }
 
 TEST(PrometheusExposition, EmitsAllCounterFamiliesAndOmitsZeroKinds) {
@@ -468,15 +425,9 @@ TEST(PrometheusExposition, EmitsAllCounterFamiliesAndOmitsZeroKinds) {
   ChaosCounters chaos;
   chaos.per_phase.emplace_back();
   chaos.per_phase[0].drops = 2;
-  chaos.backoffs = 1;
   const std::string with_chaos = prometheus_exposition(metrics, &chaos);
   EXPECT_NE(with_chaos.find("idonly_chaos_faults_total{phase=\"0\",fault=\"drop\"} 2"),
             std::string::npos);
-  EXPECT_NE(with_chaos.find("idonly_recovery_actions_total{action=\"backoff\"} 1"),
-            std::string::npos);
-  EXPECT_NE(with_chaos.find("idonly_recovery_actions_total{action=\"restart\"} 0"),
-            std::string::npos)
-      << "recovery actions are always emitted, even at zero";
 }
 
 }  // namespace
