@@ -22,10 +22,18 @@
 // ParallelConsensusMachine is the embeddable engine (the dynamic
 // total-ordering protocol runs one machine per round, tagged by instance);
 // ParallelConsensusProcess adapts it to the simulator.
+//
+// Cost: a node's inbox is bucketed by instance tag once per round
+// (TaggedInbox), and each machine reads only its own bucket. Within a
+// machine, each phase round tallies every live pair in one walk of the
+// bucket, so a round reads each message a constant number of times however
+// many instances and pair ids are open. Messages under a tag no live machine
+// owns are read once, by the bucketing pass, and never again.
 #pragma once
 
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/flat_set.hpp"
@@ -52,6 +60,27 @@ struct OutputPair {
   }
 };
 
+/// One pass over a node's inbox for the machines it drives: the inbox's
+/// distinct senders, ascending, and one bucket per live instance tag holding
+/// that tag's messages in inbox order. A message under any other tag lands
+/// in no bucket. Reused round after round, it keeps its buffers' capacity.
+class TaggedInbox {
+ public:
+  /// `live_tags` ascending and distinct.
+  void build(std::span<const Message> inbox, std::span<const InstanceTag> live_tags);
+
+  /// The messages tagged `tag`, in inbox order (empty for a tag that was
+  /// not live at build()).
+  [[nodiscard]] std::span<const Message> bucket(InstanceTag tag) const;
+  /// Every sender of the inbox, under any tag, ascending.
+  [[nodiscard]] std::span<const NodeId> senders() const noexcept { return senders_; }
+
+ private:
+  std::vector<InstanceTag> tags_;
+  std::vector<std::vector<Message>> buckets_;  ///< buckets_[i] holds tags_[i]
+  std::vector<NodeId> senders_;
+};
+
 class ParallelConsensusMachine {
  public:
   /// `membership_restriction` — the total-ordering protocol records its view
@@ -60,16 +89,21 @@ class ParallelConsensusMachine {
   ParallelConsensusMachine(NodeId self, InstanceTag tag, std::vector<InputPair> inputs,
                            std::optional<FlatSet<NodeId>> membership_restriction = std::nullopt);
 
-  /// Advance one local round. `inbox` is this round's full inbox (the
-  /// machine filters by instance tag and membership itself); outgoing
-  /// messages (already instance-tagged) are appended to `out`.
-  void on_round(std::span<const Message> inbox, std::vector<Message>& out);
+  /// Advance one local round. `tagged` is this round's messages under this
+  /// machine's instance tag, in inbox order (TaggedInbox::bucket), and
+  /// `senders` every sender of the round's inbox under any tag, ascending
+  /// (TaggedInbox::senders): before the first phase they count toward n_v.
+  /// The machine applies its membership filters itself. Outgoing messages
+  /// (already instance-tagged) are appended to `out`.
+  void on_round(std::span<const Message> tagged, std::span<const NodeId> senders,
+                std::vector<Message>& out);
 
   [[nodiscard]] bool terminated() const noexcept;
   /// Agreed output pairs, sorted by pair id (⊥-valued pairs already
   /// discarded). Stable once terminated().
   [[nodiscard]] std::vector<OutputPair> outputs() const;
 
+  [[nodiscard]] InstanceTag tag() const noexcept { return tag_; }
   [[nodiscard]] Round local_round() const noexcept { return local_round_; }
   [[nodiscard]] std::size_t n_v() const noexcept { return membership_.n_v(); }
   [[nodiscard]] std::size_t instance_count() const noexcept { return instances_.size(); }
@@ -81,26 +115,41 @@ class ParallelConsensusMachine {
     std::optional<Value> decided;            ///< set at termination (may be ⊥)
     std::optional<Value> my_last_prefer;     ///< what I sent in P2 (prefer only)
     std::optional<Value> my_last_strongpref; ///< what I sent in P3
-    QuorumCounter<Value> sp_tally;           ///< strongprefers collected in P4
+    /// This phase round's tally (P2 inputs, P3 prefers); P4's strongprefers
+    /// stay until P5 reads them.
+    QuorumCounter<Value> tally;
+    // Scratch of one walk of the bucket: the instance is being tallied, the
+    // members it heard from, the coordinator's first opinion on it.
+    bool tallying = false;
+    FlatSet<NodeId> heard;
+    std::optional<Value> coordinator_opinion;
   };
 
-  [[nodiscard]] bool accepts(const Message& m) const;
+  /// Restriction and membership checks on a sender (the bucket already
+  /// holds only this machine's tag).
+  [[nodiscard]] bool accepts(NodeId sender) const;
   Instance& activate(PairId id, Value initial);
-  /// Tally `kind` messages (by pair id) from this inbox for one instance,
-  /// with heard-markers and the fill rule. `fill` is the value attributed to
-  /// silent members (nullopt → no filling).
-  [[nodiscard]] QuorumCounter<Value> tally(std::span<const Message> inbox, PairId pair,
-                                           MsgKind kind, std::optional<MsgKind> heard_marker,
-                                           std::optional<Value> fill) const;
+  /// Phase-1 late adoption: every accepted `kind` message about an unknown
+  /// pair id starts that instance with opinion ⊥, marked `tallying`.
+  void adopt_unknown(std::span<const Message> tagged, MsgKind kind);
+  /// One walk of the bucket tallies `kind` messages into every instance
+  /// marked `tallying`, in inbox order; `heard_marker` messages only mark
+  /// their sender heard. Then each such instance gets `fill(instance)` (if
+  /// any) for every member it did not hear from, and is unmarked.
+  template <typename Fill>
+  void tally_marked(std::span<const Message> tagged, MsgKind kind,
+                    std::optional<MsgKind> heard_marker, Fill fill);
+  /// Marks every live instance `tallying` with an empty tally.
+  void mark_live_for_tally();
 
   void phase_round_1(std::vector<Message>& out);
-  void phase_round_2(std::span<const Message> inbox, std::int64_t phase,
+  void phase_round_2(std::span<const Message> tagged, std::int64_t phase,
                      std::vector<Message>& out);
-  void phase_round_3(std::span<const Message> inbox, std::int64_t phase,
+  void phase_round_3(std::span<const Message> tagged, std::int64_t phase,
                      std::vector<Message>& out);
-  void phase_round_4(std::span<const Message> inbox, std::int64_t phase,
+  void phase_round_4(std::span<const Message> tagged, std::int64_t phase,
                      std::vector<Message>& out);
-  void phase_round_5(std::span<const Message> inbox, std::int64_t phase);
+  void phase_round_5(std::span<const Message> tagged, std::int64_t phase);
 
   NodeId self_;
   InstanceTag tag_;
@@ -111,6 +160,7 @@ class ParallelConsensusMachine {
   bool membership_frozen_ = false;
   Round local_round_ = 0;
   std::map<PairId, Instance> instances_;
+  std::size_t undecided_ = 0;  ///< instances not yet terminated
   std::optional<NodeId> phase_coordinator_;
 };
 

@@ -139,12 +139,20 @@ void TotalOrderProcess::main_loop_round(RoundInfo round, std::span<const Message
                         members_.size()});
   }
 
-  // Drive every outstanding instance with this round's inbox.
+  // Drive every outstanding instance with its own bucket of this round's
+  // inbox. The index is built in one pass and kept per worker thread (each
+  // node's step runs on one thread), so no process holds a copy of its inbox.
+  thread_local TaggedInbox index;
+  std::vector<InstanceTag> live_tags;
+  for (const auto& [instance_round, run] : instances_) {
+    if (!run.machine.terminated()) live_tags.push_back(run.machine.tag());
+  }
+  index.build(inbox, live_tags);
   std::vector<Message> machine_out;
   for (auto& [instance_round, run] : instances_) {
     if (run.machine.terminated()) continue;
     machine_out.clear();
-    run.machine.on_round(inbox, machine_out);
+    run.machine.on_round(index.bucket(run.machine.tag()), index.senders(), machine_out);
     for (Message& m : machine_out) broadcast(out, std::move(m));
   }
 

@@ -4,7 +4,10 @@
 // consciously, with the paper's bounds re-checked.
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "harness/runner.hpp"
+#include "harness/script.hpp"
 
 namespace idonly {
 namespace {
@@ -87,6 +90,36 @@ TEST(GoldenRounds, MessageCountsAreSeedStable) {
   const auto b = run_consensus(config_for(10, 3, AdversaryKind::kNoise, 77), {0.0, 1.0});
   EXPECT_EQ(a.messages, b.messages);
   EXPECT_EQ(a.rounds, b.rounds);
+}
+
+TEST(GoldenRounds, TotalOrderChurnTwoFacedChainIsPinned) {
+  // The totalorder bench script at smoke size: one two-faced node, a dup
+  // phase, two joiners at round 20 and a leave at round 30. Each initial
+  // node i submits events 10i..10i+3; instances 2..5 each agree on one event
+  // from every initial node, in witness order.
+  const auto parsed = parse_script(
+      "protocol totalorder\nnodes 16\nbyzantine 1 twofaced\nseed 3\nmax-rounds 120\n"
+      "chaos 5-14 dup=0.10\nchurn 20 join=2\nchurn 30 leave=1\n"
+      "expect termination\nexpect agreement\nexpect no-violations\n");
+  ASSERT_TRUE(std::holds_alternative<ScenarioScript>(parsed));
+  const std::vector<NodeId> witnesses{158, 193, 200, 247, 310, 325, 385, 388,
+                                      397, 454, 505, 533, 551, 568, 586, 608};
+  std::vector<ChainEntry> expected;
+  for (Round instance = 2; instance <= 5; ++instance) {
+    for (std::size_t i = 0; i < witnesses.size(); ++i) {
+      expected.push_back({instance, witnesses[i], static_cast<double>(10 * i) +
+                                                      static_cast<double>(instance - 2)});
+    }
+  }
+  for (unsigned threads : {1u, 4u}) {
+    const LoopRun loop = run_loop_script(std::get<ScenarioScript>(parsed), {.threads = threads});
+    EXPECT_TRUE(loop.run.all_satisfied) << threads;
+    EXPECT_EQ(loop.run.rounds, 120) << threads;
+    EXPECT_EQ(loop.run.messages, 1394015u) << threads;
+    ASSERT_EQ(loop.nodes.size(), 15u) << threads << " (16 initial nodes, one left)";
+    EXPECT_EQ(loop.nodes.begin()->first, NodeId{158}) << threads;
+    EXPECT_EQ(loop.nodes.begin()->second.chain, expected) << threads;
+  }
 }
 
 }  // namespace

@@ -25,20 +25,29 @@ std::vector<Message> init_round(std::initializer_list<NodeId> senders) {
   return inbox;
 }
 
+/// One local round of `machine` on a whole inbox, bucketed as a node does.
+void step(ParallelConsensusMachine& machine, std::span<const Message> inbox,
+          std::vector<Message>& out) {
+  TaggedInbox index;
+  const InstanceTag tag = machine.tag();
+  index.build(inbox, std::span(&tag, 1));
+  machine.on_round(index.bucket(tag), index.senders(), out);
+}
+
 /// Drive a machine through rounds 1–2 (init) with members {1,2,3,4}.
 void bootstrap(ParallelConsensusMachine& machine) {
   std::vector<Message> out;
-  machine.on_round({}, out);                       // r1: our init broadcast
+  step(machine, {}, out);                          // r1: our init broadcast
   out.clear();
   auto r2 = init_round({1, 2, 3, 4});
-  machine.on_round(r2, out);                       // r2: echoes
+  step(machine, r2, out);                          // r2: echoes
   out.clear();
   std::vector<Message> r3;                         // r3 inbox: echoes (ignored here)
   for (NodeId s : {1u, 2u, 3u, 4u}) {
     Message echo = from(s, MsgKind::kEcho, s);
     r3.push_back(echo);
   }
-  machine.on_round(r3, out);                       // r3 = phase 1 P1
+  step(machine, r3, out);                          // r3 = phase 1 P1
 }
 
 bool contains_kind(const std::vector<Message>& msgs, MsgKind kind, PairId pair) {
@@ -51,12 +60,12 @@ bool contains_kind(const std::vector<Message>& msgs, MsgKind kind, PairId pair) 
 TEST(ParallelMachine, HolderBroadcastsInputAtP1) {
   ParallelConsensusMachine machine(1, 0, {{.id = 9, .value = Value::real(5.0)}});
   std::vector<Message> out;
-  machine.on_round({}, out);
+  step(machine, {}, out);
   out.clear();
   auto r2 = init_round({1, 2, 3, 4});
-  machine.on_round(r2, out);
+  step(machine, r2, out);
   out.clear();
-  machine.on_round({}, out);  // P1
+  step(machine, {}, out);  // P1
   ASSERT_TRUE(contains_kind(out, MsgKind::kInput, 9));
   EXPECT_EQ(machine.n_v(), 4u);
 }
@@ -72,7 +81,7 @@ TEST(ParallelMachine, BotFillMakesLoneWhisperResolveToNoOutput) {
                                Value::real(3.0))};
   // Non-members are discarded — use member 2 as the whisper relay instead.
   p2[0].sender = 2;
-  machine.on_round(p2, out);  // P2
+  step(machine, p2, out);  // P2
   ASSERT_EQ(machine.instance_count(), 1u);
   ASSERT_TRUE(contains_kind(out, MsgKind::kPrefer, 77));
   for (const Message& m : out) {
@@ -87,7 +96,7 @@ TEST(ParallelMachine, NonMemberWhisperIsDiscarded) {
   bootstrap(machine);
   std::vector<Message> out;
   std::vector<Message> p2{from(99, MsgKind::kInput, 77, Value::real(3.0))};  // 99 ∉ members
-  machine.on_round(p2, out);
+  step(machine, p2, out);
   EXPECT_EQ(machine.instance_count(), 0u);
 }
 
@@ -98,7 +107,7 @@ TEST(ParallelMachine, WrongInstanceTagIsDiscarded) {
   Message wrong = from(2, MsgKind::kInput, 77, Value::real(3.0));
   wrong.instance = 6;  // different instance
   std::vector<Message> p2{wrong};
-  machine.on_round(p2, out);
+  step(machine, p2, out);
   EXPECT_EQ(machine.instance_count(), 0u);
 }
 
@@ -106,12 +115,12 @@ TEST(ParallelMachine, MembershipRestrictionFiltersSenders) {
   std::set<NodeId> restriction{1, 2};
   ParallelConsensusMachine machine(1, 0, {}, restriction);
   std::vector<Message> out;
-  machine.on_round({}, out);
+  step(machine, {}, out);
   out.clear();
   auto r2 = init_round({1, 2, 3, 4});  // 3, 4 are outside S
-  machine.on_round(r2, out);
+  step(machine, r2, out);
   out.clear();
-  machine.on_round({}, out);
+  step(machine, {}, out);
   EXPECT_EQ(machine.n_v(), 2u) << "only S members count toward n_v";
 }
 
@@ -128,9 +137,9 @@ TEST(ParallelMachine, MarkerSuppressesBotFillAtP3) {
     // P2: only our own input echoes back (others silent → ⊥ fills → no
     // value quorum → we emit nopreference ourselves; irrelevant here).
     std::vector<Message> p2{from(1, MsgKind::kInput, 7, Value::real(1.0))};
-    machine.on_round(p2, scratch);
+    step(machine, p2, scratch);
     out.clear();
-    machine.on_round(p3, out);
+    step(machine, p3, out);
   };
 
   std::vector<Message> out;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -337,11 +338,13 @@ TEST(RuntimeChaos, ConsensusSurvivesModerateWireFaults) {
   // n = 9 all-correct, a handful of lost frames per round stays under the
   // n_v/3 slack. (This is empirical robustness, not a theorem — the paper's
   // model has reliable links; see EXPERIMENTS E6b for where it breaks.)
-  // Rounds are 25 ms: a ChaosTransport parses and judges every slab entry,
-  // and under ThreadSanitizer nine drivers overrun 10-15 ms rounds; the late
-  // frames that follow are a synchrony violation this test does not intend.
+  // Rounds are 60 ms: a ChaosTransport parses and judges every slab entry,
+  // and under ThreadSanitizer nine drivers overrun 25 ms rounds (late frames
+  // in a third of whole-binary runs, at every node in each run that
+  // disagreed); the late frames are a synchrony violation this test does
+  // not intend.
   InMemoryHub hub;
-  const auto config = config_starting_soon(25ms, 80);
+  const auto config = config_starting_soon(60ms, 80);
   std::vector<std::unique_ptr<RoundDriver>> drivers;
   const std::vector<NodeId> ids{11, 22, 33, 44, 55, 66, 77, 88, 99};
   const auto chaos =
@@ -358,15 +361,22 @@ TEST(RuntimeChaos, ConsensusSurvivesModerateWireFaults) {
   std::size_t decided = 0;
   std::optional<Value> first;
   bool agreement = true;
-  for (auto& driver : drivers) {
-    auto& p = dynamic_cast<ConsensusProcess&>(driver->process());
+  // Per driver: late and dropped frame counts and the decision. Late frames
+  // mean a driver overran its rounds, a synchrony violation (E6b).
+  std::ostringstream drivers_seen;
+  for (std::size_t i = 0; i < drivers.size(); ++i) {
+    auto& p = dynamic_cast<ConsensusProcess&>(drivers[i]->process());
+    drivers_seen << "\n  node " << ids[i] << ": late=" << drivers[i]->frames_late()
+                 << " dropped=" << drivers[i]->frames_dropped() << " decision="
+                 << (p.output().has_value() ? p.output()->to_string() : "none");
     if (!p.output().has_value()) continue;
     decided += 1;
     if (!first.has_value()) first = *p.output();
     agreement = agreement && *p.output() == *first;
   }
-  EXPECT_TRUE(agreement) << "whoever decides must agree";
-  EXPECT_GE(decided, ids.size() - 1) << "moderate faults must not stall the cluster";
+  EXPECT_TRUE(agreement) << "whoever decides must agree" << drivers_seen.str();
+  EXPECT_GE(decided, ids.size() - 1) << "moderate faults must not stall the cluster"
+                                     << drivers_seen.str();
 }
 
 // --------------------------------------------------------------------- UDP --
