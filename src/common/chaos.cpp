@@ -1,8 +1,8 @@
 #include "common/chaos.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -39,18 +39,6 @@ bool partition_cuts(const ChaosPartition& partition, NodeId from, NodeId to) noe
 }
 
 }  // namespace
-
-const char* to_string(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kDuplicate: return "dup";
-    case FaultKind::kDelay: return "delay";
-    case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kPartitionDrop: return "partition";
-    case FaultKind::kCrashDrop: return "crash";
-  }
-  return "?";
-}
 
 ChaosSchedule::ChaosSchedule(ChaosPlan plan, std::uint64_t seed)
     : plan_(std::move(plan)), seed_(seed) {
@@ -176,81 +164,38 @@ FaultDecision ChaosSchedule::peek(const LinkEvent& event) const noexcept {
 
 FaultDecision ChaosSchedule::decide(const LinkEvent& event) {
   const FaultDecision decision = peek(event);
-  commit(event, decision);
+  commit(decision);
   return decision;
 }
 
-void ChaosSchedule::commit(const LinkEvent& event, const FaultDecision& verdict) {
+void ChaosSchedule::commit(const FaultDecision& verdict) {
   if (!verdict.faulted()) return;
   std::scoped_lock lock(mutex_);
-  commit_locked(event, verdict);
+  count_locked(verdict);
 }
 
-void ChaosSchedule::commit_batch(std::span<const std::pair<LinkEvent, FaultDecision>> staged) {
+void ChaosSchedule::commit_batch(std::span<const FaultDecision> staged) {
   if (staged.empty()) return;
   std::scoped_lock lock(mutex_);
-  for (const auto& [event, verdict] : staged) commit_locked(event, verdict);
+  for (const FaultDecision& verdict : staged) count_locked(verdict);
 }
 
-void ChaosSchedule::commit_locked(const LinkEvent& event, const FaultDecision& verdict) {
-  // Record order within one verdict mirrors the historical decide() order:
-  // (crash | partition | drop) terminally, else duplicate, delay, corrupt.
+void ChaosSchedule::count_locked(const FaultDecision& verdict) {
+  // A drop (crash, partition or coin) ends the verdict; otherwise duplicate,
+  // delay and corrupt each count once.
+  if (!verdict.faulted()) return;
+  FaultCounters& counters = per_phase_[static_cast<std::size_t>(verdict.phase)];
   if (verdict.drop) {
-    record_locked(event, verdict.drop_kind, static_cast<std::size_t>(verdict.phase), 0);
+    switch (verdict.drop_kind) {
+      case FaultKind::kDrop: counters.drops += 1; break;
+      case FaultKind::kPartitionDrop: counters.partition_drops += 1; break;
+      case FaultKind::kCrashDrop: counters.crash_drops += 1; break;
+    }
     return;
   }
-  if (verdict.duplicate) {
-    record_locked(event, FaultKind::kDuplicate, static_cast<std::size_t>(verdict.phase), 0);
-  }
-  if (verdict.delay_rounds > 0) {
-    record_locked(event, FaultKind::kDelay, static_cast<std::size_t>(verdict.phase),
-                  verdict.delay_rounds);
-  }
-  if (verdict.corrupt) {
-    record_locked(event, FaultKind::kCorrupt, static_cast<std::size_t>(verdict.phase), 0);
-  }
-}
-
-void ChaosSchedule::record_locked(const LinkEvent& event, FaultKind kind, std::size_t phase,
-                                  Round extra) {
-  trace_.push_back(FaultRecord{event.round, event.from, event.to, event.seq, kind, extra});
-  FaultCounters& counters = per_phase_[phase];
-  switch (kind) {
-    case FaultKind::kDrop: counters.drops += 1; break;
-    case FaultKind::kDuplicate: counters.duplicates += 1; break;
-    case FaultKind::kDelay: counters.delays += 1; break;
-    case FaultKind::kCorrupt: counters.corrupts += 1; break;
-    case FaultKind::kPartitionDrop: counters.partition_drops += 1; break;
-    case FaultKind::kCrashDrop: counters.crash_drops += 1; break;
-  }
-}
-
-std::vector<FaultRecord> ChaosSchedule::trace() const {
-  std::scoped_lock lock(mutex_);
-  return trace_;
-}
-
-std::vector<FaultRecord> ChaosSchedule::canonical_trace() const {
-  std::vector<FaultRecord> sorted = trace();
-  std::sort(sorted.begin(), sorted.end(), [](const FaultRecord& a, const FaultRecord& b) {
-    if (a.round != b.round) return a.round < b.round;
-    if (a.from != b.from) return a.from < b.from;
-    if (a.to != b.to) return a.to < b.to;
-    if (a.seq != b.seq) return a.seq < b.seq;
-    return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-  });
-  return sorted;
-}
-
-std::string ChaosSchedule::canonical_trace_string() const {
-  std::ostringstream os;
-  for (const FaultRecord& r : canonical_trace()) {
-    os << "r" << r.round << " " << r.from << "->" << r.to << " #" << r.seq << " "
-       << to_string(r.kind);
-    if (r.kind == FaultKind::kDelay) os << "+" << r.extra;
-    os << "\n";
-  }
-  return os.str();
+  if (verdict.duplicate) counters.duplicates += 1;
+  if (verdict.delay_rounds > 0) counters.delays += 1;
+  if (verdict.corrupt) counters.corrupts += 1;
 }
 
 ChaosCounters ChaosSchedule::counters() const {

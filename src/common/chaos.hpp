@@ -1,15 +1,18 @@
 // Deterministic chaos-injection schedules shared by every engine.
 //
 // An independent coin per frame would make failures impossible to
-// reproduce across engines: the sync simulator, the async simulator, and the
-// runtime each consume randomness in a different order. A ChaosSchedule
-// avoids that by making every fault verdict a PURE FUNCTION of (seed, link
-// event): the engines merely describe each delivery attempt as a
-// LinkEvent{round, from, to, seq} and ask `decide()` for the verdict. Same
-// seed + same logical traffic ⇒ byte-identical fault trace, no matter which
-// engine replays it or in which order its threads drain mailboxes. It is
-// the only link-fault injector: the sync simulator, the async simulator's
-// chaos delay model and the runtime's ChaosTransport all consult one.
+// reproduce across engines: the sync simulator (in-process or in forked
+// shard workers) and the runtime each consume randomness in a different
+// order. A ChaosSchedule avoids that by making every fault verdict a PURE
+// FUNCTION of (seed, link event): the engines merely describe each delivery
+// attempt as a LinkEvent{round, from, to, seq} and ask `decide()` for the
+// verdict. Same seed + same logical traffic ⇒ the same verdicts, no matter
+// which engine replays them or in which order its threads drain mailboxes.
+// It is the only link-fault injector: the sync simulator and the runtime's
+// ChaosTransport both consult one. The schedule keeps only per-phase fault
+// counters; the record of individual verdicts is the flight recorder's
+// link family (common/trace.hpp), whose canonical export is the
+// cross-engine comparison.
 //
 // A schedule is a sequence of PHASES, each active over an inclusive round
 // window: burst loss, duplication, delay distributions (jitter), one-byte
@@ -25,8 +28,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -101,16 +102,12 @@ struct LinkEvent {
   std::uint64_t seq = 0;
 };
 
+/// Which rule dropped a frame: the drop coin, a partition or a crash window.
 enum class FaultKind : std::uint8_t {
   kDrop,
-  kDuplicate,
-  kDelay,
-  kCorrupt,
   kPartitionDrop,
   kCrashDrop,
 };
-
-[[nodiscard]] const char* to_string(FaultKind kind) noexcept;
 
 /// Verdict for one delivery attempt. At most one of drop/duplicate is set;
 /// delay and corrupt may combine with duplicate (both copies delayed /
@@ -123,28 +120,14 @@ struct FaultDecision {
   int phase = -1;           ///< active phase index, -1 when no phase covers the round
   std::uint64_t entropy = 0;  ///< deterministic per-event word (corrupt position/bit)
   /// Which drop flavour fired (meaningful only when `drop`): crash window,
-  /// partition, or the plain drop coin. Lets commit() reconstruct the exact
-  /// fault records a verdict implies without re-deriving them.
+  /// partition, or the plain drop coin. Lets commit() count the verdict
+  /// under the right per-phase counter without re-deriving it.
   FaultKind drop_kind = FaultKind::kDrop;
 
-  /// True when the verdict implies at least one fault record.
+  /// True when the verdict implies at least one fault.
   [[nodiscard]] bool faulted() const noexcept {
     return drop || duplicate || corrupt || delay_rounds > 0;
   }
-};
-
-/// One recorded fault, in the order the engine asked. `canonical_trace()`
-/// sorts these so drain order / thread interleaving cannot perturb the
-/// byte-identical comparison across engines.
-struct FaultRecord {
-  Round round = 0;
-  NodeId from = 0;
-  NodeId to = 0;
-  std::uint64_t seq = 0;
-  FaultKind kind{};
-  Round extra = 0;  ///< delay length for kDelay, 0 otherwise
-
-  friend bool operator==(const FaultRecord&, const FaultRecord&) = default;
 };
 
 class ChaosSchedule {
@@ -155,24 +138,22 @@ class ChaosSchedule {
   ChaosSchedule(ChaosPlan plan, std::uint64_t seed);
 
   /// Verdict for one delivery attempt — pure in (seed, plan, event); the
-  /// only mutation is trace/counter recording (thread-safe). Equivalent to
-  /// peek() + commit().
+  /// only mutation is counting it (thread-safe). Equivalent to peek() +
+  /// commit().
   [[nodiscard]] FaultDecision decide(const LinkEvent& event);
 
   /// The verdict alone — PURE and lock-free, safe to call concurrently from
-  /// any number of merge lanes. Records nothing: pair with commit() /
-  /// commit_batch() so the fault trace and counters still fill in.
+  /// any number of merge lanes. Counts nothing: pair with commit() /
+  /// commit_batch() so the per-phase counters still fill in.
   [[nodiscard]] FaultDecision peek(const LinkEvent& event) const noexcept;
 
-  /// Record the fault trace entries and counters `verdict` implies (no-op
-  /// for clean verdicts). One lock acquisition.
-  void commit(const LinkEvent& event, const FaultDecision& verdict);
+  /// Count the faults `verdict` implies under its phase (no-op for clean
+  /// verdicts). One lock acquisition.
+  void commit(const FaultDecision& verdict);
 
-  /// Bulk commit under ONE lock — the merge lanes' flush path. Per-link
-  /// record order is preserved within a batch; cross-batch order is
-  /// engine-dependent, exactly like interleaved decide() calls (the
-  /// canonical trace sorts it away).
-  void commit_batch(std::span<const std::pair<LinkEvent, FaultDecision>> staged);
+  /// Bulk commit under ONE lock — the merge lanes' flush path. Counters are
+  /// sums, so the order in which lanes flush cannot change them.
+  void commit_batch(std::span<const FaultDecision> staged);
 
   /// Phase index covering `round`, or nullopt. Later phases win overlaps.
   [[nodiscard]] std::optional<std::size_t> phase_for(Round round) const noexcept;
@@ -181,13 +162,6 @@ class ChaosSchedule {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   /// Last round any phase is active; quiet after this (recovery window).
   [[nodiscard]] Round last_faulty_round() const noexcept { return last_faulty_round_; }
-
-  /// Faults in the order they were decided (engine-dependent).
-  [[nodiscard]] std::vector<FaultRecord> trace() const;
-  /// Faults sorted by (round, from, to, seq, kind) — engine-independent.
-  [[nodiscard]] std::vector<FaultRecord> canonical_trace() const;
-  /// One line per canonical record — byte-comparable across runs/engines.
-  [[nodiscard]] std::string canonical_trace_string() const;
 
   /// Injected-fault counters, one FaultCounters per phase (recovery fields
   /// are left zero — those belong to the runtime's drivers).
@@ -203,14 +177,12 @@ class ChaosSchedule {
                                           std::uint64_t salt) noexcept;
 
  private:
-  void commit_locked(const LinkEvent& event, const FaultDecision& verdict);
-  void record_locked(const LinkEvent& event, FaultKind kind, std::size_t phase, Round extra);
+  void count_locked(const FaultDecision& verdict);
 
   ChaosPlan plan_;
   std::uint64_t seed_ = 0;
   Round last_faulty_round_ = 0;
   mutable std::mutex mutex_;
-  std::vector<FaultRecord> trace_;
   std::vector<FaultCounters> per_phase_;
 };
 

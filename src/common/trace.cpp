@@ -33,8 +33,8 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
-}  // namespace
-
+/// The canonical export's strict-weak order: (round, from, to, link_seq,
+/// kind).
 bool canonical_record_less(const TraceRecord& a, const TraceRecord& b) noexcept {
   if (a.round != b.round) return a.round < b.round;
   if (a.from != b.from) return a.from < b.from;
@@ -43,10 +43,32 @@ bool canonical_record_less(const TraceRecord& a, const TraceRecord& b) noexcept 
   return static_cast<int>(a.kind) < static_cast<int>(b.kind);
 }
 
+/// One record as a full-export JSONL line (no trailing newline).
+std::string to_jsonl_line(const TraceRecord& rec, TraceEngine engine) {
+  std::ostringstream os;
+  os << "{\"engine\":\"" << to_string(engine) << "\",\"node\":" << rec.node
+     << ",\"seq\":" << rec.seq << ",\"kind\":\"" << to_string(rec.kind)
+     << "\",\"round\":" << rec.round << ",\"from\":" << rec.from << ",\"to\":" << rec.to
+     << ",\"link_seq\":" << rec.link_seq << ",\"extra\":" << rec.extra;
+  if (!rec.detail.empty()) os << ",\"detail\":\"" << json_escape(rec.detail) << "\"";
+  os << "}";
+  return os.str();
+}
+
+/// One canonical record as a canonical-export line.
+std::string to_canonical_line(const TraceRecord& rec) {
+  std::ostringstream os;
+  os << "{\"kind\":\"" << to_string(rec.kind) << "\",\"round\":" << rec.round
+     << ",\"from\":" << rec.from << ",\"to\":" << rec.to << ",\"seq\":" << rec.link_seq
+     << ",\"extra\":" << rec.extra << "}";
+  return os.str();
+}
+
+}  // namespace
+
 const char* to_string(TraceEngine engine) noexcept {
   switch (engine) {
     case TraceEngine::kSync: return "sync";
-    case TraceEngine::kAsync: return "async";
     case TraceEngine::kRuntime: return "runtime";
   }
   return "?";
@@ -244,25 +266,6 @@ std::vector<TraceRecord> TraceRecorder::canonical() const {
   }
   std::sort(out.begin(), out.end(), canonical_record_less);
   return out;
-}
-
-std::string to_jsonl_line(const TraceRecord& rec, TraceEngine engine) {
-  std::ostringstream os;
-  os << "{\"engine\":\"" << to_string(engine) << "\",\"node\":" << rec.node
-     << ",\"seq\":" << rec.seq << ",\"kind\":\"" << to_string(rec.kind)
-     << "\",\"round\":" << rec.round << ",\"from\":" << rec.from << ",\"to\":" << rec.to
-     << ",\"link_seq\":" << rec.link_seq << ",\"extra\":" << rec.extra;
-  if (!rec.detail.empty()) os << ",\"detail\":\"" << json_escape(rec.detail) << "\"";
-  os << "}";
-  return os.str();
-}
-
-std::string to_canonical_line(const TraceRecord& rec) {
-  std::ostringstream os;
-  os << "{\"kind\":\"" << to_string(rec.kind) << "\",\"round\":" << rec.round
-     << ",\"from\":" << rec.from << ",\"to\":" << rec.to << ",\"seq\":" << rec.link_seq
-     << ",\"extra\":" << rec.extra << "}";
-  return os.str();
 }
 
 std::string TraceRecorder::jsonl() const {

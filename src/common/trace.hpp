@@ -1,11 +1,12 @@
 // Flight-recorder tracing layer shared by every engine.
 //
-// PR 2's chaos engine guarantees that one seed reproduces byte-identical
-// fault verdicts on the sync simulator, the async simulator, and the
-// runtime. When a run *does* diverge — a real bug — that guarantee is only
-// useful if we can see WHERE: this layer records structured per-node events
-// (protocol events, frame-level link verdicts, engine sends and deliveries)
-// into bounded ring buffers, exports them as JSONL (tooling) and Chrome
+// The chaos engine guarantees that one seed reproduces the same fault
+// verdicts on the sync simulator (in process or in forked shard workers)
+// and the runtime. When a run *does* diverge — a real bug — that guarantee
+// is only useful if we can see WHERE: this layer records structured
+// per-node events (protocol events, frame-level link verdicts, engine sends
+// and deliveries) into bounded ring buffers — the only record of individual
+// verdicts — exports them as JSONL (tooling) and Chrome
 // `about://tracing` JSON (humans), and feeds the `trace_diff` tool
 // (check/trace_diff.hpp) that pinpoints the first divergent record between
 // two traces of the same seed.
@@ -45,7 +46,7 @@
 
 namespace idonly {
 
-enum class TraceEngine : std::uint8_t { kSync, kAsync, kRuntime };
+enum class TraceEngine : std::uint8_t { kSync, kRuntime };
 
 [[nodiscard]] const char* to_string(TraceEngine engine) noexcept;
 
@@ -168,9 +169,10 @@ class TraceRecorder {
   /// Splice one node's ring — captured by another recorder of the same
   /// capacity — into this one verbatim: records keep their capture seqs and
   /// the ring its eviction count, so every export over the merged recorder
-  /// is byte-identical to a single-recorder run. The node must not already
-  /// hold records here (shard workers own disjoint id ranges); throws
-  /// std::invalid_argument when it does.
+  /// is byte-identical to a single-recorder run. This is how the
+  /// distributed coordinator rebuilds one trace from its workers' rings.
+  /// The node must not already hold records here (shard workers own
+  /// disjoint id ranges); throws std::invalid_argument when it does.
   void absorb_ring(NodeId node, std::vector<TraceRecord> records, std::uint64_t next_seq,
                    std::uint64_t evicted);
   /// Link-verdict records only, self-links removed, sorted by
@@ -202,17 +204,5 @@ class TraceRecorder {
   mutable std::mutex mutex_;
   std::map<NodeId, NodeRing> rings_;
 };
-
-/// The canonical export's strict-weak order: (round, from, to, link_seq,
-/// kind). Exposed so the distributed coordinator's k-way export merge
-/// (dist/shard_trace.hpp) sorts per-shard streams with EXACTLY the
-/// comparator canonical() uses.
-[[nodiscard]] bool canonical_record_less(const TraceRecord& a, const TraceRecord& b) noexcept;
-
-/// Serialize one record as the full-export JSONL line (no trailing newline).
-[[nodiscard]] std::string to_jsonl_line(const TraceRecord& rec, TraceEngine engine);
-/// Serialize one record as a canonical line (link family only; the caller
-/// is responsible for only passing canonical records).
-[[nodiscard]] std::string to_canonical_line(const TraceRecord& rec);
 
 }  // namespace idonly

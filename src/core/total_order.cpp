@@ -162,8 +162,8 @@ void TotalOrderProcess::main_loop_round(RoundInfo round, std::span<const Message
 void TotalOrderProcess::refresh_chain() {
   // Round r' is final once r − r' > 5·|S^{r'}|/2 + 2  ⇔  2(r − r') > 5|S| + 4.
   // Finalization happens strictly in instance order (the chain is a prefix),
-  // so finalized_ keys always precede every live instance; once finalized,
-  // the machine is garbage-collected down to its outputs.
+  // so each newly final instance's outputs extend the chain at its end; once
+  // finalized, the machine is garbage-collected.
   const std::size_t previous_length = chain_.size();
   for (auto it = instances_.begin(); it != instances_.end();) {
     const Round instance_round = it->first;
@@ -171,17 +171,11 @@ void TotalOrderProcess::refresh_chain() {
     const bool final_round =
         2 * (r_ - instance_round) > 5 * static_cast<Round>(run.s_size) + 4;
     if (!final_round || !run.machine.terminated()) break;  // prefix ends here
-    if (!finalized_.empty() && std::prev(finalized_.end())->first > instance_round) break;
-    finalized_.emplace(instance_round, FinalizedInstance{run.machine.outputs()});
-    it = instances_.erase(it);
-  }
-  chain_.clear();
-  finalized_upto_ = 0;
-  for (const auto& [instance_round, done] : finalized_) {
-    for (const OutputPair& pair : done.outputs) {
+    for (const OutputPair& pair : run.machine.outputs()) {
       chain_.push_back(ChainEntry{instance_round, pair.id, pair.value.real_or(0.0)});
     }
     finalized_upto_ = instance_round;
+    it = instances_.erase(it);
   }
   if (observer_ != nullptr && chain_.size() > previous_length) {
     observer_->on_event({ProtocolEvent::Type::kChainExtended, id(), r_,

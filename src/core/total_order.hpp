@@ -77,8 +77,9 @@ class TotalOrderProcess final : public Process {
   void set_observer(ProtocolObserver* observer) noexcept { observer_ = observer; }
 
   /// Parallel-consensus machines still held in memory (live instances).
-  /// Finalized instances are garbage-collected down to their outputs, so
-  /// this stays bounded by the finality lag regardless of run length.
+  /// Finalized instances are garbage-collected once their outputs join the
+  /// chain, so this stays bounded by the finality lag regardless of run
+  /// length.
   [[nodiscard]] std::size_t retained_machines() const noexcept { return instances_.size(); }
 
  private:
@@ -91,12 +92,6 @@ class TotalOrderProcess final : public Process {
     std::size_t s_size = 0;  ///< |S| recorded at start — the finality clock
   };
 
-  /// A finalized instance: the machine is gone, only the agreed outputs
-  /// (already chain-ordered) remain.
-  struct FinalizedInstance {
-    std::vector<OutputPair> outputs;
-  };
-
   bool founder_;
   bool joined_ = false;     ///< main loop running
   bool announced_leave_ = false;
@@ -106,7 +101,6 @@ class TotalOrderProcess final : public Process {
   std::map<Round, std::vector<NodeId>> scheduled_adds_;  ///< S-adds by effective round
   std::deque<double> pending_events_;
   std::map<Round, InstanceRun> instances_;          ///< live (non-final) instances
-  std::map<Round, FinalizedInstance> finalized_;    ///< GC'd, outputs only
   std::vector<ChainEntry> chain_;
   Round finalized_upto_ = 0;
   ProtocolObserver* observer_ = nullptr;

@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <variant>
@@ -419,8 +420,9 @@ DistRun run_dist(const DistConfig& config) {
   bool has_chaos = false;
   FaultCounters wire_faults;
   std::map<NodeId, NodeOutcome> nodes;
-  if (config.want_trace) run.trace = std::make_shared<ShardedTrace>(TraceEngine::kSync);
-  for (ShardResult& result : results) {
+  if (config.want_trace) run.trace = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+  for (std::size_t w = 0; w < results.size(); ++w) {
+    ShardResult& result = results[w];
     for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
       metrics.messages.sent[k] += result.metrics.messages.sent[k];
       metrics.messages.delivered[k] += result.metrics.messages.delivered[k];
@@ -442,7 +444,17 @@ DistRun run_dist(const DistConfig& config) {
     }
     wire_faults += result.wire_faults;
     for (auto& [id, node] : result.nodes) nodes[id] = std::move(node);
-    if (run.trace != nullptr) run.trace->absorb_shard(std::move(result.rings));
+    if (run.trace == nullptr) continue;
+    for (ShardResult::Ring& ring : result.rings) {
+      // Workers own disjoint nodes, so a ring another result already holds
+      // means a worker reported a node it does not own.
+      try {
+        run.trace->absorb_ring(ring.node, std::move(ring.records), ring.next_seq, ring.evicted);
+      } catch (const std::invalid_argument&) {
+        return infra_failure(worker_name(fleet.workers[w]) + " sent a trace ring for node " +
+                             std::to_string(ring.node) + ", which another shard already sent");
+      }
+    }
   }
 
   run.metrics = metrics;

@@ -39,10 +39,13 @@
 // deliberately no partial-result path: a run missing one shard's traffic
 // would be a DIFFERENT run, silently.
 //
-// Determinism: for the same script and seed, the merged canonical trace
-// (flight-recorder link verdicts) is byte-identical to
-// `run_script(..., threads=1)` with a recorder — the CI dist-smoke job
-// byte-compares the two exports. See DESIGN.md §12 for the argument.
+// Determinism: the coordinator splices every worker's per-node trace rings
+// into one TraceRecorder (absorb_ring), so for the same script and seed
+// both its exports — raw and canonical — are byte-identical to
+// `run_script(..., threads=1)` with a recorder, evicted rings included; the
+// CI dist-smoke job byte-compares them. A node that two workers both report
+// fails the run (infra_ok = false, naming the worker). See DESIGN.md §12
+// for the argument.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +54,6 @@
 
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
-#include "dist/shard_trace.hpp"
 #include "harness/script.hpp"
 
 namespace idonly {
@@ -85,10 +87,10 @@ struct DistRun {
   /// plus the mesh's overlap counters (rounds_overlapped, recv_stall_ns,
   /// slabs_direct).
   Metrics metrics;
-  /// Sharded flight-recorder epilogue (null unless want_trace and
-  /// infra_ok): each worker's rings absorbed as one per-shard stream,
-  /// exports k-way merged — byte-identical to the recorder-based exports.
-  std::shared_ptr<ShardedTrace> trace;
+  /// The flight recorder rebuilt from every worker's rings with
+  /// TraceRecorder::absorb_ring (null unless want_trace and infra_ok). Its
+  /// exports are byte-identical to a single-process recorder's.
+  std::shared_ptr<TraceRecorder> trace;
 };
 
 /// Execute the scripted run across `config.shards` forked worker processes.

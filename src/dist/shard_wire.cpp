@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <set>
 
 namespace idonly {
 
@@ -407,9 +408,12 @@ std::optional<ShardResult> decode_result(std::span<const std::byte> payload) {
   const std::uint64_t nodes = r.u64();
   for (std::uint64_t i = 0; i < nodes && !r.failed(); ++i) result.nodes.push_back(decode_node(r));
   const std::uint64_t rings = r.u64();
+  std::set<NodeId> ring_nodes;
   for (std::uint64_t i = 0; i < rings && !r.failed(); ++i) {
     ShardResult::Ring ring;
     ring.node = r.u64();
+    // One worker holds one ring per node: a repeat is a garbled result.
+    if (!ring_nodes.insert(ring.node).second) return std::nullopt;
     ring.next_seq = r.u64();
     ring.evicted = r.u64();
     const std::uint64_t records = r.u64();

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -156,17 +157,21 @@ ShardResult ShardWorker::finalize() {
     if (p != nullptr && !p->byzantine()) result.nodes.emplace_back(id, node_outcome(*p));
   }
   if (recorder_ != nullptr) {
-    // Records come out of snapshot() grouped by node in capture order — the
-    // exact slices absorb_ring() wants on the coordinator side.
-    const std::vector<TraceRecord> records = recorder_->snapshot();
+    // snapshot() groups records by ascending node id in capture order, and
+    // ring_stats() lists the rings in the same order: one pass cuts the
+    // snapshot into the exact slices absorb_ring() wants on the coordinator
+    // side.
+    std::vector<TraceRecord> records = recorder_->snapshot();
+    auto next = records.begin();
     for (const TraceRecorder::RingStats& stats : recorder_->ring_stats()) {
       ShardResult::Ring ring;
       ring.node = stats.node;
       ring.next_seq = stats.next_seq;
       ring.evicted = stats.evicted;
-      for (const TraceRecord& rec : records) {
-        if (rec.node == stats.node) ring.records.push_back(rec);
-      }
+      auto end = next;
+      while (end != records.end() && end->node == stats.node) ++end;
+      ring.records.assign(std::make_move_iterator(next), std::make_move_iterator(end));
+      next = end;
       result.rings.push_back(std::move(ring));
     }
   }

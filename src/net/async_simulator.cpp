@@ -16,22 +16,12 @@ void AsyncSimulator::add_process(std::unique_ptr<AsyncProcess> process) {
   processes_.emplace(id, std::move(process));
 }
 
-void AsyncSimulator::dispatch_out(NodeId from, const std::vector<AsyncOutgoing>& out,
-                                  const std::vector<MessageRef>* wrapped) {
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    const AsyncOutgoing& o = out[j];
-    // Wrap once; a broadcast's n events share the payload by reference. The
-    // batched engine wraps in its parallel phase and hands the refs in.
-    MessageRef ref;
-    if (wrapped != nullptr) {
-      ref = (*wrapped)[j];
-    } else {
-      Message msg = o.msg;
-      msg.sender = from;
-      ref = MessageRef::wrap(std::move(msg));
-    }
-    fanout_.unique_payloads += 1;
-    if (recorder_) recorder_->record_send(from, /*round=*/0, o.to);
+void AsyncSimulator::dispatch_out(NodeId from, const std::vector<AsyncOutgoing>& out) {
+  for (const AsyncOutgoing& o : out) {
+    // Wrap once; a broadcast's n events share the payload by reference.
+    Message msg = o.msg;
+    msg.sender = from;
+    const MessageRef ref = MessageRef::wrap(std::move(msg));
     auto deliver_to = [&](NodeId to) {
       const Time latency = delay_(from, to, ref.get(), now_);
       if (latency < 0) return;  // delay model may drop (models "never delivered" in a run prefix)
@@ -57,17 +47,10 @@ void AsyncSimulator::rearm_timer(AsyncProcess& p) {
   queue_.push(Event{*deadline, seq_++, p.id(), /*is_timer=*/true, MessageRef{}});
 }
 
-void AsyncSimulator::set_threads(unsigned threads) {
-  if (threads < 1) threads = 1;
-  if (threads == threads_) return;
-  threads_ = threads;
-  executor_ = threads_ > 1 ? std::make_unique<ParallelExecutor>(threads_) : nullptr;
-}
-
 void AsyncSimulator::run(Time horizon) {
+  std::vector<AsyncOutgoing> out;
   if (!started_) {
     started_ = true;
-    std::vector<AsyncOutgoing> out;
     for (auto& [id, p] : processes_) {
       out.clear();
       p->on_start(now_, out);
@@ -75,15 +58,6 @@ void AsyncSimulator::run(Time horizon) {
       rearm_timer(*p);
     }
   }
-  if (executor_ != nullptr) {
-    run_batched(horizon);
-  } else {
-    run_sequential(horizon);
-  }
-}
-
-void AsyncSimulator::run_sequential(Time horizon) {
-  std::vector<AsyncOutgoing> out;
   while (!queue_.empty()) {
     Event ev = queue_.top();
     if (ev.at > horizon) break;
@@ -100,121 +74,10 @@ void AsyncSimulator::run_sequential(Time horizon) {
       armed_timer_.erase(armed);
       p.on_timer(now_, out);
     } else {
-      fanout_.deliveries += 1;
-      fanout_.bytes_delivered += ev.msg.wire_bytes();
-      if (recorder_) recorder_->record_deliver(ev.to, /*round=*/0, ev.msg.get().sender);
       p.on_message(now_, ev.msg.get(), out);
     }
     dispatch_out(ev.to, out);
     rearm_timer(p);
-  }
-}
-
-void AsyncSimulator::run_batched(Time horizon) {
-  // Parallel-phase / sequential-merge: all events sharing one timestamp form
-  // a batch (the ready set); callbacks run concurrently, grouped per target
-  // node so each process is driven by one thread in event-sequence order,
-  // and each group stamps + hashes its sends on its own thread. The
-  // order-sensitive effects — latency draws (the DelayModel may be
-  // stateful), event-queue pushes, timer re-arms, trace records — are
-  // applied afterwards, sequentially, in the exact order the sequential
-  // engine used.
-  // Events a callback emits at the SAME timestamp carry fresher sequence
-  // numbers, so both engines process them after the whole current batch.
-  struct Group {
-    AsyncProcess* process = nullptr;
-    std::vector<std::size_t> events;  // indices into the batch, ascending seq
-  };
-  std::vector<Event> batch;
-  std::vector<Group> groups;
-  std::vector<std::vector<AsyncOutgoing>> outs;
-  std::vector<std::vector<MessageRef>> staged;      // outs stamped + wrapped in parallel
-  std::vector<std::optional<Time>> deadline_after;  // post-callback timer ask
-  std::vector<char> ran;                            // 0 → skipped (stale timer)
-  while (!queue_.empty()) {
-    const Time at = queue_.top().at;
-    if (at > horizon) break;
-    now_ = at;
-    batch.clear();
-    while (!queue_.empty() && queue_.top().at == at) {
-      batch.push_back(queue_.top());  // popped in ascending seq order
-      queue_.pop();
-    }
-    outs.assign(batch.size(), {});
-    staged.assign(batch.size(), {});
-    deadline_after.assign(batch.size(), std::nullopt);
-    ran.assign(batch.size(), 0);
-    groups.clear();
-    std::map<NodeId, std::size_t> group_of;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      auto it = processes_.find(batch[i].to);
-      if (it == processes_.end()) continue;
-      auto [slot, inserted] = group_of.try_emplace(batch[i].to, groups.size());
-      if (inserted) groups.push_back(Group{it->second.get(), {}});
-      groups[slot->second].events.push_back(i);
-    }
-
-    const auto run_group = [&](std::size_t group_index) {
-      Group& group = groups[group_index];
-      AsyncProcess& p = *group.process;
-      // Local shadow of this node's armed deadline: a timer consumed (or
-      // re-armed) by an earlier event in the batch must be visible to the
-      // stale-timer check of a later one, exactly as in the sequential
-      // engine. Only this group touches the node, so the shadow is exact.
-      std::optional<Time> armed;
-      if (auto it = armed_timer_.find(p.id()); it != armed_timer_.end()) armed = it->second;
-      for (std::size_t i : group.events) {
-        const Event& ev = batch[i];
-        if (ev.is_timer) {
-          if (!armed.has_value() || *armed != ev.at) continue;  // stale — skip
-          armed.reset();
-          p.on_timer(now_, outs[i]);
-        } else {
-          p.on_message(now_, ev.msg.get(), outs[i]);
-        }
-        ran[i] = 1;
-        deadline_after[i] = p.timer_deadline();
-        armed = deadline_after[i];
-        // Stamp and hash this event's sends here, on the group's thread —
-        // the wrap is pure per message, so hoisting it out of the merge
-        // changes nothing observable, only who pays the hashing.
-        staged[i].reserve(outs[i].size());
-        for (AsyncOutgoing& o : outs[i]) {
-          Message msg = std::move(o.msg);
-          msg.sender = ev.to;
-          staged[i].push_back(MessageRef::wrap(std::move(msg)));
-        }
-      }
-    };
-    if (groups.size() > 1) {
-      executor_->run(groups.size(), run_group);
-    } else {
-      for (std::size_t i = 0; i < groups.size(); ++i) run_group(i);
-    }
-
-    // Sequential merge in event-sequence order.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (ran[i] == 0) continue;
-      const Event& ev = batch[i];
-      if (ev.is_timer) {
-        armed_timer_.erase(ev.to);  // consumed (the callback fired)
-      } else {
-        fanout_.deliveries += 1;
-        fanout_.bytes_delivered += ev.msg.wire_bytes();
-        if (recorder_) recorder_->record_deliver(ev.to, /*round=*/0, ev.msg.get().sender);
-      }
-      dispatch_out(ev.to, outs[i], &staged[i]);
-      if (deadline_after[i].has_value()) {
-        const Time deadline = *deadline_after[i];
-        auto it = armed_timer_.find(ev.to);
-        if (it == armed_timer_.end() || it->second != deadline) {
-          armed_timer_[ev.to] = deadline;
-          queue_.push(Event{deadline, seq_++, ev.to, /*is_timer=*/true, MessageRef{}});
-        }
-      } else {
-        armed_timer_.erase(ev.to);
-      }
-    }
   }
 }
 

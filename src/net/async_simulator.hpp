@@ -7,7 +7,9 @@
 // are proved by indistinguishability/partition arguments; this engine lets
 // us *realize* those executions: a delay model assigns each (from, to)
 // message a latency, and nodes act on local (wall-clock) timers instead of
-// rounds.
+// rounds. Those executions need nothing else: the engine runs one event at
+// a time on one thread, and link faults, tracing and parallel stepping
+// belong to the synchronous engines.
 #pragma once
 
 #include <functional>
@@ -17,12 +19,9 @@
 #include <queue>
 #include <vector>
 
-#include "common/metrics.hpp"
-#include "common/trace.hpp"
 #include "common/types.hpp"
 #include "net/mailbox.hpp"
 #include "net/message.hpp"
-#include "net/parallel_exec.hpp"
 
 namespace idonly {
 
@@ -76,32 +75,9 @@ class AsyncSimulator {
   /// Run until the event queue drains or `horizon` simulated time elapses.
   void run(Time horizon);
 
-  /// Shard callback execution across `threads` threads (1 = sequential, the
-  /// default). Events sharing one timestamp form a batch; per-node event
-  /// groups run concurrently — including sender-stamping and content-hashing
-  /// of every emitted message (the wrap cost) — while latency draws, queue
-  /// pushes, timer re-arms, and trace records are applied sequentially in
-  /// event-sequence order. The DelayModel therefore may be stateful (the
-  /// chaos delay model is — it counts per-link sequence numbers) and the
-  /// observable execution (delivery order, latency draws, traces) is still
-  /// identical for every thread count (DESIGN.md §8).
-  void set_threads(unsigned threads);
-  [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-
   [[nodiscard]] Time now() const noexcept { return now_; }
   [[nodiscard]] AsyncProcess* find(NodeId id);
   [[nodiscard]] std::vector<NodeId> ids() const;
-
-  /// Mailbox-layer accounting: a broadcast is wrapped once and fanned out
-  /// as reference bumps; deliveries are counted when handed to a process.
-  [[nodiscard]] const FanoutCounters& fanout() const noexcept { return fanout_; }
-
-  /// Attach a flight recorder: sends and deliveries are captured (round 0 —
-  /// the async model has no rounds; link verdicts come from a
-  /// recorder-aware chaos delay model, see net/chaos_hooks.hpp).
-  void set_trace_recorder(std::shared_ptr<TraceRecorder> recorder) {
-    recorder_ = std::move(recorder);
-  }
 
  private:
   struct Event {
@@ -115,14 +91,9 @@ class AsyncSimulator {
     }
   };
 
-  /// Draw latencies and enqueue delivery events for `out`. `wrapped` (when
-  /// non-null) carries refs pre-stamped and pre-hashed by the parallel
-  /// phase, one per outgoing, so the sequential merge skips the wrap cost.
-  void dispatch_out(NodeId from, const std::vector<AsyncOutgoing>& out,
-                    const std::vector<MessageRef>* wrapped = nullptr);
+  /// Draw latencies and enqueue delivery events for `out`.
+  void dispatch_out(NodeId from, const std::vector<AsyncOutgoing>& out);
   void rearm_timer(AsyncProcess& p);
-  void run_sequential(Time horizon);
-  void run_batched(Time horizon);
 
   DelayModel delay_;
   std::map<NodeId, std::unique_ptr<AsyncProcess>> processes_;
@@ -131,10 +102,6 @@ class AsyncSimulator {
   Time now_ = 0;
   std::uint64_t seq_ = 0;
   bool started_ = false;
-  unsigned threads_ = 1;
-  std::unique_ptr<ParallelExecutor> executor_;  // live iff threads_ > 1
-  FanoutCounters fanout_;
-  std::shared_ptr<TraceRecorder> recorder_;
 };
 
 }  // namespace idonly

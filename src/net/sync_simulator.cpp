@@ -97,7 +97,7 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
     if (chaos_) {
       const LinkEvent event{round_, from, dispatches_[t].id, arena.link_seq[t - begin]++};
       fault = chaos_->peek(event);
-      if (fault.faulted()) arena.chaos_stage.emplace_back(event, fault);
+      if (fault.faulted()) arena.chaos_stage.push_back(fault);
       if (recorder_) arena.trace_stage.push_back(make_link_verdict_record(event, fault));
     }
     return fault;

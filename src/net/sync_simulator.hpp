@@ -207,7 +207,7 @@ class SyncSimulator {
     // counters start at 0 with its run.
     std::vector<std::uint64_t> link_seq;
     std::vector<TraceRecord> trace_stage;       // recorder records, per-ring order
-    std::vector<std::pair<LinkEvent, FaultDecision>> chaos_stage;  // faulted verdicts only
+    std::vector<FaultDecision> chaos_stage;     // faulted verdicts only
     struct Delayed {
       Round due = 0;
       NodeId to = 0;

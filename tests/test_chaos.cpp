@@ -1,8 +1,10 @@
 // Deterministic chaos engine: plan validation, pure-function verdicts, and
 // the cross-engine reproducibility contract — ONE schedule replays the SAME
-// fault trace on the sync simulator, the async simulator, and the runtime
-// transport stack, because every verdict is a pure function of
-// (seed, LinkEvent) and the engines only differ in how they derive the key.
+// verdicts on the sync simulator and the runtime transport stack, because
+// every verdict is a pure function of (seed, LinkEvent) and the engines only
+// differ in how they derive the key. A run's verdicts are compared through
+// a flight recorder's canonical export plus the schedule's per-phase
+// counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,10 +18,9 @@
 
 #include "common/chaos.hpp"
 #include "common/invariants.hpp"
+#include "common/trace.hpp"
 #include "core/consensus.hpp"
 #include "harness/script.hpp"
-#include "net/async_simulator.hpp"
-#include "net/chaos_hooks.hpp"
 #include "net/sync_simulator.hpp"
 #include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
@@ -101,30 +102,42 @@ TEST(ChaosSchedule_, VerdictsArePureAcrossInstances) {
   phase.delay = DelaySpec{0.2, 3};
   ChaosSchedule a(ChaosPlan{{phase}}, 7);
   ChaosSchedule b(ChaosPlan{{phase}}, 7);
+  TraceRecorder trace_a(TraceEngine::kSync);
+  TraceRecorder trace_b(TraceEngine::kSync);
   for (Round r = 1; r <= 30; ++r) {
     for (NodeId from : {1u, 2u, 3u}) {
       for (NodeId to : {1u, 2u, 3u}) {
         for (std::uint64_t seq = 0; seq < 2; ++seq) {
-          const auto va = a.decide(LinkEvent{r, from, to, seq});
-          const auto vb = b.decide(LinkEvent{r, from, to, seq});
+          const LinkEvent event{r, from, to, seq};
+          const auto va = a.decide(event);
+          const auto vb = b.decide(event);
           EXPECT_EQ(va.drop, vb.drop);
           EXPECT_EQ(va.duplicate, vb.duplicate);
           EXPECT_EQ(va.corrupt, vb.corrupt);
           EXPECT_EQ(va.delay_rounds, vb.delay_rounds);
+          trace_a.record_link_verdict(event, va);
+          trace_b.record_link_verdict(event, vb);
         }
       }
     }
   }
-  EXPECT_EQ(a.canonical_trace(), b.canonical_trace());
-  EXPECT_FALSE(a.canonical_trace_string().empty());
+  EXPECT_EQ(trace_a.canonical_jsonl(), trace_b.canonical_jsonl());
+  EXPECT_EQ(a.counters().summary(), b.counters().summary());
+  EXPECT_GT(a.counters().total_faults().total(), 0u);
 
   ChaosSchedule other_seed(ChaosPlan{{phase}}, 8);
+  TraceRecorder trace_other(TraceEngine::kSync);
   for (Round r = 1; r <= 30; ++r) {
     for (NodeId from : {1u, 2u, 3u}) {
-      for (NodeId to : {1u, 2u, 3u}) (void)other_seed.decide(LinkEvent{r, from, to, 0});
+      for (NodeId to : {1u, 2u, 3u}) {
+        for (std::uint64_t seq = 0; seq < 2; ++seq) {
+          const LinkEvent event{r, from, to, seq};
+          trace_other.record_link_verdict(event, other_seed.decide(event));
+        }
+      }
     }
   }
-  EXPECT_NE(a.canonical_trace_string(), other_seed.canonical_trace_string())
+  EXPECT_NE(trace_a.canonical_jsonl(), trace_other.canonical_jsonl())
       << "a different seed must produce a different fault pattern";
 }
 
@@ -136,7 +149,7 @@ TEST(ChaosSchedule_, SelfLinksAreNeverFaulted) {
     const auto verdict = chaos.decide(LinkEvent{r, 7, 7, 0});
     EXPECT_FALSE(verdict.drop) << "loopback is local memory, not wire";
   }
-  EXPECT_TRUE(chaos.trace().empty());
+  EXPECT_EQ(chaos.counters().total_faults().total(), 0u);
 }
 
 TEST(ChaosSchedule_, PhaseWindowsApplyAndLaterPhasesWinOverlaps) {
@@ -204,7 +217,7 @@ TEST(ChaosSchedule_, LinkFaultsAreAsymmetric) {
 // ------------------------------------------- cross-engine reproducibility --
 
 // A process that broadcasts one message per round and ignores its inbox:
-// with traffic independent of delivery, all three engines generate the same
+// with traffic independent of delivery, every engine generates the same
 // logical link events and the traces must match byte for byte.
 class ChatterProcess final : public Process {
  public:
@@ -213,31 +226,6 @@ class ChatterProcess final : public Process {
                 std::vector<Outgoing>& out) override {
     broadcast(out, Message{.kind = MsgKind::kPresent});
   }
-};
-
-class AsyncChatter final : public AsyncProcess {
- public:
-  AsyncChatter(NodeId id, Time period, int sends)
-      : AsyncProcess(id), period_(period), remaining_(sends) {}
-  void on_start(Time now, std::vector<AsyncOutgoing>& out) override { send(now, out); }
-  void on_message(Time /*now*/, const Message& /*msg*/,
-                  std::vector<AsyncOutgoing>& /*out*/) override {}
-  void on_timer(Time now, std::vector<AsyncOutgoing>& out) override { send(now, out); }
-  [[nodiscard]] std::optional<Time> timer_deadline() const override {
-    return remaining_ > 0 ? std::optional<Time>(next_) : std::nullopt;
-  }
-  [[nodiscard]] bool decided() const override { return false; }
-  [[nodiscard]] Value decision() const override { return Value::real(0.0); }
-
- private:
-  void send(Time now, std::vector<AsyncOutgoing>& out) {
-    out.push_back(AsyncOutgoing{std::nullopt, Message{.kind = MsgKind::kPresent}});
-    remaining_ -= 1;
-    next_ = now + period_;
-  }
-  Time period_;
-  int remaining_;
-  Time next_ = 0;
 };
 
 TEST(ChaosCrossEngine, OneSeedOneTraceOnAllThreeEngines) {
@@ -251,44 +239,45 @@ TEST(ChaosCrossEngine, OneSeedOneTraceOnAllThreeEngines) {
   const std::vector<NodeId> ids{10, 20, 30};
   constexpr Round kRounds = 6;
 
+  // A run's verdicts: the recorder's canonical link records, then the
+  // schedule's per-phase fault counters.
+  const auto verdicts = [](const TraceRecorder& recorder, const ChaosSchedule& chaos) {
+    return recorder.canonical_jsonl() + chaos.counters().summary();
+  };
+
   // Sync engine: per-link verdicts through SyncSimulator::set_chaos.
   auto run_sync = [&] {
     auto chaos = std::make_shared<ChaosSchedule>(plan, seed);
+    auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
     SyncSimulator sim;
     sim.set_chaos(chaos);
+    sim.set_trace_recorder(recorder);
     for (NodeId id : ids) sim.add_process(std::make_unique<ChatterProcess>(id));
     sim.run_rounds(kRounds);
-    return chaos->canonical_trace_string();
+    EXPECT_GT(chaos->counters().total_faults().total(), 0u)
+        << "the plan must actually fire at these probabilities";
+    return verdicts(*recorder, *chaos);
   };
   const std::string sync_trace = run_sync();
-  EXPECT_FALSE(sync_trace.empty()) << "the plan must actually fire at these probabilities";
   EXPECT_EQ(sync_trace, run_sync()) << "repeated runs of one engine are byte-identical";
-
-  // Async engine: time maps to rounds through the chaos delay model. One
-  // send per node per round_duration=10 window ⇒ identical link events.
-  auto async_chaos = std::make_shared<ChaosSchedule>(plan, seed);
-  AsyncSimulator async_sim(make_chaos_delay_model(async_chaos, 10.0));
-  for (NodeId id : ids) {
-    async_sim.add_process(std::make_unique<AsyncChatter>(id, 10.0, kRounds));
-  }
-  async_sim.run(1000.0);
-  EXPECT_EQ(sync_trace, async_chaos->canonical_trace_string());
 
   // Runtime engine: receive-side ChaosTransport recovers the link key from
   // the slab's round header + codec sender — one broadcast per node per
   // round.
   auto runtime_chaos = std::make_shared<ChaosSchedule>(plan, seed);
+  auto runtime_trace = std::make_shared<TraceRecorder>(TraceEngine::kRuntime);
   InMemoryHub hub;
   std::vector<std::unique_ptr<ChaosTransport>> transports;
   for (NodeId id : ids) {
     transports.push_back(
         std::make_unique<ChaosTransport>(hub.make_endpoint(), runtime_chaos, id));
+    transports.back()->set_trace_recorder(runtime_trace);
   }
   for (Round r = 1; r <= kRounds; ++r) {
     for (std::size_t i = 0; i < ids.size(); ++i) transports[i]->broadcast(framed(r, ids[i]));
     for (auto& transport : transports) (void)transport->drain_views();
   }
-  EXPECT_EQ(sync_trace, runtime_chaos->canonical_trace_string());
+  EXPECT_EQ(sync_trace, verdicts(*runtime_trace, *runtime_chaos));
 }
 
 // --------------------------------------------------- runtime verdict unit --

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -20,7 +22,6 @@
 #include "dist/shard_coordinator.hpp"
 #include "dist/shard_mesh.hpp"
 #include "dist/shard_plan.hpp"
-#include "dist/shard_trace.hpp"
 #include "dist/shard_wire.hpp"
 #include "dist/shard_worker.hpp"
 #include "fuzz/generator.hpp"
@@ -325,6 +326,26 @@ TEST(ShardWire, ResultWithAnUnknownTraceKindIsRejected) {
     garbled[diff[0]] = static_cast<std::byte>(byte);
     EXPECT_FALSE(decode_result(garbled).has_value()) << "kind byte " << int{byte};
   }
+}
+
+TEST(ShardWire, ResultWithARepeatedRingNodeIsRejected) {
+  // One worker holds one ring per node; two rings for one node would make
+  // the coordinator's splice throw, so the decoder refuses the result.
+  ShardResult result;
+  for (const NodeId node : {NodeId{4}, NodeId{5}}) {
+    ShardResult::Ring ring;
+    ring.node = node;
+    ring.next_seq = 1;
+    TraceRecord rec;
+    rec.kind = TraceEventKind::kSend;
+    rec.node = node;
+    ring.records.push_back(rec);
+    result.rings.push_back(ring);
+  }
+  ASSERT_TRUE(decode_result(encode_result(result)).has_value());
+  result.rings[1].node = 4;
+  result.rings[1].records[0].node = 4;
+  EXPECT_FALSE(decode_result(encode_result(result)).has_value());
 }
 
 // ------------------------------------------------ mesh data-plane rejects --
@@ -750,44 +771,21 @@ TEST(ShardWorkerParity, GeneratedScenariosMatchThePerReceiverReference) {
   }
 }
 
-// ------------------------------------- sharded trace epilogue parity --
-
-TEST(ShardedTraceParity, ExportsMatchRecorderAbsorbRingByteForByte) {
-  // Same rings through both epilogues: PR-8's serial absorb_ring recorder
-  // and the sharded k-way-merge exporter must render identical bytes.
-  const ScenarioScript script = parse_or_die(kConsensusScript);
-  const Scenario scenario = make_scenario(script.config);
-  ChurnDriver churn(script, scenario);
-  InProcessFleet fleet(kConsensusScript, 3, /*want_trace=*/true);
-  for (Round i = 0; i < 12; ++i) {
-    churn.apply(
-        fleet.round + 1, [](NodeId, std::size_t) { return std::unique_ptr<Process>{}; },
-        [](std::unique_ptr<Process>) {}, [](NodeId) {});
-    fleet.run_round();
-  }
-  TraceRecorder recorder(TraceEngine::kSync);
-  ShardedTrace sharded(TraceEngine::kSync);
-  for (auto& worker : fleet.workers) {
-    ShardResult result = worker->finalize();
-    for (ShardResult::Ring& ring : result.rings) {
-      recorder.absorb_ring(ring.node, ring.records, ring.next_seq, ring.evicted);
-    }
-    sharded.absorb_shard(std::move(result.rings));
-  }
-  EXPECT_EQ(sharded.size(), recorder.size());
-  EXPECT_EQ(sharded.evicted(), recorder.evicted());
-  EXPECT_EQ(sharded.jsonl(), recorder.jsonl());
-  EXPECT_EQ(sharded.canonical_jsonl(), recorder.canonical_jsonl());
-}
+// ------------------------------------------------- spliced trace rings --
 
 TEST(ShardedTraceParity, DuplicateNodeAcrossShardsThrows) {
-  ShardedTrace sharded(TraceEngine::kSync);
-  std::vector<ShardResult::Ring> a(1);
-  a[0].node = 7;
-  sharded.absorb_shard(std::move(a));
-  std::vector<ShardResult::Ring> b(1);
-  b[0].node = 7;
-  EXPECT_THROW(sharded.absorb_shard(std::move(b)), std::invalid_argument);
+  // The coordinator splices every worker's rings into one recorder. Workers
+  // own disjoint nodes, so a node two shards both report must be refused.
+  TraceRecorder merged(TraceEngine::kSync);
+  const auto ring = [] {
+    TraceRecord rec;
+    rec.kind = TraceEventKind::kSend;
+    rec.node = 7;
+    return std::vector<TraceRecord>{rec};
+  };
+  merged.absorb_ring(7, ring(), 1, 0);
+  EXPECT_THROW(merged.absorb_ring(7, ring(), 1, 0), std::invalid_argument);
+  EXPECT_EQ(merged.size(), 1u);
 }
 
 // ------------------------------------------------- forked end-to-end runs --
@@ -904,6 +902,29 @@ TEST(RunDist, EveryScriptProtocolMatchesSingleProcessAcrossShardCounts) {
       EXPECT_EQ(dist.trace->canonical_jsonl(), single.recorder->canonical_jsonl()) << tag;
     }
   }
+}
+
+TEST(RunDist, SplicedRingsThatEvictMatchTheSingleProcessTrace) {
+  // The shipped totalorder script overflows the recorder's per-node rings:
+  // the coordinator must splice rings that have already evicted records,
+  // keeping each ring's eviction count and capture seqs.
+  std::ifstream in(std::string(IDONLY_SCENARIO_DIR) + "/totalorder_churn_twofaced.scn");
+  ASSERT_TRUE(in.good());
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  const SingleRun single = run_single_process(text);
+  DistConfig config;
+  config.script_text = text;
+  config.shards = 2;
+  config.want_trace = true;
+  const DistRun dist = run_dist(config);
+  ASSERT_TRUE(dist.infra_ok) << dist.infra_error;
+  expect_same_verdict(dist.script, single.run, "shards 2");
+  ASSERT_NE(dist.trace, nullptr);
+  EXPECT_GT(dist.trace->evicted(), 0u) << "the rings must overflow for this test to mean much";
+  const std::string raw = dist.trace->jsonl();
+  EXPECT_NE(raw.find("\"evicted\":" + std::to_string(dist.trace->evicted()) + "}"),
+            std::string::npos);
+  EXPECT_EQ(raw, single.recorder->jsonl());
 }
 
 TEST(RunDist, CrashedWorkerIsDetectedNotHungAndNamed) {

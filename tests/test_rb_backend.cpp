@@ -2,8 +2,8 @@
 // Imbs-Raynal 2-phase state machine under the unknown-n adaptation (n > 5f),
 // the `rb` scenario-DSL keyword, and the determinism contract every backend
 // must honour — bit-identical traces across worker-thread counts and
-// byte-identical canonical traces across the sync, async, and runtime
-// engines for one seed.
+// byte-identical canonical traces across the sync and runtime engines for
+// one seed.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,8 +24,6 @@
 #include "fuzz/scn_writer.hpp"
 #include "harness/runner.hpp"
 #include "harness/script.hpp"
-#include "net/async_simulator.hpp"
-#include "net/chaos_hooks.hpp"
 #include "net/codec.hpp"
 #include "net/sync_simulator.hpp"
 #include "runtime/chaos_transport.hpp"
@@ -330,10 +328,10 @@ TEST(RbKeyword, ImbsScriptRunsEndToEnd) {
 /// Chaos plan for the determinism tests: drops and delays only. Corrupt and
 /// duplicate verdicts are TRACE-consistent across the engines but not
 /// DELIVERY-consistent — corruption flips a real byte in the runtime yet is
-/// trace-only in the simulators, and a duplicate's extra copy is delivered
+/// trace-only in the simulator, and a duplicate's extra copy is delivered
 /// immediately in sync (where mailbox dedup kills it) but materialised in
-/// the runtime and absent in async, which under a combined delay verdict
-/// changes the round a copy lands in. Chatter traffic ignores deliveries,
+/// the runtime, which under a combined delay verdict changes the round a
+/// copy lands in. Chatter traffic ignores deliveries,
 /// so the test_trace golden covers those verdict kinds; RB traffic FEEDS
 /// BACK on what was delivered, so here the plan sticks to the two fault
 /// kinds whose delivery semantics are engine-identical.
@@ -369,72 +367,6 @@ std::shared_ptr<TraceRecorder> run_rb_sync(const RbGolden& g, RbBackendKind back
   }
   sim.run_rounds(g.rounds);
   return recorder;
-}
-
-/// Round-adapter: runs a synchronous Process on the async engine in
-/// lock-step. Deliveries are buffered by on_message; the periodic timer
-/// closes the round and steps the process. The delay model shaves half a
-/// time unit off every latency (see run_rb_async) so deliveries land
-/// STRICTLY before the next round timer — at exactly t = k·D the event
-/// queue breaks ties by enqueue order, which would let a node's timer
-/// overtake other nodes' later-enqueued deliveries and smear the round
-/// boundary.
-class AsyncRoundAdapter final : public AsyncProcess {
- public:
-  AsyncRoundAdapter(std::unique_ptr<Process> inner, Time period, Round rounds)
-      : AsyncProcess(inner->id()), inner_(std::move(inner)), period_(period),
-        remaining_(rounds) {}
-
-  void on_start(Time now, std::vector<AsyncOutgoing>& out) override { step(now, out); }
-  void on_message(Time /*now*/, const Message& msg,
-                  std::vector<AsyncOutgoing>& /*out*/) override {
-    inbox_.push_back(msg);
-  }
-  void on_timer(Time now, std::vector<AsyncOutgoing>& out) override { step(now, out); }
-  [[nodiscard]] std::optional<Time> timer_deadline() const override {
-    return remaining_ > 0 ? std::optional<Time>(next_) : std::nullopt;
-  }
-  [[nodiscard]] bool decided() const override { return false; }
-  [[nodiscard]] Value decision() const override { return Value::real(0.0); }
-
- private:
-  void step(Time now, std::vector<AsyncOutgoing>& out) {
-    round_ += 1;
-    std::vector<Message> inbox = std::move(inbox_);
-    inbox_.clear();
-    std::vector<Outgoing> sync_out;
-    inner_->on_round(RoundInfo{round_, round_}, inbox, sync_out);
-    for (Outgoing& o : sync_out) out.push_back(AsyncOutgoing{o.to, std::move(o.msg)});
-    remaining_ -= 1;
-    next_ = now + period_;
-  }
-
-  std::unique_ptr<Process> inner_;
-  Time period_;
-  Round remaining_;
-  Round round_ = 0;
-  std::vector<Message> inbox_;
-  Time next_ = 0;
-};
-
-std::string run_rb_async(const RbGolden& g, RbBackendKind backend) {
-  auto chaos = std::make_shared<ChaosSchedule>(g.plan, g.seed);
-  auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kAsync);
-  // Sends happen on whole multiples of D (so the model's round attribution
-  // is untouched); the -0.5 shift only moves arrivals off the timer ticks.
-  const DelayModel chaos_model = make_chaos_delay_model(chaos, 10.0, recorder);
-  AsyncSimulator sim([chaos_model](NodeId from, NodeId to, const Message& msg, Time send_time) {
-    const Time latency = chaos_model(from, to, msg, send_time);
-    return latency < 0 ? latency : latency - 0.5;
-  });
-  for (NodeId id : g.ids) {
-    sim.add_process(std::make_unique<AsyncRoundAdapter>(
-        std::make_unique<ReliableBroadcastProcess>(
-            id, g.source, id == g.source ? Value::real(g.payload) : Value::bot(), backend),
-        10.0, g.rounds));
-  }
-  sim.run(1000.0);
-  return recorder->canonical_jsonl();
 }
 
 /// Manual lock-step over the runtime transports, driving the real slab wire
@@ -498,7 +430,6 @@ TEST(RbBackendDeterminism, CanonicalTraceIsByteIdenticalAcrossAllThreeEngines) {
     const std::string sync_trace = run_rb_sync(g, backend, 1)->canonical_jsonl();
     EXPECT_FALSE(sync_trace.empty()) << "the chaos phase must actually fire";
     EXPECT_NE(sync_trace.find("\"kind\":\"link_drop\""), std::string::npos);
-    EXPECT_EQ(sync_trace, run_rb_async(g, backend)) << "async trace must match sync";
     EXPECT_EQ(sync_trace, run_rb_runtime(g, backend)) << "runtime trace must match sync";
   }
 }

@@ -3,7 +3,9 @@
 // nodes (violating the model) must break liveness/safety in some runs —
 // while the delay-free control and a Byzantine-only-delay run stay correct.
 // The delays come from a chaos schedule, so every scenario also runs at 1
-// and 4 threads and must decide the same and leave the same fault trace.
+// and 4 threads and must decide the same and leave the same fault trace: the
+// same canonical link records in a flight recorder and the same per-phase
+// fault counters.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +15,7 @@
 
 #include "common/chaos.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "core/consensus.hpp"
 #include "core/reliable_broadcast.hpp"
 #include "harness/scenario.hpp"
@@ -27,8 +30,13 @@ struct Outcome {
   bool all_decided = false;
   bool agreement = true;
   std::vector<std::optional<Value>> decisions;  ///< per correct id, ascending
-  std::string fault_trace;                      ///< canonical_trace_string()
+  std::string fault_trace;  ///< canonical link records, then per-phase fault counters
+  std::uint64_t faults = 0;
 };
+
+std::string verdict_trace(const TraceRecorder& recorder, const ChaosSchedule& chaos) {
+  return recorder.canonical_jsonl() + chaos.counters().summary();
+}
 
 Outcome run_desynced_consensus_at(std::uint64_t seed, double delay_probability,
                                   unsigned threads) {
@@ -44,9 +52,11 @@ Outcome run_desynced_consensus_at(std::uint64_t seed, double delay_probability,
   phase.last_round = kRoundBudget;
   phase.delay = DelaySpec{delay_probability, 3};
   auto chaos = std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, derive_seed(seed, 0xDE1A));
+  auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
   SyncSimulator sim;
   sim.set_threads(threads);
   sim.set_chaos(chaos);
+  sim.set_trace_recorder(recorder);
   auto factory = [&](NodeId id, std::size_t index) -> std::unique_ptr<Process> {
     return std::make_unique<ConsensusProcess>(id, Value::real(static_cast<double>(index % 2)));
   };
@@ -61,7 +71,8 @@ Outcome run_desynced_consensus_at(std::uint64_t seed, double delay_probability,
     if (!first.has_value()) first = *p->output();
     outcome.agreement = outcome.agreement && *p->output() == *first;
   }
-  outcome.fault_trace = chaos->canonical_trace_string();
+  outcome.fault_trace = verdict_trace(*recorder, *chaos);
+  outcome.faults = chaos->counters().total_faults().total();
   return outcome;
 }
 
@@ -80,7 +91,7 @@ TEST(SynchronyViolation, DelayFreeControlAlwaysCorrect) {
     const auto outcome = run_desynced_consensus(seed, /*delay_probability=*/0.0);
     EXPECT_TRUE(outcome.all_decided) << seed;
     EXPECT_TRUE(outcome.agreement) << seed;
-    EXPECT_TRUE(outcome.fault_trace.empty()) << seed;
+    EXPECT_EQ(outcome.faults, 0u) << seed;
   }
 }
 
@@ -136,12 +147,15 @@ TEST(SynchronyViolation, ReliableBroadcastToleratesDelayedByzantineTraffic) {
     }
   }
   const NodeId source = scenario.correct_ids.front();
-  std::string fault_trace[2];
+  std::string traces[2];
+  std::uint64_t faults = 0;
   for (const unsigned threads : {1U, 4U}) {
     auto chaos = std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, config.seed);
+    auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kSync);
     SyncSimulator sim;
     sim.set_threads(threads);
     sim.set_chaos(chaos);
+    sim.set_trace_recorder(recorder);
     auto factory = [&](NodeId id, std::size_t) -> std::unique_ptr<Process> {
       return std::make_unique<ReliableBroadcastProcess>(id, source, Value::real(4.0));
     };
@@ -152,10 +166,11 @@ TEST(SynchronyViolation, ReliableBroadcastToleratesDelayedByzantineTraffic) {
       ASSERT_TRUE(p->accepted()) << id << " at " << threads << " threads";
       EXPECT_EQ(*p->accepted_payload(), Value::real(4.0));
     }
-    fault_trace[threads == 1 ? 0 : 1] = chaos->canonical_trace_string();
+    traces[threads == 1 ? 0 : 1] = verdict_trace(*recorder, *chaos);
+    if (threads == 1) faults = chaos->counters().total_faults().total();
   }
-  EXPECT_FALSE(fault_trace[0].empty()) << "the Byzantine traffic was actually delayed";
-  EXPECT_EQ(fault_trace[0], fault_trace[1]);
+  EXPECT_GT(faults, 0u) << "the Byzantine traffic was actually delayed";
+  EXPECT_EQ(traces[0], traces[1]);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Flight recorder: ring-buffer semantics, exporters, the cross-engine
 // golden-trace contract (one seed ⇒ byte-identical canonical JSONL on the
-// sync simulator, the async simulator, and the runtime transports), the
+// sync simulator and the runtime transports), the
 // trace_diff divergence report, and the Prometheus metrics exposition.
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 #include "common/observer.hpp"
 #include "common/trace.hpp"
 #include "harness/script.hpp"
-#include "net/async_simulator.hpp"
-#include "net/chaos_hooks.hpp"
 #include "net/sync_simulator.hpp"
 #include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
@@ -160,7 +158,7 @@ TEST(TraceObserverUnit, ForwardsToRecorderAndChainsToNextObserver) {
 // ------------------------------------------- cross-engine golden traces --
 
 // Same chatter workload as test_chaos's cross-engine test: traffic that is
-// independent of delivery, so all three engines ask the chaos schedule the
+// independent of delivery, so every engine asks the chaos schedule the
 // same link-event questions — and now the per-node flight recorders must
 // export byte-identical canonical JSONL.
 class ChatterProcess final : public Process {
@@ -170,31 +168,6 @@ class ChatterProcess final : public Process {
                 std::vector<Outgoing>& out) override {
     broadcast(out, Message{.kind = MsgKind::kPresent});
   }
-};
-
-class AsyncChatter final : public AsyncProcess {
- public:
-  AsyncChatter(NodeId id, Time period, int sends)
-      : AsyncProcess(id), period_(period), remaining_(sends) {}
-  void on_start(Time now, std::vector<AsyncOutgoing>& out) override { send(now, out); }
-  void on_message(Time /*now*/, const Message& /*msg*/,
-                  std::vector<AsyncOutgoing>& /*out*/) override {}
-  void on_timer(Time now, std::vector<AsyncOutgoing>& out) override { send(now, out); }
-  [[nodiscard]] std::optional<Time> timer_deadline() const override {
-    return remaining_ > 0 ? std::optional<Time>(next_) : std::nullopt;
-  }
-  [[nodiscard]] bool decided() const override { return false; }
-  [[nodiscard]] Value decision() const override { return Value::real(0.0); }
-
- private:
-  void send(Time now, std::vector<AsyncOutgoing>& out) {
-    out.push_back(AsyncOutgoing{std::nullopt, Message{.kind = MsgKind::kPresent}});
-    remaining_ -= 1;
-    next_ = now + period_;
-  }
-  Time period_;
-  int remaining_;
-  Time next_ = 0;
 };
 
 struct GoldenSetup {
@@ -226,17 +199,6 @@ std::string run_sync_traced(const GoldenSetup& setup) {
   return recorder->canonical_jsonl();
 }
 
-std::string run_async_traced(const GoldenSetup& setup) {
-  auto chaos = std::make_shared<ChaosSchedule>(setup.plan, setup.seed);
-  auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kAsync);
-  AsyncSimulator sim(make_chaos_delay_model(chaos, 10.0, recorder));
-  for (NodeId id : setup.ids) {
-    sim.add_process(std::make_unique<AsyncChatter>(id, 10.0, static_cast<int>(setup.rounds)));
-  }
-  sim.run(1000.0);
-  return recorder->canonical_jsonl();
-}
-
 std::string run_runtime_traced(const GoldenSetup& setup) {
   auto chaos = std::make_shared<ChaosSchedule>(setup.plan, setup.seed);
   auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kRuntime);
@@ -261,7 +223,6 @@ TEST(TraceGolden, CanonicalJsonlIsByteIdenticalAcrossAllThreeEngines) {
   EXPECT_FALSE(sync_trace.empty()) << "the plan must actually fire at these probabilities";
   EXPECT_NE(sync_trace.find("\"kind\":\"link_drop\""), std::string::npos);
   EXPECT_EQ(sync_trace, run_sync_traced(setup)) << "one engine, one seed, one trace";
-  EXPECT_EQ(sync_trace, run_async_traced(setup)) << "async trace must match sync";
   EXPECT_EQ(sync_trace, run_runtime_traced(setup)) << "runtime trace must match sync";
 }
 
