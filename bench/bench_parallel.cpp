@@ -15,6 +15,9 @@
 //     thread count — that invariant is enforced by test_parallel_exec, not
 //     here.
 //
+// The artifact's `machine` object records the CPU, core count and build
+// type the cells were measured with.
+//
 // Usage: bench_parallel [output.json]   (default: BENCH_parallel.json)
 #include <chrono>
 #include <cstdio>
@@ -83,7 +86,8 @@ void run_cell(Cell& cell) {
 
 bool write_json(const std::string& path, const std::vector<Cell>& cells) {
   std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"parallel\",\n  \"cells\": [\n";
+  out << "{\n  \"benchmark\": \"parallel\",\n  \"machine\": "
+      << bench::machine_json(BENCH_BUILD_TYPE) << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     out << "    {\n"

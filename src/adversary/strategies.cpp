@@ -25,7 +25,7 @@ TwoFacedAdversary::TwoFacedAdversary(std::unique_ptr<Process> face_a,
       face_a_(std::move(face_a)),
       face_b_(std::move(face_b)),
       side_a_(std::move(side_a)),
-      context_(std::move(context)) {
+      all_ids_(std::move(context.all_ids)) {
   assert(face_a_->id() == face_b_->id() && "both faces impersonate the same id");
 }
 
@@ -34,19 +34,25 @@ void TwoFacedAdversary::on_round(RoundInfo round, std::span<const Message> inbox
   // Both faces observe the full inbox (the adversary sees everything sent to
   // its id); their outputs are routed disjointly so recipient u only ever
   // sees one consistent persona.
+  if (!all_ids_.empty()) {
+    // Split the recipients into the two sides once, in all_ids order, at
+    // the first round rather than in the constructor: one predicate call
+    // per id is setup cost every scripted run would pay before its clock.
+    for (NodeId id : all_ids_) (side_a_(id) ? ids_a_ : ids_b_).push_back(id);
+    all_ids_ = {};
+  }
   std::vector<Outgoing> out_a;
   std::vector<Outgoing> out_b;
   face_a_->on_round(round, inbox, out_a);
   face_b_->on_round(round, inbox, out_b);
   auto route_face = [&](std::vector<Outgoing>& face_out, bool to_side_a) {
+    const std::vector<NodeId>& side = to_side_a ? ids_a_ : ids_b_;
     for (Outgoing& o : face_out) {
       if (o.to.has_value()) {
         if (side_a_(*o.to) == to_side_a) out.push_back(std::move(o));
       } else {
         // Expand the broadcast into unicasts to this face's side only.
-        for (NodeId id : context_.all_ids) {
-          if (side_a_(id) == to_side_a) out.push_back(Outgoing{id, o.msg});
-        }
+        for (NodeId id : side) out.push_back(Outgoing{id, o.msg});
       }
     }
   };

@@ -71,7 +71,8 @@ class CrashAdversary final : public ByzantineProcess {
 /// actually violates agreement once n ≤ 3f.
 class TwoFacedAdversary final : public ByzantineProcess {
  public:
-  /// `side_a(id)` decides which face a recipient sees.
+  /// `side_a(id)` decides which face a recipient sees. `context.all_ids`
+  /// is split into the two sides once, at the first round.
   TwoFacedAdversary(std::unique_ptr<Process> face_a, std::unique_ptr<Process> face_b,
                     std::function<bool(NodeId)> side_a, AdversaryContext context);
   void on_round(RoundInfo round, std::span<const Message> inbox,
@@ -80,8 +81,10 @@ class TwoFacedAdversary final : public ByzantineProcess {
  private:
   std::unique_ptr<Process> face_a_;
   std::unique_ptr<Process> face_b_;
-  std::function<bool(NodeId)> side_a_;
-  AdversaryContext context_;
+  std::function<bool(NodeId)> side_a_;  // still decides a face's own unicasts
+  std::vector<NodeId> all_ids_;         // recipients not yet split (until round 1)
+  std::vector<NodeId> ids_a_;           // all_ids on side A, in all_ids order
+  std::vector<NodeId> ids_b_;           // ... and on side B
 };
 
 /// Broadcasts syntactically valid but semantically random protocol messages

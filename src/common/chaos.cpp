@@ -33,6 +33,34 @@ bool in_set(const std::vector<NodeId>& set, NodeId id) noexcept {
   return std::find(set.begin(), set.end(), id) != set.end();
 }
 
+/// The verdict hash, folded in three steps: (seed, round, from) once per
+/// sender run, (to, seq) once per link, then the salt once per draw.
+std::uint64_t sender_prefix(std::uint64_t seed, Round round, NodeId from) noexcept {
+  std::uint64_t state = seed;
+  (void)splitmix64(state);
+  state ^= static_cast<std::uint64_t>(round);
+  (void)splitmix64(state);
+  return state ^ from;
+}
+
+std::uint64_t link_state(std::uint64_t prefix, NodeId to, std::uint64_t seq) noexcept {
+  std::uint64_t state = prefix;
+  (void)splitmix64(state);
+  state ^= to;
+  (void)splitmix64(state);
+  state ^= seq;
+  (void)splitmix64(state);
+  return state;
+}
+
+std::uint64_t salted(std::uint64_t link, std::uint64_t salt) noexcept {
+  std::uint64_t state = link ^ salt;
+  return splitmix64(state);
+}
+
+/// Uniform double in [0, 1) from a verdict word.
+double to_unit(std::uint64_t word) noexcept { return static_cast<double>(word >> 11) * 0x1.0p-53; }
+
 bool partition_cuts(const ChaosPartition& partition, NodeId from, NodeId to) noexcept {
   return (in_set(partition.side_a, from) && in_set(partition.side_b, to)) ||
          (in_set(partition.side_b, from) && in_set(partition.side_a, to));
@@ -79,50 +107,57 @@ std::optional<std::size_t> ChaosSchedule::phase_for(Round round) const noexcept 
   return hit;
 }
 
-double ChaosSchedule::coin(std::uint64_t seed, const LinkEvent& event,
-                           std::uint64_t salt) noexcept {
-  return static_cast<double>(word(seed, event, salt) >> 11) * 0x1.0p-53;
-}
-
+// Every verdict word hash-combines (seed, round, from, to, seq, salt): each
+// field is folded into a splitmix64 state by an advance and an xor, and only
+// the result is mixed. (So keys whose small xors cancel across the advances
+// share a word; every recorded verdict depends on these exact bits.) The
+// fold is split where the engines' loops split — per sender run, per link,
+// per salt — and word()/coin() are the same fold in one go.
 std::uint64_t ChaosSchedule::word(std::uint64_t seed, const LinkEvent& event,
                                   std::uint64_t salt) noexcept {
-  // Hash-combine the full key through splitmix64: each field perturbs the
-  // state before the next mix, so nearby keys land far apart.
-  std::uint64_t state = seed;
-  (void)splitmix64(state);
-  state ^= static_cast<std::uint64_t>(event.round);
-  (void)splitmix64(state);
-  state ^= event.from;
-  (void)splitmix64(state);
-  state ^= event.to;
-  (void)splitmix64(state);
-  state ^= event.seq;
-  (void)splitmix64(state);
-  state ^= salt;
-  return splitmix64(state);
+  return salted(link_state(sender_prefix(seed, event.round, event.from), event.to, event.seq),
+                salt);
+}
+
+double ChaosSchedule::coin(std::uint64_t seed, const LinkEvent& event,
+                           std::uint64_t salt) noexcept {
+  return to_unit(word(seed, event, salt));
+}
+
+ChaosSchedule::SenderKey ChaosSchedule::sender_key(Round round, NodeId from,
+                                                   std::optional<std::size_t> phase) const noexcept {
+  return SenderKey{sender_prefix(seed_, round, from), round, from,
+                   phase.has_value() ? static_cast<int>(*phase) : -1};
 }
 
 FaultDecision ChaosSchedule::peek(const LinkEvent& event) const noexcept {
+  if (event.from == event.to) return {};
+  return peek(sender_key(event.round, event.from, phase_for(event.round)), event.to, event.seq);
+}
+
+FaultDecision ChaosSchedule::peek(const SenderKey& key, NodeId to,
+                                  std::uint64_t seq) const noexcept {
   FaultDecision decision;
-  if (event.from == event.to) return decision;  // loopback is never wire
-  const auto phase_index = phase_for(event.round);
-  if (!phase_index.has_value()) return decision;
-  const ChaosPhase& phase = plan_.phases[*phase_index];
-  decision.phase = static_cast<int>(*phase_index);
-  decision.entropy = word(seed_, event, kSaltEntropy);
+  if (key.from == to) return decision;  // loopback is never wire
+  if (key.phase < 0) return decision;
+  const ChaosPhase& phase = plan_.phases[static_cast<std::size_t>(key.phase)];
+  const std::uint64_t link = link_state(key.prefix, to, seq);
+  const auto coin_at = [link](std::uint64_t salt) { return to_unit(salted(link, salt)); };
+  decision.phase = key.phase;
+  decision.entropy = salted(link, kSaltEntropy);
 
   // Deterministic structural faults first: a crashed endpoint or a cut
   // partition kills the frame outright, no coin spent.
   for (const CrashWindow& crash : phase.crashes) {
-    if ((crash.node == event.from || crash.node == event.to) && event.round >= crash.first &&
-        event.round <= crash.last) {
+    if ((crash.node == key.from || crash.node == to) && key.round >= crash.first &&
+        key.round <= crash.last) {
       decision.drop = true;
       decision.drop_kind = FaultKind::kCrashDrop;
       return decision;
     }
   }
   for (const ChaosPartition& partition : phase.partitions) {
-    if (partition_cuts(partition, event.from, event.to)) {
+    if (partition_cuts(partition, key.from, to)) {
       decision.drop = true;
       decision.drop_kind = FaultKind::kPartitionDrop;
       return decision;
@@ -134,29 +169,26 @@ FaultDecision ChaosSchedule::peek(const LinkEvent& event) const noexcept {
   double drop_p = phase.drop;
   double duplicate_p = phase.duplicate;
   double delay_p = phase.delay.probability;
-  for (const LinkFaultSpec& link : phase.link_faults) {
-    if (link.from != event.from || link.to != event.to) continue;
-    if (link.drop > 0.0 && coin(seed_, event, kSaltLinkDrop) < link.drop) drop_p = 1.0;
-    if (link.duplicate > 0.0 && coin(seed_, event, kSaltLinkDuplicate) < link.duplicate) {
-      duplicate_p = 1.0;
-    }
-    if (link.delay > 0.0 && coin(seed_, event, kSaltLinkDelay) < link.delay) delay_p = 1.0;
+  for (const LinkFaultSpec& spec : phase.link_faults) {
+    if (spec.from != key.from || spec.to != to) continue;
+    if (spec.drop > 0.0 && coin_at(kSaltLinkDrop) < spec.drop) drop_p = 1.0;
+    if (spec.duplicate > 0.0 && coin_at(kSaltLinkDuplicate) < spec.duplicate) duplicate_p = 1.0;
+    if (spec.delay > 0.0 && coin_at(kSaltLinkDelay) < spec.delay) delay_p = 1.0;
   }
 
-  if (drop_p > 0.0 && coin(seed_, event, kSaltDrop) < drop_p) {
+  if (drop_p > 0.0 && coin_at(kSaltDrop) < drop_p) {
     decision.drop = true;
     decision.drop_kind = FaultKind::kDrop;
     return decision;
   }
-  if (duplicate_p > 0.0 && coin(seed_, event, kSaltDuplicate) < duplicate_p) {
+  if (duplicate_p > 0.0 && coin_at(kSaltDuplicate) < duplicate_p) {
     decision.duplicate = true;
   }
-  if (delay_p > 0.0 && coin(seed_, event, kSaltDelay) < delay_p) {
+  if (delay_p > 0.0 && coin_at(kSaltDelay) < delay_p) {
     const auto span = static_cast<std::uint64_t>(std::max<Round>(phase.delay.max_extra_rounds, 1));
-    decision.delay_rounds =
-        1 + static_cast<Round>(word(seed_, event, kSaltDelayLength) % span);
+    decision.delay_rounds = 1 + static_cast<Round>(salted(link, kSaltDelayLength) % span);
   }
-  if (phase.corrupt > 0.0 && coin(seed_, event, kSaltCorrupt) < phase.corrupt) {
+  if (phase.corrupt > 0.0 && coin_at(kSaltCorrupt) < phase.corrupt) {
     decision.corrupt = true;
   }
   return decision;

@@ -147,6 +147,27 @@ class ChaosSchedule {
   /// commit_batch() so the per-phase counters still fill in.
   [[nodiscard]] FaultDecision peek(const LinkEvent& event) const noexcept;
 
+  /// One sender's links in one round, keyed once: the (seed, round, from)
+  /// prefix of every verdict hash and the phase covering the round. A
+  /// sender's fan-out then costs one `to`/`seq` mix per link plus one mix
+  /// per salt.
+  struct SenderKey {
+    std::uint64_t prefix = 0;
+    Round round = 0;
+    NodeId from = 0;
+    int phase = -1;  ///< phase index covering `round`, -1 when none
+  };
+
+  /// Key `from`'s links of `round`, with `phase` = phase_for(round) (looked
+  /// up once per round by the caller).
+  [[nodiscard]] SenderKey sender_key(Round round, NodeId from,
+                                     std::optional<std::size_t> phase) const noexcept;
+
+  /// peek(LinkEvent{key.round, key.from, to, seq}), bit for bit: peek()
+  /// itself goes through here.
+  [[nodiscard]] FaultDecision peek(const SenderKey& key, NodeId to,
+                                   std::uint64_t seq) const noexcept;
+
   /// Count the faults `verdict` implies under its phase (no-op for clean
   /// verdicts). One lock acquisition.
   void commit(const FaultDecision& verdict);

@@ -8,13 +8,6 @@ namespace {
 }
 }  // namespace
 
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 Rng::Rng(std::uint64_t seed) noexcept {
   // Expand the seed; xoshiro state must not be all-zero, which splitmix64
   // output never is for all four words simultaneously.

@@ -13,9 +13,15 @@
 
 namespace idonly {
 
-/// splitmix64 step — used to expand a single seed into xoshiro state and to
-/// derive independent per-node seeds from (experiment_seed, node_id).
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// splitmix64 step — used to expand a single seed into xoshiro state, to
+/// derive independent per-node seeds from (experiment_seed, node_id), and to
+/// key every chaos verdict (common/chaos.cpp), where it runs per link.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// xoshiro256** — fast, high-quality, fully deterministic PRNG.
 class Rng {

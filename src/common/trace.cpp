@@ -258,11 +258,17 @@ void TraceRecorder::absorb_ring(NodeId node, std::vector<TraceRecord> records,
 }
 
 std::vector<TraceRecord> TraceRecorder::canonical() const {
+  // Walk the rings under the lock and copy only what the canonical export
+  // keeps: link-family records between distinct nodes (loopback is
+  // engine-dependent and never faulted).
   std::vector<TraceRecord> out;
-  for (TraceRecord& rec : snapshot()) {
-    if (!is_canonical(rec.kind)) continue;
-    if (rec.from == rec.to) continue;  // loopback: engine-dependent, never faulted
-    out.push_back(std::move(rec));
+  {
+    std::scoped_lock lock(mutex_);
+    for (const auto& [id, ring] : rings_) {
+      for (const TraceRecord& rec : ring.records) {
+        if (is_canonical(rec.kind) && rec.from != rec.to) out.push_back(rec);
+      }
+    }
   }
   std::sort(out.begin(), out.end(), canonical_record_less);
   return out;
@@ -270,9 +276,18 @@ std::vector<TraceRecord> TraceRecorder::canonical() const {
 
 std::string TraceRecorder::jsonl() const {
   std::ostringstream os;
+  std::scoped_lock lock(mutex_);
+  std::size_t records = 0;
+  std::uint64_t evicted = 0;
+  for (const auto& [id, ring] : rings_) {
+    records += ring.records.size();
+    evicted += ring.evicted;
+  }
   os << "{\"idonly_trace\":1,\"engine\":\"" << to_string(engine_)
-     << "\",\"records\":" << size() << ",\"evicted\":" << evicted() << "}\n";
-  for (const TraceRecord& rec : snapshot()) os << to_jsonl_line(rec, engine_) << "\n";
+     << "\",\"records\":" << records << ",\"evicted\":" << evicted << "}\n";
+  for (const auto& [id, ring] : rings_) {
+    for (const TraceRecord& rec : ring.records) os << to_jsonl_line(rec, engine_) << "\n";
+  }
   return os.str();
 }
 
@@ -288,18 +303,20 @@ std::string TraceRecorder::chrome_trace_json() const {
   std::ostringstream os;
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const TraceRecord& rec : snapshot()) {
-    if (!first) os << ",";
-    first = false;
-    const std::int64_t ts =
-        rec.round * 1000 + static_cast<std::int64_t>(rec.seq % 1000);
-    os << "{\"name\":\"" << to_string(rec.kind) << "\",\"cat\":\""
-       << (is_canonical(rec.kind) ? "link" : "engine") << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
-       << ts << ",\"pid\":" << rec.node << ",\"tid\":" << rec.from << ",\"args\":{\"round\":"
-       << rec.round << ",\"to\":" << rec.to << ",\"link_seq\":" << rec.link_seq
-       << ",\"extra\":" << rec.extra;
-    if (!rec.detail.empty()) os << ",\"detail\":\"" << json_escape(rec.detail) << "\"";
-    os << "}}";
+  std::scoped_lock lock(mutex_);
+  for (const auto& [id, ring] : rings_) {
+    for (const TraceRecord& rec : ring.records) {
+      if (!first) os << ",";
+      first = false;
+      const std::int64_t ts = rec.round * 1000 + static_cast<std::int64_t>(rec.seq % 1000);
+      os << "{\"name\":\"" << to_string(rec.kind) << "\",\"cat\":\""
+         << (is_canonical(rec.kind) ? "link" : "engine")
+         << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << ts << ",\"pid\":" << rec.node
+         << ",\"tid\":" << rec.from << ",\"args\":{\"round\":" << rec.round
+         << ",\"to\":" << rec.to << ",\"link_seq\":" << rec.link_seq << ",\"extra\":" << rec.extra;
+      if (!rec.detail.empty()) os << ",\"detail\":\"" << json_escape(rec.detail) << "\"";
+      os << "}}";
+    }
   }
   os << "]}";
   return os.str();

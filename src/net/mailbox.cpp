@@ -15,25 +15,16 @@ MessageRef MessageRef::wrap(Message msg) {
   return out;
 }
 
-bool BroadcastLane::deposit(MessageRef ref, std::uint64_t seq) {
-  if (!seen_.emplace(ref, seq).second) return false;
+void BroadcastLane::deposit(MessageRef ref, std::uint64_t seq) {
   kind_counts_[static_cast<std::size_t>(ref->kind)] += 1;
   wire_bytes_ += ref.wire_bytes();
   entries_.push_back(std::move(ref));
   seqs_.push_back(seq);
-  return true;
-}
-
-std::optional<std::uint64_t> BroadcastLane::seq_of(const MessageRef& ref) const {
-  const auto it = seen_.find(ref);
-  if (it == seen_.end()) return std::nullopt;
-  return it->second;
 }
 
 void BroadcastLane::clear() {
   entries_.clear();
   seqs_.clear();
-  seen_.clear();
   kind_counts_.fill(0);
   wire_bytes_ = 0;
 }
@@ -69,18 +60,26 @@ void ShardedLane::seal() {
   for (const MessageRef& ref : entries_) view_.push_back(ref.get());
 }
 
-std::optional<std::uint64_t> ShardedLane::seq_of(const MessageRef& ref) const {
-  for (std::size_t k = 0; k < active_segments_; ++k) {
-    if (const auto seq = segments_[k].seq_of(ref)) return seq;
+std::optional<std::uint64_t> ShardedLane::twin_of(const MessageRef& ref) const {
+  const NodeId sender = ref->sender;
+  auto it = std::lower_bound(entries_.begin(), entries_.end(), sender,
+                             [](const MessageRef& entry, NodeId v) { return entry->sender < v; });
+  for (; it != entries_.end() && (*it)->sender == sender; ++it) {
+    if (*it == ref) return seqs_[static_cast<std::size_t>(it - entries_.begin())];
   }
   return std::nullopt;
 }
 
-bool Mailbox::deposit(MessageRef ref, std::uint64_t seq) {
-  if (!seen_.insert(ref).second) return false;
-  entries_.push_back(std::move(ref));
-  seqs_.push_back(seq);
-  return true;
+void Mailbox::deposit(MessageRef ref, std::uint64_t seq, std::uint64_t twin) {
+  assert(entries_.empty() || entries_.back().seq <= seq);
+  entries_.push_back(Entry{std::move(ref), seq, twin});
+}
+
+bool Mailbox::holds(const MessageRef& ref, std::uint64_t since) const {
+  for (auto it = entries_.rbegin(); it != entries_.rend() && it->seq >= since; ++it) {
+    if (it->ref == ref) return true;
+  }
+  return false;
 }
 
 void Mailbox::mask(std::uint64_t seq) {
@@ -113,10 +112,10 @@ std::span<const Message> Mailbox::collect(const ShardedLane* lane,
   // Slow path: merge the unmasked lane entries and the private entries by
   // send order. Unmasked stretches of the lane are copied straight out of
   // its contiguous view, and the lane's share of the counters is its totals
-  // minus the masked entries. A private entry whose content reaches this
+  // minus the masked entries. A private entry whose twin reaches this
   // receiver through the lane is the "broadcast + unicast of the same
-  // message" duplicate — suppressed, like the per-receiver dedup of old, but
-  // against the cached hash. A masked twin never reaches the receiver, so it
+  // message" duplicate — suppressed by its deposit-time twin key, with no
+  // content lookup. A masked twin never reaches the receiver, so it
   // suppresses nothing.
   const std::span<const Message> view = lane != nullptr ? lane->view() : std::span<const Message>{};
   const std::span<const MessageRef> lane_refs =
@@ -152,21 +151,20 @@ std::span<const Message> Mailbox::collect(const ShardedLane* lane,
       }
     }
   };
-  const auto masked = [&](std::uint64_t seq) {
-    return std::binary_search(masks_.begin(), masks_.end(), seq);
+  const auto twin_arrives = [&](std::uint64_t twin) {
+    return lane != nullptr && twin != kNoTwin &&
+           !std::binary_search(masks_.begin(), masks_.end(), twin);
   };
-  for (std::size_t j = 0; j < entries_.size(); ++j) {
+  for (const Entry& entry : entries_) {
     // Lane entries sent before this one (equal keys: private first).
     copy_lane_until(static_cast<std::size_t>(
-        std::lower_bound(at(lane_seqs, i), lane_seqs.end(), seqs_[j]) - lane_seqs.begin()));
-    const std::optional<std::uint64_t> twin =
-        lane != nullptr ? lane->seq_of(entries_[j]) : std::nullopt;
-    if (twin.has_value() && !masked(*twin)) {
+        std::lower_bound(at(lane_seqs, i), lane_seqs.end(), entry.seq) - lane_seqs.begin()));
+    if (twin_arrives(entry.twin)) {
       if (fanout != nullptr) fanout->dedup_hits += 1;
     } else {
-      scratch.push_back(entries_[j].get());
-      kinds[static_cast<std::size_t>(entries_[j]->kind)] += 1;
-      bytes += entries_[j].wire_bytes();
+      scratch.push_back(entry.ref.get());
+      kinds[static_cast<std::size_t>(entry.ref->kind)] += 1;
+      bytes += entry.ref.wire_bytes();
     }
   }
   copy_lane_until(lane_seqs.size());
@@ -179,8 +177,6 @@ std::span<const Message> Mailbox::collect(const ShardedLane* lane,
     for (std::size_t kind = 0; kind < kinds.size(); ++kind) counters->delivered[kind] += kinds[kind];
   }
   entries_.clear();
-  seqs_.clear();
-  seen_.clear();
   masks_.clear();
   return scratch;
 }

@@ -8,30 +8,36 @@
 // `MessageRef`.) This file centralises the pattern:
 //
 //   * `MessageRef` — an immutable, ref-counted message. The engine stamps
-//     the sender and wraps exactly once per send; the content hash (for
-//     dedup) and wire size (for byte accounting) are computed at wrap time
-//     and cached, so fanning out to n receivers costs n reference bumps,
-//     never n rehashes.
+//     the sender and wraps exactly once per send; the content hash and wire
+//     size (for byte accounting) are computed at wrap time and cached, so
+//     fanning out to n receivers costs n reference bumps, never n rehashes.
 //   * `BroadcastLane` — one segment of a round's broadcast buffer. A
-//     broadcast is deposited ONCE (dedup against the cached hash happens
-//     once per message, not once per receiver).
+//     broadcast is deposited ONCE, with no content check: the engine keeps a
+//     sender's repeated broadcast out of the lane before it gets here (it
+//     groups each sender's round by content once per send, see
+//     net/sync_simulator.hpp).
 //   * `ShardedLane` — the synchronous engine's per-round broadcast buffer:
 //     one `BroadcastLane` segment per merge lane, each filled lock-free by
-//     its owning worker (senders are partitioned across lanes, so
-//     per-segment dedup sees exactly the deposits the global set would),
-//     then `seal()`ed once per round into a single contiguous send-ordered
-//     view shared by every receiver, so the common all-broadcast round does
-//     zero per-receiver work. Segments cover ascending sender ranges and
-//     sequence keys are globally ordered, so concatenation in segment order
-//     IS send order — no sort, no merge.
+//     its owning worker (senders are partitioned across lanes), then
+//     `seal()`ed once per round into a single contiguous send-ordered view
+//     shared by every receiver, so the common all-broadcast round does zero
+//     per-receiver work. Segments cover ascending sender ranges and sequence
+//     keys are globally ordered, so concatenation in segment order IS send
+//     order — no sort, no merge — and the sealed entries ascend by sender.
 //   * `Mailbox` — the per-receiver buffer for traffic that is genuinely
-//     receiver-specific (unicasts, delayed redeliveries), plus MASKS: lane
-//     entries a fault withholds from this receiver (a chaos drop or delay of
-//     one link). `collect()` merges it with the shared lane in send order,
-//     skipping masked entries, into a buffer the caller owns (the sync
-//     engine keeps one per worker thread and reuses it for every receiver
-//     that worker steps); when a receiver has neither private traffic nor
-//     masks the returned span aliases the lane view directly.
+//     receiver-specific (unicasts, delayed redeliveries, broadcasts a sender
+//     repeats within a round), plus MASKS: lane entries a fault withholds
+//     from this receiver (a chaos drop or delay of one link). Each private
+//     entry carries its TWIN, fixed at deposit: the lane key of its sender's
+//     broadcast with equal content, if there is one. `collect()` merges the
+//     mailbox with the shared lane in send order, skipping masked entries
+//     and suppressing a private entry whose twin reaches this receiver (set
+//     and not masked), into a buffer the caller owns (the sync engine keeps
+//     one per worker thread and reuses it for every receiver that worker
+//     steps); when a receiver has neither private traffic nor masks the
+//     returned span aliases the lane view directly. There are no content
+//     sets: collect() looks no content up, and the engine compares content
+//     at a deposit (holds()) only where an equal copy may already be held.
 //   * `FrameRef`/`FrameView`/`FrameMailbox` — the same idea one level down,
 //     for the runtime's byte frames: a broadcast domain shares one
 //     ref-counted frame and each endpoint's mailbox holds views into it.
@@ -51,8 +57,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -98,27 +102,13 @@ class MessageRef {
   std::shared_ptr<const Cell> cell_;
 };
 
-/// Hashes through the cached content hash — a dedup-set probe never touches
-/// the message fields again.
-struct MessageRefHash {
-  [[nodiscard]] std::size_t operator()(const MessageRef& r) const noexcept {
-    return r.content_hash();
-  }
-};
-
-/// One segment of a round's broadcast buffer (see ShardedLane). Duplicate
-/// suppression (identical sender + content within the round) happens at
-/// deposit, once per message — the engine's model semantics, hoisted out of
-/// the per-receiver loop.
+/// One segment of a round's broadcast buffer (see ShardedLane).
 class BroadcastLane {
  public:
-  /// Deposit a broadcast with its send-order sequence number. Returns false
-  /// when an identical message was already deposited this round (the
-  /// duplicate is suppressed for every receiver at once).
-  bool deposit(MessageRef ref, std::uint64_t seq);
+  /// Deposit a broadcast with its send-order sequence number. The caller
+  /// deposits only its senders' first broadcast of each content.
+  void deposit(MessageRef ref, std::uint64_t seq);
 
-  /// Sequence number of the deposited copy of `ref`'s content, if any.
-  [[nodiscard]] std::optional<std::uint64_t> seq_of(const MessageRef& ref) const;
   [[nodiscard]] std::span<const MessageRef> refs() const noexcept { return entries_; }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
@@ -135,25 +125,22 @@ class BroadcastLane {
   void clear();
 
   /// Move this segment's entries/seqs into `refs`/`seqs` (appending) and
-  /// reset them, KEEPING the dedup set — `seq_of()` keeps answering for
-  /// everything deposited this round. Used by ShardedLane::seal(); after
-  /// draining, `refs()` on the segment is empty.
+  /// reset them. Used by ShardedLane::seal(); after draining, `refs()` on
+  /// the segment is empty.
   void drain_into(std::vector<MessageRef>& refs, std::vector<std::uint64_t>& seqs);
 
  private:
   std::vector<MessageRef> entries_;
   std::vector<std::uint64_t> seqs_;
-  std::unordered_map<MessageRef, std::uint64_t, MessageRefHash> seen_;  // content → seq
   std::array<std::uint64_t, MessageCounters::kKinds> kind_counts_{};
   std::uint64_t wire_bytes_ = 0;
 };
 
 /// The synchronous round engine's broadcast buffer: one BroadcastLane segment
 /// per merge lane. During the lane-merge phase each worker deposits its own
-/// senders' broadcasts into its own segment — no locks, and per-segment
-/// dedup is exact because duplicate suppression is per (sender, content) and
-/// a sender belongs to exactly one lane. `seal()` (sequential, once per
-/// round) concatenates the segments into one contiguous send-ordered view:
+/// senders' broadcasts into its own segment — no locks, since a sender
+/// belongs to exactly one lane. `seal()` (sequential, once per round)
+/// concatenates the segments into one contiguous send-ordered view:
 /// segments cover ascending sender ranges and deposit keys are globally
 /// ordered, so segment order IS send order. After seal the read side is
 /// shared by every receiver's collect().
@@ -171,8 +158,11 @@ class ShardedLane {
   void seal();
 
   // Sealed read interface.
-  [[nodiscard]] bool contains(const MessageRef& ref) const { return seq_of(ref).has_value(); }
-  [[nodiscard]] std::optional<std::uint64_t> seq_of(const MessageRef& ref) const;
+  /// Key of the sealed broadcast with `ref`'s content (and so its sender),
+  /// if any: a binary search for the sender's entries, then a scan of them.
+  /// Only a delayed redelivery needs this — every other private entry gets
+  /// its twin from the sender's own round.
+  [[nodiscard]] std::optional<std::uint64_t> twin_of(const MessageRef& ref) const;
   [[nodiscard]] std::span<const MessageRef> refs() const noexcept { return entries_; }
   [[nodiscard]] std::span<const std::uint64_t> seqs() const noexcept { return seqs_; }
   [[nodiscard]] std::span<const Message> view() const noexcept { return view_; }
@@ -187,8 +177,7 @@ class ShardedLane {
  private:
   std::vector<BroadcastLane> segments_;
   std::size_t active_segments_ = 0;
-  // Sealed concatenation (entries moved out of the segments; the segments
-  // keep their dedup sets so contains() still probes them).
+  // Sealed concatenation (entries moved out of the segments).
   std::vector<MessageRef> entries_;
   std::vector<std::uint64_t> seqs_;
   std::array<std::uint64_t, MessageCounters::kKinds> kind_counts_{};
@@ -199,13 +188,25 @@ class ShardedLane {
 /// Per-receiver buffer for receiver-specific traffic — unicasts, delayed
 /// redeliveries, and broadcasts a sender repeats within a round — and for
 /// the receiver's exceptions to the shared lane. Holds references, not
-/// copies. Everything is reset by collect(), so nothing leaks across rounds.
+/// copies. Everything is reset by collect(), so nothing leaks across rounds;
+/// capacity is kept, so a steady-state deposit allocates nothing.
 class Mailbox {
  public:
-  /// Deposit with a send-order sequence number; dedups (cached hash) against
-  /// everything deposited since the last collect(). Returns false when
-  /// suppressed as a duplicate.
-  bool deposit(MessageRef ref, std::uint64_t seq);
+  /// "No lane twin" — the twin key of an entry whose content its sender did
+  /// not broadcast.
+  static constexpr std::uint64_t kNoTwin = ~std::uint64_t{0};
+
+  /// Deposit with a send-order sequence number and the lane key of its twin
+  /// (the sender's broadcast with equal content, kNoTwin when none). No
+  /// duplicate check: the caller asks holds() first where one can exist.
+  void deposit(MessageRef ref, std::uint64_t seq, std::uint64_t twin = kNoTwin);
+
+  /// True when an entry with `ref`'s content and a sequence number of at
+  /// least `since` is held. Scans back from the newest entry and stops at
+  /// the first one older than `since`: the merge deposits in send order, so
+  /// with `since` = the sender run's first key it reads only this
+  /// receiver's entries from that sender.
+  [[nodiscard]] bool holds(const MessageRef& ref, std::uint64_t since = 0) const;
 
   /// Withhold the lane entry with sequence number `seq` from this receiver's
   /// next collect() — the per-link exception a chaos drop or delay makes to
@@ -215,8 +216,9 @@ class Mailbox {
 
   /// Assemble this receiver's round inbox: the sealed shared lane (may be
   /// null), minus masked entries, merged with private traffic in send order. A
-  /// private entry is suppressed as a duplicate only when its lane twin (same
-  /// sender and content) reaches this receiver, i.e. is not masked. Fast
+  /// private entry is suppressed as a duplicate only when its twin is set
+  /// and reaches this receiver, i.e. is not masked; with no lane nothing is
+  /// suppressed. Fast
   /// path: with no private traffic and no masks the returned span aliases
   /// the lane's shared view — zero per-receiver work. Slow path: clears
   /// `scratch` and merges into it, copying each unmasked stretch of the
@@ -235,9 +237,12 @@ class Mailbox {
   [[nodiscard]] bool empty() const noexcept { return entries_.empty() && masks_.empty(); }
 
  private:
-  std::vector<MessageRef> entries_;
-  std::vector<std::uint64_t> seqs_;
-  std::unordered_set<MessageRef, MessageRefHash> seen_;
+  struct Entry {
+    MessageRef ref;
+    std::uint64_t seq = 0;
+    std::uint64_t twin = kNoTwin;
+  };
+  std::vector<Entry> entries_;        // ascending seq
   std::vector<std::uint64_t> masks_;  // ascending lane seqs withheld from this receiver
 };
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 namespace idonly {
 
@@ -90,36 +89,55 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
   const std::size_t own_end = run_starts_[lane_index + 1];
   BroadcastLane& segment = lanes_[fill_lane_].segment(lane_index);
 
-  // What the link from `from` to receiver slot `t` does to a message: the
-  // chaos verdict, staged for the fault trace and recorded.
-  const auto link_fault = [&](NodeId from, std::size_t t) {
+  // What the link from the run's sender to receiver slot `t` does to a
+  // message: the chaos verdict, staged for the fault counters and recorded.
+  // The verdict hash is keyed once per sender run (`sender`).
+  const auto link_fault = [&](const ChaosSchedule::SenderKey& sender, std::size_t t) {
     FaultDecision fault;
     if (chaos_) {
-      const LinkEvent event{round_, from, dispatches_[t].id, arena.link_seq[t - begin]++};
-      fault = chaos_->peek(event);
+      const NodeId to = dispatches_[t].id;
+      const std::uint64_t link_seq = arena.link_seq[t - begin]++;
+      fault = chaos_->peek(sender, to, link_seq);
       if (fault.faulted()) arena.chaos_stage.push_back(fault);
-      if (recorder_) arena.trace_stage.push_back(make_link_verdict_record(event, fault));
+      if (recorder_) {
+        arena.trace_stage.push_back(
+            make_link_verdict_record(LinkEvent{round_, sender.from, to, link_seq}, fault));
+      }
     }
     return fault;
   };
 
   // A receiver's own copy: unicasts, and broadcasts that repeat content
   // their sender already broadcast this round (the lane holds only the
-  // first copy).
+  // first copy). The model discards identical messages from one sender
+  // within a round, and such a copy can wait in the mailbox only when the
+  // annotation says so (`note.maybe_held`) or as this send's chaos
+  // duplicate: only then is the receiver's tail of entries from this sender
+  // (keys from `run_key` on) read.
   const auto deposit_private = [&](NodeId to, Member& member, const MessageRef& ref,
-                                   std::uint64_t key, const FaultDecision& fault) {
+                                   std::uint64_t key, const FaultDecision& fault,
+                                   const SendNote& note, std::uint64_t twin, std::uint64_t run_key) {
     if (fault.drop) return;
+    bool held = note.maybe_held != 0 && member.mailbox.holds(ref, run_key);
     if (fault.duplicate) {
-      // Second copy: the model discards duplicate identical messages from
-      // one sender within a round, so it dies in mailbox dedup — the
-      // decision is what must reproduce, and it is in the trace.
-      if (!member.mailbox.deposit(ref, key)) arena.fanout.dedup_hits += 1;
+      // Second copy, deposited before the primary: the decision is what
+      // must reproduce, and it is in the trace.
+      if (held) {
+        arena.fanout.dedup_hits += 1;
+      } else {
+        member.mailbox.deposit(ref, key, twin);
+        held = true;
+      }
     }
     if (fault.delay_rounds > 0) {
       arena.delayed_stage.push_back({round_ + 1 + fault.delay_rounds, to, ref});
       return;
     }
-    if (!member.mailbox.deposit(ref, key + 1)) arena.fanout.dedup_hits += 1;
+    if (held) {
+      arena.fanout.dedup_hits += 1;
+    } else {
+      member.mailbox.deposit(ref, key + 1, twin);
+    }
   };
 
   // A fault on a broadcast the lane carries at `key` is an exception for
@@ -143,43 +161,56 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
   for (std::size_t r = 0; r < runs_.size(); ++r) {
     const SenderRun& run = runs_[r];
     const bool own_run = r >= own_begin && r < own_end;
-    if (chaos_) arena.link_seq.assign(end - begin, 0);
+    const std::uint64_t run_key = seq_ + 2 * run.base;
+    ChaosSchedule::SenderKey sender;
+    if (chaos_) {
+      sender = chaos_->sender_key(round_, run.id, chaos_phase_);
+      arena.link_seq.assign(end - begin, 0);
+    }
     for (std::size_t m = 0; m < run.sends.size(); ++m) {
       const Send& send = run.sends[m];
       const MessageRef& ref = send.ref;
+      const SendNote& note = run.notes[m];
+      const std::uint64_t twin =
+          note.twin == SendNote::kNoTwin ? Mailbox::kNoTwin : run_key + 2 * note.twin;
       // Two deposit keys per visible send ordinal: a chaos duplicate copy
       // takes `key`, the primary copy `key + 1` — duplicate-before-primary,
       // exactly the sequential engine's deposit order. Only relative order
       // is observable, so the gaps left by unfaulted messages (and by
       // traffic another slice never shows this one) are free.
-      const std::uint64_t key = seq_ + 2 * (run.base + m);
-      const bool repeat = walk_links_ && repeats_[run.base + m] != 0;
+      const std::uint64_t key = run_key + 2 * m;
       if (own_run) {
         if (run.local) {
           arena.messages.sent[static_cast<std::size_t>(ref->kind)] += 1;
           arena.fanout.unique_payloads += 1;
           if (recorder_) arena.trace_stage.push_back(make_send_record(run.id, round_, send.to));
         }
-        if (!send.to.has_value() && !repeat) {
+        if (!send.to.has_value()) {
           // A broadcast is one deposit into this lane's segment, faults or
           // not. Segments cover ascending sender ranges, so seal()'s
-          // concatenation is globally key-ordered. A remote sender's repeat
-          // is its own engine's dedup hit.
-          if (!segment.deposit(ref, key) && run.local) arena.fanout.dedup_hits += 1;
+          // concatenation is globally key-ordered. A repeat gets no entry:
+          // where no link is walked, the first copy reaches everyone and the
+          // repeat is the sender's engine's dedup hit.
+          if (note.repeat == 0) {
+            segment.deposit(ref, key);
+          } else if (!walk_links_ && run.local) {
+            arena.fanout.dedup_hits += 1;
+          }
         }
       }
       if (send.to.has_value()) {
         const std::size_t t = slot_of(*send.to);
         if (t >= begin && t < end) {  // recipient gone → no lane owns it; message lost
-          deposit_private(*send.to, *dispatches_[t].member, ref, key, link_fault(run.id, t));
+          deposit_private(*send.to, *dispatches_[t].member, ref, key, link_fault(sender, t), note,
+                          twin, run_key);
         }
       } else if (walk_links_) {
         for (std::size_t t = begin; t < end; ++t) {
           const NodeId to = dispatches_[t].id;
           Member& member = *dispatches_[t].member;
-          const FaultDecision fault = link_fault(run.id, t);
-          if (repeat) {
-            deposit_private(to, member, ref, key, fault);
+          const FaultDecision fault = link_fault(sender, t);
+          if (note.repeat != 0) {
+            deposit_private(to, member, ref, key, fault, note, twin, run_key);
           } else {
             except_from_lane(to, member, ref, key, fault);
           }
@@ -228,23 +259,32 @@ void SyncSimulator::begin_round() {
   round_ += 1;
   metrics_.rounds_executed = round_;
 
-  // Deliver synchrony-fault-delayed messages that are due this round. They
-  // land in the receiver's private mailbox AFTER last round's routed
-  // traffic (their sequence numbers are fresher), preserving the historical
-  // "delayed messages arrive at the back of the inbox" order.
-  for (auto it = delayed_.begin(); it != delayed_.end() && it->first <= round_;) {
-    for (auto& [to, ref] : it->second) {
-      auto member = members_.find(to);
-      if (member == members_.end()) continue;
-      if (!member->second.mailbox.deposit(ref, seq_++)) metrics_.fanout.dedup_hits += 1;
-    }
-    it = delayed_.erase(it);
-  }
-
   // Flip lanes: the lane sealed last step is consumed by every member this
   // step; this step's merge lanes fill the other.
   ShardedLane& deliver_lane = lanes_[fill_lane_];
   fill_lane_ ^= 1;
+
+  // Deliver synchrony-fault-delayed messages that are due this round. They
+  // land in the receiver's private mailbox AFTER last round's routed
+  // traffic (their sequence numbers are fresher), preserving the historical
+  // "delayed messages arrive at the back of the inbox" order. A delayed
+  // copy was sent in an earlier round, so its twin is whatever equal
+  // broadcast its sender put in the deliver lane: the one content lookup the
+  // engine makes, and only for messages that are due.
+  for (auto it = delayed_.begin(); it != delayed_.end() && it->first <= round_;) {
+    for (auto& [to, ref] : it->second) {
+      auto member = members_.find(to);
+      if (member == members_.end()) continue;
+      Mailbox& mailbox = member->second.mailbox;
+      const std::uint64_t seq = seq_++;
+      if (mailbox.holds(ref)) {
+        metrics_.fanout.dedup_hits += 1;
+      } else {
+        mailbox.deposit(ref, seq, deliver_lane.twin_of(ref).value_or(Mailbox::kNoTwin));
+      }
+    }
+    it = delayed_.erase(it);
+  }
 
   // The dispatch arena persists across rounds: slab/scratch capacity from
   // the previous round is reused, so steady-state rounds allocate nothing.
@@ -281,7 +321,8 @@ void SyncSimulator::begin_round() {
   // faulted or observed: a chaos phase covers this round, or a recorder
   // logs every verdict. Otherwise a broadcast is one lane deposit and
   // nothing else.
-  walk_links_ = chaos_ != nullptr && (recorder_ != nullptr || chaos_->phase_for(round_));
+  chaos_phase_ = chaos_ != nullptr ? chaos_->phase_for(round_) : std::nullopt;
+  walk_links_ = chaos_ != nullptr && (recorder_ != nullptr || chaos_phase_.has_value());
 
   if (step_arenas_.size() != threads_) step_arenas_.resize(threads_);
   for (StepArena& arena : step_arenas_) {
@@ -337,13 +378,98 @@ void SyncSimulator::begin_round() {
   });
 }
 
-void SyncSimulator::mark_repeats(std::span<const Send> sends, std::vector<std::uint8_t>& marks) {
-  // A broadcast repeating content its sender already broadcast this round
-  // gets no lane entry; the merge routes it per receiver, so a receiver the
-  // first copy missed still gets the repeat, in its place.
-  std::unordered_set<MessageRef, MessageRefHash> broadcasts;
-  for (const Send& send : sends) {
-    marks.push_back(!send.to.has_value() && !broadcasts.insert(send.ref).second ? 1 : 0);
+void SyncSimulator::annotate_run(const SenderRun& run, ContentGroups& groups) {
+  const std::span<const Send> sends = run.sends;
+  const auto n = static_cast<std::uint32_t>(sends.size());
+  assert(n < SendNote::kNoTwin);
+  if (n == 1) {
+    run.notes[0] = SendNote{};
+    return;
+  }
+  // An open-addressing table of 2^bits slots for `count` keys, at most two
+  // thirds full.
+  const auto size_table = [](std::vector<std::uint32_t>& table, std::size_t count) {
+    int bits = 1;
+    while ((std::size_t{1} << bits) < count + count / 2 + 1) ++bits;
+    table.assign(std::size_t{1} << bits, 0);
+    return bits;
+  };
+  const auto slot = [](std::uint64_t hash, int bits) {
+    return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
+  };
+
+  // Group the sends by content. A block of consecutive equal sends shares
+  // one wrap (begin_round), so only a block's first send probes the table
+  // with its cached hash, comparing full content on a hash match.
+  const auto shares_wrap = [&](std::uint32_t m) {
+    return m > 0 && &sends[m - 1].ref.get() == &sends[m].ref.get();
+  };
+  std::size_t blocks = 0;
+  for (std::uint32_t m = 0; m < n; ++m) blocks += shares_wrap(m) ? 0 : 1;
+  groups.groups.clear();
+  groups.group_of.resize(n);
+  int bits = size_table(groups.contents, blocks);
+  std::size_t mask = groups.contents.size() - 1;
+  for (std::uint32_t m = 0; m < n; ++m) {
+    const MessageRef& ref = sends[m].ref;
+    if (shares_wrap(m)) {
+      groups.group_of[m] = groups.group_of[m - 1];
+    } else {
+      std::size_t h = slot(ref.content_hash(), bits);
+      while (groups.contents[h] != 0 &&
+             !(sends[groups.groups[groups.contents[h] - 1].first].ref == ref)) {
+        h = (h + 1) & mask;
+      }
+      if (groups.contents[h] == 0) {
+        groups.groups.push_back({m, ContentGroups::kNone});
+        groups.contents[h] = static_cast<std::uint32_t>(groups.groups.size());
+      }
+      groups.group_of[m] = groups.contents[h] - 1;
+    }
+    ContentGroups::Group& group = groups.groups[groups.group_of[m]];
+    if (sends[m].to.has_value()) {
+      group.unicasts += 1;
+    } else if (group.first_broadcast == ContentGroups::kNone) {
+      group.first_broadcast = m;
+    }
+  }
+
+  // Walk the run again in order. Only unicasts of a content sent to more
+  // than one receiver need the (content, receiver) table.
+  std::size_t paired = 0;
+  for (const ContentGroups::Group& group : groups.groups) {
+    if (group.unicasts > 1) paired += group.unicasts;
+  }
+  bits = size_table(groups.pairs, paired);
+  mask = groups.pairs.size() - 1;
+  // False when this (group, receiver) pair was already inserted.
+  const auto insert_pair = [&](std::uint32_t g, NodeId to, std::uint32_t m) {
+    std::size_t h = slot(to ^ (std::uint64_t{g} << 40), bits);
+    for (; groups.pairs[h] != 0; h = (h + 1) & mask) {
+      const std::uint32_t other = groups.pairs[h] - 1;
+      if (groups.group_of[other] == g && *sends[other].to == to) return false;
+    }
+    groups.pairs[h] = m + 1;
+    return true;
+  };
+  for (std::uint32_t m = 0; m < n; ++m) {
+    const std::uint32_t g = groups.group_of[m];
+    ContentGroups::Group& group = groups.groups[g];
+    const bool twinned = group.first_broadcast != ContentGroups::kNone && group.first_broadcast != m;
+    SendNote& note = run.notes[m];
+    note.twin = twinned ? group.first_broadcast : SendNote::kNoTwin;
+    note.repeat = 0;
+    note.maybe_held = 0;
+    if (sends[m].to.has_value()) {
+      const bool seen = group.unicasts > 1 && !insert_pair(g, *sends[m].to, m);
+      note.maybe_held = group.repeat_seen || seen ? 1 : 0;
+      group.private_seen = true;
+    } else if (twinned) {
+      note.repeat = 1;
+      note.maybe_held = group.private_seen ? 1 : 0;
+      group.private_seen = true;
+      group.repeat_seen = true;
+    }
   }
 }
 
@@ -356,14 +482,21 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
   // Each run's `base` is its visible send ordinal — every deposit key
   // derives from these, so keys are thread-count-invariant.
   runs_.clear();
-  for (const Dispatch& dispatch : dispatches_) {
-    if (!dispatch.sends.empty()) runs_.push_back({dispatch.id, true, dispatch.sends, 0});
+  for (Dispatch& dispatch : dispatches_) {
+    if (dispatch.sends.empty()) continue;
+    dispatch.notes.resize(dispatch.sends.size());
+    runs_.push_back({dispatch.id, true, dispatch.sends, dispatch.notes.data(), 0});
   }
-  for (const std::vector<Send>& stream : remote_streams) {
+  if (remote_notes_.size() < remote_streams.size()) remote_notes_.resize(remote_streams.size());
+  for (std::size_t s = 0; s < remote_streams.size(); ++s) {
+    const std::vector<Send>& stream = remote_streams[s];
+    std::vector<SendNote>& notes = remote_notes_[s];
+    notes.resize(stream.size());
     for (std::size_t begin = 0, end = 0; begin < stream.size(); begin = end) {
       const NodeId sender = stream[begin].ref->sender;
       while (end < stream.size() && stream[end].ref->sender == sender) ++end;
-      runs_.push_back({sender, false, std::span(stream).subspan(begin, end - begin), 0});
+      runs_.push_back({sender, false, std::span(stream).subspan(begin, end - begin),
+                       notes.data() + begin, 0});
     }
   }
   if (!remote_streams.empty()) {
@@ -379,13 +512,19 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
       }
     }
   }
-  repeats_.clear();
   std::uint64_t total_msgs = 0;
   for (SenderRun& run : runs_) {
     run.base = total_msgs;
     total_msgs += run.sends.size();
-    if (walk_links_) mark_repeats(run.sends, repeats_);
   }
+
+  // Annotation — parallel over sender runs, local and remote alike: decide
+  // each send's lane twin, repeat and held-copy flags once, so that the
+  // merge and next round's collect() never look content up.
+  if (groupings_.size() != threads_) groupings_.resize(threads_);
+  run_tasks(runs_.size(), [this](std::size_t r, unsigned slot) {
+    annotate_run(runs_[r], groupings_[slot]);
+  });
 
   // Lane l owns the runs of senders from its first slot's id up to the next
   // lane's: every local sender's run lands in the lane that owns its slot,

@@ -173,6 +173,26 @@ class SyncSimulator {
     Mailbox mailbox;         // receiver-specific traffic (unicasts, delays, masks)
   };
 
+  /// What a send's content means for delivery, decided once per send by
+  /// annotate_run() before the merge — so no merge or collect step looks
+  /// content up. Four bytes: a round of a two-faced sender is tens of
+  /// thousands of unicasts.
+  struct SendNote {
+    static constexpr std::uint32_t kNoTwin = (1U << 30) - 1;
+    /// Position in the run of the sender's first broadcast with equal
+    /// content this round (before or after this send); kNoTwin for that
+    /// broadcast itself and for content the sender never broadcast.
+    std::uint32_t twin : 30 = kNoTwin;
+    /// A broadcast repeating content its sender already broadcast: it gets
+    /// no lane entry.
+    std::uint32_t repeat : 1 = 0;
+    /// An earlier send of equal content may already sit in this send's
+    /// receivers' mailboxes: an equal unicast to the same receiver, or an
+    /// equal repeat broadcast (the first broadcast goes to the lane, not
+    /// to mailboxes).
+    std::uint32_t maybe_held : 1 = 0;
+  };
+
   /// One member's slice of a round. The outbox slab, wrapped sends, and done
   /// flags live here so the parallel phases touch only private state;
   /// dispatches_ persists across rounds (the round arena — slab capacity is
@@ -182,6 +202,7 @@ class SyncSimulator {
     Member* member = nullptr;
     std::vector<Outgoing> outbox;     // private slab filled by on_round
     std::vector<Send> sends;          // outbox wrapped (stamped + hashed), same order
+    std::vector<SendNote> notes;      // one per send, filled by annotate_run
     bool became_done = false;
   };
 
@@ -191,7 +212,8 @@ class SyncSimulator {
     NodeId id = 0;
     bool local = false;
     std::span<const Send> sends;
-    std::uint64_t base = 0;  // visible send ordinal of sends[0] this round
+    SendNote* notes = nullptr;  // one per send: the dispatch's or a remote stream's
+    std::uint64_t base = 0;     // visible send ordinal of sends[0] this round
   };
 
   /// Per-lane scratch state for the parallel merge: every order-sensitive
@@ -228,6 +250,25 @@ class SyncSimulator {
     std::vector<TraceRecord> deliveries;  // one receiver's, recorded before its step
   };
 
+  /// One executor worker's scratch for annotate_run(): open-addressing
+  /// tables over a sender run's contents and over its (content, receiver)
+  /// unicast pairs. Grows to the largest run seen and is reused, so
+  /// annotating allocates nothing in steady state.
+  struct alignas(64) ContentGroups {
+    struct Group {
+      std::uint32_t first = 0;            // first send with this content
+      std::uint32_t first_broadcast = 0;  // first broadcast, or kNone
+      std::uint32_t unicasts = 0;
+      bool private_seen = false;          // an earlier unicast or repeat broadcast
+      bool repeat_seen = false;           // an earlier repeat broadcast
+    };
+    std::vector<Group> groups;
+    std::vector<std::uint32_t> group_of;  // per send
+    std::vector<std::uint32_t> contents;  // group index + 1 by content hash; 0 = empty
+    std::vector<std::uint32_t> pairs;     // send index + 1 by (group, receiver); 0 = empty
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  };
+
   /// Run `fn(index, slot)` for index in 0..count on the pool when it exists
   /// (and count warrants it), inline as slot 0 otherwise.
   void run_tasks(std::size_t count, const std::function<void(std::size_t, unsigned)>& fn);
@@ -239,9 +280,9 @@ class SyncSimulator {
   /// deposits for its runs, deposits/chaos/trace for its receivers). See
   /// DESIGN.md §8.
   void merge_lane(std::size_t lane_index);
-  /// Append one mark per send: 1 where a broadcast repeats content its
-  /// sender already broadcast earlier in `sends` (one sender's round).
-  static void mark_repeats(std::span<const Send> sends, std::vector<std::uint8_t>& marks);
+  /// Fill `run.notes`: group the run's sends by content (cached hash, then
+  /// full MessageRef equality) in `groups`.
+  static void annotate_run(const SenderRun& run, ContentGroups& groups);
 
   std::map<NodeId, Member> members_;                 // ordered → deterministic stepping
   std::vector<std::unique_ptr<Process>> pending_joins_;
@@ -251,9 +292,8 @@ class SyncSimulator {
   std::vector<StepArena> step_arenas_;               // one per worker slot
   std::vector<std::size_t> lane_starts_;  // lane l owns slots [starts[l], starts[l+1])
   std::vector<std::size_t> run_starts_;   // ... and runs [run_starts[l], run_starts[l+1])
-  // Rounds that walk links only, by send ordinal: 1 where a broadcast repeats
-  // content its sender already broadcast this round.
-  std::vector<std::uint8_t> repeats_;
+  std::vector<std::vector<SendNote>> remote_notes_;  // one per remote stream
+  std::vector<ContentGroups> groupings_;             // one per worker slot
   std::vector<SenderRun> runs_;           // merged send order, ascending sender id
   unsigned threads_ = 1;
   std::unique_ptr<ParallelExecutor> executor_;       // live iff threads_ > 1
@@ -270,6 +310,7 @@ class SyncSimulator {
   ShardedLane lanes_[2];
   int fill_lane_ = 0;    // index of the lane collecting this step's sends
   bool walk_links_ = false;  // this step's merge applies per-link faults/verdicts
+  std::optional<std::size_t> chaos_phase_;  // chaos phase covering this step's round
   std::uint64_t seq_ = 0;  // global send-order stamp for lane/mailbox merging
   std::map<Round, std::vector<std::pair<NodeId, MessageRef>>> delayed_;  // due round → deliveries
 };

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -139,6 +140,162 @@ TEST(ChaosSchedule_, VerdictsArePureAcrossInstances) {
   }
   EXPECT_NE(trace_a.canonical_jsonl(), trace_other.canonical_jsonl())
       << "a different seed must produce a different fault pattern";
+}
+
+TEST(ChaosSchedule_, VerdictBitsArePinned) {
+  // Verdicts are part of every chaos trace, so their bits must not move when
+  // the hashing is restructured: entropy word, drop, duplicate, delay length
+  // and corrupt for 64 fixed events of one plan (every eighth event crosses
+  // the per-link fault 3 -> 7).
+  ChaosPhase phase = phase_window(1, 20);
+  phase.drop = 0.1;
+  phase.duplicate = 0.2;
+  phase.corrupt = 0.15;
+  phase.delay = DelaySpec{0.25, 5};
+  phase.link_faults.push_back(
+      LinkFaultSpec{.from = 3, .to = 7, .drop = 0.3, .duplicate = 0.4, .delay = 0.5});
+  const ChaosSchedule schedule(ChaosPlan{{phase}}, 0x5eed);
+  struct Pinned {
+    std::uint64_t entropy;
+    int drop;
+    int duplicate;
+    int delay_rounds;
+    int corrupt;
+  };
+  const Pinned pinned[64] = {
+      {0x23664d9d46412eb4ULL, 0, 1, 0, 0},
+      {0x85f50c62855291b4ULL, 0, 0, 0, 0},
+      {0x4fd41118bbbc8771ULL, 0, 1, 1, 1},
+      {0x15785611dff75dd6ULL, 0, 0, 0, 0},
+      {0xfab36b263ffdd9fcULL, 0, 0, 0, 1},
+      {0x67ed3f04339f7326ULL, 0, 0, 0, 0},
+      {0x9b234a8214b32ad2ULL, 0, 0, 0, 0},
+      {0x3c490215a408558dULL, 0, 0, 0, 0},
+      {0x80e6d9be5374194dULL, 0, 1, 3, 0},
+      {0x38da41c7901ca098ULL, 0, 0, 0, 0},
+      {0x6aba5863555556aaULL, 1, 0, 0, 0},
+      {0xb1fa4e602a9925e3ULL, 0, 0, 0, 1},
+      {0x044ed6a0fa66f206ULL, 0, 0, 0, 0},
+      {0xe66ed7f2615c0541ULL, 0, 0, 0, 0},
+      {0x55f06d71e671ce63ULL, 0, 0, 3, 0},
+      {0x45e9581e07d5b9bfULL, 0, 0, 0, 0},
+      {0xcf40fbd81e10ef9cULL, 0, 0, 0, 0},
+      {0xb5b5ba1b96bc6d42ULL, 0, 0, 2, 0},
+      {0xd9dde7bbac4988dfULL, 0, 0, 3, 0},
+      {0xf2840215c0f2ee2cULL, 0, 0, 1, 0},
+      {0x36da7f348aef8564ULL, 0, 0, 0, 0},
+      {0x7a19ce50c1b6f80fULL, 0, 0, 0, 0},
+      {0x8820214181696c15ULL, 0, 0, 0, 1},
+      {0x55f06d71e671ce63ULL, 0, 0, 3, 0},
+      {0xa63a8a117434e8e7ULL, 0, 0, 0, 0},
+      {0x62ad139168091069ULL, 0, 0, 0, 0},
+      {0x1e193774eff9bf35ULL, 1, 0, 0, 0},
+      {0x9aee8eb83be914bfULL, 0, 0, 0, 0},
+      {0x2e756216d016b2d1ULL, 0, 0, 0, 1},
+      {0xe186f987c238917cULL, 0, 1, 0, 0},
+      {0x8ff70108ffd1196eULL, 0, 0, 2, 0},
+      {0x49f07cf69789303eULL, 0, 0, 3, 0},
+      {0xadb43f9508c80725ULL, 0, 1, 0, 0},
+      {0x9db94b8fba6b6463ULL, 0, 0, 0, 0},
+      {0x67a77594b67664abULL, 1, 0, 0, 0},
+      {0x9d6bb40a57389eefULL, 0, 0, 0, 0},
+      {0x219cee2e8e6fc6c9ULL, 1, 0, 0, 0},
+      {0x36eae9d9eb194016ULL, 0, 0, 0, 0},
+      {0x219cee2e8e6fc6c9ULL, 1, 0, 0, 0},
+      {0x402f3728c0781d5dULL, 0, 0, 0, 0},
+      {0xf86cbb97522bd518ULL, 1, 0, 0, 0},
+      {0xc98c52abf1f12a47ULL, 0, 1, 0, 1},
+      {0x4fd41118bbbc8771ULL, 0, 1, 1, 1},
+      {0xcc3b4a0601fb1bf0ULL, 0, 0, 0, 1},
+      {0x9a0e59371859e0f8ULL, 0, 0, 0, 0},
+      {0xefe9df75146400f1ULL, 0, 1, 0, 0},
+      {0x9f47437a8a34dcc1ULL, 0, 0, 0, 0},
+      {0x8cf87c0dd178b453ULL, 0, 0, 1, 0},
+      {0xac8041c1d5e8c039ULL, 1, 0, 0, 0},
+      {0x883377d87b8e8b6fULL, 0, 0, 0, 0},
+      {0x6aba5863555556aaULL, 1, 0, 0, 0},
+      {0xf45ed1ae2ae634f4ULL, 0, 0, 5, 0},
+      {0xf0981e93c6f18c16ULL, 0, 1, 0, 0},
+      {0xb1fa4e602a9925e3ULL, 0, 0, 0, 1},
+      {0x7b673e0a926bc202ULL, 0, 0, 0, 1},
+      {0x45e9581e07d5b9bfULL, 0, 0, 0, 0},
+      {0x6aba5863555556aaULL, 0, 0, 1, 1},
+      {0xb5b5ba1b96bc6d42ULL, 0, 0, 2, 0},
+      {0xd9dde7bbac4988dfULL, 0, 0, 3, 0},
+      {0xb5b5ba1b96bc6d42ULL, 0, 0, 2, 0},
+      {0x3f3e56b921cbd8a2ULL, 0, 0, 0, 0},
+      {0xdb4f4cf2d689a2beULL, 0, 1, 0, 0},
+      {0xeda86d3807a865caULL, 0, 0, 2, 0},
+      {0xabaaf97b2fff518cULL, 0, 1, 0, 0},
+  };
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const bool link = i % 8 == 2;
+    const LinkEvent event{static_cast<Round>(1 + (i * 7) % 20),
+                          static_cast<NodeId>(link ? 3 : 10 + (i * 37) % 200),
+                          static_cast<NodeId>(link ? 7 : 10 + (i * 53 + 11) % 200), i % 5};
+    const FaultDecision verdict = schedule.peek(event);
+    EXPECT_EQ(verdict.entropy, pinned[i].entropy) << i;
+    EXPECT_EQ(verdict.drop, pinned[i].drop != 0) << i;
+    EXPECT_EQ(verdict.duplicate, pinned[i].duplicate != 0) << i;
+    EXPECT_EQ(verdict.delay_rounds, pinned[i].delay_rounds) << i;
+    EXPECT_EQ(verdict.corrupt, pinned[i].corrupt != 0) << i;
+  }
+}
+
+TEST(ChaosSchedule_, SenderKeyedVerdictsEqualPeekOnEveryLink) {
+  // The merge keys each verdict hash once per sender run; peek(LinkEvent)
+  // must be the same function on every link of a plan that uses every rule.
+  std::mt19937_64 rng(0xC4A05);
+  const auto draw = [&] { return std::uniform_real_distribution<double>(0, 0.5)(rng); };
+  const std::vector<NodeId> ids = {2, 5, 9, 14, 20, 27};
+  ChaosPlan plan;
+  for (Round first : {1, 4, 7}) {
+    ChaosPhase phase = phase_window(first, first + 3);
+    phase.drop = draw();
+    phase.duplicate = draw();
+    phase.corrupt = draw();
+    phase.delay = DelaySpec{draw(), 1 + static_cast<Round>(rng() % 4)};
+    for (int k = 0; k < 6; ++k) {
+      phase.link_faults.push_back(LinkFaultSpec{.from = ids[rng() % ids.size()],
+                                                .to = ids[rng() % ids.size()],
+                                                .drop = draw(),
+                                                .duplicate = draw(),
+                                                .delay = draw()});
+    }
+    if (first == 4) phase.partitions.push_back(ChaosPartition{{2, 5}, {20, 27}});
+    if (first == 7) phase.crashes.push_back(CrashWindow{9, 8, 9});
+    plan.phases.push_back(phase);
+  }
+  const ChaosSchedule schedule(plan, rng());
+  std::size_t faulted = 0;
+  for (Round round = 1; round <= 12; ++round) {
+    const auto phase = schedule.phase_for(round);
+    for (NodeId from : ids) {
+      const ChaosSchedule::SenderKey key = schedule.sender_key(round, from, phase);
+      for (NodeId to : ids) {
+        for (std::uint64_t seq = 0; seq < 3; ++seq) {
+          const FaultDecision keyed = schedule.peek(key, to, seq);
+          const FaultDecision plain = schedule.peek(LinkEvent{round, from, to, seq});
+          const std::string where = std::to_string(round) + " " + std::to_string(from) + "->" +
+                                    std::to_string(to) + " #" + std::to_string(seq);
+          EXPECT_EQ(keyed.drop, plain.drop) << where;
+          EXPECT_EQ(keyed.drop_kind, plain.drop_kind) << where;
+          EXPECT_EQ(keyed.duplicate, plain.duplicate) << where;
+          EXPECT_EQ(keyed.corrupt, plain.corrupt) << where;
+          EXPECT_EQ(keyed.delay_rounds, plain.delay_rounds) << where;
+          EXPECT_EQ(keyed.phase, plain.phase) << where;
+          EXPECT_EQ(keyed.entropy, plain.entropy) << where;
+          if (plain.phase >= 0 && from != to) {
+            EXPECT_EQ(plain.entropy, ChaosSchedule::word(schedule.seed(),
+                                                         LinkEvent{round, from, to, seq}, 5))
+                << where << ": entropy is the salt-5 word";
+          }
+          faulted += plain.faulted() ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(faulted, 100u);
 }
 
 TEST(ChaosSchedule_, SelfLinksAreNeverFaulted) {

@@ -1,7 +1,7 @@
-// Mailbox-layer tests: ref-counted fan-out, deposit-time dedup against the
-// cached content hash, send-order merging of shared and private traffic,
-// per-receiver masks on the shared lane, and
-// the byte-frame half used by the runtime transports.
+// Mailbox-layer tests: ref-counted fan-out, send-order merging of shared and
+// private traffic, per-receiver masks on the shared lane, private entries
+// suppressed by the lane twin fixed at deposit, and the byte-frame half used
+// by the runtime transports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,23 +80,25 @@ TEST(MessageRef, EqualityComparesContent) {
   EXPECT_FALSE(a == c) << "sender is part of the identity";
 }
 
-TEST(BroadcastLane, DepositDedupsOncePerRound) {
+TEST(BroadcastLane, DepositKeepsEveryEntryAndCountsKinds) {
+  // No content check at deposit: the engine keeps a sender's repeated
+  // broadcast out of the lane before it gets there.
   BroadcastLane lane;
-  EXPECT_TRUE(lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 2)), 0));
-  EXPECT_FALSE(lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 2)), 1))
-      << "identical sender + content suppressed at deposit, for all receivers at once";
-  EXPECT_TRUE(lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 3)), 2));
-  EXPECT_EQ(lane.size(), 2u);
+  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 2)), 0);
+  lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 3)), 2);
+  lane.deposit(MessageRef::wrap(make_msg(2, MsgKind::kAck, 3)), 4);
+  EXPECT_EQ(lane.size(), 3u);
   const auto refs = lane.refs();
-  ASSERT_EQ(refs.size(), 2u);
+  ASSERT_EQ(refs.size(), 3u);
   EXPECT_EQ(refs[0]->value, Value::real(2));
   EXPECT_EQ(refs[1]->value, Value::real(3));
   EXPECT_EQ(lane.kind_counts()[static_cast<std::size_t>(MsgKind::kPresent)], 2u);
+  EXPECT_EQ(lane.kind_counts()[static_cast<std::size_t>(MsgKind::kAck)], 1u);
 
   lane.clear();
   EXPECT_TRUE(lane.empty());
-  EXPECT_TRUE(lane.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 2)), 3))
-      << "dedup scope is one round";
+  EXPECT_EQ(lane.kind_counts()[static_cast<std::size_t>(MsgKind::kPresent)], 0u);
+  EXPECT_EQ(lane.wire_bytes(), 0u);
 }
 
 /// Start a round on `lane` with one segment holding `entries` (seq, message)
@@ -150,13 +152,17 @@ TEST(Mailbox, CollectSuppressesPrivateDuplicateOfLaneMessage) {
   fill_one_segment(lane, {{0, make_msg(1, MsgKind::kPresent, 1)}});
 
   Mailbox box;
-  box.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 1);
+  box.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 1, /*twin=*/0);
   std::vector<Message> scratch;
   FanoutCounters fanout;
   const auto inbox = box.collect(&lane, scratch, &fanout);
   EXPECT_EQ(inbox.size(), 1u);
   EXPECT_EQ(fanout.dedup_hits, 1u);
   EXPECT_EQ(fanout.deliveries, 1u);
+
+  // Without a lane (a member admitted this round) nothing is suppressed.
+  box.deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 1, /*twin=*/0);
+  EXPECT_EQ(box.collect(nullptr, scratch).size(), 1u);
 }
 
 TEST(Mailbox, MaskedLaneEntryIsSkippedWhileNeighboursKeepSendOrder) {
@@ -192,7 +198,7 @@ TEST(Mailbox, UnicastWhoseLaneTwinIsMaskedIsStillDelivered) {
   fill_one_segment(lane, {{2, x}});
 
   Mailbox box;
-  box.deposit(MessageRef::wrap(x), 1);
+  box.deposit(MessageRef::wrap(x), 1, /*twin=*/2);
   box.mask(2);
   std::vector<Message> scratch;
   FanoutCounters fanout;
@@ -220,12 +226,22 @@ TEST(Mailbox, CollectClearsMasksSoNoneLeaksIntoTheNextRound) {
   EXPECT_EQ(inbox.data(), lane.view().data());
 }
 
-TEST(Mailbox, PrivateDepositDedups) {
+TEST(Mailbox, HoldsReadsBackOnlyToTheGivenKey) {
+  // The merge asks holds(ref, run_key) before a deposit that may repeat
+  // content: only entries keyed from the sender run's first key on count.
+  const MessageRef x = MessageRef::wrap(make_msg(1, MsgKind::kAck, 1));
   Mailbox box;
-  EXPECT_TRUE(box.deposit(MessageRef::wrap(make_msg(1, MsgKind::kAck, 1)), 0));
-  EXPECT_FALSE(box.deposit(MessageRef::wrap(make_msg(1, MsgKind::kAck, 1)), 1));
+  EXPECT_FALSE(box.holds(x));
+  box.deposit(x, 4);
+  box.deposit(MessageRef::wrap(make_msg(2, MsgKind::kAck, 1)), 10);
+  EXPECT_TRUE(box.holds(MessageRef::wrap(make_msg(1, MsgKind::kAck, 1))))
+      << "equal content in a distinct cell";
+  EXPECT_TRUE(box.holds(x, 4));
+  EXPECT_FALSE(box.holds(x, 5)) << "entries older than the key are another run's";
+  EXPECT_FALSE(box.holds(MessageRef::wrap(make_msg(1, MsgKind::kAck, 2))));
   std::vector<Message> scratch;
-  EXPECT_EQ(box.collect(nullptr, scratch).size(), 1u);
+  EXPECT_EQ(box.collect(nullptr, scratch).size(), 2u);
+  EXPECT_FALSE(box.holds(x)) << "collect resets the private buffer";
 }
 
 TEST(ShardedLane, SealConcatenatesSegmentsInKeyOrder) {
@@ -235,9 +251,9 @@ TEST(ShardedLane, SealConcatenatesSegmentsInKeyOrder) {
   // ranges.
   ShardedLane lane;
   lane.reset(2);
-  EXPECT_TRUE(lane.segment(0).deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0));
-  EXPECT_TRUE(lane.segment(0).deposit(MessageRef::wrap(make_msg(2, MsgKind::kAck, 2)), 2));
-  EXPECT_TRUE(lane.segment(1).deposit(MessageRef::wrap(make_msg(3, MsgKind::kPresent, 3)), 4));
+  lane.segment(0).deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
+  lane.segment(0).deposit(MessageRef::wrap(make_msg(2, MsgKind::kAck, 2)), 2);
+  lane.segment(1).deposit(MessageRef::wrap(make_msg(3, MsgKind::kPresent, 3)), 4);
   lane.seal();
 
   ASSERT_EQ(lane.size(), 3u);
@@ -253,17 +269,20 @@ TEST(ShardedLane, SealConcatenatesSegmentsInKeyOrder) {
   EXPECT_GT(lane.wire_bytes(), 0u);
 }
 
-TEST(ShardedLane, ContainsProbesEverySegmentAfterSeal) {
+TEST(ShardedLane, TwinOfFindsTheSendersBroadcastInEverySegment) {
   ShardedLane lane;
   lane.reset(2);
   const MessageRef a = MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1));
   const MessageRef b = MessageRef::wrap(make_msg(5, MsgKind::kPresent, 5));
   lane.segment(0).deposit(a, 0);
-  lane.segment(1).deposit(b, 2);
+  lane.segment(0).deposit(MessageRef::wrap(make_msg(5, MsgKind::kPresent, 4)), 2);
+  lane.segment(1).deposit(b, 4);
   lane.seal();
-  EXPECT_TRUE(lane.contains(a));
-  EXPECT_TRUE(lane.contains(b));
-  EXPECT_FALSE(lane.contains(MessageRef::wrap(make_msg(9, MsgKind::kAck, 9))));
+  EXPECT_EQ(lane.twin_of(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1))), 0u);
+  EXPECT_EQ(lane.twin_of(b), 4u) << "the second of the sender's entries";
+  EXPECT_FALSE(lane.twin_of(MessageRef::wrap(make_msg(5, MsgKind::kPresent, 6))).has_value());
+  EXPECT_FALSE(lane.twin_of(MessageRef::wrap(make_msg(9, MsgKind::kAck, 9))).has_value());
+  EXPECT_FALSE(lane.twin_of(MessageRef::wrap(make_msg(3, MsgKind::kPresent, 1))).has_value());
 }
 
 TEST(ShardedLane, CollectMergesAndDedupsLikeBroadcastLane) {
@@ -286,7 +305,7 @@ TEST(ShardedLane, CollectMergesAndDedupsLikeBroadcastLane) {
 
   Mailbox slow;
   slow.deposit(MessageRef::wrap(make_msg(2, MsgKind::kAck, 2)), 1);
-  slow.deposit(MessageRef::wrap(make_msg(3, MsgKind::kPresent, 3)), 5);  // dup of lane entry
+  slow.deposit(MessageRef::wrap(make_msg(3, MsgKind::kPresent, 3)), 5, /*twin=*/4);  // dup of lane entry
   FanoutCounters merged;
   const auto inbox = slow.collect(&lane, scratch, &merged);
   ASSERT_EQ(inbox.size(), 3u);
@@ -306,8 +325,7 @@ TEST(ShardedLane, ResetReclaimsSegmentsAcrossRounds) {
   lane.reset(1);  // fewer lanes next round (set_threads between rounds)
   EXPECT_TRUE(lane.empty());
   EXPECT_EQ(lane.segment_count(), 1u);
-  EXPECT_TRUE(lane.segment(0).deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0))
-      << "dedup scope is one round — reset must clear segment seen-sets";
+  lane.segment(0).deposit(MessageRef::wrap(make_msg(1, MsgKind::kPresent, 1)), 0);
   lane.seal();
   EXPECT_EQ(lane.size(), 1u);
   EXPECT_EQ(lane.view()[0].sender, 1u);
@@ -371,17 +389,22 @@ OracleInbox brute_force_collect(const OracleRound& round) {
 }
 
 /// Deposit `round` into a fresh ShardedLane split into two segments and a
-/// Mailbox, collect, and compare with the oracle.
+/// Mailbox, collect, and compare with the oracle. Each private entry is
+/// deposited with its twin key as the engine fixes it: the key of the lane
+/// entry with equal content, looked up here through ShardedLane::twin_of.
 void expect_collect_matches_oracle(const OracleRound& round, const std::string& label) {
   ShardedLane lane;
   lane.reset(2);
   for (std::size_t e = 0; e < round.lane.size(); ++e) {
-    ASSERT_TRUE(lane.segment(e < round.lane.size() / 2 ? 0 : 1)
-                    .deposit(round.lane[e].second, round.lane[e].first));
+    lane.segment(e < round.lane.size() / 2 ? 0 : 1)
+        .deposit(round.lane[e].second, round.lane[e].first);
   }
   lane.seal();
   Mailbox box;
-  for (const auto& [seq, ref] : round.priv) ASSERT_TRUE(box.deposit(ref, seq));
+  for (const auto& [seq, ref] : round.priv) {
+    ASSERT_FALSE(box.holds(ref)) << label << ": private entries are distinct";
+    box.deposit(ref, seq, lane.twin_of(ref).value_or(Mailbox::kNoTwin));
+  }
   for (const std::uint64_t seq : round.masks) box.mask(seq);
 
   std::vector<Message> scratch = {make_msg(99, MsgKind::kNoise, 99)};  // stale content

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <memory>
@@ -652,6 +653,188 @@ TEST(SyncSimulator, SignedZerosInEqualConsecutiveSendsKeepTheirSigns) {
   EXPECT_TRUE(std::signbit(pc->received_.at(2)[0].value.as_real()));
   EXPECT_TRUE(std::signbit(pb->received_.at(2)[1].value.as_real()));
   EXPECT_TRUE(std::signbit(pc->received_.at(2)[1].value.as_real()));
+}
+
+TEST(SyncSimulator, UnicastWhoseBroadcastTwinComesLaterIsSuppressed) {
+  // Sender 1 unicasts X to 2, broadcasts Y, and only then broadcasts X.
+  // Receiver 2 gets X once, at the broadcast's place; receiver 3 gets X from
+  // the lane alone. When the X broadcast's link to 2 is dropped, the unicast
+  // is the copy that lands, in its own place.
+  const Message x = text_msg(MsgKind::kAck, 5);
+  ChaosPhase phase;
+  phase.drop = 0.5;
+  const ChaosPlan plan{{phase}};
+  // Links 1->2 and 1->3 keep everything but the X broadcast's link to 2
+  // (link seq #2 there: unicast X, broadcast Y, broadcast X).
+  std::uint64_t seed = 0;
+  for (std::uint64_t s = 1; seed == 0 && s < 1000; ++s) {
+    const ChaosSchedule probe(plan, s);
+    if (!probe.peek(LinkEvent{1, 1, 2, 0}).drop && !probe.peek(LinkEvent{1, 1, 2, 1}).drop &&
+        probe.peek(LinkEvent{1, 1, 2, 2}).drop && !probe.peek(LinkEvent{1, 1, 3, 0}).drop &&
+        !probe.peek(LinkEvent{1, 1, 3, 1}).drop) {
+      seed = s;
+    }
+  }
+  ASSERT_NE(seed, 0u);
+  for (const bool drop_twin : {false, true}) {
+    for (const unsigned threads : {1U, 2U}) {
+      SyncSimulator sim;
+      sim.set_threads(threads);
+      if (drop_twin) sim.set_chaos(std::make_shared<ChaosSchedule>(plan, seed));
+      auto a = std::make_unique<ScriptedProcess>(1);
+      a->send_in_round(1, Outgoing{NodeId{2}, x});
+      a->send_in_round(1, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, 1)});
+      a->send_in_round(1, Outgoing{std::nullopt, x});
+      auto b = std::make_unique<ScriptedProcess>(2);
+      auto c = std::make_unique<ScriptedProcess>(3);
+      const ScriptedProcess* pb = b.get();
+      const ScriptedProcess* pc = c.get();
+      sim.add_process(std::move(a));
+      sim.add_process(std::move(b));
+      sim.add_process(std::move(c));
+      sim.run_rounds(2);
+      const std::string label =
+          "threads=" + std::to_string(threads) + (drop_twin ? " twin dropped" : "");
+      ASSERT_EQ(pc->received_.at(2).size(), 2u) << label;
+      EXPECT_EQ(pc->received_.at(2)[1].kind, MsgKind::kAck) << label;
+      const std::vector<Message>& inbox = pb->received_.at(2);
+      ASSERT_EQ(inbox.size(), 2u) << label;
+      if (drop_twin) {
+        EXPECT_EQ(inbox[0].kind, MsgKind::kAck) << label << ": the unicast, in its place";
+        EXPECT_EQ(inbox[1].kind, MsgKind::kPresent) << label;
+        EXPECT_EQ(sim.metrics().fanout.dedup_hits, 0u) << label;
+      } else {
+        EXPECT_EQ(inbox[0].kind, MsgKind::kPresent) << label;
+        EXPECT_EQ(inbox[1].kind, MsgKind::kAck) << label << ": the broadcast's place";
+        EXPECT_EQ(sim.metrics().fanout.dedup_hits, 1u) << label;
+      }
+    }
+  }
+}
+
+TEST(SyncSimulator, DelayedCopyMeetsItsSendersEqualBroadcast) {
+  // Round 1: sender 1 unicasts X to 2 over a link that delays it one extra
+  // round, so it is due in round 3. Round 2: sender 1 broadcasts X, which
+  // the lane delivers in round 3 too. The delayed copy is the per-round
+  // duplicate when the lane copy reaches 2, and the only copy when a round-2
+  // drop on link 1->2 masks it.
+  const Message x = text_msg(MsgKind::kAck, 5);
+  for (const bool mask_lane_copy : {false, true}) {
+    for (const unsigned threads : {1U, 2U}) {
+      ChaosPhase delay_phase;
+      delay_phase.first_round = 1;
+      delay_phase.last_round = 1;
+      delay_phase.link_faults.push_back(LinkFaultSpec{.from = 1, .to = 2, .delay = 1.0});
+      ChaosPhase drop_phase;
+      drop_phase.first_round = 2;
+      drop_phase.last_round = 2;
+      if (mask_lane_copy) {
+        drop_phase.link_faults.push_back(LinkFaultSpec{.from = 1, .to = 2, .drop = 1.0});
+      }
+      SyncSimulator sim;
+      sim.set_threads(threads);
+      sim.set_chaos(std::make_shared<ChaosSchedule>(ChaosPlan{{delay_phase, drop_phase}}, 1));
+      auto a = std::make_unique<ScriptedProcess>(1);
+      a->send_in_round(1, Outgoing{NodeId{2}, x});
+      a->send_in_round(2, Outgoing{std::nullopt, x});
+      a->send_in_round(2, Outgoing{std::nullopt, text_msg(MsgKind::kPresent, 1)});
+      auto b = std::make_unique<ScriptedProcess>(2);
+      auto c = std::make_unique<ScriptedProcess>(3);
+      const ScriptedProcess* pb = b.get();
+      const ScriptedProcess* pc = c.get();
+      sim.add_process(std::move(a));
+      sim.add_process(std::move(b));
+      sim.add_process(std::move(c));
+      sim.run_rounds(4);
+      const std::string label =
+          "threads=" + std::to_string(threads) + (mask_lane_copy ? " lane copy masked" : "");
+      EXPECT_TRUE(pb->received_.at(2).empty()) << label << ": the unicast is delayed";
+      ASSERT_EQ(pc->received_.at(3).size(), 2u) << label;
+      const std::vector<Message>& inbox = pb->received_.at(3);
+      if (mask_lane_copy) {
+        ASSERT_EQ(inbox.size(), 1u) << label;
+        EXPECT_EQ(inbox[0].kind, MsgKind::kAck) << label << ": the delayed copy";
+        EXPECT_EQ(sim.metrics().fanout.dedup_hits, 0u) << label;
+      } else {
+        ASSERT_EQ(inbox.size(), 2u) << label;
+        EXPECT_EQ(inbox[0].kind, MsgKind::kAck) << label << ": the lane copy, in send order";
+        EXPECT_EQ(inbox[1].kind, MsgKind::kPresent) << label;
+        EXPECT_EQ(sim.metrics().fanout.dedup_hits, 1u) << label << ": the delayed copy";
+      }
+      EXPECT_TRUE(pb->received_.at(4).empty()) << label;
+    }
+  }
+}
+
+TEST(SyncSimulator, RandomRoundsMatchPerReceiverDedupOracle) {
+  // Random outboxes over a small content pool, so senders repeat content in
+  // every mix of broadcasts and unicasts. Oracle, per receiver: a sender's
+  // content arrives once — at its first broadcast's place when the sender
+  // broadcast it, else at its first unicast to the receiver. With a chaos
+  // phase of zero probabilities the merge walks every link (repeats routed
+  // per receiver) and must give the same inboxes.
+  std::mt19937_64 rng(0xD0D0);
+  const std::vector<NodeId> ids = {1, 2, 3, 4, 5, 6};
+  for (int trial = 0; trial < 60; ++trial) {
+    std::map<NodeId, std::vector<Outgoing>> outboxes;
+    for (const NodeId id : ids) {
+      const std::size_t count = rng() % 13;
+      for (std::size_t k = 0; k < count; ++k) {
+        const Message msg = text_msg(rng() % 2 == 0 ? MsgKind::kAck : MsgKind::kPresent,
+                                     static_cast<double>(rng() % 3));
+        if (rng() % 5 < 2) {
+          outboxes[id].push_back(Outgoing{std::nullopt, msg});
+        } else {
+          const NodeId to = rng() % 8 == 0 ? NodeId{99} : ids[rng() % ids.size()];
+          outboxes[id].push_back(Outgoing{to, msg});
+        }
+      }
+    }
+    std::map<NodeId, std::vector<Message>> expected;
+    for (const NodeId receiver : ids) {
+      for (const auto& [sender, outbox] : outboxes) {
+        for (std::size_t k = 0; k < outbox.size(); ++k) {
+          const Outgoing& out = outbox[k];
+          const auto same = [&](const Outgoing& other) { return other.msg == out.msg; };
+          const auto first_broadcast = std::find_if(outbox.begin(), outbox.end(), [&](const auto& o) {
+            return !o.to.has_value() && same(o);
+          });
+          bool deliver = false;
+          if (first_broadcast != outbox.end()) {
+            deliver = first_broadcast == outbox.begin() + static_cast<std::ptrdiff_t>(k);
+          } else if (out.to == receiver) {
+            deliver = std::none_of(outbox.begin(), outbox.begin() + static_cast<std::ptrdiff_t>(k),
+                                   [&](const Outgoing& o) { return o.to == receiver && same(o); });
+          }
+          if (deliver) {
+            Message msg = out.msg;
+            msg.sender = sender;
+            expected[receiver].push_back(msg);
+          }
+        }
+      }
+    }
+    for (const bool walk_links : {false, true}) {
+      for (const unsigned threads : {1U, 3U}) {
+        SyncSimulator sim;
+        sim.set_threads(threads);
+        if (walk_links) sim.set_chaos(std::make_shared<ChaosSchedule>(ChaosPlan{{ChaosPhase{}}}, 9));
+        std::map<NodeId, const ScriptedProcess*> procs;
+        for (const NodeId id : ids) {
+          auto process = std::make_unique<ScriptedProcess>(id);
+          for (const Outgoing& out : outboxes[id]) process->send_in_round(1, out);
+          procs[id] = process.get();
+          sim.add_process(std::move(process));
+        }
+        sim.run_rounds(2);
+        for (const NodeId id : ids) {
+          EXPECT_EQ(procs[id]->received_.at(2), expected[id])
+              << "trial " << trial << " receiver " << id << " threads " << threads
+              << (walk_links ? " walking links" : "");
+        }
+      }
+    }
+  }
 }
 
 TEST(SplitRound, RemoteSenderSplitAcrossRunsIsRejected) {
