@@ -3,8 +3,9 @@
 // hub fan-out, and writes BENCH_fanout.json with per-config rounds/sec,
 // deliveries/sec, and the wire-cost figures (bytes/round, syscalls/round,
 // and the slab-coalescing factor that CI holds to an absolute floor).
-// Each entry carries the seed-commit baseline (measured on the dev machine
-// before the mailbox layer existed) so the speedup is tracked in-tree.
+// The file records the machine it ran on (bench_json.hpp). Each entry
+// carries the seed-commit baseline (measured on the dev machine before the
+// mailbox layer existed) so the speedup is tracked in-tree.
 //
 // Usage: bench_fanout [output.json]   (default: BENCH_fanout.json)
 #include <chrono>
@@ -140,7 +141,8 @@ HubResult run_hub(std::size_t endpoint_count) {
 bool write_json(const std::string& path, const std::vector<FanoutResult>& results,
                 const std::vector<HubResult>& hub_results) {
   std::ofstream out(path);
-  out << "{\n  \"benchmark\": \"fanout\",\n  \"configs\": [\n";
+  out << "{\n  \"benchmark\": \"fanout\",\n  \"machine\": "
+      << bench::machine_json(BENCH_BUILD_TYPE) << ",\n  \"configs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const FanoutResult& r = results[i];
     out << "    {\n"

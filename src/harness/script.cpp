@@ -320,10 +320,6 @@ std::variant<ScenarioScript, ParseError> parse_script(const std::string& text) {
     std::string extra;
     if (words >> extra) return fail("trailing token '" + extra + "'");
   }
-  if (!script.chaos_phases.empty() && script.protocol != ScriptProtocol::kConsensus &&
-      script.protocol != ScriptProtocol::kTotalOrder) {
-    return ParseError{0, "chaos phases are supported for the consensus and totalorder protocols"};
-  }
   if (!script.churn_events.empty() && script.protocol != ScriptProtocol::kConsensus &&
       script.protocol != ScriptProtocol::kTotalOrder) {
     return ParseError{0, "churn events are supported for the consensus and totalorder protocols"};

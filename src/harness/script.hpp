@@ -38,7 +38,9 @@
 // Node references are INDICES into the scenario's sorted id list (ids are
 // seed-derived, so scripts cannot name them directly); the runner
 // materialises the plan once the scenario ids exist (an index must be below
-// nodes + byzantine). Chaos lines are accepted for consensus and totalorder.
+// nodes + byzantine). Chaos lines are accepted for every protocol; loss
+// lies outside the paper's model, so some expectations (rb imbs acceptance
+// and agreement, rotor good-round) may fail under it (docs/testing.md).
 //
 // A `churn` line declares one membership event. `join=<count>` adds count
 // fresh correct processes before the given round executes (seed-derived

@@ -669,10 +669,23 @@ TEST(ChaosScript, RejectsMalformedChaosLines) {
       "protocol consensus\nchaos 1-2 drop=1.5\n",      // probability out of range
       "protocol consensus\nchaos 1-2 bogus=0.1\n",     // unknown fault key
       "protocol consensus\nchaos 1-2\n",               // no fault spec at all
-      "protocol rb\nchaos 1-2 drop=0.1\n",             // chaos-unsupported protocol
   };
   for (const char* text : bad) {
     EXPECT_TRUE(std::holds_alternative<ParseError>(parse_script(text))) << text;
+  }
+}
+
+TEST(ChaosScript, ChaosParsesForEveryProtocolChurnOnlyForConsensusAndTotalOrder) {
+  const std::string chaos = "chaos 2-4 drop=0.1 dup=0.1 delay=0.1:2\n";
+  for (const std::string protocol :
+       {"consensus", "king", "rb", "approx", "rotor", "renaming", "totalorder"}) {
+    const std::string head = "protocol " + protocol + "\nnodes 7\n";
+    const auto parsed = parse_script(head + chaos);
+    ASSERT_TRUE(std::holds_alternative<ScenarioScript>(parsed)) << protocol;
+    EXPECT_EQ(std::get<ScenarioScript>(parsed).chaos_phases.size(), 1u) << protocol;
+    const bool churns = protocol == "consensus" || protocol == "totalorder";
+    EXPECT_EQ(std::holds_alternative<ParseError>(parse_script(head + "churn 3 join=1\n")), !churns)
+        << protocol;
   }
 }
 

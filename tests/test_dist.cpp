@@ -19,6 +19,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/trace.hpp"
 #include "dist/shard_coordinator.hpp"
 #include "dist/shard_mesh.hpp"
 #include "dist/shard_plan.hpp"
@@ -861,11 +862,12 @@ TEST(RunDist, TotalOrderMatchesSingleProcessAcrossShardCounts) {
 }
 
 TEST(RunDist, EveryScriptProtocolMatchesSingleProcessAcrossShardCounts) {
-  // rb (both backends, one with a Byzantine source), approx, rotor and
-  // renaming run the same loop as consensus: a non-empty recording, equal
-  // at --threads 4, and from every shard count the same verdict and traces
-  // plus a metrics exposition.
-  const char* const scripts[] = {
+  // rb (both backends, one with a Byzantine source), approx, rotor,
+  // renaming and king run the same loop as consensus, chaos phases
+  // included: a non-empty recording, equal at --threads 4, and from every
+  // shard count the same verdict and traces plus a metrics exposition.
+  const std::string loss = "chaos 2-4 drop=0.1 dup=0.1 delay=0.1:2\n";
+  const std::string scripts[] = {
       "protocol rb\nnodes 7\ninputs 42\nbyzantine 2 forgedecho\nseed 7\n"
       "expect acceptance\nexpect agreement\n",
       "protocol rb\nnodes 7\ninputs 5\nbyzantine 2 twofaced\nbyz-source\nseed 6\n"
@@ -878,12 +880,35 @@ TEST(RunDist, EveryScriptProtocolMatchesSingleProcessAcrossShardCounts) {
       "expect termination\nexpect good-round\n",
       "protocol renaming\nnodes 10\nbyzantine 3 crash,silent\ncrash-round 4\nseed 21\n"
       "expect termination\nexpect agreement\n",
+      "protocol king\nnodes 7\ninputs 0,1,0\nbyzantine 2 echochamber\nseed 13\nmax-rounds 2000\n"
+      "expect termination\nexpect agreement\nexpect validity\n",
+      // The chaos variants shipped in scenarios/*_chaos.scn.
+      "protocol rb\nnodes 7\ninputs 42\nbyzantine 2 forgedecho\nseed 7\n" + loss +
+          "expect acceptance\nexpect agreement\n",
+      "protocol rb\nnodes 11\ninputs 42\nbyzantine 2 forgedecho\nseed 7\nrb imbs\n"
+      "chaos 2-4 dup=0.2 corrupt=0.1\nexpect acceptance\nexpect agreement\n",
+      "protocol approx\nnodes 10\ninputs 0,10,20,30,40,50,60,70,80,90\nbyzantine 3 extreme\n"
+      "iterations 8\nseed 5\n" +
+          loss + "expect within-range\nexpect contraction\n",
+      "protocol rotor\nnodes 10\nbyzantine 3 rotorstuffer,silent,noise\nseed 11\n" + loss +
+          "expect termination\n",
+      "protocol renaming\nnodes 10\nbyzantine 3 crash,silent\ncrash-round 4\nseed 21\n" + loss +
+          "expect termination\nexpect agreement\n",
+      "protocol king\nnodes 7\ninputs 0,1,0\nbyzantine 2 echochamber\nseed 13\nmax-rounds 2000\n" +
+          loss + "expect termination\nexpect agreement\nexpect validity\n",
   };
-  for (const char* const text : scripts) {
-    const std::string name = std::string(text).substr(0, std::string(text).find("\nseed"));
+  for (const std::string& text : scripts) {
+    const bool chaos = text.find("\nchaos ") != std::string::npos;
+    const std::string name = text.substr(0, text.find("\nseed")) + (chaos ? " chaos" : "");
     const SingleRun single = run_single_process(text);
     const std::string raw = single.recorder->jsonl();
     ASSERT_GT(single.recorder->size(), 0u) << name;
+    if (chaos) {
+      const auto canonical = single.recorder->canonical();
+      EXPECT_TRUE(std::any_of(canonical.begin(), canonical.end(), [](const TraceRecord& rec) {
+        return rec.kind != TraceEventKind::kLinkClean;
+      })) << name << ": the canonical export must hold a faulted verdict";
+    }
     EXPECT_TRUE(single.run.all_satisfied) << single.run.summary;
     EXPECT_FALSE(single.run.metrics_exposition.empty()) << name;
     EXPECT_EQ(run_single_process(text, 4).recorder->jsonl(), raw) << name;

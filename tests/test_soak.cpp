@@ -3,10 +3,10 @@
 // integrity, and state-machine stability over time.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
 #include "adversary/strategies.hpp"
-#include "app/replicated_kv.hpp"
 #include "common/rng.hpp"
 #include "core/total_order.hpp"
 #include "net/sync_simulator.hpp"
@@ -72,37 +72,32 @@ TEST(Soak, LedgerTwoHundredRoundsWithChurnAndNoise) {
   }
 }
 
-TEST(Soak, ReplicatedKvHundredsOfWrites) {
+TEST(Soak, TotalOrderHundredsOfSubmissionsEachFinalizedOnceEverywhere) {
   SyncSimulator sim;
-  const std::vector<NodeId> replicas{10, 20, 30, 40, 50};
-  for (NodeId id : replicas) {
-    sim.add_process(std::make_unique<ReplicatedKvProcess>(id, /*founder=*/true));
+  const std::vector<NodeId> members{10, 20, 30, 40, 50};
+  for (NodeId id : members) {
+    sim.add_process(std::make_unique<TotalOrderProcess>(id, /*founder=*/true));
   }
   sim.run_rounds(3);
-  auto node = [&sim](NodeId id) { return sim.get<ReplicatedKvProcess>(id); };
+  auto node = [&sim](NodeId id) { return sim.get<TotalOrderProcess>(id); };
 
+  // One submission per round, each from a random member and each distinct.
   Rng rng(5);
-  const int kWrites = 150;
-  for (int i = 0; i < kWrites; ++i) {
-    const NodeId writer = replicas[rng.below(replicas.size())];
-    node(writer)->submit_set(static_cast<std::uint32_t>(rng.below(16)),
-                             static_cast<std::uint32_t>(i));
+  const int kSubmissions = 150;
+  for (int i = 0; i < kSubmissions; ++i) {
+    node(members[rng.below(members.size())])->submit_event(static_cast<double>(i));
     sim.step();
   }
-  sim.run_rounds(50);
+  sim.run_rounds(50);  // drain
 
-  const auto& reference = node(10)->store();
-  for (NodeId id : replicas) {
-    EXPECT_EQ(node(id)->version(), static_cast<std::size_t>(kWrites)) << id;
-    EXPECT_EQ(node(id)->store(), reference) << id;
+  const auto& reference = node(members[0])->chain();
+  for (NodeId id : members) EXPECT_EQ(node(id)->chain(), reference) << id;
+  std::map<double, int> seen;
+  for (const auto& entry : reference) ++seen[entry.event];
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kSubmissions));
+  for (int i = 0; i < kSubmissions; ++i) {
+    EXPECT_EQ(seen[static_cast<double>(i)], 1) << "event " << i;
   }
-  // Every key's final value is the LAST write to it in chain order.
-  std::map<std::uint32_t, std::uint32_t> replay;
-  for (const auto& entry : node(10)->ordering().chain()) {
-    const KvOp op = decode_op(entry.event);
-    replay[op.key] = op.value;
-  }
-  EXPECT_EQ(replay, reference);
 }
 
 }  // namespace
