@@ -83,6 +83,7 @@ class FlatSet {
   [[nodiscard]] bool empty() const noexcept { return values_.empty(); }
   void clear() noexcept { values_.clear(); }
   void reserve(std::size_t n) { values_.reserve(n); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return values_.capacity(); }
 
   [[nodiscard]] const_iterator begin() const noexcept { return values_.begin(); }
   [[nodiscard]] const_iterator end() const noexcept { return values_.end(); }
@@ -132,6 +133,12 @@ class FlatMap {
   void clear() noexcept {
     entries_.clear();
     finger_ = 0;
+  }
+  /// clear(), handing each value to `keep` first (to reuse its storage).
+  template <typename Keep>
+  void clear(Keep keep) {
+    for (value_type& entry : entries_) keep(std::move(entry.second));
+    clear();
   }
 
   [[nodiscard]] const_iterator begin() const noexcept { return entries_.begin(); }

@@ -18,9 +18,11 @@
 // path for the ascending senders.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "common/flat_set.hpp"
 #include "common/types.hpp"
@@ -56,7 +58,33 @@ template <typename Key, typename Compare = std::less<Key>>
 class QuorumCounter {
  public:
   /// Returns true when this (key, sender) pair is new.
-  bool add(const Key& key, NodeId sender) { return senders_[key].insert(sender); }
+  bool add(const Key& key, NodeId sender) {
+    return add(key, sender, [] { return std::size_t{0}; });
+  }
+
+  /// add(), except that a new key's sender set gets room for `expected()`
+  /// senders at once instead of growing by doubling. `expected` is called
+  /// only for a new key. A new key first takes the roomiest set that clear()
+  /// kept.
+  template <typename Expected>
+  bool add(const Key& key, NodeId sender, Expected expected) {
+    FlatSet<NodeId>& senders = senders_[key];
+    if (senders.empty()) {  // a new key: every held key has a sender
+      if (!spare_.empty()) {
+        // The roomiest spare set: the key a round fills from every member
+        // outgrows the others.
+        std::iter_swap(std::max_element(spare_.begin(), spare_.end(),
+                                        [](const FlatSet<NodeId>& a, const FlatSet<NodeId>& b) {
+                                          return a.capacity() < b.capacity();
+                                        }),
+                       spare_.end() - 1);
+        senders = std::move(spare_.back());
+        spare_.pop_back();
+      }
+      senders.reserve(expected());
+    }
+    return senders.insert(sender);
+  }
 
   [[nodiscard]] std::size_t count(const Key& key) const {
     auto it = senders_.find(key);
@@ -79,10 +107,19 @@ class QuorumCounter {
     return senders_;
   }
 
-  void clear() { senders_.clear(); }
+  /// Drops every key. The sender sets' storage is kept for the next keys, so
+  /// a tally cleared every phase round stops allocating once it has grown;
+  /// the sets held and kept never outnumber the most keys held at once.
+  void clear() {
+    senders_.clear([this](FlatSet<NodeId>&& senders) {
+      senders.clear();
+      spare_.push_back(std::move(senders));
+    });
+  }
 
  private:
   FlatMap<Key, FlatSet<NodeId>, Compare> senders_;
+  std::vector<FlatSet<NodeId>> spare_;  ///< emptied sender sets, kept for their capacity
 };
 
 }  // namespace idonly

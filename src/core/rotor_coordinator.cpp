@@ -33,10 +33,28 @@ void RotorCore::absorb(std::span<const Message> inbox) {
   // goes backwards (next sender, or a Byzantine order) restarts the search.
   // Only an exact hit is skipped, so a misplaced cursor could cost a missed
   // skip, never a lost echo.
+  const auto tallied = [this](const Message& m) {
+    return m.kind == MsgKind::kEcho && m.instance == instance_ && m.value.is_bot();
+  };
+  // A new candidate's sender set is sized once for every echoing sender of
+  // this inbox: one pass counts the sender runs (the inbox is grouped by
+  // sender), made only when some candidate is new.
+  std::size_t echoers = 0;
+  const auto count_echoers = [&] {
+    if (echoers == 0) {
+      const Message* previous = nullptr;
+      for (const Message& m : inbox) {
+        if (!tallied(m)) continue;
+        if (previous == nullptr || previous->sender != m.sender) echoers += 1;
+        previous = &m;
+      }
+    }
+    return echoers;
+  };
   const std::vector<NodeId>& accepted = candidates_.values();
   auto cur = accepted.begin();
   for (const Message& m : inbox) {
-    if (m.kind != MsgKind::kEcho || m.instance != instance_ || !m.value.is_bot()) continue;
+    if (!tallied(m)) continue;
     const NodeId subject = m.subject;
     if (cur != accepted.begin() && subject <= *(cur - 1)) {
       cur = std::lower_bound(accepted.begin(), cur, subject);
@@ -47,7 +65,7 @@ void RotorCore::absorb(std::span<const Message> inbox) {
       }
     }
     if (cur != accepted.end() && *cur == subject) continue;
-    echoes_.add(subject, m.sender);
+    echoes_.add(subject, m.sender, count_echoers);
   }
 }
 

@@ -25,7 +25,11 @@
 // their tallies, C_v never shrinks, and nothing else reads the tallies. The
 // C_v test is a cursor that follows each sender's ascending subject run
 // (O(1) per echo) and restarts with a binary search when a subject goes
-// backwards, so a Byzantine order costs O(log n), never O(n).
+// backwards, so a Byzantine order costs O(log n), never O(n). A new
+// candidate's tally costs one allocation: its sender set is sized once for
+// every echoing sender of the inbox (one pass over the grouped inbox, made
+// only when some candidate is new) instead of growing by doubling as the
+// batch arrives.
 //
 // RotorCore is the embeddable state machine (consensus/parallel consensus
 // execute one rotor step per phase); RotorProcess is the standalone

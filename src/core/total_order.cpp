@@ -9,21 +9,9 @@ TotalOrderProcess::TotalOrderProcess(NodeId self, bool founder)
   members_.insert(self);  // S = {v} initially
 }
 
-bool TotalOrderProcess::done() const {
-  if (!announced_leave_) return false;
-  for (const auto& [round, run] : instances_) {
-    if (!run.machine.terminated()) return false;
-  }
-  return true;
-}
+bool TotalOrderProcess::done() const { return announced_leave_ && live_machines_ == 0; }
 
-std::size_t TotalOrderProcess::live_instances() const noexcept {
-  std::size_t live = 0;
-  for (const auto& [round, run] : instances_) {
-    if (!run.machine.terminated()) live += 1;
-  }
-  return live;
-}
+std::size_t TotalOrderProcess::live_instances() const noexcept { return live_machines_; }
 
 void TotalOrderProcess::on_round(RoundInfo round, std::span<const Message> inbox,
                                  std::vector<Outgoing>& out) {
@@ -86,7 +74,7 @@ void TotalOrderProcess::main_loop_round(RoundInfo round, std::span<const Message
   r_ += 1;
 
   // Membership traffic and event collection.
-  std::vector<InputPair> inputs;
+  inputs_.clear();
   for (const Message& m : inbox) {
     switch (m.kind) {
       case MsgKind::kPresent: {
@@ -104,7 +92,7 @@ void TotalOrderProcess::main_loop_round(RoundInfo round, std::span<const Message
       case MsgKind::kEvent:
         if (members_.contains(m.sender) && !m.value.is_bot() &&
             m.round_tag == static_cast<std::uint32_t>(r_ - 1)) {
-          inputs.push_back(InputPair{m.sender, m.value});
+          inputs_.push_back(InputPair{m.sender, m.value});
         }
         break;
       default:
@@ -133,27 +121,35 @@ void TotalOrderProcess::main_loop_round(RoundInfo round, std::span<const Message
   // membership. A leaver still starts the instance in its announcement round
   // (everyone else's S for this round still contains it) but none after.
   if (!announced_leave_ || announce_now) {
-    const auto tag = static_cast<InstanceTag>(r_);
-    instances_.try_emplace(
-        r_, InstanceRun{ParallelConsensusMachine(id(), tag, std::move(inputs), members_),
-                        members_.size()});
+    instances_.push_back(InstanceRecord{
+        r_, members_.size(),
+        std::make_unique<ParallelConsensusMachine>(
+            id(), static_cast<InstanceTag>(r_),
+            std::vector<InputPair>(inputs_.begin(), inputs_.end()), members_),
+        {}});
+    live_machines_ += 1;
   }
 
-  // Drive every outstanding instance with its own bucket of this round's
-  // inbox. The index is built in one pass and kept per worker thread (each
-  // node's step runs on one thread), so no process holds a copy of its inbox.
+  // Drive every live machine with its own bucket of this round's inbox. The
+  // index is built in one pass and kept per worker thread (each node's step
+  // runs on one thread), so no process holds a copy of its inbox. A machine
+  // that terminates leaves its outputs in its record and is freed.
   thread_local TaggedInbox index;
-  std::vector<InstanceTag> live_tags;
-  for (const auto& [instance_round, run] : instances_) {
-    if (!run.machine.terminated()) live_tags.push_back(run.machine.tag());
+  live_tags_.clear();
+  for (const InstanceRecord& record : instances_) {
+    if (record.machine != nullptr) live_tags_.push_back(record.machine->tag());
   }
-  index.build(inbox, live_tags);
-  std::vector<Message> machine_out;
-  for (auto& [instance_round, run] : instances_) {
-    if (run.machine.terminated()) continue;
-    machine_out.clear();
-    run.machine.on_round(index.bucket(run.machine.tag()), index.senders(), machine_out);
-    for (Message& m : machine_out) broadcast(out, std::move(m));
+  index.build(inbox, live_tags_);
+  for (InstanceRecord& record : instances_) {
+    if (record.machine == nullptr) continue;
+    machine_out_.clear();
+    record.machine->on_round(index.bucket(record.machine->tag()), index.senders(), machine_out_);
+    for (Message& m : machine_out_) broadcast(out, std::move(m));
+    if (record.machine->terminated()) {
+      record.outputs = record.machine->outputs();
+      record.machine.reset();
+      live_machines_ -= 1;
+    }
   }
 
   refresh_chain();
@@ -162,20 +158,18 @@ void TotalOrderProcess::main_loop_round(RoundInfo round, std::span<const Message
 void TotalOrderProcess::refresh_chain() {
   // Round r' is final once r − r' > 5·|S^{r'}|/2 + 2  ⇔  2(r − r') > 5|S| + 4.
   // Finalization happens strictly in instance order (the chain is a prefix),
-  // so each newly final instance's outputs extend the chain at its end; once
-  // finalized, the machine is garbage-collected.
+  // so each newly final instance's outputs extend the chain at its end, and
+  // its record is dropped.
   const std::size_t previous_length = chain_.size();
-  for (auto it = instances_.begin(); it != instances_.end();) {
-    const Round instance_round = it->first;
-    const InstanceRun& run = it->second;
-    const bool final_round =
-        2 * (r_ - instance_round) > 5 * static_cast<Round>(run.s_size) + 4;
-    if (!final_round || !run.machine.terminated()) break;  // prefix ends here
-    for (const OutputPair& pair : run.machine.outputs()) {
-      chain_.push_back(ChainEntry{instance_round, pair.id, pair.value.real_or(0.0)});
+  while (!instances_.empty()) {
+    const InstanceRecord& record = instances_.front();
+    const bool final_round = 2 * (r_ - record.round) > 5 * static_cast<Round>(record.s_size) + 4;
+    if (!final_round || record.machine != nullptr) break;  // prefix ends here
+    for (const OutputPair& pair : record.outputs) {
+      chain_.push_back(ChainEntry{record.round, pair.id, pair.value.real_or(0.0)});
     }
-    finalized_upto_ = instance_round;
-    it = instances_.erase(it);
+    finalized_upto_ = record.round;
+    instances_.pop_front();
   }
   if (observer_ != nullptr && chain_.size() > previous_length) {
     observer_->on_event({ProtocolEvent::Type::kChainExtended, id(), r_,

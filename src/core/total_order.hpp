@@ -16,6 +16,13 @@
 // its start, and |S| > 2f); the chain is the concatenation of the outputs of
 // all final instances in increasing instance order.
 //
+// Finality reads only (round, |S| at start, outputs). An instance's machine
+// stops changing once it terminates (its outputs are stable from then on),
+// which is O(f) rounds after its start and usually well before its round is
+// final, so the node copies the outputs into the instance's record and frees
+// the machine in the round it terminates. Only live machines are kept and
+// stepped; a terminated one costs its record until finality.
+//
 // Round-number agreement for joiners uses the present/ack handshake: a
 // joiner adopts majority ack round + 1. Faithfulness note (documented in
 // DESIGN.md): incumbents add a joiner to S effective two rounds after its
@@ -25,7 +32,7 @@
 
 #include <deque>
 #include <map>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/flat_set.hpp"
@@ -76,20 +83,23 @@ class TotalOrderProcess final : public Process {
   /// Non-owning; must outlive the process. Receives kChainExtended events.
   void set_observer(ProtocolObserver* observer) noexcept { observer_ = observer; }
 
-  /// Parallel-consensus machines still held in memory (live instances).
-  /// Finalized instances are garbage-collected once their outputs join the
-  /// chain, so this stays bounded by the finality lag regardless of run
-  /// length.
-  [[nodiscard]] std::size_t retained_machines() const noexcept { return instances_.size(); }
+  /// Parallel-consensus machines still held in memory. A machine is freed in
+  /// the round its instance terminates, so this equals live_instances() and
+  /// stays bounded by the termination time of an instance (O(f) rounds), not
+  /// by the longer finality lag, regardless of run length.
+  [[nodiscard]] std::size_t retained_machines() const noexcept { return live_machines_; }
 
  private:
   void main_loop_round(RoundInfo round, std::span<const Message> inbox,
                        std::vector<Outgoing>& out);
   void refresh_chain();
 
-  struct InstanceRun {
-    ParallelConsensusMachine machine;
+  /// One started instance, from its start until its round is final.
+  struct InstanceRecord {
+    Round round = 0;
     std::size_t s_size = 0;  ///< |S| recorded at start — the finality clock
+    std::unique_ptr<ParallelConsensusMachine> machine;  ///< null once terminated
+    std::vector<OutputPair> outputs;  ///< the machine's outputs, set when it terminates
   };
 
   bool founder_;
@@ -100,7 +110,12 @@ class TotalOrderProcess final : public Process {
   FlatSet<NodeId> members_;                     ///< S
   std::map<Round, std::vector<NodeId>> scheduled_adds_;  ///< S-adds by effective round
   std::deque<double> pending_events_;
-  std::map<Round, InstanceRun> instances_;          ///< live (non-final) instances
+  std::deque<InstanceRecord> instances_;  ///< non-final instances, ascending round
+  std::size_t live_machines_ = 0;         ///< records whose machine is still held
+  // Per-round scratch, kept for its capacity.
+  std::vector<InputPair> inputs_;
+  std::vector<InstanceTag> live_tags_;
+  std::vector<Message> machine_out_;
   std::vector<ChainEntry> chain_;
   Round finalized_upto_ = 0;
   ProtocolObserver* observer_ = nullptr;

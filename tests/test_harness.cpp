@@ -158,5 +158,25 @@ TEST(QuorumCounter, EmptyHasNoBest) {
   EXPECT_FALSE(counter.best().has_value());
 }
 
+TEST(QuorumCounter, KeysAfterClearStartEmptyInReusedStorage) {
+  // clear() keeps the sender sets for the next keys; none may carry a
+  // sender over, and a sized add counts exactly like a plain one.
+  QuorumCounter<Value> counter;
+  for (NodeId sender = 1; sender <= 40; ++sender) counter.add(Value::real(1), sender);
+  counter.add(Value::real(2), 7);
+  counter.clear();
+  EXPECT_TRUE(counter.all().empty());
+  EXPECT_TRUE(counter.add(Value::real(3), 5, [] { return std::size_t{64}; }));
+  EXPECT_FALSE(counter.add(Value::real(3), 5, [] { return std::size_t{64}; }));
+  EXPECT_TRUE(counter.add(Value::real(1), 40));
+  EXPECT_TRUE(counter.add(Value::real(4), 1));
+  EXPECT_EQ(counter.count(Value::real(1)), 1u);
+  EXPECT_EQ(counter.count(Value::real(3)), 1u);
+  EXPECT_EQ(counter.count(Value::real(4)), 1u);
+  EXPECT_EQ(counter.count(Value::real(2)), 0u);
+  EXPECT_EQ(counter.all().size(), 3u);
+  EXPECT_EQ(counter.best()->first, Value::real(1)) << "tie → smallest key";
+}
+
 }  // namespace
 }  // namespace idonly

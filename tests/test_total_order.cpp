@@ -353,6 +353,40 @@ TEST(TotalOrder, FinalizedInstancesAreGarbageCollected) {
   net.expect_prefix_consistent("gc");
 }
 
+TEST(TotalOrder, TerminatedMachinesAreFreedBeforeFinality) {
+  // A machine is freed in the round its instance terminates, not when its
+  // round becomes final. With every founder correct, each instance ends
+  // after phase 1 (local round 7), so no more machines are held than that
+  // however long the finality lag, and the chain is still complete.
+  auto net = make_founders({11, 22, 33, 44, 55});
+  net.sim.run_rounds(3);
+  for (int i = 0; i < 30; ++i) {
+    net.node(11)->submit_event(static_cast<double>(i));
+    net.sim.run_rounds(1);
+    for (NodeId id : net.correct_ids) {
+      const auto* node = net.node(id);
+      EXPECT_EQ(node->retained_machines(), node->live_instances()) << id;
+      EXPECT_LE(node->retained_machines(), 7u) << id;
+    }
+  }
+  net.sim.run_rounds(40);
+  for (NodeId id : net.correct_ids) {
+    const auto* node = net.node(id);
+    EXPECT_EQ(node->retained_machines(), node->live_instances()) << id;
+    EXPECT_LE(node->retained_machines(), 7u) << id;
+    EXPECT_GT(node->protocol_round() - node->finalized_upto(),
+              static_cast<Round>(node->retained_machines()))
+        << "the finality lag outlasts the machines";
+    std::vector<double> events;
+    for (const auto& entry : node->chain()) {
+      if (entry.witness == 11u) events.push_back(entry.event);
+    }
+    ASSERT_EQ(events.size(), 30u) << id;
+    for (int i = 0; i < 30; ++i) EXPECT_DOUBLE_EQ(events[static_cast<std::size_t>(i)], i) << id;
+  }
+  net.expect_prefix_consistent("freed");
+}
+
 TEST(TotalOrder, ByzantineAcksCannotDesyncJoiner) {
   // The joiner adopts the MAJORITY ack round; a Byzantine member answering
   // with wrong round numbers is outvoted as long as n > 3f (here one liar
