@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 #include <utility>
@@ -81,13 +82,27 @@ std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
   for (std::uint32_t s = 0; s < shards_; ++s) {
     if (s != shard_) writers_[s].reset(shard_, engine_.round());
   }
+  // One encode per wrap: the engine wraps a run of equal sends once, so a
+  // send whose message is the cell last encoded reuses that frame, and a
+  // broadcast is encoded once for every peer. add_frame() writes what add()
+  // would, so the slab bytes are the per-send encoding's. The cell pointer
+  // is compared only within this round, while every send's cell is alive.
+  const Message* framed = nullptr;
+  const auto frame = [&](const Message& msg) -> std::span<const std::byte> {
+    if (&msg != framed) {
+      frame_.clear();
+      encode(msg, frame_);
+      framed = &msg;
+    }
+    return frame_;
+  };
   engine_.for_each_local_send([&](const SyncSimulator::Send& send) {
     if (send.to.has_value()) {
       const std::uint32_t dest = plan_.owner(*send.to);
-      if (dest != shard_) writers_[dest].add(send.to, send.ref.get());
+      if (dest != shard_) writers_[dest].add_frame(send.to, frame(send.ref.get()));
     } else {
       for (std::uint32_t s = 0; s < shards_; ++s) {
-        if (s != shard_) writers_[s].add(std::nullopt, send.ref.get());
+        if (s != shard_) writers_[s].add_frame(std::nullopt, frame(send.ref.get()));
       }
     }
   });
@@ -100,27 +115,36 @@ std::vector<ShardWorker::OutboundSlab> ShardWorker::begin_round() {
 
 bool ShardWorker::decode_peer_slab(std::span<const std::byte> bytes,
                                    std::vector<SyncSimulator::Send>& stream) {
-  const auto view = parse_shard_slab(bytes);
-  if (!view.has_value()) {
+  if (!parse_shard_slab(bytes, view_)) {
     wire_faults_.truncations += 1;
     error_ = "shard " + std::to_string(shard_) + ": malformed shard slab in round " +
              std::to_string(engine_.round());
     return false;
   }
-  if (view->round != engine_.round() || view->shard == shard_ || view->shard >= shards_) {
+  if (view_.round != engine_.round() || view_.shard == shard_ || view_.shard >= shards_) {
     wire_faults_.truncations += 1;
     error_ = "shard " + std::to_string(shard_) + ": shard slab header mismatch (from shard " +
-             std::to_string(view->shard) + ", round " + std::to_string(view->round) +
+             std::to_string(view_.shard) + ", round " + std::to_string(view_.round) +
              ", local round " + std::to_string(engine_.round()) + ")";
     return false;
   }
-  stream.reserve(view->entries.size());
-  for (const ShardSlabView::Entry& entry : view->entries) {
+  stream.reserve(view_.entries.size());
+  for (std::size_t i = 0; i < view_.entries.size(); ++i) {
+    const ShardSlabView::Entry& entry = view_.entries[i];
+    // A run of byte-equal frames (a two-faced sender's unicasts of one
+    // content, or one message sent to several receivers here) is one
+    // decode and one wrap. decode() is pure, so equal bytes decode to equal
+    // messages, sender included; ±0.0 encode differently and never share.
+    if (i > 0 && std::ranges::equal(entry.frame, view_.entries[i - 1].frame)) {
+      MessageRef shared = stream.back().ref;
+      stream.push_back({entry.to, std::move(shared)});
+      continue;
+    }
     auto msg = decode(entry.frame);
     if (!msg.has_value()) {
       wire_faults_.corrupts += 1;
       error_ = "shard " + std::to_string(shard_) + ": undecodable frame from shard " +
-               std::to_string(view->shard) + " in round " + std::to_string(engine_.round());
+               std::to_string(view_.shard) + " in round " + std::to_string(engine_.round());
       return false;
     }
     stream.push_back({entry.to, MessageRef::wrap(*std::move(msg))});

@@ -9,7 +9,11 @@
 // hands those to SyncSimulator::finish_round(), which merges them with the
 // local sends on sender id — so a remote broadcast is one deposit into the
 // worker's broadcast lane and a chaos fault one mailbox mask, exactly as in
-// the single-process engine (DESIGN.md §12).
+// the single-process engine (DESIGN.md §12). Both halves keep the engine's
+// one wrap per run of equal sends: begin_round() encodes each wrap once for
+// all its sends and peers, and decode_peer_slab() decodes and wraps each run
+// of byte-equal frames once, so a remote two-faced run costs the receiving
+// shard per content, not per copy.
 //
 // The worker reconstructs the ENTIRE run description from the shipped
 // script text — scenario, chaos plan, churn stream — because the
@@ -61,6 +65,9 @@ class ShardWorker {
   /// Local process count (initial slice, before churn).
   [[nodiscard]] std::size_t member_count() const noexcept { return initial_members_; }
   [[nodiscard]] Round round() const noexcept { return engine_.round(); }
+  /// This shard's engine slice, read-only (between begin_round() and
+  /// merge_round() it lists the round's local sends).
+  [[nodiscard]] const ShardEngine& engine() const noexcept { return engine_; }
 
   /// One outbound cross-shard slab; `bytes` is valid until the next
   /// begin_round() call.
@@ -72,13 +79,17 @@ class ShardWorker {
   /// First half of the next round: apply the round's churn events, run the
   /// engine's begin_round(), and batch the outbound traffic into one slab per
   /// destination shard (empty slabs omitted — absence of traffic is itself
-  /// deterministic, so the peer needs no placeholder).
+  /// deterministic, so the peer needs no placeholder). Each wrap is encoded
+  /// once; the slab bytes are those of ShardSlabWriter::add per send.
   [[nodiscard]] std::vector<OutboundSlab> begin_round();
 
   /// Second half, step one: decode ONE peer slab into a merge stream. The
   /// boundary merge is order-blind across peer streams, so each slab can be
   /// decoded the moment it arrives (overlapping with the remaining peers'
-  /// transfers) and merged once all are in. False on a malformed slab or
+  /// transfers) and merged once all are in. An entry whose frame is
+  /// byte-equal to the previous entry's shares that entry's MessageRef, with
+  /// no decode and no wrap: decode() is pure, so it is the same message
+  /// (±0.0 encode differently and never share). False on a malformed slab or
   /// frame (error() explains; wire-fault counters record what was rejected)
   /// — the caller must abort the run, as dropping cross-shard traffic would
   /// silently fork determinism.
@@ -113,6 +124,8 @@ class ShardWorker {
   std::unique_ptr<TraceObserver> observer_;
   std::unique_ptr<ChurnDriver> churn_;
   std::vector<ShardSlabWriter> writers_;  // indexed by destination shard
+  std::vector<std::byte> frame_;          // begin_round: the last wrap's encoded frame
+  ShardSlabView view_;                    // decode_peer_slab: reused across slabs
   std::vector<std::pair<NodeId, NodeOutcome>> departed_;  // end states of leavers
   FaultCounters wire_faults_;
   std::size_t initial_members_ = 0;

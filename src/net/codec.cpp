@@ -169,28 +169,37 @@ std::span<const std::byte> ShardSlabWriter::bytes() const {
   return buffer_;
 }
 
-std::optional<ShardSlabView> parse_shard_slab(std::span<const std::byte> bytes) {
+bool parse_shard_slab(std::span<const std::byte> bytes, ShardSlabView& view) {
   std::size_t offset = 0;
   const auto header = read_slab_header(bytes, offset);
-  if (!header || header->magic != kShardSlabMagic) return std::nullopt;
+  if (!header || header->magic != kShardSlabMagic) return false;
   const auto count = get_varint(bytes, offset);
-  if (!count || *count == 0) return std::nullopt;  // an empty slab is never sent
-  ShardSlabView view;
+  if (!count || *count == 0) return false;  // an empty slab is never sent
+  // Every entry takes at least a one-byte tag, a one-byte length and one
+  // frame byte: a count the remaining bytes cannot hold is rejected before
+  // anything is reserved for it.
+  if (*count > (bytes.size() - offset) / 3) return false;
   view.shard = header->shard;
   view.round = header->round;
+  view.entries.clear();
+  view.entries.reserve(*count);
   for (std::uint64_t i = 0; i < *count; ++i) {
     const auto to_tag = get_varint(bytes, offset);
-    if (!to_tag) return std::nullopt;
+    if (!to_tag) return false;
     const auto length = get_varint(bytes, offset);
-    if (!length) return std::nullopt;
-    if (*length == 0 || *length > bytes.size() - offset) return std::nullopt;
-    ShardSlabView::Entry entry;
+    if (!length) return false;
+    if (*length == 0 || *length > bytes.size() - offset) return false;
+    ShardSlabView::Entry& entry = view.entries.emplace_back();
     if (*to_tag != 0) entry.to = *to_tag - 1;
     entry.frame = bytes.subspan(offset, *length);
     offset += *length;
-    view.entries.push_back(entry);
   }
-  if (offset != bytes.size()) return std::nullopt;  // trailing bytes
+  return offset == bytes.size();  // no trailing bytes
+}
+
+std::optional<ShardSlabView> parse_shard_slab(std::span<const std::byte> bytes) {
+  ShardSlabView view;
+  if (!parse_shard_slab(bytes, view)) return std::nullopt;
   return view;
 }
 

@@ -38,8 +38,11 @@
 // a corrupt inner frame never takes down its slab-mates. It is total like
 // decode(): any malformation yields nullopt. The explicit frame count means
 // no strict prefix of a slab parses, so truncation is detected before any
-// frame is touched. The `ShardSlab` names date from when only the shard
-// engine sent slabs; the format is the same on every wire.
+// frame is touched, and a frame count the bytes cannot hold (every entry
+// takes at least three) is rejected before anything is reserved for it; a
+// receiver that parses many slabs refills one caller-owned ShardSlabView.
+// The `ShardSlab` names date from when only the shard engine sent slabs;
+// the format is the same on every wire.
 #pragma once
 
 #include <cstddef>
@@ -134,9 +137,17 @@ struct ShardSlabView {
   std::vector<Entry> entries;
 };
 
-/// Structurally parse a slab. Total: nullopt on bad magic, malformed
-/// header, a frame count that disagrees with the body, zero frames,
-/// zero-length or overlong frame prefixes, or trailing bytes.
+/// Structurally parse a slab into a caller-owned view, reusing its entry
+/// storage (one reservation per slab, none once the view has grown). Total:
+/// false on bad magic, malformed header, a frame count that disagrees with
+/// the body (or that the remaining bytes could not hold, at three bytes per
+/// entry at least — rejected before any reservation), zero frames,
+/// zero-length or overlong frame prefixes, or trailing bytes. On false the
+/// view's contents are unspecified.
+[[nodiscard]] bool parse_shard_slab(std::span<const std::byte> bytes, ShardSlabView& view);
+
+/// The same parse into a fresh view: nullopt where the overload above
+/// returns false.
 [[nodiscard]] std::optional<ShardSlabView> parse_shard_slab(std::span<const std::byte> bytes);
 
 // ---------------------------------------------------------- mesh peering --

@@ -2,6 +2,7 @@
 // robustness against malformed frames (a Byzantine peer controls the bytes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 #include <memory>
@@ -432,6 +433,58 @@ TEST(CodecShardSlab, StructuralRejects) {
   put_varint(0, zero_len);  // broadcast tag
   put_varint(0, zero_len);  // zero length — rejected
   EXPECT_FALSE(parse_shard_slab(zero_len).has_value());
+}
+
+TEST(CodecShardSlab, FrameCountTheBytesCannotHoldIsRejected) {
+  // Every entry takes at least three bytes (tag, length, one frame byte), so
+  // a count the remaining bytes cannot hold is rejected before the parser
+  // reserves anything for it — a hostile count must not size an allocation.
+  const auto minimal_slab = [](std::uint64_t count, std::size_t entries) {
+    Frame bytes;
+    bytes.push_back(std::byte{kShardSlabMagic});
+    put_varint(1, bytes);  // shard
+    put_varint(5, bytes);  // round
+    put_varint(count, bytes);
+    for (std::size_t i = 0; i < entries; ++i) {
+      put_varint(0, bytes);  // broadcast tag
+      put_varint(1, bytes);  // one-byte frame
+      bytes.push_back(std::byte{0x42});
+    }
+    return bytes;
+  };
+  ShardSlabView view;
+  const Frame exact = minimal_slab(4, 4);
+  ASSERT_TRUE(parse_shard_slab(exact, view));
+  EXPECT_EQ(view.entries.size(), 4u);
+  EXPECT_TRUE(parse_shard_slab(exact).has_value());
+
+  for (const std::uint64_t count :
+       {std::uint64_t{5}, std::uint64_t{1} << 40, std::numeric_limits<std::uint64_t>::max()}) {
+    const Frame hostile = minimal_slab(count, 4);
+    EXPECT_FALSE(parse_shard_slab(hostile, view)) << "count " << count;
+    EXPECT_FALSE(parse_shard_slab(hostile).has_value()) << "count " << count;
+  }
+}
+
+TEST(CodecShardSlab, CallerOwnedViewIsRefilledNotAppended) {
+  // One view serves every slab of a run: each parse replaces the entries
+  // and the header, and agrees with the by-value parse.
+  ShardSlabView view;
+  const Frame larger = build_shard_slab(2, 17, shard_sample_messages());
+  ASSERT_TRUE(parse_shard_slab(larger, view));
+  ASSERT_EQ(view.entries.size(), 3u);
+
+  std::vector<RoutedMessage> one = shard_sample_messages();
+  one.resize(1);
+  const Frame smaller = build_shard_slab(1, 18, one);
+  ASSERT_TRUE(parse_shard_slab(smaller, view));
+  const auto fresh = parse_shard_slab(smaller);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(view.shard, fresh->shard);
+  EXPECT_EQ(view.round, fresh->round);
+  ASSERT_EQ(view.entries.size(), fresh->entries.size());
+  EXPECT_EQ(view.entries[0].to, fresh->entries[0].to);
+  EXPECT_TRUE(std::ranges::equal(view.entries[0].frame, fresh->entries[0].frame));
 }
 
 TEST(CodecShardSlab, LegacyFormatsAndShardSlabsAreMutuallyUnparseable) {

@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <variant>
@@ -493,12 +495,18 @@ struct InProcessFleet {
     }
   }
 
-  void run_round() {
+  /// `inspect`, when given, sees each worker's outbound slabs right after
+  /// its begin_round().
+  void run_round(const std::function<void(const ShardWorker&,
+                                          std::span<const ShardWorker::OutboundSlab>)>&
+                     inspect = {}) {
     const std::uint32_t shards = static_cast<std::uint32_t>(workers.size());
     // Copy the slabs out: a worker's slab spans die on its next begin_round.
     std::vector<std::vector<std::vector<std::byte>>> inbox(shards);
     for (auto& worker : workers) {
-      for (const ShardWorker::OutboundSlab& slab : worker->begin_round()) {
+      const std::vector<ShardWorker::OutboundSlab> out = worker->begin_round();
+      if (inspect) inspect(*worker, out);
+      for (const ShardWorker::OutboundSlab& slab : out) {
         ASSERT_LT(slab.dest, shards);
         inbox[slab.dest].emplace_back(slab.bytes.begin(), slab.bytes.end());
       }
@@ -627,6 +635,111 @@ TEST(ShardWorkerParity, TotalOrderCanonicalTraceMatchesSingleProcessAtThreeShard
   const std::string reference = single.recorder->canonical_jsonl();
   ASSERT_FALSE(reference.empty());
   EXPECT_EQ(fleet.canonical, reference);
+}
+
+std::string read_scenario(const std::string& name) {
+  std::ifstream in(std::string(IDONLY_SCENARIO_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << name;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(ShardWorker, RunOfByteEqualFramesDecodesToOneWrap) {
+  // A two-faced sender's side gets one content as one unicast per
+  // receiver: the peer decodes and wraps that run once. +0.0 and -0.0
+  // compare equal but encode differently, so they must not share a wrap.
+  ShardInit init;
+  init.shard = 0;
+  init.shards = 2;
+  init.script_text = kPlainConsensusScript;
+  ShardWorker worker(init);
+  (void)worker.begin_round();  // a peer slab carries the worker's round, 1
+
+  const Message face{.sender = 40, .kind = MsgKind::kInput, .value = Value::real(1.0)};
+  const Message plus{.sender = 40, .kind = MsgKind::kInput, .value = Value::real(0.0)};
+  const Message minus{.sender = 40, .kind = MsgKind::kInput, .value = Value::real(-0.0)};
+  constexpr std::size_t kRun = 5;
+  std::vector<std::pair<std::optional<NodeId>, Message>> routed;
+  for (std::size_t i = 0; i < kRun; ++i) routed.emplace_back(NodeId{i + 1}, face);
+  routed.emplace_back(NodeId{10}, plus);
+  routed.emplace_back(NodeId{11}, minus);
+  routed.emplace_back(std::nullopt, minus);
+  ShardSlabWriter writer;
+  writer.reset(1, worker.round());
+  for (const auto& [to, msg] : routed) writer.add(to, msg);
+  const std::vector<std::byte> slab(writer.bytes().begin(), writer.bytes().end());
+
+  std::vector<SyncSimulator::Send> stream;
+  ASSERT_TRUE(worker.decode_peer_slab(slab, stream)) << worker.error();
+  ASSERT_EQ(stream.size(), routed.size());
+  const auto cell = [&](std::size_t i) { return &stream[i].ref.get(); };
+  for (std::size_t i = 1; i < kRun; ++i) EXPECT_EQ(cell(i), cell(0)) << "send " << i;
+  EXPECT_NE(cell(kRun), cell(kRun - 1));
+  EXPECT_NE(cell(kRun + 1), cell(kRun)) << "+0.0 and -0.0 share a wrap";
+  EXPECT_EQ(cell(kRun + 2), cell(kRun + 1));
+
+  // Every decoded message is the per-frame decode, down to the bits.
+  const auto view = parse_shard_slab(slab);
+  ASSERT_TRUE(view.has_value());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(stream[i].to, routed[i].first) << "send " << i;
+    const auto decoded = decode(view->entries[i].frame);
+    ASSERT_TRUE(decoded.has_value()) << "send " << i;
+    EXPECT_EQ(stream[i].ref.get(), *decoded) << "send " << i;
+    EXPECT_EQ(encode(stream[i].ref.get()), encode(*decoded)) << "send " << i;
+  }
+  const ShardResult result = worker.finalize();
+  EXPECT_EQ(result.wire_faults.truncations, 0u);
+  EXPECT_EQ(result.wire_faults.corrupts, 0u);
+}
+
+TEST(ShardWorker, OutboundSlabsAreByteIdenticalToPerSendEncoding) {
+  // A worker encodes each wrap once and reuses the frame for the wrap's
+  // other sends and peers. Its slabs must be exactly what encoding every
+  // local send on its own with ShardSlabWriter::add produces.
+  const std::string scripts[] = {read_scenario("totalorder_churn_twofaced.scn"),
+                                 kPlainConsensusScript};
+  for (const std::string& text : scripts) {
+    constexpr std::uint32_t kShards = 3;
+    const ScenarioScript script = parse_or_die(text);
+    const ShardPlan plan = ShardPlan::build(make_scenario(script.config).all_ids(), kShards);
+    InProcessFleet fleet(text, kShards, /*want_trace=*/false);
+    std::size_t slabs = 0;
+    std::size_t repeated_frames = 0;
+    const auto check = [&](const ShardWorker& worker,
+                           std::span<const ShardWorker::OutboundSlab> out) {
+      std::vector<ShardSlabWriter> expected(kShards);
+      for (ShardSlabWriter& writer : expected) writer.reset(worker.shard(), worker.round());
+      worker.engine().for_each_local_send([&](const SyncSimulator::Send& send) {
+        for (std::uint32_t s = 0; s < kShards; ++s) {
+          if (s == worker.shard()) continue;
+          if (!send.to.has_value() || plan.owner(*send.to) == s) {
+            expected[s].add(send.to, send.ref.get());
+          }
+        }
+      });
+      std::size_t nonempty = 0;
+      for (const ShardSlabWriter& writer : expected) nonempty += writer.empty() ? 0 : 1;
+      ASSERT_EQ(out.size(), nonempty) << "round " << worker.round();
+      for (const ShardWorker::OutboundSlab& slab : out) {
+        ASSERT_LT(slab.dest, kShards);
+        EXPECT_TRUE(std::ranges::equal(slab.bytes, expected[slab.dest].bytes()))
+            << "shard " << worker.shard() << " to " << slab.dest << ", round "
+            << worker.round();
+        const auto view = parse_shard_slab(slab.bytes);
+        ASSERT_TRUE(view.has_value());
+        for (std::size_t i = 1; i < view->entries.size(); ++i) {
+          repeated_frames +=
+              std::ranges::equal(view->entries[i].frame, view->entries[i - 1].frame) ? 1 : 0;
+        }
+        slabs += 1;
+      }
+    };
+    for (Round r = 0; r < 40; ++r) fleet.run_round(check);
+    EXPECT_GT(slabs, 0u);
+    // Both scripts' two-faced senders repeat a content to several receivers
+    // of one peer, which is the shared-frame path.
+    EXPECT_GT(repeated_frames, 0u);
+  }
 }
 
 std::vector<std::string> sorted(std::vector<std::string> lines) {
@@ -933,9 +1046,8 @@ TEST(RunDist, SplicedRingsThatEvictMatchTheSingleProcessTrace) {
   // The shipped totalorder script overflows the recorder's per-node rings:
   // the coordinator must splice rings that have already evicted records,
   // keeping each ring's eviction count and capture seqs.
-  std::ifstream in(std::string(IDONLY_SCENARIO_DIR) + "/totalorder_churn_twofaced.scn");
-  ASSERT_TRUE(in.good());
-  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  const std::string text = read_scenario("totalorder_churn_twofaced.scn");
+  ASSERT_FALSE(text.empty());
   const SingleRun single = run_single_process(text);
   DistConfig config;
   config.script_text = text;
