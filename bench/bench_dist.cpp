@@ -9,7 +9,8 @@
 //
 // Each measurement is a FULL fleet lifecycle — fork the workers, run the
 // scripted rounds, collect results, reap — so the figure honestly includes
-// the per-run fork/handshake overhead, not just the steady-state round rate.
+// the per-run fork and worker-build overhead, not just the steady-state
+// round rate.
 // Every cell is measured kRepeats times and the artifact records the
 // MEDIAN of each figure (stdout also prints the min–max range): single
 // measurements of one binary spread further than the perf-smoke gate's

@@ -24,8 +24,7 @@
 // --threads N runs the round engine on N worker threads (1 to
 // cli::kMaxThreads; anything else is a usage error); the run — and its
 // trace export — is bit-identical for every N (CI diffs them to prove it).
-// --rb NAME overrides the script's reliable-broadcast backend (alg1 | imbs,
-// rb protocol only) — the backend-ablation sweeps reuse one script file.
+// The reliable-broadcast backend is the script's own `rb alg1|imbs` keyword.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,16 +57,9 @@ int main(int argc, char** argv) {
   bool print_metrics = false;
   unsigned threads = 1;
   std::optional<std::uint64_t> seed_override;
-  std::optional<RbBackendKind> rb_override;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed_override = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--rb") == 0 && i + 1 < argc) {
-      rb_override = parse_rb_backend(argv[++i]);
-      if (!rb_override.has_value()) {
-        std::fprintf(stderr, "--rb: unknown backend '%s' (alg1 | imbs)\n", argv[i]);
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       const auto value = cli::parse_flag("--threads", argv[++i], 1, cli::kMaxThreads);
       if (!value.has_value()) return 2;
@@ -89,7 +81,7 @@ int main(int argc, char** argv) {
   }
   if (path == nullptr) {
     std::fprintf(stderr,
-                 "usage: scenario_sim <script-file> [--seed N] [--rb alg1|imbs] [--threads N] "
+                 "usage: scenario_sim <script-file> [--seed N] [--threads N] "
                  "[--trace PATH] [--trace-canonical PATH] [--trace-chrome PATH] [--metrics]\n");
     return 2;
   }
@@ -108,13 +100,6 @@ int main(int argc, char** argv) {
   }
   auto& script = std::get<ScenarioScript>(parsed);
   if (seed_override.has_value()) script.config.seed = *seed_override;
-  if (rb_override.has_value()) {
-    if (script.protocol != ScriptProtocol::kRb) {
-      std::fprintf(stderr, "--rb is only meaningful for rb-protocol scripts\n");
-      return 2;
-    }
-    script.rb_backend = *rb_override;
-  }
   ScriptOptions options;
   options.threads = threads;
   if (trace_path != nullptr || canonical_path != nullptr || chrome_path != nullptr) {

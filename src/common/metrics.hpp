@@ -30,6 +30,14 @@ struct MessageCounters {
 
   [[nodiscard]] std::uint64_t total_sent() const noexcept;
   [[nodiscard]] std::uint64_t total_delivered() const noexcept;
+
+  MessageCounters& operator+=(const MessageCounters& other) {
+    for (std::size_t k = 0; k < kKinds; ++k) {
+      sent[k] += other.sent[k];
+      delivered[k] += other.delivered[k];
+    }
+    return *this;
+  }
 };
 
 /// Fan-out accounting for the mailbox layer (net/mailbox.hpp): how much

@@ -71,24 +71,6 @@ std::string describe_exit(int status) {
   return "status " + std::to_string(status);
 }
 
-/// Extra polling periods a silent worker is granted after its base timeout
-/// before it counts as wedged.
-constexpr std::size_t kWedgeGraceRetries = 1;
-
-/// Receive one frame with the wedge budget: the base timeout plus
-/// kWedgeGraceRetries grace retries (restarting a deterministic shard
-/// mid-round is meaningless, so a spent budget retires the run).
-RecvStatus recv_with_grace(int fd, ShardMsgType& type, std::vector<std::byte>& payload,
-                           int timeout_ms) {
-  const std::size_t attempts = 1 + kWedgeGraceRetries;
-  RecvStatus status = RecvStatus::kTimeout;
-  for (std::size_t i = 0; i < attempts; ++i) {
-    status = recv_frame(fd, type, payload, timeout_ms);
-    if (status != RecvStatus::kTimeout) return status;
-  }
-  return status;
-}
-
 DistRun infra_failure(std::string message) {
   DistRun run;
   run.infra_ok = false;
@@ -132,9 +114,7 @@ DistRun fleet_failure(Fleet& fleet, const Worker& worker, RecvStatus status,
   if (status == RecvStatus::kEof) {
     report = died(worker);
   } else if (status == RecvStatus::kTimeout) {
-    report = worker_name(worker) + " wedged " + when +
-             " (no reply; watchdog grace budget of " +
-             std::to_string(kWedgeGraceRetries) + " retries exhausted)";
+    report = worker_name(worker) + " wedged " + when + " (no reply within the wedge timeout)";
   } else if (status == RecvStatus::kError) {
     report = worker_name(worker) + " socket error " + when;
   }
@@ -247,7 +227,15 @@ DistRun run_dist(const DistConfig& config) {
           }
         }
       }
-      ::_exit(run_worker_loop(control[s][1], std::move(mesh_fd[s])));
+      // The child already holds the script and options: it builds its slice
+      // from them, with no start-up exchange.
+      ShardInit init;
+      init.shard = s;
+      init.shards = shards;
+      init.want_trace = config.want_trace;
+      init.crash_at_round = s == config.crash_shard ? config.crash_at_round : 0;
+      init.script_text = config.script_text;
+      ::_exit(run_worker_loop(init, control[s][1], std::move(mesh_fd[s])));
     }
     fleet.workers[s] = Worker{s, pid, -1, false, 0};
   }
@@ -262,38 +250,6 @@ DistRun run_dist(const DistConfig& config) {
       if (fd >= 0) ::close(fd);
       fd = -1;
     }
-  }
-
-  const std::string initialising = "during initialisation";
-  for (Worker& worker : fleet.workers) {
-    ShardInit init;
-    init.shard = worker.shard;
-    init.shards = shards;
-    init.want_trace = config.want_trace;
-    init.crash_at_round = worker.shard == config.crash_shard ? config.crash_at_round : 0;
-    init.script_text = config.script_text;
-    if (!send_frame(worker.fd, ShardMsgType::kInit, encode_init(init))) {
-      return fleet_failure(fleet, worker, RecvStatus::kEof, initialising);
-    }
-  }
-  std::size_t total_members = 0;
-  for (Worker& worker : fleet.workers) {
-    ShardMsgType type{};
-    std::vector<std::byte> payload;
-    const RecvStatus status = recv_with_grace(worker.fd, type, payload, config.wedge_timeout_ms);
-    if (status != RecvStatus::kOk) return fleet_failure(fleet, worker, status, initialising);
-    if (type == ShardMsgType::kError) {
-      return reported_failure(fleet, worker, payload, initialising);
-    }
-    if (type != ShardMsgType::kHello) return protocol_failure(fleet, worker, initialising);
-    ByteReader r(payload);
-    (void)r.u32();
-    total_members += r.u64();
-  }
-  if (total_members != scenario.n()) {
-    fleet.kill_all();
-    return infra_failure("shard plan mismatch: workers own " + std::to_string(total_members) +
-                        " processes, scenario has " + std::to_string(scenario.n()));
   }
 
   // ----------------------------------------------------------- round loop --
@@ -318,17 +274,15 @@ DistRun run_dist(const DistConfig& config) {
   Round round = 0;
   std::optional<DistRun> failed;
 
-  const auto broadcast_step = [&](Round r) -> bool {
+  // A send fails only to a worker that has exited. Its last words — a
+  // kError (a construction failure included) or EOF — are already on its
+  // socket, so the harvest that always follows a send reads and reports
+  // them.
+  const auto broadcast_step = [&](Round r) {
     // The coordinator's churn stream must advance once per STEPPED round —
     // the workers apply the same events inside begin_round().
     churn.apply(r, null_factory, null_add, null_remove);
-    for (Worker& worker : fleet.workers) {
-      if (!send_frame(worker.fd, ShardMsgType::kStep, {})) {
-        failed = fleet_failure(fleet, worker, RecvStatus::kEof, "in round " + std::to_string(r));
-        return false;
-      }
-    }
-    return true;
+    for (Worker& worker : fleet.workers) (void)send_frame(worker.fd, ShardMsgType::kStep, {});
   };
 
   // One full round of kStatus replies, in worker order. Statuses carry no
@@ -340,8 +294,7 @@ DistRun run_dist(const DistConfig& config) {
     for (Worker& worker : fleet.workers) {
       ShardMsgType type{};
       std::vector<std::byte> payload;
-      const RecvStatus status =
-          recv_with_grace(worker.fd, type, payload, config.wedge_timeout_ms);
+      const RecvStatus status = recv_frame(worker.fd, type, payload, config.wedge_timeout_ms);
       if (status != RecvStatus::kOk) {
         failed = fleet_failure(fleet, worker, status, when);
         return false;
@@ -374,7 +327,7 @@ DistRun run_dist(const DistConfig& config) {
   while (round < limits.budget && !loop_finished(script, churn.tracked(), done)) {
     while (stepped < std::min<Round>(round + lookahead, limits.budget)) {
       stepped += 1;
-      if (!broadcast_step(stepped)) return *std::move(failed);
+      broadcast_step(stepped);
     }
     if (!harvest_statuses(round + 1)) return *std::move(failed);
   }
@@ -382,15 +335,11 @@ DistRun run_dist(const DistConfig& config) {
   // -------------------------------------------------------------- results --
   const std::string finalizing = "while finalizing";
   std::vector<ShardResult> results;
-  for (Worker& worker : fleet.workers) {
-    if (!send_frame(worker.fd, ShardMsgType::kFinish, {})) {
-      return fleet_failure(fleet, worker, RecvStatus::kEof, finalizing);
-    }
-  }
+  for (Worker& worker : fleet.workers) (void)send_frame(worker.fd, ShardMsgType::kFinish, {});
   for (Worker& worker : fleet.workers) {
     ShardMsgType type{};
     std::vector<std::byte> payload;
-    const RecvStatus status = recv_with_grace(worker.fd, type, payload, config.wedge_timeout_ms);
+    const RecvStatus status = recv_frame(worker.fd, type, payload, config.wedge_timeout_ms);
     if (status != RecvStatus::kOk) return fleet_failure(fleet, worker, status, finalizing);
     auto result = type == ShardMsgType::kResult ? decode_result(payload) : std::nullopt;
     if (!result.has_value()) {
@@ -423,10 +372,7 @@ DistRun run_dist(const DistConfig& config) {
   if (config.want_trace) run.trace = std::make_shared<TraceRecorder>(TraceEngine::kSync);
   for (std::size_t w = 0; w < results.size(); ++w) {
     ShardResult& result = results[w];
-    for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
-      metrics.messages.sent[k] += result.metrics.messages.sent[k];
-      metrics.messages.delivered[k] += result.metrics.messages.delivered[k];
-    }
+    metrics.messages += result.metrics.messages;
     metrics.fanout += result.metrics.fanout;
     metrics.overlap += result.metrics.overlap;
     metrics.rounds_executed = std::max(metrics.rounds_executed, result.metrics.rounds_executed);

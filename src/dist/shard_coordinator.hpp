@@ -5,9 +5,12 @@
 // One data plane (DESIGN.md §12): the coordinator plumbs one AF_UNIX
 // socketpair per shard PAIR at fork time and the workers exchange the
 // round's slabs peer-to-peer (dist/shard_mesh.hpp); a single shard has no
-// pairs and its worker steps and merges with zero peers. The coordinator is
-// a pure CONTROL plane — round pacing, the early-exit policy, the crash
-// watchdog, and the merged counters; no slab byte transits it. For rb and
+// pairs and its worker steps and merges with zero peers. Each forked child
+// builds its worker from the script and options it already holds, so the
+// first control frame is round 1's kStep — there is no start-up exchange,
+// on the control plane or the mesh. The coordinator is a pure CONTROL
+// plane — round pacing, the early-exit policy, the crash watchdog, and the
+// merged counters; no slab byte transits it. For rb and
 // totalorder (round count data-independent) it runs the round loop with
 // lookahead 2: kStep r+1 is broadcast before round r's statuses are
 // harvested, so workers double-buffer rounds instead of barriering on the
@@ -32,12 +35,12 @@
 // the worker that died on its own (not by the SIGKILL, not with the exit
 // after a kError it sent), whichever socket reported the failure first: a
 // crash shows up on the mesh too, as a survivor's kError naming its dead
-// peer, and that report is appended. A silent worker is granted one extra
-// polling grace period (the coordinator's kWedgeGraceRetries) before it
-// counts as wedged — restarting a deterministic shard mid-round is
-// meaningless, so a spent grace budget retires the run. There is
-// deliberately no partial-result path: a run missing one shard's traffic
-// would be a DIFFERENT run, silently.
+// peer, and that report is appended. A worker whose reply has not arrived
+// whole within one wedge timeout (DistConfig::wedge_timeout_ms) counts as
+// wedged — restarting a deterministic shard mid-round is meaningless, so
+// the timeout retires the run. There is deliberately no partial-result
+// path: a run missing one shard's traffic would be a DIFFERENT run,
+// silently.
 //
 // Determinism: the coordinator splices every worker's per-node trace rings
 // into one TraceRecorder (absorb_ring), so for the same script and seed
@@ -67,9 +70,9 @@ struct DistConfig {
   /// Read by nothing: every run exchanges slabs over the worker mesh. Kept
   /// only because bench/suite/runs.cpp assigns it (ROADMAP item 8).
   bool mesh = true;
-  /// Whole-frame receive budget per worker reply before the worker counts
-  /// as wedged (then the grace retries start).
-  int wedge_timeout_ms = 60000;
+  /// Whole-frame receive budget per worker reply; a worker that has not
+  /// sent its whole reply by then counts as wedged.
+  int wedge_timeout_ms = 120000;
   /// Test hook: worker `crash_shard` dies abruptly before executing round
   /// `crash_at_round` (0 = never). The run must fail cleanly, not hang.
   Round crash_at_round = 0;

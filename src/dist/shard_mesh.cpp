@@ -30,8 +30,7 @@ void append_frame(std::vector<std::byte>& out, std::span<const std::byte> payloa
 
 }  // namespace
 
-MeshExchange::MeshExchange(std::uint32_t shard, std::uint32_t shards, std::vector<int> peer_fds)
-    : shard_(shard), shards_(shards) {
+MeshExchange::MeshExchange(std::uint32_t shard, std::vector<int> peer_fds) : shard_(shard) {
   for (std::uint32_t s = 0; s < peer_fds.size(); ++s) {
     const int fd = peer_fds[s];
     if (s == shard || fd < 0) continue;
@@ -42,7 +41,6 @@ MeshExchange::MeshExchange(std::uint32_t shard, std::uint32_t shards, std::vecto
     peer.fd = fd;
     peers_.push_back(std::move(peer));
   }
-  peer_count_ = peers_.size();
 }
 
 MeshExchange::~MeshExchange() {
@@ -54,20 +52,8 @@ MeshExchange::~MeshExchange() {
 
 bool MeshExchange::route_frame(Peer& peer, std::vector<std::byte> payload, std::string& error) {
   const auto peer_name = "mesh peer shard " + std::to_string(peer.shard);
-  if (!handshaken_) {
-    // Only a well-formed hello that echoes this topology admits the peer;
-    // anything else rejects it before any slab from it would be parsed.
-    const auto hello = parse_peer_hello(payload);
-    if (!hello.has_value() || hello->shard != peer.shard || hello->shards != shards_ ||
-        peer.hello_seen) {
-      error = peer_name + " sent a bad handshake";
-      return false;
-    }
-    peer.hello_seen = true;
-    return true;
-  }
-  // Data plane: a slab or an empty-round beacon, exactly one per
-  // round, rounds strictly ascending and at most one ahead of ours.
+  // A slab or an empty-round beacon, exactly one per round, rounds strictly
+  // ascending and at most one ahead of ours.
   if (payload.empty()) {
     error = peer_name + " sent an empty mesh frame";
     return false;
@@ -187,43 +173,10 @@ bool MeshExchange::flush_and_drain(std::string& error) {
   }
 }
 
-bool MeshExchange::handshake(std::string& error) {
-  if (peer_count_ + 1 != shards_) {
-    error = "mesh wiring mismatch: shard " + std::to_string(shard_) + " holds " +
-            std::to_string(peer_count_) + " peer sockets for " + std::to_string(shards_) +
-            " shards";
-    return false;
-  }
-  const std::vector<std::byte> hello = encode_peer_hello(shard_, shards_);
-  for (Peer& peer : peers_) append_frame(peer.out, hello);
-  // Everyone writes first, then reads: the hellos are tiny, so the kernel
-  // buffers absorb them and the symmetric exchange cannot deadlock.
-  for (;;) {
-    if (!flush_and_drain(error)) return false;
-    bool all = true;
-    for (const Peer& peer : peers_) all = all && peer.hello_seen;
-    if (all) break;
-    std::vector<pollfd> pfds;
-    for (const Peer& peer : peers_) {
-      if (!peer.hello_seen) pfds.push_back({peer.fd, POLLIN, 0});
-    }
-    const int ready = ::poll(pfds.data(), pfds.size(), -1);
-    if (ready < 0 && errno != EINTR) {
-      error = "mesh poll failed during handshake";
-      return false;
-    }
-    for (Peer& peer : peers_) {
-      if (!peer.hello_seen && !drain(peer, error)) return false;
-    }
-  }
-  handshaken_ = true;
-  return true;
-}
-
 bool MeshExchange::post_round(Round round,
                               std::span<const std::span<const std::byte>> payload_by_shard,
                               std::string& error) {
-  if (!handshaken_ || round != current_round_ + 1) {
+  if (round != current_round_ + 1) {
     error = "mesh post_round called out of order";
     return false;
   }
@@ -270,7 +223,7 @@ bool MeshExchange::collect_round(Round round, const PayloadSink& sink, std::stri
       staged.payload.clear();
       staged.payload.shrink_to_fit();
     }
-    if (slot.arrived == peer_count_) break;
+    if (slot.arrived == peers_.size()) break;
     // Opportunistic pass first: anything already in the kernel buffers does
     // not count as stall.
     const std::size_t before = slot.arrived;

@@ -5,14 +5,16 @@
 // fork time; each worker keeps the ends that involve it and exchanges the
 // round's slabs (net/codec.hpp, 0xAC — the one slab format, also the UDP
 // runtime's) peer-to-peer, so no slab byte ever transits the coordinator. A
-// single-shard run has zero peers: the handshake, posts and collects
-// complete at once. Mesh framing is minimal: `u32 LE payload length +
-// payload`, where the payload is a peer hello (0xAD, handshake), a slab, or
-// an empty-round beacon (0xAE, a bare slab header). Slab and beacon are
-// routed by the codec's one header reader (read_slab_header). Every peer
-// sends EXACTLY ONE frame per round (slab or beacon), which is what lets the
-// receiver tell "nothing for me this round" from "still in flight" without a
-// barrier.
+// single-shard run has zero peers: posts and collects complete at once.
+// Mesh framing is minimal: `u32 LE payload length + payload`, where the
+// payload is a slab or an empty-round beacon (0xAE, a bare slab header).
+// Slab and beacon are routed by the codec's one header reader
+// (read_slab_header). Every peer sends EXACTLY ONE frame per round (slab or
+// beacon), which is what lets the receiver tell "nothing for me this round"
+// from "still in flight" without a barrier. There is no start-up exchange:
+// the coordinator wires every socket before the fork, and each frame's
+// header names its sender shard and round, so a frame from the wrong shard
+// or out of round order is rejected before any slab body is parsed.
 //
 // Overlap model (double-buffered rounds):
 //   * post_round() frames this round's outbound payloads and drives them
@@ -55,18 +57,14 @@ class MeshExchange {
  public:
   /// `peer_fds` is indexed by shard id; entry `shard` (self) and absent
   /// peers are -1. Takes ownership of the fds (closed on destruction) and
-  /// switches them to non-blocking mode.
-  MeshExchange(std::uint32_t shard, std::uint32_t shards, std::vector<int> peer_fds);
+  /// switches them to non-blocking mode. The caller checks peer_count()
+  /// against its shard count: a missing socket would silently drop that
+  /// shard's traffic.
+  MeshExchange(std::uint32_t shard, std::vector<int> peer_fds);
   ~MeshExchange();
 
   MeshExchange(const MeshExchange&) = delete;
   MeshExchange& operator=(const MeshExchange&) = delete;
-
-  /// Exchange peer hellos (net/codec.hpp, 0xAD) with every peer and verify
-  /// each one echoes the expected shard id and total shard count. A garbled
-  /// or mismatched hello rejects the PEER before any slab from it would be
-  /// parsed. False on failure (`error` explains).
-  [[nodiscard]] bool handshake(std::string& error);
 
   /// Post round `round`'s outbound payload to every peer: entry `s` of
   /// `payload_by_shard` is the slab for shard s (empty → an empty-round
@@ -91,7 +89,7 @@ class MeshExchange {
   [[nodiscard]] bool collect_round(Round round, const PayloadSink& sink, std::string& error);
 
   [[nodiscard]] const OverlapCounters& counters() const noexcept { return counters_; }
-  [[nodiscard]] std::size_t peer_count() const noexcept { return peer_count_; }
+  [[nodiscard]] std::size_t peer_count() const noexcept { return peers_.size(); }
 
  private:
   struct Peer {
@@ -105,7 +103,6 @@ class MeshExchange {
     std::size_t in_pos = 0;
     /// Highest round this peer has sent a frame for (one frame per round).
     Round last_round = 0;
-    bool hello_seen = false;
   };
 
   struct Staged {
@@ -121,17 +118,14 @@ class MeshExchange {
   };
 
   /// Drain whatever is readable on `peer` without blocking; slices complete
-  /// frames and routes them (hello during handshake, slab/beacon after).
+  /// frames and routes them to the staging area.
   [[nodiscard]] bool drain(Peer& peer, std::string& error);
   [[nodiscard]] bool route_frame(Peer& peer, std::vector<std::byte> payload, std::string& error);
   [[nodiscard]] bool flush_and_drain(std::string& error);
 
   std::uint32_t shard_ = 0;
-  std::uint32_t shards_ = 1;
   std::vector<Peer> peers_;  // peers only, ascending shard id
-  std::size_t peer_count_ = 0;
   Round current_round_ = 0;  // round of the last post_round()
-  bool handshaken_ = false;
   /// Per-round staging, keyed by round. Holds at most the current round and
   /// the next (the ≤1-round skew bound).
   std::map<Round, Slot> staged_;

@@ -64,8 +64,8 @@ RecvStatus recv_all(int fd, std::byte* data, std::size_t size,
   return RecvStatus::kOk;
 }
 
-/// Control payloads top out at one round's cross-shard traffic plus the
-/// final trace shipment; 1 GiB is a generous sanity bound, not a tuning knob.
+/// Control payloads top out at the final trace shipment; 1 GiB is a
+/// generous sanity bound, not a tuning knob.
 constexpr std::uint32_t kMaxPayload = 1u << 30;
 
 }  // namespace
@@ -124,11 +124,6 @@ void ByteWriter::str(const std::string& v) {
   buf_.insert(buf_.end(), data, data + v.size());
 }
 
-void ByteWriter::blob(std::span<const std::byte> v) {
-  u64(v.size());
-  buf_.insert(buf_.end(), v.begin(), v.end());
-}
-
 bool ByteReader::take(std::size_t n) noexcept {
   if (failed_ || data_.size() - pos_ < n) {
     failed_ = true;
@@ -171,38 +166,7 @@ std::string ByteReader::str() {
   return out;
 }
 
-std::vector<std::byte> ByteReader::blob() {
-  const std::uint64_t n = u64();
-  if (!take(n)) return {};
-  std::vector<std::byte> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
 // ------------------------------------------------------ typed payloads --
-
-std::vector<std::byte> encode_init(const ShardInit& init) {
-  ByteWriter w;
-  w.u32(init.shard);
-  w.u32(init.shards);
-  w.u8(init.want_trace ? 1 : 0);
-  w.i64(init.crash_at_round);
-  w.str(init.script_text);
-  return w.take();
-}
-
-std::optional<ShardInit> decode_init(std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  ShardInit init;
-  init.shard = r.u32();
-  init.shards = r.u32();
-  init.want_trace = r.u8() != 0;
-  init.crash_at_round = r.i64();
-  init.script_text = r.str();
-  if (!r.done() || init.shards == 0 || init.shard >= init.shards) return std::nullopt;
-  return init;
-}
 
 std::vector<std::byte> encode_status(const ShardStatus& status) {
   ByteWriter w;
@@ -328,7 +292,6 @@ std::pair<NodeId, NodeOutcome> decode_node(ByteReader& r) {
 
 std::vector<std::byte> encode_result(const ShardResult& result) {
   ByteWriter w;
-  w.i64(result.rounds);
   for (std::uint64_t v : result.metrics.messages.sent) w.u64(v);
   for (std::uint64_t v : result.metrics.messages.delivered) w.u64(v);
   w.u64(result.metrics.fanout.deliveries);
@@ -378,7 +341,6 @@ std::vector<std::byte> encode_result(const ShardResult& result) {
 std::optional<ShardResult> decode_result(std::span<const std::byte> payload) {
   ByteReader r(payload);
   ShardResult result;
-  result.rounds = r.i64();
   for (std::uint64_t& v : result.metrics.messages.sent) v = r.u64();
   for (std::uint64_t& v : result.metrics.messages.delivered) v = r.u64();
   result.metrics.fanout.deliveries = r.u64();

@@ -9,10 +9,10 @@
 // (dist/shard_mesh.hpp) in the one slab format (net/codec.hpp,
 // kShardSlabMagic), the same format the UDP runtime broadcasts.
 //
-// Round protocol (coordinator-driven; the worker is purely reactive):
+// Round protocol (coordinator-driven; the worker is purely reactive). There
+// is no start-up exchange: each forked worker builds its slice from the
+// ShardInit it inherits in memory, and the first kStep starts round 1.
 //
-//   coordinator → worker   kInit     script text + shard/shards + options
-//   worker → coordinator   kHello    shard + local member count
 //   per round:
 //     c → w  kStep         the worker runs the WHOLE round — membership
 //                          churn, the round's first half, its slabs posted
@@ -22,7 +22,9 @@
 //     w → c  kStatus       per local correct node: done flag
 //   c → w  kFinish         finalize
 //   w → c  kResult         ShardResult (node end states, metrics, trace rings)
-//   w → c  kError          fatal worker-side failure (detail = message)
+//   w → c  kError          fatal worker-side failure (detail = message),
+//                          construction failures included — the coordinator
+//                          reads it in place of the next reply it waits for
 //
 // The coordinator is a pure control plane: round pacing, the early-exit
 // policy, the crash watchdog, and the merged counters.
@@ -46,8 +48,6 @@
 namespace idonly {
 
 enum class ShardMsgType : std::uint8_t {
-  kInit = 1,
-  kHello = 2,
   kStep = 3,
   kStatus = 6,
   kFinish = 7,
@@ -82,7 +82,6 @@ class ByteWriter {
   void f64(double v);
   /// u64 length + raw bytes.
   void str(const std::string& v);
-  void blob(std::span<const std::byte> v);
 
   [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept { return buf_; }
   [[nodiscard]] std::vector<std::byte> take() noexcept { return std::move(buf_); }
@@ -104,7 +103,6 @@ class ByteReader {
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
-  [[nodiscard]] std::vector<std::byte> blob();
 
   [[nodiscard]] bool failed() const noexcept { return failed_; }
   /// True when the payload was consumed exactly (no trailing garbage).
@@ -120,9 +118,9 @@ class ByteReader {
 
 // ------------------------------------------------------ typed payloads --
 
-/// kInit: everything a worker needs to reconstruct its slice of the run.
-/// Shipping the script TEXT (not a path) keeps the worker independent of the
-/// coordinator's filesystem view and pins both ends to one parse.
+/// Everything a worker needs to reconstruct its slice of the run. The
+/// coordinator fills one per shard in the forked child, so it never crosses
+/// a socket; the script TEXT (not a path) pins every worker to one parse.
 struct ShardInit {
   std::uint32_t shard = 0;
   std::uint32_t shards = 1;
@@ -132,9 +130,6 @@ struct ShardInit {
   Round crash_at_round = 0;
   std::string script_text;
 };
-
-[[nodiscard]] std::vector<std::byte> encode_init(const ShardInit& init);
-[[nodiscard]] std::optional<ShardInit> decode_init(std::span<const std::byte> payload);
 
 /// kStatus: done flags for the worker's local correct nodes this round.
 struct ShardStatus {
@@ -146,7 +141,6 @@ struct ShardStatus {
 
 /// kResult: one worker's final state, everything the coordinator merges.
 struct ShardResult {
-  Round rounds = 0;
   Metrics metrics;
   bool has_chaos = false;
   ChaosCounters chaos;

@@ -45,10 +45,7 @@ ShardWorker::ShardWorker(const ShardInit& init) : shard_(init.shard), shards_(in
         return make_loop_process(script_, scenario_, id, index);
       },
       [&](std::unique_ptr<Process> process) {
-        if (plan_.owner(process->id()) == shard_) {
-          engine_.add_process(std::move(process));
-          initial_members_ += 1;
-        }
+        if (plan_.owner(process->id()) == shard_) engine_.add_process(std::move(process));
       });
   // Initial correct nodes report protocol events into the flight recorder
   // (the coordinator's monitor replays decisions from the results instead).
@@ -168,7 +165,6 @@ ShardStatus ShardWorker::status() {
 
 ShardResult ShardWorker::finalize() {
   ShardResult result;
-  result.rounds = engine_.round();
   result.metrics = engine_.metrics();
   if (chaos_ != nullptr) {
     result.has_chaos = true;
@@ -202,7 +198,7 @@ ShardResult ShardWorker::finalize() {
   return result;
 }
 
-int run_worker_loop(int fd, std::vector<int> peer_fds) {
+int run_worker_loop(const ShardInit& init, int fd, std::vector<int> peer_fds) {
   std::vector<std::byte> payload;
   ShardMsgType type{};
   const auto fail = [fd](const std::string& message) {
@@ -212,35 +208,26 @@ int run_worker_loop(int fd, std::vector<int> peer_fds) {
     return kWorkerFailedExit;
   };
 
-  if (recv_frame(fd, type, payload, -1) != RecvStatus::kOk || type != ShardMsgType::kInit) {
-    return kWorkerFailedExit;
-  }
-  const auto init = decode_init(payload);
-  if (!init.has_value()) return fail("malformed init payload");
   std::unique_ptr<ShardWorker> worker;
   try {
-    worker = std::make_unique<ShardWorker>(*init);
+    worker = std::make_unique<ShardWorker>(init);
   } catch (const std::exception& e) {
     return fail(e.what());
   }
-  // The mesh handshake runs BEFORE the kHello reply, so a bad peer wiring
-  // surfaces inside the coordinator's initialisation wait, not mid-round.
-  // One shard has zero peers: the handshake and every exchange are no-ops.
-  MeshExchange mesh(init->shard, init->shards, std::move(peer_fds));
-  {
-    std::string mesh_error;
-    if (!mesh.handshake(mesh_error)) return fail(mesh_error);
-    ByteWriter w;
-    w.u32(worker->shard());
-    w.u64(worker->member_count());
-    if (!send_frame(fd, ShardMsgType::kHello, w.bytes())) return kWorkerFailedExit;
+  // One shard has zero peers: every exchange is a no-op. A missing peer
+  // socket would silently drop that shard's traffic, so it fails the run.
+  MeshExchange mesh(init.shard, std::move(peer_fds));
+  if (mesh.peer_count() + 1 != init.shards) {
+    return fail("mesh wiring mismatch: shard " + std::to_string(init.shard) + " holds " +
+                std::to_string(mesh.peer_count()) + " peer sockets for " +
+                std::to_string(init.shards) + " shards");
   }
 
   for (;;) {
     if (recv_frame(fd, type, payload, -1) != RecvStatus::kOk) return kWorkerFailedExit;
     switch (type) {
       case ShardMsgType::kStep: {
-        if (init->crash_at_round > 0 && worker->round() + 1 >= init->crash_at_round) {
+        if (init.crash_at_round > 0 && worker->round() + 1 >= init.crash_at_round) {
           // Crash test hook: die without a word — no kError, no reply. The
           // coordinator must turn the resulting EOF into a clean failure,
           // and the peers must turn the mesh-socket EOF into kError, not a

@@ -15,8 +15,8 @@
 // of byte-equal frames once, so a remote two-faced run costs the receiving
 // shard per content, not per copy.
 //
-// The worker reconstructs the ENTIRE run description from the shipped
-// script text — scenario, chaos plan, churn stream — because the
+// The worker reconstructs the ENTIRE run description from the script text
+// it inherits at fork — scenario, chaos plan, churn stream — because the
 // determinism of the whole scheme rests on every worker deriving identical
 // plans from identical inputs:
 //
@@ -62,8 +62,6 @@ class ShardWorker {
 
   [[nodiscard]] std::uint32_t shard() const noexcept { return shard_; }
   [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
-  /// Local process count (initial slice, before churn).
-  [[nodiscard]] std::size_t member_count() const noexcept { return initial_members_; }
   [[nodiscard]] Round round() const noexcept { return engine_.round(); }
   /// This shard's engine slice, read-only (between begin_round() and
   /// merge_round() it lists the round's local sends).
@@ -128,7 +126,6 @@ class ShardWorker {
   ShardSlabView view_;                    // decode_peer_slab: reused across slabs
   std::vector<std::pair<NodeId, NodeOutcome>> departed_;  // end states of leavers
   FaultCounters wire_faults_;
-  std::size_t initial_members_ = 0;
   std::string error_;
 };
 
@@ -137,9 +134,12 @@ class ShardWorker {
 /// tells this exit (and its own SIGKILL) apart from a worker that died.
 inline constexpr int kWorkerFailedExit = 1;
 
-/// Child-side protocol loop: reads kInit, completes the mesh handshake,
-/// answers kHello, then executes coordinator commands until kFinish (reply
-/// kResult, return 0). Any protocol or worker failure sends kError when
+/// Child-side protocol loop, called right after fork with the ShardInit the
+/// coordinator filled in the child: builds the worker and its mesh, then
+/// executes coordinator commands until kFinish (reply kResult, return 0).
+/// There is no start-up exchange; a construction failure, or a mesh that
+/// does not hold one socket per peer shard, is reported as kError in place
+/// of the first kStatus. Any protocol or worker failure sends kError when
 /// possible and returns kWorkerFailedExit. Honors ShardInit::crash_at_round
 /// by dying abruptly (_exit(13)) before executing that round — the
 /// coordinator's crash-detection test hook.
@@ -148,6 +148,6 @@ inline constexpr int kWorkerFailedExit = 1;
 /// the mesh socketpairs — one per peer shard, none for a single shard. A
 /// kStep runs the WHOLE round — post slabs to peers, drain theirs, merge —
 /// and only its kStatus reaches the control socket.
-[[nodiscard]] int run_worker_loop(int fd, std::vector<int> peer_fds = {});
+[[nodiscard]] int run_worker_loop(const ShardInit& init, int fd, std::vector<int> peer_fds);
 
 }  // namespace idonly

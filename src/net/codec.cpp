@@ -203,28 +203,6 @@ std::optional<ShardSlabView> parse_shard_slab(std::span<const std::byte> bytes) 
   return view;
 }
 
-std::vector<std::byte> encode_peer_hello(std::uint32_t shard, std::uint32_t shards) {
-  std::vector<std::byte> out;
-  out.push_back(static_cast<std::byte>(kPeerHelloMagic));
-  put_varint(shard, out);
-  put_varint(shards, out);
-  return out;
-}
-
-std::optional<PeerHello> parse_peer_hello(std::span<const std::byte> bytes) {
-  if (bytes.empty() || static_cast<std::uint8_t>(bytes[0]) != kPeerHelloMagic) {
-    return std::nullopt;
-  }
-  std::size_t offset = 1;
-  const auto shard = get_varint(bytes, offset);
-  const auto shards = get_varint(bytes, offset);
-  if (!shard || !shards) return std::nullopt;
-  if (*shards == 0 || *shards > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
-  if (*shard >= *shards) return std::nullopt;
-  if (offset != bytes.size()) return std::nullopt;  // trailing bytes
-  return PeerHello{static_cast<std::uint32_t>(*shard), static_cast<std::uint32_t>(*shards)};
-}
-
 std::vector<std::byte> encode_peer_beacon(std::uint32_t shard, Round round) {
   std::vector<std::byte> out;
   put_slab_header(SlabHeader{kPeerBeaconMagic, shard, round}, out);

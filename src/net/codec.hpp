@@ -152,12 +152,7 @@ struct ShardSlabView {
 
 // ---------------------------------------------------------- mesh peering --
 // The distributed shard engine's direct worker↔worker mesh (src/dist/)
-// carries two more payload kinds on its peer sockets:
-//
-//   peer hello (handshake, once per socket at fork time):
-//     byte 0    kPeerHelloMagic (0xAD)
-//     varint    sender's shard id
-//     varint    total shard count (echoed so both ends pin ONE topology)
+// carries slabs and one more payload kind on its peer sockets:
 //
 //   empty-round beacon (one per peer per round with no cross-shard traffic):
 //     a slab header and nothing else — kPeerBeaconMagic (0xAE), varint
@@ -168,24 +163,11 @@ struct ShardSlabView {
 // flight" — the beacon is that explicit absence, which is what lets the
 // boundary merge start the moment every peer has spoken. Because slab and
 // beacon share the header, read_slab_header() routes either from its first
-// bytes. Both parsers are total: a garbled handshake or beacon is rejected
-// before any slab is parsed, exactly like a malformed slab.
+// bytes, and the header's shard and round are what the mesh checks before
+// any slab body is parsed. The beacon parser is total, like the slab's.
 
-/// First byte of a mesh handshake payload.
-inline constexpr std::uint8_t kPeerHelloMagic = 0xAD;
 /// First byte of a mesh empty-round beacon.
 inline constexpr std::uint8_t kPeerBeaconMagic = 0xAE;
-
-struct PeerHello {
-  std::uint32_t shard = 0;
-  std::uint32_t shards = 0;
-};
-
-[[nodiscard]] std::vector<std::byte> encode_peer_hello(std::uint32_t shard,
-                                                       std::uint32_t shards);
-/// Total parse: nullopt on bad magic, truncation, trailing bytes, overflow,
-/// a zero shard count, or a shard id outside [0, shards).
-[[nodiscard]] std::optional<PeerHello> parse_peer_hello(std::span<const std::byte> bytes);
 
 struct PeerBeacon {
   std::uint32_t shard = 0;

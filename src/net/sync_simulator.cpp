@@ -550,9 +550,7 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
   // concurrent collectors see one flat immutable view.
   for (std::size_t l = 0; l < lane_count; ++l) {
     LaneArena& arena = arenas_[l];
-    for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
-      metrics_.messages.sent[k] += arena.messages.sent[k];
-    }
+    metrics_.messages += arena.messages;  // sends only: `delivered` stays zero
     metrics_.fanout += arena.fanout;
     if (chaos_) chaos_->commit_batch(arena.chaos_stage);
     if (recorder_) recorder_->record_batch(arena.trace_stage);
@@ -561,9 +559,7 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
     }
   }
   for (const StepArena& arena : step_arenas_) {
-    for (std::size_t k = 0; k < MessageCounters::kKinds; ++k) {
-      metrics_.messages.delivered[k] += arena.messages.delivered[k];
-    }
+    metrics_.messages += arena.messages;  // deliveries only: `sent` stays zero
     metrics_.fanout += arena.fanout;
   }
   for (Dispatch& dispatch : dispatches_) {

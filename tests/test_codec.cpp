@@ -488,25 +488,18 @@ TEST(CodecShardSlab, CallerOwnedViewIsRefilledNotAppended) {
 }
 
 TEST(CodecShardSlab, LegacyFormatsAndShardSlabsAreMutuallyUnparseable) {
-  // Three byte layouts are left on the wires: the slab, the mesh hello and
-  // the mesh beacon. None may be mistaken for another or decode as a bare
-  // frame, and the retired one-frame datagram (varint round + codec frame)
-  // parses as none of them — it is a counted wire fault, nothing more.
+  // Two byte layouts are left on the wires: the slab and the mesh beacon.
+  // Neither may be mistaken for the other or decode as a bare frame, and the
+  // retired one-frame datagram (varint round + codec frame) parses as
+  // neither — it is a counted wire fault, nothing more.
   const Frame slab = build_shard_slab(0, 5, shard_sample_messages());
-  const auto hello = encode_peer_hello(0, 2);
   const auto beacon = encode_peer_beacon(0, 5);
   EXPECT_TRUE(parse_shard_slab(slab).has_value());
-  EXPECT_TRUE(parse_peer_hello(hello).has_value());
   EXPECT_TRUE(parse_peer_beacon(beacon).has_value());
 
-  EXPECT_FALSE(parse_peer_hello(slab).has_value());
   EXPECT_FALSE(parse_peer_beacon(slab).has_value());
-  EXPECT_FALSE(parse_shard_slab(hello).has_value());
-  EXPECT_FALSE(parse_peer_beacon(hello).has_value());
   EXPECT_FALSE(parse_shard_slab(beacon).has_value());
-  EXPECT_FALSE(parse_peer_hello(beacon).has_value());
   EXPECT_FALSE(decode(slab).has_value());
-  EXPECT_FALSE(decode(hello).has_value());
   EXPECT_FALSE(decode(beacon).has_value());
 
   // varint(171) = 0xAB 0x01 once collided with the retired slab magic.
@@ -515,7 +508,6 @@ TEST(CodecShardSlab, LegacyFormatsAndShardSlabsAreMutuallyUnparseable) {
     put_varint(round, legacy);
     encode(Message{.sender = 4, .kind = MsgKind::kPresent, .value = Value::bot()}, legacy);
     EXPECT_FALSE(parse_shard_slab(legacy).has_value()) << "legacy round " << round;
-    EXPECT_FALSE(parse_peer_hello(legacy).has_value()) << "legacy round " << round;
     EXPECT_FALSE(parse_peer_beacon(legacy).has_value()) << "legacy round " << round;
   }
 }
@@ -561,14 +553,7 @@ TEST(CodecShardSlab, RandomGarbageWithTheMagicByteAlmostNeverParses) {
 
 // ------------------------------------------------------------ mesh peering --
 
-TEST(CodecPeerMesh, HelloAndBeaconRoundTrip) {
-  const auto hello_bytes = encode_peer_hello(3, 8);
-  ASSERT_EQ(static_cast<std::uint8_t>(hello_bytes[0]), kPeerHelloMagic);
-  const auto hello = parse_peer_hello(hello_bytes);
-  ASSERT_TRUE(hello.has_value());
-  EXPECT_EQ(hello->shard, 3u);
-  EXPECT_EQ(hello->shards, 8u);
-
+TEST(CodecPeerMesh, BeaconRoundTrip) {
   const auto beacon_bytes = encode_peer_beacon(5, 300);
   ASSERT_EQ(static_cast<std::uint8_t>(beacon_bytes[0]), kPeerBeaconMagic);
   const auto beacon = parse_peer_beacon(beacon_bytes);
@@ -578,18 +563,6 @@ TEST(CodecPeerMesh, HelloAndBeaconRoundTrip) {
 }
 
 TEST(CodecPeerMesh, StructuralRejects) {
-  const auto hello = encode_peer_hello(2, 4);
-  for (std::size_t len = 0; len < hello.size(); ++len) {
-    EXPECT_FALSE(parse_peer_hello(std::span(hello.data(), len)).has_value())
-        << "prefix " << len;
-  }
-  Frame trailing(hello.begin(), hello.end());
-  trailing.push_back(std::byte{0});
-  EXPECT_FALSE(parse_peer_hello(trailing).has_value());
-  // shard id outside [0, shards) and a zero shard count.
-  EXPECT_FALSE(parse_peer_hello(encode_peer_hello(4, 4)).has_value());
-  EXPECT_FALSE(parse_peer_hello(encode_peer_hello(0, 0)).has_value());
-
   const auto beacon = encode_peer_beacon(1, 7);
   for (std::size_t len = 0; len < beacon.size(); ++len) {
     EXPECT_FALSE(parse_peer_beacon(std::span(beacon.data(), len)).has_value())
@@ -603,38 +576,20 @@ TEST(CodecPeerMesh, StructuralRejects) {
 }
 
 TEST(CodecPeerMesh, MeshPayloadKindsAreMutuallyUnparseable) {
-  // The three mesh payloads ride one socket; the magic byte must be a
-  // perfect discriminator in every direction.
-  const auto hello = encode_peer_hello(2, 4);
+  // The two mesh payloads ride one socket; the magic byte must be a
+  // perfect discriminator in both directions.
   const auto beacon = encode_peer_beacon(2, 9);
   const Frame slab = build_shard_slab(2, 9, shard_sample_messages());
-  EXPECT_FALSE(parse_peer_beacon(hello).has_value());
-  EXPECT_FALSE(parse_shard_slab(hello).has_value());
-  EXPECT_FALSE(parse_peer_hello(beacon).has_value());
   EXPECT_FALSE(parse_shard_slab(beacon).has_value());
-  EXPECT_FALSE(parse_peer_hello(slab).has_value());
   EXPECT_FALSE(parse_peer_beacon(slab).has_value());
 }
 
-TEST(CodecPeerMesh, BitflipFuzzGarbledHandshakeIsAlwaysCaughtBeforeAnySlab) {
-  // MeshExchange admits a peer only when its hello parses AND echoes the
-  // expected (shard, shards). Canonical varints make the encoding injective,
-  // so any single-bit corruption either fails the parse or changes the
-  // echoed fields — either way the handshake check rejects the peer before
-  // a single slab byte from it is parsed.
-  const auto original = encode_peer_hello(6, 23);
+TEST(CodecPeerMesh, BitflipFuzzGarbledBeaconNeverImpersonatesItsPeerRound) {
+  // MeshExchange accepts a beacon only when its header names the peer's
+  // shard and the next round. Canonical varints make the encoding
+  // injective, so any single-bit corruption either fails the parse or
+  // changes the (peer, round) pair — either way the header check rejects it.
   Rng rng(0xAD0F);
-  for (int trial = 0; trial < 2000; ++trial) {
-    Frame mutated(original.begin(), original.end());
-    const std::size_t index = rng.below(mutated.size());
-    mutated[index] ^= static_cast<std::byte>(1u << rng.below(8));
-    const auto hello = parse_peer_hello(mutated);
-    if (!hello.has_value()) continue;
-    EXPECT_FALSE(hello->shard == 6u && hello->shards == 23u)
-        << "trial " << trial << ": corrupted hello echoed the original topology";
-  }
-  // Same property for the beacon: a flipped round or shard can never
-  // impersonate the expected (peer, round) pair.
   const auto beacon_original = encode_peer_beacon(6, 23);
   for (int trial = 0; trial < 2000; ++trial) {
     Frame mutated(beacon_original.begin(), beacon_original.end());
