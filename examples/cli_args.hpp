@@ -1,4 +1,4 @@
-// Numeric command-line flags shared by scenario_sim and dist_sim.
+// Numeric command-line flags shared by scenario_sim, dist_sim and experiment_cli.
 //
 // A count is one whole unsigned decimal token within [min, max]: no sign, no
 // trailing characters, no overflow. Anything else is a usage error (exit 2),

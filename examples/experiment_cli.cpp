@@ -14,13 +14,17 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/stats.hpp"
 #include "harness/runner.hpp"
-#include "impossibility/async_partition.hpp"
+#include "impossibility/partition.hpp"
 
 namespace {
 
 using namespace idonly;
+
+/// Ceiling of --delta and --timeout: each trial steps up to --timeout rounds.
+constexpr std::uint64_t kMaxRounds = 1'000'000;
 
 struct Args {
   std::string experiment;
@@ -31,8 +35,8 @@ struct Args {
   int iterations = 8;
   bool byz_source = false;
   bool aggregate = false;  ///< print mean/sd/percentile summaries instead of rows
-  double delta = 40.0;
-  double timeout = 10.0;
+  Round delta = 40;    ///< partition bound Δ, in rounds
+  Round timeout = 10;  ///< decision round T
   int trials = 100;
 };
 
@@ -64,8 +68,12 @@ bool parse_args(int argc, char** argv, Args& args) {
     else if (flag == "--iterations") args.iterations = std::atoi(next());
     else if (flag == "--byz-source") args.byz_source = true;
     else if (flag == "--aggregate") args.aggregate = true;
-    else if (flag == "--delta") args.delta = std::atof(next());
-    else if (flag == "--timeout") args.timeout = std::atof(next());
+    else if (flag == "--delta" || flag == "--timeout") {
+      const bool delta = flag == "--delta";
+      const auto rounds = cli::parse_flag(flag.c_str(), next(), delta ? 0 : 1, kMaxRounds);
+      if (!rounds.has_value()) std::exit(2);
+      (delta ? args.delta : args.timeout) = static_cast<Round>(*rounds);
+    }
     else if (flag == "--trials") args.trials = std::atoi(next());
     else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
@@ -152,7 +160,8 @@ int run_impossibility_cli(const Args& args) {
   std::printf("delta,timeout,trials,disagreement_rate\n");
   const double rate = semi_sync_disagreement_rate(args.n_correct / 2 + 1, args.n_correct / 2,
                                                   args.delta, args.timeout, args.trials, 1);
-  std::printf("%.3f,%.3f,%d,%.4f\n", args.delta, args.timeout, args.trials, rate);
+  std::printf("%lld,%lld,%d,%.4f\n", static_cast<long long>(args.delta),
+              static_cast<long long>(args.timeout), args.trials, rate);
   return 0;
 }
 
@@ -160,7 +169,7 @@ void usage() {
   std::fprintf(stderr,
                "usage: experiment_cli <consensus|rb|approx|rotor|impossibility> [flags]\n"
                "flags: --n-correct N --n-byz F --adversary KIND --seeds K --iterations I\n"
-               "       --byz-source --aggregate --delta D --timeout T --trials T\n");
+               "       --byz-source --aggregate --delta ROUNDS --timeout ROUNDS --trials T\n");
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
 // Why the paper assumes synchrony: the partition argument, executed.
-// Two groups that don't know n or f, cross traffic slower than their
+// Two groups that don't know n or f, cross traffic cut for longer than their
 // patience — each is indistinguishable from a world where the other doesn't
-// exist, so they decide alone. Then the same protocol with a timeout that
-// covers the delay bound: agreement. The knife edge in between is swept.
+// exist, so they decide alone. Then the same protocol with a decision round
+// that outlasts the partition: agreement. The knife edge in between is swept.
 //
 //   $ ./impossibility_demo
 #include <cstdio>
 
-#include "impossibility/async_partition.hpp"
+#include "impossibility/partition.hpp"
 
 int main() {
   using namespace idonly;
@@ -17,27 +17,28 @@ int main() {
   PartitionConfig config;
   config.n_a = 4;
   config.n_b = 4;
-  config.intra_delay = 1.0;
-  config.decide_timeout = 10.0;
+  config.decide_round = 10;
 
-  std::printf("%-18s %-12s %-14s\n", "cross delay", "decided", "outcome");
-  for (double cross : {2.0, 8.0, 12.0, 100.0, 100000.0}) {
-    config.cross_delay = cross;
+  std::printf("%-18s %-12s %-14s\n", "partition rounds", "decided", "outcome");
+  for (Round cut : {2, 8, 9, 12, 100000}) {
+    config.partition_rounds = cut;
     const auto result = run_partition_execution(config);
-    std::printf("%-18.1f %-12s %-14s\n", cross, result.all_decided ? "all" : "some",
+    std::printf("%-18lld %-12s %-14s\n", static_cast<long long>(cut),
+                result.all_decided ? "all" : "some",
                 result.disagreement ? "DISAGREEMENT" : "agreement");
   }
 
-  std::printf("\nsemi-synchronous sweep: delay bound Δ unknown to nodes, timeout T = 10\n\n");
+  std::printf(
+      "\nsemi-synchronous sweep: partition bound Δ unknown to nodes, decision round T = 10\n\n");
   std::printf("%-10s %-20s\n", "Δ/T", "disagreement rate");
-  for (double ratio : {0.5, 0.9, 1.1, 1.5, 4.0, 20.0}) {
-    const double rate = semi_sync_disagreement_rate(4, 4, ratio * 10.0, 10.0, 60, 7);
-    std::printf("%-10.1f %.2f\n", ratio, rate);
+  for (Round delta : {5, 9, 11, 15, 40, 200}) {
+    const double rate = semi_sync_disagreement_rate(4, 4, delta, 10, 60, 7);
+    std::printf("%-10.1f %.2f\n", static_cast<double>(delta) / 10.0, rate);
   }
 
   std::printf(
-      "\nno finite timeout survives an unknown delay bound — which is the paper's\n"
-      "point: agreement without knowing n and f NEEDS the synchronous assumption\n"
-      "(and systems like Nakamoto's blockchain implicitly make it).\n");
+      "\nno finite decision round survives an unknown delay bound — which is the\n"
+      "paper's point: agreement without knowing n and f NEEDS the synchronous\n"
+      "assumption (and systems like Nakamoto's blockchain implicitly make it).\n");
   return 0;
 }

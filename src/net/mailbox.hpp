@@ -3,9 +3,8 @@
 // All-to-all protocols make the engines route Θ(n²) deliveries per round;
 // before this layer existed the sync simulator and the runtime's in-memory
 // hub each implemented that fan-out as a deep copy per receiver plus a
-// per-receiver content rehash for duplicate suppression. (The async
-// simulator, which only builds the §9 lemmas' small executions, uses just
-// `MessageRef`.) This file centralises the pattern:
+// per-receiver content rehash for duplicate suppression. This file
+// centralises the pattern:
 //
 //   * `MessageRef` — an immutable, ref-counted message. The engine stamps
 //     the sender and wraps exactly once per send; the content hash and wire

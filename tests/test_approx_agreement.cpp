@@ -10,6 +10,7 @@
 #include "core/approx_agreement.hpp"
 #include "harness/runner.hpp"
 #include "net/sync_simulator.hpp"
+#include "resilient_cells.hpp"
 
 namespace idonly {
 namespace {
@@ -86,7 +87,6 @@ class ApproxSweep : public ::testing::TestWithParam<ApproxSweepParam> {};
 
 TEST_P(ApproxSweep, Theorem4Properties) {
   const auto [n_correct, n_byz, adversary, seed] = GetParam();
-  if (!resilient(n_correct + n_byz, n_byz)) GTEST_SKIP() << "n <= 3f not in scope";
   std::vector<double> inputs;
   Rng rng(derive_seed(seed, 77));
   for (std::size_t i = 0; i < n_correct; ++i) inputs.push_back(rng.uniform(-50.0, 50.0));
@@ -97,11 +97,10 @@ TEST_P(ApproxSweep, Theorem4Properties) {
 
 INSTANTIATE_TEST_SUITE_P(
     Adversaries, ApproxSweep,
-    ::testing::Combine(::testing::Values<std::size_t>(4, 7, 10, 16),
-                       ::testing::Values<std::size_t>(1, 2),
-                       ::testing::Values(AdversaryKind::kSilent, AdversaryKind::kExtreme,
-                                         AdversaryKind::kNoise, AdversaryKind::kTwoFaced),
-                       ::testing::Values<std::uint64_t>(1, 2, 3)));
+    ::testing::ValuesIn(resilient_cells({4, 7, 10, 16}, {1, 2},
+                                        {AdversaryKind::kSilent, AdversaryKind::kExtreme,
+                                         AdversaryKind::kNoise, AdversaryKind::kTwoFaced},
+                                        {1, 2, 3})));
 
 INSTANTIATE_TEST_SUITE_P(
     MaxFaults, ApproxSweep,

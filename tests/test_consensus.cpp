@@ -8,6 +8,7 @@
 #include "common/thresholds.hpp"
 #include "core/consensus.hpp"
 #include "harness/runner.hpp"
+#include "resilient_cells.hpp"
 
 namespace idonly {
 namespace {
@@ -80,7 +81,6 @@ class ConsensusSweep : public ::testing::TestWithParam<ConsensusSweepParam> {};
 
 TEST_P(ConsensusSweep, AgreementValidityTermination) {
   const auto [n_correct, n_byz, adversary, seed] = GetParam();
-  if (!resilient(n_correct + n_byz, n_byz)) GTEST_SKIP() << "n <= 3f not in scope";
   const auto run =
       run_consensus(config_for(n_correct, n_byz, adversary, seed), {0.0, 1.0, 1.0, 0.0});
   EXPECT_TRUE(run.all_decided);
@@ -90,7 +90,6 @@ TEST_P(ConsensusSweep, AgreementValidityTermination) {
 
 TEST_P(ConsensusSweep, UnanimousFastPath) {
   const auto [n_correct, n_byz, adversary, seed] = GetParam();
-  if (!resilient(n_correct + n_byz, n_byz)) GTEST_SKIP() << "n <= 3f not in scope";
   const auto run = run_consensus(config_for(n_correct, n_byz, adversary, seed), {7.75});
   EXPECT_TRUE(run.all_decided);
   EXPECT_TRUE(run.agreement);
@@ -101,12 +100,11 @@ TEST_P(ConsensusSweep, UnanimousFastPath) {
 
 INSTANTIATE_TEST_SUITE_P(
     Adversaries, ConsensusSweep,
-    ::testing::Combine(::testing::Values<std::size_t>(4, 7, 10),
-                       ::testing::Values<std::size_t>(1, 2),
-                       ::testing::Values(AdversaryKind::kSilent, AdversaryKind::kCrash,
+    ::testing::ValuesIn(resilient_cells({4, 7, 10}, {1, 2},
+                                        {AdversaryKind::kSilent, AdversaryKind::kCrash,
                                          AdversaryKind::kNoise, AdversaryKind::kTwoFaced,
-                                         AdversaryKind::kVoteSplit, AdversaryKind::kEchoChamber),
-                       ::testing::Values<std::uint64_t>(1, 2, 3)));
+                                         AdversaryKind::kVoteSplit, AdversaryKind::kEchoChamber},
+                                        {1, 2, 3})));
 
 INSTANTIATE_TEST_SUITE_P(
     MaxFaults, ConsensusSweep,

@@ -10,6 +10,7 @@
 #include "core/king_consensus.hpp"
 #include "harness/scenario.hpp"
 #include "net/sync_simulator.hpp"
+#include "resilient_cells.hpp"
 
 namespace idonly {
 namespace {
@@ -83,7 +84,6 @@ class KingSweep : public ::testing::TestWithParam<KingSweepParam> {};
 
 TEST_P(KingSweep, AgreementValidity) {
   const auto [n_correct, n_byz, adversary, seed] = GetParam();
-  if (!resilient(n_correct + n_byz, n_byz)) GTEST_SKIP();
   const auto run = run_king(n_correct, n_byz, adversary, seed, {0.0, 1.0, 1.0});
   EXPECT_TRUE(run.all_done);
   EXPECT_TRUE(run.agreement);
@@ -92,12 +92,11 @@ TEST_P(KingSweep, AgreementValidity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Adversaries, KingSweep,
-    ::testing::Combine(::testing::Values<std::size_t>(4, 7, 10),
-                       ::testing::Values<std::size_t>(1, 2),
-                       ::testing::Values(AdversaryKind::kSilent, AdversaryKind::kNoise,
+    ::testing::ValuesIn(resilient_cells({4, 7, 10}, {1, 2},
+                                        {AdversaryKind::kSilent, AdversaryKind::kNoise,
                                          AdversaryKind::kTwoFaced, AdversaryKind::kEchoChamber,
-                                         AdversaryKind::kReplay),
-                       ::testing::Values<std::uint64_t>(1, 2)));
+                                         AdversaryKind::kReplay},
+                                        {1, 2})));
 
 TEST(KingConsensus, SlowerThanEarlyTerminatingOnUnanimousInputs) {
   // The ablation behind Alg. 3's design: early termination decides a

@@ -10,6 +10,7 @@
 #include "core/reliable_broadcast.hpp"
 #include "harness/runner.hpp"
 #include "net/sync_simulator.hpp"
+#include "resilient_cells.hpp"
 
 namespace idonly {
 namespace {
@@ -87,7 +88,6 @@ class RbSweep : public ::testing::TestWithParam<RbSweepParam> {};
 
 TEST_P(RbSweep, CorrectSourcePropertiesHold) {
   const auto [n_correct, n_byz, adversary, seed] = GetParam();
-  if (!resilient(n_correct + n_byz, n_byz)) GTEST_SKIP() << "n <= 3f not in scope";
   const auto run =
       run_reliable_broadcast(config_for(n_correct, n_byz, adversary, seed), 3.25);
   // Correctness: every correct node accepts the payload.
@@ -100,7 +100,6 @@ TEST_P(RbSweep, CorrectSourcePropertiesHold) {
 TEST_P(RbSweep, ByzantineSourceCannotCauseDisagreement) {
   const auto [n_correct, n_byz, adversary, seed] = GetParam();
   if (n_byz == 0) GTEST_SKIP() << "needs a Byzantine source";
-  if (!resilient(n_correct + n_byz, n_byz)) GTEST_SKIP() << "n <= 3f not in scope";
   const auto run = run_reliable_broadcast(config_for(n_correct, n_byz, adversary, seed), 0.0,
                                           /*byzantine_source=*/true);
   EXPECT_TRUE(run.agreement);
@@ -114,11 +113,10 @@ TEST_P(RbSweep, ByzantineSourceCannotCauseDisagreement) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sizes, RbSweep,
-    ::testing::Combine(::testing::Values<std::size_t>(4, 7, 10, 16),
-                       ::testing::Values<std::size_t>(1, 2),
-                       ::testing::Values(AdversaryKind::kSilent, AdversaryKind::kNoise,
-                                         AdversaryKind::kForgedEcho, AdversaryKind::kTwoFaced),
-                       ::testing::Values<std::uint64_t>(1, 2, 3)));
+    ::testing::ValuesIn(resilient_cells({4, 7, 10, 16}, {1, 2},
+                                        {AdversaryKind::kSilent, AdversaryKind::kNoise,
+                                         AdversaryKind::kForgedEcho, AdversaryKind::kTwoFaced},
+                                        {1, 2, 3})));
 
 INSTANTIATE_TEST_SUITE_P(
     MaxFaults, RbSweep,

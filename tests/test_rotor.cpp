@@ -12,6 +12,7 @@
 #include "common/thresholds.hpp"
 #include "core/rotor_coordinator.hpp"
 #include "harness/runner.hpp"
+#include "resilient_cells.hpp"
 
 namespace idonly {
 namespace {
@@ -255,7 +256,6 @@ class RotorSweep : public ::testing::TestWithParam<RotorSweepParam> {};
 
 TEST_P(RotorSweep, Theorem2Holds) {
   const auto [n_correct, n_byz, adversary, seed] = GetParam();
-  if (!resilient(n_correct + n_byz, n_byz)) GTEST_SKIP() << "n <= 3f not in scope";
   const auto run = run_rotor(config_for(n_correct, n_byz, adversary, seed));
   EXPECT_TRUE(run.all_terminated);
   EXPECT_TRUE(run.good_round_witnessed);
@@ -267,12 +267,11 @@ TEST_P(RotorSweep, Theorem2Holds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Adversaries, RotorSweep,
-    ::testing::Combine(::testing::Values<std::size_t>(4, 7, 10),
-                       ::testing::Values<std::size_t>(1, 2),
-                       ::testing::Values(AdversaryKind::kSilent, AdversaryKind::kNoise,
+    ::testing::ValuesIn(resilient_cells({4, 7, 10}, {1, 2},
+                                        {AdversaryKind::kSilent, AdversaryKind::kNoise,
                                          AdversaryKind::kRotorStuffer, AdversaryKind::kTwoFaced,
-                                         AdversaryKind::kCrash),
-                       ::testing::Values<std::uint64_t>(1, 2, 3)));
+                                         AdversaryKind::kCrash},
+                                        {1, 2, 3})));
 
 TEST(Rotor, StufferCannotInjectFakeCandidates) {
   // Fake ids echoed only by the f stuffers can never reach n_v/3 at a
