@@ -25,6 +25,11 @@ using namespace idonly;
 
 /// Ceiling of --delta and --timeout: each trial steps up to --timeout rounds.
 constexpr std::uint64_t kMaxRounds = 1'000'000;
+/// Ceiling of --n-correct and --n-byz: one simulated process per node.
+constexpr std::uint64_t kMaxNodes = 100'000;
+/// Ceiling of --seeds, --iterations and --trials: one run (or, for
+/// --iterations, one approximate-agreement iteration) each.
+constexpr std::uint64_t kMaxRuns = 1'000'000;
 
 struct Args {
   std::string experiment;
@@ -61,20 +66,23 @@ bool parse_args(int argc, char** argv, Args& args) {
       }
       return argv[++i];
     };
-    if (flag == "--n-correct") args.n_correct = std::strtoul(next(), nullptr, 10);
-    else if (flag == "--n-byz") args.n_byz = std::strtoul(next(), nullptr, 10);
+    // A numeric flag's value must be a whole number in [min, max]; anything
+    // else is a usage error (exit 2).
+    const auto count = [&](std::uint64_t min, std::uint64_t max) {
+      const auto value = cli::parse_flag(flag.c_str(), next(), min, max);
+      if (!value.has_value()) std::exit(2);
+      return *value;
+    };
+    if (flag == "--n-correct") args.n_correct = count(1, kMaxNodes);
+    else if (flag == "--n-byz") args.n_byz = count(0, kMaxNodes);
     else if (flag == "--adversary") args.adversary = next();
-    else if (flag == "--seeds") args.seeds = std::atoi(next());
-    else if (flag == "--iterations") args.iterations = std::atoi(next());
+    else if (flag == "--seeds") args.seeds = static_cast<int>(count(1, kMaxRuns));
+    else if (flag == "--iterations") args.iterations = static_cast<int>(count(1, kMaxRuns));
     else if (flag == "--byz-source") args.byz_source = true;
     else if (flag == "--aggregate") args.aggregate = true;
-    else if (flag == "--delta" || flag == "--timeout") {
-      const bool delta = flag == "--delta";
-      const auto rounds = cli::parse_flag(flag.c_str(), next(), delta ? 0 : 1, kMaxRounds);
-      if (!rounds.has_value()) std::exit(2);
-      (delta ? args.delta : args.timeout) = static_cast<Round>(*rounds);
-    }
-    else if (flag == "--trials") args.trials = std::atoi(next());
+    else if (flag == "--delta") args.delta = static_cast<Round>(count(0, kMaxRounds));
+    else if (flag == "--timeout") args.timeout = static_cast<Round>(count(1, kMaxRounds));
+    else if (flag == "--trials") args.trials = static_cast<int>(count(1, kMaxRuns));
     else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;

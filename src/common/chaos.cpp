@@ -1,6 +1,7 @@
 #include "common/chaos.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -9,18 +10,6 @@
 namespace idonly {
 
 namespace {
-
-// Fault-type salts: each verdict draws from an independent pure stream so
-// e.g. raising the drop probability never perturbs delay lengths.
-constexpr std::uint64_t kSaltDrop = 0;
-constexpr std::uint64_t kSaltDuplicate = 1;
-constexpr std::uint64_t kSaltDelay = 2;
-constexpr std::uint64_t kSaltDelayLength = 3;
-constexpr std::uint64_t kSaltCorrupt = 4;
-constexpr std::uint64_t kSaltEntropy = 5;
-constexpr std::uint64_t kSaltLinkDrop = 6;
-constexpr std::uint64_t kSaltLinkDuplicate = 7;
-constexpr std::uint64_t kSaltLinkDelay = 8;
 
 void check_probability(double p, const char* what) {
   if (!(p >= 0.0 && p <= 1.0)) {
@@ -32,34 +21,6 @@ void check_probability(double p, const char* what) {
 bool in_set(const std::vector<NodeId>& set, NodeId id) noexcept {
   return std::find(set.begin(), set.end(), id) != set.end();
 }
-
-/// The verdict hash, folded in three steps: (seed, round, from) once per
-/// sender run, (to, seq) once per link, then the salt once per draw.
-std::uint64_t sender_prefix(std::uint64_t seed, Round round, NodeId from) noexcept {
-  std::uint64_t state = seed;
-  (void)splitmix64(state);
-  state ^= static_cast<std::uint64_t>(round);
-  (void)splitmix64(state);
-  return state ^ from;
-}
-
-std::uint64_t link_state(std::uint64_t prefix, NodeId to, std::uint64_t seq) noexcept {
-  std::uint64_t state = prefix;
-  (void)splitmix64(state);
-  state ^= to;
-  (void)splitmix64(state);
-  state ^= seq;
-  (void)splitmix64(state);
-  return state;
-}
-
-std::uint64_t salted(std::uint64_t link, std::uint64_t salt) noexcept {
-  std::uint64_t state = link ^ salt;
-  return splitmix64(state);
-}
-
-/// Uniform double in [0, 1) from a verdict word.
-double to_unit(std::uint64_t word) noexcept { return static_cast<double>(word >> 11) * 0x1.0p-53; }
 
 bool partition_cuts(const ChaosPartition& partition, NodeId from, NodeId to) noexcept {
   return (in_set(partition.side_a, from) && in_set(partition.side_b, to)) ||
@@ -95,6 +56,12 @@ ChaosSchedule::ChaosSchedule(ChaosPlan plan, std::uint64_t seed)
       }
     }
     last_faulty_round_ = std::max(last_faulty_round_, phase.last_round);
+    phase_thresholds_.emplace_back(phase.drop, phase.duplicate, phase.delay.probability,
+                                   phase.corrupt);
+    std::vector<Thresholds>& links = link_thresholds_.emplace_back();
+    for (const LinkFaultSpec& link : phase.link_faults) {
+      links.emplace_back(link.drop, link.duplicate, link.delay, 0.0);
+    }
   }
   per_phase_.resize(plan_.phases.size());
 }
@@ -108,88 +75,116 @@ std::optional<std::size_t> ChaosSchedule::phase_for(Round round) const noexcept 
 }
 
 // Every verdict word hash-combines (seed, round, from, to, seq, salt): each
-// field is folded into a splitmix64 state by an advance and an xor, and only
-// the result is mixed. (So keys whose small xors cancel across the advances
-// share a word; every recorded verdict depends on these exact bits.) The
-// fold is split where the engines' loops split — per sender run, per link,
-// per salt — and word()/coin() are the same fold in one go.
+// field is fold()ed into a splitmix64 state by an advance and an xor, and
+// only the result is mixed. (So keys whose small xors cancel across the
+// advances share a word; every recorded verdict depends on these exact
+// bits.) The fold is split in the three key stages, where the engines'
+// loops split: (seed, round, from) per sender run, `to` per link, then
+// `seq` and the salt per message; word()/coin() are the same fold in one go.
 std::uint64_t ChaosSchedule::word(std::uint64_t seed, const LinkEvent& event,
                                   std::uint64_t salt) noexcept {
-  return salted(link_state(sender_prefix(seed, event.round, event.from), event.to, event.seq),
-                salt);
+  const std::uint64_t prefix =
+      fold(fold(seed, static_cast<std::uint64_t>(event.round)), event.from);
+  return salted(fold(fold(prefix, event.to), event.seq), salt);
 }
 
 double ChaosSchedule::coin(std::uint64_t seed, const LinkEvent& event,
                            std::uint64_t salt) noexcept {
-  return to_unit(word(seed, event, salt));
+  return static_cast<double>(word(seed, event, salt) >> 11) * 0x1.0p-53;
+}
+
+ChaosSchedule::Thresholds::Thresholds(double drop_p, double duplicate_p, double delay_p,
+                                      double corrupt_p) noexcept
+    : drop(threshold(drop_p)),
+      duplicate(threshold(duplicate_p)),
+      delay(threshold(delay_p)),
+      corrupt(threshold(corrupt_p)) {
+  live = static_cast<std::uint8_t>((drop != 0 ? kDrop : 0) | (duplicate != 0 ? kDuplicate : 0) |
+                                   (delay != 0 ? kDelay : 0) | (corrupt != 0 ? kCorrupt : 0));
+}
+
+std::uint64_t ChaosSchedule::threshold(double p) noexcept {
+  // p * 2^53 is exact (a power-of-two scale), and the integer x = w >> 11
+  // satisfies x * 2^-53 < p exactly when x < ceil(p * 2^53).
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 ChaosSchedule::SenderKey ChaosSchedule::sender_key(Round round, NodeId from,
                                                    std::optional<std::size_t> phase) const noexcept {
-  return SenderKey{sender_prefix(seed_, round, from), round, from,
+  return SenderKey{fold(fold(seed_, static_cast<std::uint64_t>(round)), from), round, from,
                    phase.has_value() ? static_cast<int>(*phase) : -1};
 }
 
+ChaosSchedule::LinkKey ChaosSchedule::link_key(const SenderKey& sender, NodeId to) const noexcept {
+  LinkKey link{fold(sender.prefix, to), to, LinkKey::Rule::kClean, FaultKind::kDrop};
+  if (sender.from == to || sender.phase < 0) return link;  // loopback is never wire
+  const ChaosPhase& phase = plan_.phases[static_cast<std::size_t>(sender.phase)];
+  // Deterministic structural faults first: a crashed endpoint or a cut
+  // partition kills every send on the link, no coin spent.
+  for (const CrashWindow& crash : phase.crashes) {
+    if ((crash.node == sender.from || crash.node == to) && sender.round >= crash.first &&
+        sender.round <= crash.last) {
+      link.rule = LinkKey::Rule::kCut;
+      link.cut = FaultKind::kCrashDrop;
+      return link;
+    }
+  }
+  for (const ChaosPartition& partition : phase.partitions) {
+    if (partition_cuts(partition, sender.from, to)) {
+      link.rule = LinkKey::Rule::kCut;
+      link.cut = FaultKind::kPartitionDrop;
+      return link;
+    }
+  }
+  const bool named = std::any_of(
+      phase.link_faults.begin(), phase.link_faults.end(),
+      [&](const LinkFaultSpec& spec) { return spec.from == sender.from && spec.to == to; });
+  link.rule = named ? LinkKey::Rule::kNamed : LinkKey::Rule::kCoins;
+  return link;
+}
+
+ChaosSchedule::Thresholds ChaosSchedule::named_coins(const SenderKey& sender,
+                                                     const LinkKey& link,
+                                                     std::uint64_t state) const noexcept {
+  // Per-link asymmetric faults stack on top of the phase-wide ones; the
+  // link coins draw from separate salts so both can be active at once. A
+  // link coin that fires makes its phase coin certain.
+  constexpr std::uint64_t kCertain = std::uint64_t{1} << 53;
+  const auto p = static_cast<std::size_t>(sender.phase);
+  Thresholds coins = phase_thresholds_[p];
+  const std::vector<LinkFaultSpec>& specs = plan_.phases[p].link_faults;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].from != sender.from || specs[i].to != link.to) continue;
+    const Thresholds& named = link_thresholds_[p][i];
+    if ((named.live & Thresholds::kDrop) != 0 &&
+        below(salted(state, kSaltLinkDrop), named.drop)) {
+      coins.drop = kCertain;
+      coins.live |= Thresholds::kDrop;
+    }
+    if ((named.live & Thresholds::kDuplicate) != 0 &&
+        below(salted(state, kSaltLinkDuplicate), named.duplicate)) {
+      coins.duplicate = kCertain;
+      coins.live |= Thresholds::kDuplicate;
+    }
+    if ((named.live & Thresholds::kDelay) != 0 &&
+        below(salted(state, kSaltLinkDelay), named.delay)) {
+      coins.delay = kCertain;
+      coins.live |= Thresholds::kDelay;
+    }
+  }
+  return coins;
+}
+
 FaultDecision ChaosSchedule::peek(const LinkEvent& event) const noexcept {
-  if (event.from == event.to) return {};
   return peek(sender_key(event.round, event.from, phase_for(event.round)), event.to, event.seq);
 }
 
 FaultDecision ChaosSchedule::peek(const SenderKey& key, NodeId to,
                                   std::uint64_t seq) const noexcept {
-  FaultDecision decision;
-  if (key.from == to) return decision;  // loopback is never wire
-  if (key.phase < 0) return decision;
-  const ChaosPhase& phase = plan_.phases[static_cast<std::size_t>(key.phase)];
-  const std::uint64_t link = link_state(key.prefix, to, seq);
-  const auto coin_at = [link](std::uint64_t salt) { return to_unit(salted(link, salt)); };
-  decision.phase = key.phase;
-  decision.entropy = salted(link, kSaltEntropy);
-
-  // Deterministic structural faults first: a crashed endpoint or a cut
-  // partition kills the frame outright, no coin spent.
-  for (const CrashWindow& crash : phase.crashes) {
-    if ((crash.node == key.from || crash.node == to) && key.round >= crash.first &&
-        key.round <= crash.last) {
-      decision.drop = true;
-      decision.drop_kind = FaultKind::kCrashDrop;
-      return decision;
-    }
-  }
-  for (const ChaosPartition& partition : phase.partitions) {
-    if (partition_cuts(partition, key.from, to)) {
-      decision.drop = true;
-      decision.drop_kind = FaultKind::kPartitionDrop;
-      return decision;
-    }
-  }
-
-  // Per-link asymmetric faults stack on top of the phase-wide ones; the
-  // link coins draw from separate salts so both can be active at once.
-  double drop_p = phase.drop;
-  double duplicate_p = phase.duplicate;
-  double delay_p = phase.delay.probability;
-  for (const LinkFaultSpec& spec : phase.link_faults) {
-    if (spec.from != key.from || spec.to != to) continue;
-    if (spec.drop > 0.0 && coin_at(kSaltLinkDrop) < spec.drop) drop_p = 1.0;
-    if (spec.duplicate > 0.0 && coin_at(kSaltLinkDuplicate) < spec.duplicate) duplicate_p = 1.0;
-    if (spec.delay > 0.0 && coin_at(kSaltLinkDelay) < spec.delay) delay_p = 1.0;
-  }
-
-  if (drop_p > 0.0 && coin_at(kSaltDrop) < drop_p) {
-    decision.drop = true;
-    decision.drop_kind = FaultKind::kDrop;
-    return decision;
-  }
-  if (duplicate_p > 0.0 && coin_at(kSaltDuplicate) < duplicate_p) {
-    decision.duplicate = true;
-  }
-  if (delay_p > 0.0 && coin_at(kSaltDelay) < delay_p) {
-    const auto span = static_cast<std::uint64_t>(std::max<Round>(phase.delay.max_extra_rounds, 1));
-    decision.delay_rounds = 1 + static_cast<Round>(salted(link, kSaltDelayLength) % span);
-  }
-  if (phase.corrupt > 0.0 && coin_at(kSaltCorrupt) < phase.corrupt) {
-    decision.corrupt = true;
+  const LinkKey link = link_key(key, to);
+  FaultDecision decision = verdict(key, link, seq);
+  if (link.rule != LinkKey::Rule::kClean) {
+    decision.entropy = salted(fold(link.state, seq), kSaltEntropy);
   }
   return decision;
 }

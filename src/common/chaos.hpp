@@ -24,6 +24,7 @@
 // wire, and every protocol in the library assumes it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace idonly {
@@ -116,13 +118,13 @@ struct FaultDecision {
   bool drop = false;
   bool duplicate = false;
   bool corrupt = false;
-  Round delay_rounds = 0;   ///< extra rounds to hold the frame (0 = on time)
-  int phase = -1;           ///< active phase index, -1 when no phase covers the round
-  std::uint64_t entropy = 0;  ///< deterministic per-event word (corrupt position/bit)
   /// Which drop flavour fired (meaningful only when `drop`): crash window,
   /// partition, or the plain drop coin. Lets commit() count the verdict
   /// under the right per-phase counter without re-deriving it.
   FaultKind drop_kind = FaultKind::kDrop;
+  int phase = -1;           ///< active phase index, -1 when no phase covers the round
+  Round delay_rounds = 0;   ///< extra rounds to hold the frame (0 = on time)
+  std::uint64_t entropy = 0;  ///< deterministic per-event word (corrupt position/bit)
 
   /// True when the verdict implies at least one fault.
   [[nodiscard]] bool faulted() const noexcept {
@@ -147,10 +149,14 @@ class ChaosSchedule {
   /// commit_batch() so the per-phase counters still fill in.
   [[nodiscard]] FaultDecision peek(const LinkEvent& event) const noexcept;
 
-  /// One sender's links in one round, keyed once: the (seed, round, from)
-  /// prefix of every verdict hash and the phase covering the round. A
-  /// sender's fan-out then costs one `to`/`seq` mix per link plus one mix
-  /// per salt.
+  // The verdict hash is keyed in three stages, split where the engines'
+  // loops split: a SenderKey once per sender run (seed, round, from; the
+  // phase), a LinkKey once per (sender run, receiver) (to; every rule that
+  // does not depend on seq), then one fold of `seq` and one mix per coin
+  // per message.
+
+  /// One sender's links in one round: the (seed, round, from) prefix of
+  /// every verdict hash and the phase covering the round.
   struct SenderKey {
     std::uint64_t prefix = 0;
     Round round = 0;
@@ -163,8 +169,33 @@ class ChaosSchedule {
   [[nodiscard]] SenderKey sender_key(Round round, NodeId from,
                                      std::optional<std::size_t> phase) const noexcept;
 
-  /// peek(LinkEvent{key.round, key.from, to, seq}), bit for bit: peek()
-  /// itself goes through here.
+  /// One link of a sender run: the hash folded through `to`, and the rule
+  /// the link's (round, from, to) settles before any coin.
+  struct LinkKey {
+    enum class Rule : std::uint8_t {
+      kClean,  ///< loopback, or no phase covers the round: no verdict at all
+      kCut,    ///< a crash window or a partition drops every send (`cut`)
+      kCoins,  ///< the phase's coins
+      kNamed,  ///< the phase's coins plus a LinkFaultSpec that names the link
+    };
+    std::uint64_t state = 0;
+    NodeId to = 0;
+    Rule rule = Rule::kClean;
+    FaultKind cut = FaultKind::kDrop;  ///< kCrashDrop or kPartitionDrop under kCut
+  };
+
+  /// Key the link from `sender.from` to `to`.
+  [[nodiscard]] LinkKey link_key(const SenderKey& sender, NodeId to) const noexcept;
+
+  /// The verdict of the link's `seq`-th send, except `entropy` (left 0):
+  /// the engines never read it, so they never pay its mix. A kCoins link
+  /// mixes one word per coin whose probability is not 0. Inline (below),
+  /// so that a merge lane's link walk compiles into one loop.
+  [[nodiscard]] FaultDecision verdict(const SenderKey& sender, const LinkKey& link,
+                                      std::uint64_t seq) const noexcept;
+
+  /// peek(LinkEvent{key.round, key.from, to, seq}), bit for bit: verdict()
+  /// plus the entropy word. peek(LinkEvent) itself goes through here.
   [[nodiscard]] FaultDecision peek(const SenderKey& key, NodeId to,
                                    std::uint64_t seq) const noexcept;
 
@@ -197,14 +228,108 @@ class ChaosSchedule {
   [[nodiscard]] static std::uint64_t word(std::uint64_t seed, const LinkEvent& event,
                                           std::uint64_t salt) noexcept;
 
+  /// The integer form of a probability: ceil(p * 2^53). A coin over word `w`
+  /// fires when `below(w, threshold(p))`, which is exactly
+  /// `(w >> 11) * 2^-53 < p`, the double coin(), for every word.
+  [[nodiscard]] static std::uint64_t threshold(double p) noexcept;
+  [[nodiscard]] static bool below(std::uint64_t word, std::uint64_t threshold) noexcept {
+    return (word >> 11) < threshold;
+  }
+
  private:
   void count_locked(const FaultDecision& verdict);
 
+  /// A phase's or a link spec's probabilities as threshold()s, fixed at
+  /// construction, and one `live` bit per threshold that is not 0. The
+  /// verdict tests the bit before it mixes a coin's word: `t != 0 &&
+  /// below(w, t)` equals `below(w, t)`, so a guard on the threshold itself
+  /// is folded away and every coin is mixed.
+  struct Thresholds {
+    static constexpr std::uint8_t kDrop = 1;
+    static constexpr std::uint8_t kDuplicate = 2;
+    static constexpr std::uint8_t kDelay = 4;
+    static constexpr std::uint8_t kCorrupt = 8;
+    Thresholds() = default;
+    Thresholds(double drop_p, double duplicate_p, double delay_p, double corrupt_p) noexcept;
+    std::uint64_t drop = 0;
+    std::uint64_t duplicate = 0;
+    std::uint64_t delay = 0;
+    std::uint64_t corrupt = 0;
+    std::uint8_t live = 0;
+  };
+
+  // Fault-type salts: each verdict draws from an independent pure stream so
+  // e.g. raising the drop probability never perturbs delay lengths.
+  static constexpr std::uint64_t kSaltDrop = 0;
+  static constexpr std::uint64_t kSaltDuplicate = 1;
+  static constexpr std::uint64_t kSaltDelay = 2;
+  static constexpr std::uint64_t kSaltDelayLength = 3;
+  static constexpr std::uint64_t kSaltCorrupt = 4;
+  static constexpr std::uint64_t kSaltEntropy = 5;
+  static constexpr std::uint64_t kSaltLinkDrop = 6;
+  static constexpr std::uint64_t kSaltLinkDuplicate = 7;
+  static constexpr std::uint64_t kSaltLinkDelay = 8;
+
+  /// One field of the verdict hash: advance the splitmix64 state, then xor
+  /// the field in.
+  static std::uint64_t fold(std::uint64_t state, std::uint64_t field) noexcept {
+    (void)splitmix64(state);
+    return state ^ field;
+  }
+  /// The word of coin `salt` for the send whose folded state is `state`.
+  static std::uint64_t salted(std::uint64_t state, std::uint64_t salt) noexcept {
+    std::uint64_t folded = fold(state, salt);
+    return splitmix64(folded);
+  }
+
+  /// The phase's thresholds on a kNamed link, with each coin certain whose
+  /// LinkFaultSpec coin fires for this send.
+  [[nodiscard]] Thresholds named_coins(const SenderKey& sender, const LinkKey& link,
+                                       std::uint64_t state) const noexcept;
+
   ChaosPlan plan_;
+  std::vector<Thresholds> phase_thresholds_;               // one per phase
+  std::vector<std::vector<Thresholds>> link_thresholds_;  // per phase, one per link spec
   std::uint64_t seed_ = 0;
   Round last_faulty_round_ = 0;
   mutable std::mutex mutex_;
   std::vector<FaultCounters> per_phase_;
 };
+
+inline FaultDecision ChaosSchedule::verdict(const SenderKey& sender, const LinkKey& link,
+                                            std::uint64_t seq) const noexcept {
+  FaultDecision decision;
+  if (link.rule == LinkKey::Rule::kClean) return decision;
+  decision.phase = sender.phase;
+  if (link.rule == LinkKey::Rule::kCut) {
+    decision.drop = true;
+    decision.drop_kind = link.cut;
+    return decision;
+  }
+  const auto p = static_cast<std::size_t>(sender.phase);
+  const std::uint64_t state = fold(link.state, seq);
+  const Thresholds coins = link.rule == LinkKey::Rule::kNamed ? named_coins(sender, link, state)
+                                                              : phase_thresholds_[p];
+  // A coin whose probability is 0 is never mixed.
+  if ((coins.live & Thresholds::kDrop) != 0 && below(salted(state, kSaltDrop), coins.drop)) {
+    decision.drop = true;
+    decision.drop_kind = FaultKind::kDrop;
+    return decision;
+  }
+  if ((coins.live & Thresholds::kDuplicate) != 0 &&
+      below(salted(state, kSaltDuplicate), coins.duplicate)) {
+    decision.duplicate = true;
+  }
+  if ((coins.live & Thresholds::kDelay) != 0 && below(salted(state, kSaltDelay), coins.delay)) {
+    const auto span =
+        static_cast<std::uint64_t>(std::max<Round>(plan_.phases[p].delay.max_extra_rounds, 1));
+    decision.delay_rounds = 1 + static_cast<Round>(salted(state, kSaltDelayLength) % span);
+  }
+  if ((coins.live & Thresholds::kCorrupt) != 0 &&
+      below(salted(state, kSaltCorrupt), coins.corrupt)) {
+    decision.corrupt = true;
+  }
+  return decision;
+}
 
 }  // namespace idonly

@@ -89,21 +89,27 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
   const std::size_t own_end = run_starts_[lane_index + 1];
   BroadcastLane& segment = lanes_[fill_lane_].segment(lane_index);
 
-  // What the link from the run's sender to receiver slot `t` does to a
-  // message: the chaos verdict, staged for the fault counters and recorded.
-  // The verdict hash is keyed once per sender run (`sender`).
-  const auto link_fault = [&](const ChaosSchedule::SenderKey& sender, std::size_t t) {
-    FaultDecision fault;
-    if (chaos_) {
-      const NodeId to = dispatches_[t].id;
-      const std::uint64_t link_seq = arena.link_seq[t - begin]++;
-      fault = chaos_->peek(sender, to, link_seq);
-      if (fault.faulted()) arena.chaos_stage.push_back(fault);
-      if (recorder_) {
-        arena.trace_stage.push_back(
-            make_link_verdict_record(LinkEvent{round_, sender.from, to, link_seq}, fault));
-      }
+  // What the link from the run's sender to receiver slot `t` does to its
+  // next message: the chaos verdict, staged for the fault counters and
+  // recorded. Only links of walked rounds get one; elsewhere no phase
+  // covers the round and nothing records it, so every link is clean. A
+  // clean, unrecorded verdict is staged nowhere; staging is its own lambda
+  // so that the verdict inlines into the link walk.
+  const ChaosSchedule* chaos = chaos_.get();
+  const bool record = recorder_ != nullptr;
+  const auto stage_verdict = [&](const ChaosSchedule::SenderKey& sender, NodeId to,
+                                 std::uint64_t seq, const FaultDecision& fault) {
+    if (fault.faulted()) arena.chaos_stage.push_back(fault);
+    if (record) {
+      arena.trace_stage.push_back(
+          make_link_verdict_record(LinkEvent{round_, sender.from, to, seq}, fault));
     }
+  };
+  const auto link_fault = [&](const ChaosSchedule::SenderKey& sender, std::size_t t) {
+    LaneArena::Link& link = arena.links[t - begin];
+    const std::uint64_t seq = link.seq++;
+    const FaultDecision fault = chaos->verdict(sender, link.key, seq);
+    if (record || fault.faulted()) stage_verdict(sender, link.key.to, seq, fault);
     return fault;
   };
 
@@ -162,10 +168,15 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
     const SenderRun& run = runs_[r];
     const bool own_run = r >= own_begin && r < own_end;
     const std::uint64_t run_key = seq_ + 2 * run.base;
+    // The verdict hash is keyed once per sender run, then once per link of
+    // the run: a message adds only its `seq` and its coins.
     ChaosSchedule::SenderKey sender;
-    if (chaos_) {
+    if (walk_links_) {
       sender = chaos_->sender_key(round_, run.id, chaos_phase_);
-      arena.link_seq.assign(end - begin, 0);
+      arena.links.resize(end - begin);
+      for (std::size_t t = begin; t < end; ++t) {
+        arena.links[t - begin] = {chaos_->link_key(sender, dispatches_[t].id), 0};
+      }
     }
     for (std::size_t m = 0; m < run.sends.size(); ++m) {
       const Send& send = run.sends[m];
@@ -199,20 +210,23 @@ void SyncSimulator::merge_lane(std::size_t lane_index) {
         }
       }
       if (send.to.has_value()) {
-        const std::size_t t = slot_of(*send.to);
+        const std::size_t t = note.slot;
         if (t >= begin && t < end) {  // recipient gone → no lane owns it; message lost
-          deposit_private(*send.to, *dispatches_[t].member, ref, key, link_fault(sender, t), note,
-                          twin, run_key);
+          deposit_private(*send.to, *dispatches_[t].member, ref, key,
+                          walk_links_ ? link_fault(sender, t) : FaultDecision{}, note, twin,
+                          run_key);
         }
       } else if (walk_links_) {
+        // A clean link leaves a first broadcast to the lane: the receiver is
+        // touched only for a fault or a repeat.
+        const bool repeat = note.repeat != 0;
         for (std::size_t t = begin; t < end; ++t) {
-          const NodeId to = dispatches_[t].id;
-          Member& member = *dispatches_[t].member;
           const FaultDecision fault = link_fault(sender, t);
-          if (note.repeat != 0) {
-            deposit_private(to, member, ref, key, fault, note, twin, run_key);
-          } else {
-            except_from_lane(to, member, ref, key, fault);
+          if (repeat) {
+            deposit_private(dispatches_[t].id, *dispatches_[t].member, ref, key, fault, note, twin,
+                            run_key);
+          } else if (fault.faulted()) {
+            except_from_lane(dispatches_[t].id, *dispatches_[t].member, ref, key, fault);
           }
         }
       }
@@ -287,7 +301,7 @@ void SyncSimulator::begin_round() {
   }
 
   // The dispatch arena persists across rounds: slab/scratch capacity from
-  // the previous round is reused, so steady-state rounds allocate nothing.
+  // the previous round is reused (the sends' MessageRef cells are new).
   if (dispatches_.size() > members_.size()) dispatches_.resize(members_.size());
   dispatches_.reserve(members_.size());
   std::size_t slot = 0;
@@ -378,12 +392,28 @@ void SyncSimulator::begin_round() {
   });
 }
 
-void SyncSimulator::annotate_run(const SenderRun& run, ContentGroups& groups) {
+void SyncSimulator::annotate_run(const SenderRun& run, ContentGroups& groups) const {
   const std::span<const Send> sends = run.sends;
   const auto n = static_cast<std::uint32_t>(sends.size());
   assert(n < SendNote::kNoTwin);
+  // Each lane reads a unicast's receiver slot, resolved here once. A run's
+  // unicasts mostly name ascending receivers (a two-faced sender expands
+  // each broadcast over one side, in id order), so the search first looks
+  // a few slots past the previous unicast's.
+  std::size_t next = 0;
+  const auto receiver_slot = [&](std::uint32_t m) -> std::uint32_t {
+    if (!sends[m].to.has_value()) return 0;
+    const NodeId to = *sends[m].to;
+    std::size_t t = next;
+    const std::size_t stop = std::min(next + 4, dispatches_.size());
+    while (t < stop && dispatches_[t].id < to) ++t;
+    if (t >= dispatches_.size() || dispatches_[t].id != to) t = slot_of(to);
+    next = t + 1;
+    return static_cast<std::uint32_t>(t);
+  };
   if (n == 1) {
     run.notes[0] = SendNote{};
+    run.notes[0].slot = receiver_slot(0);
     return;
   }
   // An open-addressing table of 2^bits slots for `count` keys, at most two
@@ -460,6 +490,7 @@ void SyncSimulator::annotate_run(const SenderRun& run, ContentGroups& groups) {
     note.twin = twinned ? group.first_broadcast : SendNote::kNoTwin;
     note.repeat = 0;
     note.maybe_held = 0;
+    note.slot = receiver_slot(m);
     if (sends[m].to.has_value()) {
       const bool seen = group.unicasts > 1 && !insert_pair(g, *sends[m].to, m);
       note.maybe_held = group.repeat_seen || seen ? 1 : 0;
@@ -519,8 +550,9 @@ void SyncSimulator::finish_round(std::span<const std::vector<Send>> remote_strea
   }
 
   // Annotation — parallel over sender runs, local and remote alike: decide
-  // each send's lane twin, repeat and held-copy flags once, so that the
-  // merge and next round's collect() never look content up.
+  // each send's lane twin, repeat and held-copy flags and each unicast's
+  // receiver slot once, so that the merge and next round's collect() never
+  // look content or a receiver up.
   if (groupings_.size() != threads_) groupings_.resize(threads_);
   run_tasks(runs_.size(), [this](std::size_t r, unsigned slot) {
     annotate_run(runs_[r], groupings_[slot]);

@@ -173,10 +173,10 @@ class SyncSimulator {
     Mailbox mailbox;         // receiver-specific traffic (unicasts, delays, masks)
   };
 
-  /// What a send's content means for delivery, decided once per send by
-  /// annotate_run() before the merge — so no merge or collect step looks
-  /// content up. Four bytes: a round of a two-faced sender is tens of
-  /// thousands of unicasts.
+  /// What a send's content and receiver mean for delivery, decided once per
+  /// send by annotate_run() before the merge — so no merge or collect step
+  /// looks content or a receiver up. Eight bytes: a round of a two-faced
+  /// sender is tens of thousands of unicasts.
   struct SendNote {
     static constexpr std::uint32_t kNoTwin = (1U << 30) - 1;
     /// Position in the run of the sender's first broadcast with equal
@@ -191,12 +191,16 @@ class SyncSimulator {
     /// equal repeat broadcast (the first broadcast goes to the lane, not
     /// to mailboxes).
     std::uint32_t maybe_held : 1 = 0;
+    /// A unicast's receiver: its dispatch slot, or the slot count when it
+    /// is not a member this round (no lane owns it; the message is lost).
+    std::uint32_t slot = 0;
   };
 
   /// One member's slice of a round. The outbox slab, wrapped sends, and done
   /// flags live here so the parallel phases touch only private state;
-  /// dispatches_ persists across rounds (the round arena — slab capacity is
-  /// reused, steady-state rounds allocate nothing).
+  /// dispatches_ persists across rounds (the round arena), so steady-state
+  /// rounds reuse the slabs' capacity. They still allocate: each distinct
+  /// send wraps its message in a new MessageRef cell.
   struct Dispatch {
     NodeId id = 0;
     Member* member = nullptr;
@@ -224,10 +228,15 @@ class SyncSimulator {
   struct alignas(64) LaneArena {
     MessageCounters messages;  // sent
     FanoutCounters fanout;
-    // Link-event sequence numbers of the run being walked, per receiver slot
-    // of this lane: a sender is exactly one run per round, so its per-link
-    // counters start at 0 with its run.
-    std::vector<std::uint64_t> link_seq;
+    // The links of the run being walked, one per receiver slot of this lane:
+    // the chaos link key and the link-event sequence number. A sender is
+    // exactly one run per round, so its per-link counters start at 0 with
+    // its run.
+    struct Link {
+      ChaosSchedule::LinkKey key;
+      std::uint64_t seq = 0;
+    };
+    std::vector<Link> links;
     std::vector<TraceRecord> trace_stage;       // recorder records, per-ring order
     std::vector<FaultDecision> chaos_stage;     // faulted verdicts only
     struct Delayed {
@@ -281,8 +290,9 @@ class SyncSimulator {
   /// DESIGN.md §8.
   void merge_lane(std::size_t lane_index);
   /// Fill `run.notes`: group the run's sends by content (cached hash, then
-  /// full MessageRef equality) in `groups`.
-  static void annotate_run(const SenderRun& run, ContentGroups& groups);
+  /// full MessageRef equality) in `groups`, and resolve each unicast's
+  /// receiver slot.
+  void annotate_run(const SenderRun& run, ContentGroups& groups) const;
 
   std::map<NodeId, Member> members_;                 // ordered → deterministic stepping
   std::vector<std::unique_ptr<Process>> pending_joins_;

@@ -242,12 +242,15 @@ TEST(ChaosSchedule_, VerdictBitsArePinned) {
   }
 }
 
-TEST(ChaosSchedule_, SenderKeyedVerdictsEqualPeekOnEveryLink) {
-  // The merge keys each verdict hash once per sender run; peek(LinkEvent)
-  // must be the same function on every link of a plan that uses every rule.
-  std::mt19937_64 rng(0xC4A05);
+const std::vector<NodeId> kAllRulesIds = {2, 5, 9, 14, 20, 27};
+
+/// Three phases over rounds 1-10 (none covers 11 and 12), each with random
+/// drop, duplicate, corrupt and delay probabilities and six random link
+/// specs over kAllRulesIds (self-links included); a partition in the second
+/// phase and a crash window in the third.
+ChaosPlan all_rules_plan(std::mt19937_64& rng) {
   const auto draw = [&] { return std::uniform_real_distribution<double>(0, 0.5)(rng); };
-  const std::vector<NodeId> ids = {2, 5, 9, 14, 20, 27};
+  const std::vector<NodeId>& ids = kAllRulesIds;
   ChaosPlan plan;
   for (Round first : {1, 4, 7}) {
     ChaosPhase phase = phase_window(first, first + 3);
@@ -266,6 +269,15 @@ TEST(ChaosSchedule_, SenderKeyedVerdictsEqualPeekOnEveryLink) {
     if (first == 7) phase.crashes.push_back(CrashWindow{9, 8, 9});
     plan.phases.push_back(phase);
   }
+  return plan;
+}
+
+TEST(ChaosSchedule_, SenderKeyedVerdictsEqualPeekOnEveryLink) {
+  // The merge keys each verdict hash once per sender run; peek(LinkEvent)
+  // must be the same function on every link of a plan that uses every rule.
+  std::mt19937_64 rng(0xC4A05);
+  const std::vector<NodeId>& ids = kAllRulesIds;
+  const ChaosPlan plan = all_rules_plan(rng);
   const ChaosSchedule schedule(plan, rng());
   std::size_t faulted = 0;
   for (Round round = 1; round <= 12; ++round) {
@@ -296,6 +308,135 @@ TEST(ChaosSchedule_, SenderKeyedVerdictsEqualPeekOnEveryLink) {
     }
   }
   EXPECT_GT(faulted, 100u);
+}
+
+/// The verdict as ChaosPhase documents it, on the double coins: crash, then
+/// partition, then the link specs' coins, then drop, duplicate, delay (and
+/// its length) and corrupt, each coin drawn only when its probability is
+/// not 0. Salts: drop 0, duplicate 1, delay 2, delay length 3, corrupt 4,
+/// link drop 6, link duplicate 7, link delay 8.
+FaultDecision reference_verdict(const ChaosSchedule& schedule, const LinkEvent& event) {
+  FaultDecision decision;
+  const auto index = schedule.phase_for(event.round);
+  if (event.from == event.to || !index.has_value()) return decision;
+  const ChaosPhase& phase = schedule.plan().phases[*index];
+  const auto coin = [&](std::uint64_t salt) {
+    return ChaosSchedule::coin(schedule.seed(), event, salt);
+  };
+  const auto in = [](const std::vector<NodeId>& side, NodeId id) {
+    return std::find(side.begin(), side.end(), id) != side.end();
+  };
+  decision.phase = static_cast<int>(*index);
+  for (const CrashWindow& crash : phase.crashes) {
+    if ((crash.node == event.from || crash.node == event.to) && event.round >= crash.first &&
+        event.round <= crash.last) {
+      decision.drop = true;
+      decision.drop_kind = FaultKind::kCrashDrop;
+      return decision;
+    }
+  }
+  for (const ChaosPartition& cut : phase.partitions) {
+    if ((in(cut.side_a, event.from) && in(cut.side_b, event.to)) ||
+        (in(cut.side_b, event.from) && in(cut.side_a, event.to))) {
+      decision.drop = true;
+      decision.drop_kind = FaultKind::kPartitionDrop;
+      return decision;
+    }
+  }
+  double drop = phase.drop;
+  double duplicate = phase.duplicate;
+  double delay = phase.delay.probability;
+  for (const LinkFaultSpec& spec : phase.link_faults) {
+    if (spec.from != event.from || spec.to != event.to) continue;
+    if (spec.drop > 0 && coin(6) < spec.drop) drop = 1;
+    if (spec.duplicate > 0 && coin(7) < spec.duplicate) duplicate = 1;
+    if (spec.delay > 0 && coin(8) < spec.delay) delay = 1;
+  }
+  if (drop > 0 && coin(0) < drop) {
+    decision.drop = true;
+    return decision;
+  }
+  decision.duplicate = duplicate > 0 && coin(1) < duplicate;
+  if (delay > 0 && coin(2) < delay) {
+    const auto span = static_cast<std::uint64_t>(std::max<Round>(phase.delay.max_extra_rounds, 1));
+    decision.delay_rounds =
+        1 + static_cast<Round>(ChaosSchedule::word(schedule.seed(), event, 3) % span);
+  }
+  decision.corrupt = phase.corrupt > 0 && coin(4) < phase.corrupt;
+  return decision;
+}
+
+TEST(ChaosSchedule_, LinkKeyedVerdictsEqualPeekOnEveryLink) {
+  // The engines key each link once per sender run and ask verdict() for each
+  // send on it. On every link of the all-rules plan plus a drop-only phase
+  // (self-links and rounds no phase covers included), that verdict must equal
+  // peek(LinkEvent) in every field but entropy, which the engines never
+  // read and verdict() leaves 0, and both must equal the documented verdict
+  // on the double coins.
+  std::mt19937_64 rng(0xC4A05);
+  const std::vector<NodeId>& ids = kAllRulesIds;
+  ChaosPlan plan = all_rules_plan(rng);
+  ChaosPhase drop_only = phase_window(13, 14);
+  drop_only.drop = 0.3;
+  drop_only.link_faults.push_back(LinkFaultSpec{.from = 5, .to = 9, .duplicate = 0.5});
+  plan.phases.push_back(drop_only);
+  const ChaosSchedule schedule(plan, rng());
+  std::size_t faulted = 0;
+  for (Round round = 1; round <= 15; ++round) {
+    const auto phase = schedule.phase_for(round);
+    for (NodeId from : ids) {
+      const ChaosSchedule::SenderKey sender = schedule.sender_key(round, from, phase);
+      for (NodeId to : ids) {
+        const ChaosSchedule::LinkKey link = schedule.link_key(sender, to);
+        for (std::uint64_t seq = 0; seq < 3; ++seq) {
+          const LinkEvent event{round, from, to, seq};
+          const FaultDecision keyed = schedule.verdict(sender, link, seq);
+          const FaultDecision plain = schedule.peek(event);
+          const FaultDecision reference = reference_verdict(schedule, event);
+          const std::string where = std::to_string(round) + " " + std::to_string(from) + "->" +
+                                    std::to_string(to) + " #" + std::to_string(seq);
+          for (const FaultDecision* other : {&plain, &reference}) {
+            EXPECT_EQ(keyed.drop, other->drop) << where;
+            EXPECT_EQ(keyed.drop_kind, other->drop_kind) << where;
+            EXPECT_EQ(keyed.duplicate, other->duplicate) << where;
+            EXPECT_EQ(keyed.corrupt, other->corrupt) << where;
+            EXPECT_EQ(keyed.delay_rounds, other->delay_rounds) << where;
+            EXPECT_EQ(keyed.phase, other->phase) << where;
+          }
+          EXPECT_EQ(keyed.entropy, 0u) << where;
+          EXPECT_EQ(link.rule == ChaosSchedule::LinkKey::Rule::kClean,
+                    from == to || !phase.has_value())
+              << where;
+          faulted += keyed.faulted() ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(faulted, 100u);
+}
+
+TEST(ChaosSchedule_, IntegerThresholdsMatchUnitCoins) {
+  // below(w, threshold(p)) must be the double coin (w >> 11) * 2^-53 < p
+  // for every word: checked at the words whose top 53 bits sit at T - 1,
+  // T and T + 1, and at random words.
+  const auto unit = [](std::uint64_t w) { return static_cast<double>(w >> 11) * 0x1.0p-53; };
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  std::mt19937_64 rng(0x7E57);
+  for (const double p : {0.0, 0x1.0p-53, 0.05, 1.0 / 3.0, 0.5, 1.0 - 0x1.0p-53, 1.0}) {
+    const std::uint64_t t = ChaosSchedule::threshold(p);
+    std::vector<std::uint64_t> words;
+    for (const std::uint64_t top : {t - 1, t, t + 1}) {
+      if (top >= kTop) continue;  // t - 1 wraps at p = 0; t + 1 passes 2^53 at p = 1
+      words.push_back(top << 11);
+      words.push_back((top << 11) | 0x7FF);
+    }
+    for (int k = 0; k < 1000; ++k) words.push_back(rng());
+    for (const std::uint64_t w : words) {
+      EXPECT_EQ(ChaosSchedule::below(w, t), unit(w) < p) << "p " << p << " word " << w;
+    }
+  }
+  EXPECT_EQ(ChaosSchedule::threshold(0.0), 0u);
+  EXPECT_EQ(ChaosSchedule::threshold(1.0), kTop);
 }
 
 TEST(ChaosSchedule_, SelfLinksAreNeverFaulted) {

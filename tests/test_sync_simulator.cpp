@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -832,6 +833,53 @@ TEST(SyncSimulator, RandomRoundsMatchPerReceiverDedupOracle) {
               << "trial " << trial << " receiver " << id << " threads " << threads
               << (walk_links ? " walking links" : "");
         }
+      }
+    }
+  }
+}
+
+TEST(SyncSimulator, ChaosDeliveriesAndCountersDoNotDependOnARecorder) {
+  // A recorder makes the merge walk every round's links, so verdicts of
+  // rounds no phase covers are computed and recorded; without one only the
+  // phase's rounds are walked, and unicasts elsewhere get no verdict at all.
+  // Deliveries and fault counters must be the same either way, for a
+  // drop-only plan and a drop+dup+delay plan, at one and four threads.
+  constexpr NodeId kMaxTarget = 14;  // ids 13 and 14 are never members
+  ChaosPhase drop_only;
+  drop_only.first_round = 3;
+  drop_only.last_round = 7;
+  drop_only.drop = 0.2;
+  ChaosPhase mixed = drop_only;
+  mixed.duplicate = 0.15;
+  mixed.delay = DelaySpec{0.15, 2};
+  for (const ChaosPhase& phase : {drop_only, mixed}) {
+    std::optional<DeliveryLog> reference_log;
+    std::optional<std::string> reference_counters;
+    for (const unsigned threads : {1U, 4U}) {
+      for (const bool record : {false, true}) {
+        const auto chaos = std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, 31);
+        SyncSimulator sim;
+        sim.set_threads(threads);
+        sim.set_chaos(chaos);
+        if (record) sim.set_trace_recorder(std::make_shared<TraceRecorder>(TraceEngine::kSync));
+        DeliveryLog log;
+        for (NodeId id = 1; id <= 12; ++id) {
+          sim.add_process(std::make_unique<Chatter>(id, 5, kMaxTarget, log));
+        }
+        sim.run_rounds(10);
+        ChaosCounters counters = chaos->counters();
+        const std::string exposition = prometheus_exposition(Metrics{}, &counters);
+        ASSERT_GT(counters.per_phase.at(0).drops, 0u);
+        if (!reference_log.has_value()) {
+          reference_log = log;
+          reference_counters = exposition;
+          continue;
+        }
+        const std::string where = std::string(phase.delay.probability > 0 ? "mixed" : "drop-only") +
+                                  " threads " + std::to_string(threads) +
+                                  (record ? " recorded" : "");
+        EXPECT_EQ(log, *reference_log) << where;
+        EXPECT_EQ(exposition, *reference_counters) << where;
       }
     }
   }
