@@ -56,22 +56,8 @@ void BM_CodecRejectGarbage(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecRejectGarbage);
 
-void BM_HubFanOut(benchmark::State& state) {
-  const auto endpoints_count = static_cast<std::size_t>(state.range(0));
-  InMemoryHub hub;
-  std::vector<std::unique_ptr<InMemoryTransport>> endpoints;
-  for (std::size_t i = 0; i < endpoints_count; ++i) endpoints.push_back(hub.make_endpoint());
-  const auto frame = encode(sample_message());
-  for (auto _ : state) {
-    endpoints[0]->broadcast(frame);
-    for (auto& endpoint : endpoints) benchmark::DoNotOptimize(endpoint->drain());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(endpoints_count));
-}
-BENCHMARK(BM_HubFanOut)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
-
 void BM_HubFanOutViews(benchmark::State& state) {
-  // Same fan-out through drain_views(): the broadcast materialises one
+  // Hub fan-out through drain_views(): the broadcast materialises one
   // ref-counted frame and every endpoint receives a view — the per-endpoint
   // cost is a reference bump, independent of frame size.
   const auto endpoints_count = static_cast<std::size_t>(state.range(0));

@@ -9,7 +9,9 @@
 // verdict. Same seed + same logical traffic ⇒ the same verdicts, no matter
 // which engine replays them or in which order its threads drain mailboxes.
 // It is the only link-fault injector: the sync simulator and the runtime's
-// ChaosTransport both consult one. The schedule keeps only per-phase fault
+// RoundDriver (on receipt, per decoded frame) both consult one and deliver
+// drop, delay and duplicate verdicts alike; only a corrupt verdict flips a
+// real bit in the runtime alone. The schedule keeps only per-phase fault
 // counters; the record of individual verdicts is the flight recorder's
 // link family (common/trace.hpp), whose canonical export is the
 // cross-engine comparison.

@@ -13,6 +13,9 @@
 // happens when it does not. The schedule is fixed: the model is a lock-step
 // round with a known bound, and the paper's §9 lemma shows agreement is
 // impossible when that bound is unknown, so D is never adapted at run time.
+// `run()` is that paced loop around `run_round()`, which does one round's
+// work unpaced: tests drive several drivers through `run_round()` in
+// lock-step to compare the runtime's deliveries with the sync engine's.
 //
 // ON THE WIRE the driver COALESCES: all of a round's outgoing messages go
 // into one slab datagram (the net/codec.hpp slab: header with shard 0 and
@@ -22,7 +25,21 @@
 // frame subspans; a datagram that does not parse as a slab counts as one
 // dropped frame. A frame whose round header lies beyond max_rounds can never
 // be delivered and is dropped on arrival (counted in `frames_dropped()`)
-// rather than buffered.
+// rather than buffered. Inbox assembly keeps one copy of identical messages
+// from one sender, the model's rule, and orders the inbox as the sync engine
+// does (on-time before delayed, then by sent round and sender), so what a
+// process sends never depends on the order its frames arrived in.
+//
+// CHAOS (`RoundDriverConfig::chaos`) is judged on receipt, with the sync
+// engine's rules: each decodable entry asks the schedule for the verdict of
+// LinkEvent{header round, sender, self, per-(round, sender) seq}, in slab
+// order and self-links included, so the verdicts — and the canonical trace
+// they are recorded into — are the sync engine's bit for bit. A drop
+// delivers nothing; a delay of k rounds files the message under header
+// round + k, so it is delivered k rounds late; a duplicate adds one on-time
+// copy, which dedup kills unless the original is delayed; a corrupt verdict
+// flips one entropy-chosen bit of a private copy of the frame before it is
+// decoded (the sync engine only records it).
 //
 // Sender identity: frames carry the sender field. The driver stamps its own
 // outgoing frames but — unlike the simulator — cannot police incoming ones
@@ -36,8 +53,10 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/chaos.hpp"
 #include "common/trace.hpp"
 #include "common/types.hpp"
 #include "net/codec.hpp"
@@ -55,6 +74,10 @@ struct RoundDriverConfig {
   /// frames are captured. May be shared across drivers — the recorder is
   /// thread-safe.
   std::shared_ptr<TraceRecorder> recorder;
+
+  /// Optional wire faults, judged on receipt (see the header note) and
+  /// recorded into `recorder` as link verdicts. May be shared across drivers.
+  std::shared_ptr<ChaosSchedule> chaos;
 };
 
 class RoundDriver {
@@ -65,6 +88,10 @@ class RoundDriver {
   /// Blocks until the process reports done() or max_rounds elapse. Returns
   /// the number of rounds executed. Call from a dedicated thread.
   Round run();
+
+  /// Round r without pacing: drain and sort arrivals, deliver the frames
+  /// tagged r-1, step the process, send. Returns the process's done().
+  bool run_round(Round r);
 
   [[nodiscard]] Process& process() noexcept { return *process_; }
   // All counters below are written by the driver thread and may be read by
@@ -87,7 +114,12 @@ class RoundDriver {
   std::unique_ptr<Process> process_;
   std::unique_ptr<Transport> transport_;
   RoundDriverConfig config_;
-  std::map<Round, std::vector<Message>> buffered_;  // by sender round header
+  struct Filed {
+    Round sent = 0;  // the frame's round header
+    Message msg;
+  };
+  std::map<Round, std::vector<Filed>> buffered_;  // by delivery round - 1
+  std::map<std::pair<Round, NodeId>, std::uint64_t> link_seq_;  // chaos seq per (round, sender)
   ShardSlabWriter slab_;  // reused send buffer: one coalesced datagram per round
   std::atomic<Round> rounds_executed_{0};
   std::atomic<std::uint64_t> frames_dropped_{0};

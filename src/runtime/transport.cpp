@@ -4,12 +4,4 @@ namespace idonly {
 
 Transport::~Transport() = default;
 
-std::vector<Frame> Transport::drain() {
-  std::vector<Frame> out;
-  for (const FrameView& view : drain_views()) {
-    out.emplace_back(view.bytes.begin(), view.bytes.end());
-  }
-  return out;
-}
-
 }  // namespace idonly

@@ -5,7 +5,9 @@
 // addresses of the broadcast domain's endpoints — that sits BELOW the
 // id-only abstraction line, like an Ethernet segment: the transport can
 // reach "everyone on the wire" without the protocol layer ever learning how
-// many participants exist or which ids are live.
+// many participants exist or which ids are live. A transport moves bytes
+// and nothing else: injected wire faults are judged by the RoundDriver on
+// receipt, by each frame's round header (runtime/round_driver.hpp).
 //
 // Trust note: the paper's model makes the *sender id* unforgeable. The
 // simulator enforces this by stamping; a real deployment must enforce it
@@ -35,10 +37,6 @@ class Transport {
   /// a broadcast domain materialises one buffer no matter how many
   /// endpoints receive it.
   [[nodiscard]] virtual std::vector<FrameView> drain_views() = 0;
-
-  /// Materialising convenience drain: copies each view's bytes into an
-  /// owned Frame. Prefer drain_views() on hot paths.
-  [[nodiscard]] std::vector<Frame> drain();
 };
 
 }  // namespace idonly

@@ -1,13 +1,14 @@
 // Deterministic chaos engine: plan validation, pure-function verdicts, and
 // the cross-engine reproducibility contract — ONE schedule replays the SAME
-// verdicts on the sync simulator and the runtime transport stack, because
+// verdicts on the sync simulator and the runtime's RoundDriver, because
 // every verdict is a pure function of (seed, LinkEvent) and the engines only
 // differ in how they derive the key. A run's verdicts are compared through
 // a flight recorder's canonical export plus the schedule's per-phase
-// counters.
+// counters, and the two engines' deliveries inbox by inbox.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -21,10 +22,11 @@
 #include "common/invariants.hpp"
 #include "common/trace.hpp"
 #include "core/consensus.hpp"
+#include "core/reliable_broadcast.hpp"
 #include "harness/script.hpp"
 #include "net/sync_simulator.hpp"
-#include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
+#include "runtime/round_driver.hpp"
 #include "wire_frames.hpp"
 
 namespace idonly {
@@ -526,6 +528,27 @@ class ChatterProcess final : public Process {
   }
 };
 
+/// Sends what the test scripts for each global round; records every inbox.
+class RecordingProcess final : public Process {
+ public:
+  using Process::Process;
+  void send_in_round(Round round, Outgoing out) { script_[round].push_back(std::move(out)); }
+  void on_round(RoundInfo round, std::span<const Message> inbox,
+                std::vector<Outgoing>& out) override {
+    received[round.global].assign(inbox.begin(), inbox.end());
+    if (const auto it = script_.find(round.global); it != script_.end()) {
+      out.insert(out.end(), it->second.begin(), it->second.end());
+    }
+  }
+
+  std::map<Round, std::vector<Message>> received;
+
+ private:
+  std::map<Round, std::vector<Outgoing>> script_;
+};
+
+Message valued(double v) { return Message{.kind = MsgKind::kPresent, .value = Value::real(v)}; }
+
 TEST(ChaosCrossEngine, OneSeedOneTraceOnAllThreeEngines) {
   ChaosPhase phase = phase_window(2, 4);
   phase.drop = 0.25;
@@ -559,129 +582,220 @@ TEST(ChaosCrossEngine, OneSeedOneTraceOnAllThreeEngines) {
   const std::string sync_trace = run_sync();
   EXPECT_EQ(sync_trace, run_sync()) << "repeated runs of one engine are byte-identical";
 
-  // Runtime engine: receive-side ChaosTransport recovers the link key from
-  // the slab's round header + codec sender — one broadcast per node per
-  // round.
+  // Runtime engine: each RoundDriver judges what it receives, keying the
+  // link by the slab's round header and the codec sender.
   auto runtime_chaos = std::make_shared<ChaosSchedule>(plan, seed);
   auto runtime_trace = std::make_shared<TraceRecorder>(TraceEngine::kRuntime);
   InMemoryHub hub;
-  std::vector<std::unique_ptr<ChaosTransport>> transports;
-  for (NodeId id : ids) {
-    transports.push_back(
-        std::make_unique<ChaosTransport>(hub.make_endpoint(), runtime_chaos, id));
-    transports.back()->set_trace_recorder(runtime_trace);
-  }
-  for (Round r = 1; r <= kRounds; ++r) {
-    for (std::size_t i = 0; i < ids.size(); ++i) transports[i]->broadcast(framed(r, ids[i]));
-    for (auto& transport : transports) (void)transport->drain_views();
-  }
+  std::vector<std::unique_ptr<Process>> chatter;
+  for (NodeId id : ids) chatter.push_back(std::make_unique<ChatterProcess>(id));
+  run_lock_step(hub, std::move(chatter), kRounds, runtime_chaos, runtime_trace);
   EXPECT_EQ(sync_trace, verdicts(*runtime_trace, *runtime_chaos));
 }
 
-// --------------------------------------------------- runtime verdict unit --
+/// Each (round, node) inbox as a sorted (sender, encoded message) list.
+using InboxLog = std::map<std::pair<Round, NodeId>, std::vector<std::pair<NodeId, Frame>>>;
 
-TEST(ChaosTransportUnit, AppliesDropDuplicateAndSparesSelf) {
-  ChaosPhase phase = phase_window(1, 10);
-  phase.drop = 1.0;
-  auto chaos = std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, 1);
-  InMemoryHub hub;
-  ChaosTransport sender(hub.make_endpoint(), chaos, 1);
-  ChaosTransport receiver(hub.make_endpoint(), chaos, 2);
-  sender.broadcast(framed(1, 1));
-  EXPECT_TRUE(receiver.drain_views().empty()) << "cross-link frame dropped";
-  EXPECT_EQ(sender.drain_views().size(), 1u) << "self loopback exempt from chaos";
+/// One logged inbox, readable.
+std::string render(const std::vector<std::pair<NodeId, Frame>>& inbox) {
+  std::string out;
+  for (const auto& [sender, frame] : inbox) out += " " + decode(frame)->to_string();
+  return out;
+}
+
+/// Runs `inner` and files every inbox it is handed into `log`.
+class InboxLogger final : public Process {
+ public:
+  InboxLogger(std::unique_ptr<Process> inner, InboxLog* log)
+      : Process(inner->id()), inner_(std::move(inner)), log_(log) {}
+  void on_round(RoundInfo round, std::span<const Message> inbox,
+                std::vector<Outgoing>& out) override {
+    auto& logged = (*log_)[{round.global, id()}];
+    for (const Message& msg : inbox) logged.emplace_back(msg.sender, encode(msg));
+    std::sort(logged.begin(), logged.end());
+    inner_->on_round(round, inbox, out);
+  }
+  [[nodiscard]] bool done() const override { return inner_->done(); }
+
+ private:
+  std::unique_ptr<Process> inner_;
+  InboxLog* log_;
+};
+
+TEST(ChaosCrossEngine, DriverInboxesEqualSyncInboxesUnderDropDuplicateAndDelay) {
+  // Protocols whose traffic feeds back on what was delivered: one delivery
+  // that differs between engines changes later sends, so equal inboxes in
+  // every round (and equal canonical traces) show that the driver applies
+  // drop, duplicate and delay verdicts exactly as the sync engine does.
+  ChaosPhase phase = phase_window(2, 6);
+  phase.drop = 0.1;
+  phase.duplicate = 0.3;
+  phase.delay = DelaySpec{0.3, 2};
+  const ChaosPlan plan{{phase}};
+  const std::vector<NodeId> ids{3, 14, 15, 92, 65, 35, 89};
+  constexpr Round kRounds = 14;
+
+  struct Protocol {
+    const char* name;
+    std::function<std::unique_ptr<Process>(std::size_t)> make;
+  };
+  const std::vector<Protocol> protocols{
+      {"rb-alg1",
+       [&](std::size_t i) -> std::unique_ptr<Process> {
+         return std::make_unique<ReliableBroadcastProcess>(
+             ids[i], ids[0], i == 0 ? Value::real(42.0) : Value::bot(), RbBackendKind::kAlg1);
+       }},
+      {"rb-imbs",
+       [&](std::size_t i) -> std::unique_ptr<Process> {
+         return std::make_unique<ReliableBroadcastProcess>(
+             ids[i], ids[0], i == 0 ? Value::real(42.0) : Value::bot(), RbBackendKind::kImbs);
+       }},
+      {"consensus",
+       [&](std::size_t i) -> std::unique_ptr<Process> {
+         return std::make_unique<ConsensusProcess>(ids[i],
+                                                   Value::real(static_cast<double>(i % 2)));
+       }},
+  };
+  for (const std::uint64_t seed : {17U, 18U, 19U}) {
+    SCOPED_TRACE(seed);
+    for (const Protocol& protocol : protocols) {
+      SCOPED_TRACE(protocol.name);
+      InboxLog sync_log;
+      auto sync_chaos = std::make_shared<ChaosSchedule>(plan, seed);
+      auto sync_trace = std::make_shared<TraceRecorder>(TraceEngine::kSync);
+      SyncSimulator sim;
+      sim.set_chaos(sync_chaos);
+      sim.set_trace_recorder(sync_trace);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        sim.add_process(std::make_unique<InboxLogger>(protocol.make(i), &sync_log));
+      }
+      sim.run_rounds(kRounds);
+      const FaultCounters fired = sync_chaos->counters().total_faults();
+      EXPECT_GT(fired.drops, 0u);
+      EXPECT_GT(fired.duplicates, 0u);
+      EXPECT_GT(fired.delays, 0u);
+      const auto records = sync_trace->canonical();
+      EXPECT_TRUE(std::any_of(records.begin(), records.end(), [](const TraceRecord& rec) {
+        return rec.kind == TraceEventKind::kLinkDuplicate && rec.extra > 0;
+      })) << "a delayed duplicate must fire: one on-time and one late copy";
+
+      InboxLog runtime_log;
+      auto runtime_chaos = std::make_shared<ChaosSchedule>(plan, seed);
+      auto runtime_trace = std::make_shared<TraceRecorder>(TraceEngine::kRuntime);
+      InMemoryHub hub;
+      std::vector<std::unique_ptr<Process>> processes;
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        processes.push_back(std::make_unique<InboxLogger>(protocol.make(i), &runtime_log));
+      }
+      const auto drivers =
+          run_lock_step(hub, std::move(processes), kRounds, runtime_chaos, runtime_trace);
+      for (const auto& driver : drivers) {
+        EXPECT_EQ(driver->frames_late(), 0u);
+        EXPECT_EQ(driver->frames_dropped(), 0u);
+      }
+
+      EXPECT_EQ(sync_trace->canonical_jsonl(), runtime_trace->canonical_jsonl());
+      ASSERT_EQ(sync_log.size(), runtime_log.size());
+      for (const auto& [at, inbox] : sync_log) {
+        EXPECT_TRUE(inbox == runtime_log[at])
+            << "round " << at.first << ", node " << at.second << "\n  sync:   " << render(inbox)
+            << "\n  driver: " << render(runtime_log[at]);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------ runtime verdicts, unit --
+
+TEST(RoundDriverChaos, AppliesDropDuplicateAndSparesSelf) {
+  // Sender 1 broadcasts one message in round 1; receiver 2 would get it in
+  // round 2.
+  const auto run = [](const ChaosPhase& phase) {
+    InMemoryHub hub;
+    auto chaos = std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, 1);
+    auto sender = std::make_unique<RecordingProcess>(1);
+    sender->send_in_round(1, Outgoing{std::nullopt, valued(7)});
+    std::vector<std::unique_ptr<Process>> processes;
+    processes.push_back(std::move(sender));
+    processes.push_back(std::make_unique<RecordingProcess>(2));
+    const auto drivers = run_lock_step(hub, std::move(processes), 2, chaos);
+    return std::pair{process_of<RecordingProcess>(*drivers[0]).received[2],
+                     process_of<RecordingProcess>(*drivers[1]).received[2]};
+  };
+
+  ChaosPhase drop = phase_window(1, 10);
+  drop.drop = 1.0;
+  const auto [dropper_self, dropped] = run(drop);
+  EXPECT_TRUE(dropped.empty()) << "cross-link frame dropped";
+  EXPECT_EQ(dropper_self.size(), 1u) << "self loopback exempt from chaos";
 
   ChaosPhase dup = phase_window(1, 10);
   dup.duplicate = 1.0;
-  auto dup_chaos = std::make_shared<ChaosSchedule>(ChaosPlan{{dup}}, 1);
-  InMemoryHub hub2;
-  ChaosTransport dup_sender(hub2.make_endpoint(), dup_chaos, 1);
-  ChaosTransport dup_receiver(hub2.make_endpoint(), dup_chaos, 2);
-  dup_sender.broadcast(framed(1, 1));
-  const auto views = dup_receiver.drain_views();
-  ASSERT_EQ(views.size(), 2u);
-  EXPECT_TRUE(std::equal(views[0].bytes.begin(), views[0].bytes.end(), views[1].bytes.begin(),
-                         views[1].bytes.end()));
+  const auto [duper_self, duplicated] = run(dup);
+  ASSERT_EQ(duplicated.size(), 1u) << "the extra on-time copy dies in dedup";
+  EXPECT_EQ(duplicated[0].value, Value::real(7));
+  EXPECT_EQ(duper_self.size(), 1u);
 }
 
-TEST(ChaosTransportUnit, CorruptionFlipsExactlyOnePayloadByte) {
+TEST(RoundDriverChaos, CorruptionFlipsExactlyOnePayloadByte) {
+  // The driver flips the bit the verdict's entropy names in a private copy
+  // of the entry's frame, then decodes the copy: the receiver must get
+  // exactly what decoding that one-bit-flipped frame yields. Pick a seed
+  // whose flip still decodes, so a message is delivered.
   ChaosPhase phase = phase_window(1, 10);
   phase.corrupt = 1.0;
-  auto chaos = std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, 6);
-  InMemoryHub hub;
-  ChaosTransport sender(hub.make_endpoint(), chaos, 1);
-  ChaosTransport receiver(hub.make_endpoint(), chaos, 2);
-  const Frame original = framed(3, 1);
-  const auto sent = parse_shard_slab(original);
-  ASSERT_TRUE(sent.has_value());
-  ASSERT_EQ(sent->entries.size(), 1u);
-  const auto frame_begin = static_cast<std::size_t>(sent->entries[0].frame.data() - original.data());
-  const std::size_t frame_end = frame_begin + sent->entries[0].frame.size();
-  ASSERT_EQ(frame_end, original.size());
-  sender.broadcast(original);
-  const auto views = receiver.drain_views();
-  ASSERT_EQ(views.size(), 1u);
-  ASSERT_EQ(views[0].bytes.size(), original.size());
-  std::size_t diffs = 0;
-  std::size_t diff_pos = 0;
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    if (views[0].bytes[i] != original[i]) {
-      diffs += 1;
-      diff_pos = i;
-    }
+  const ChaosPlan plan{{phase}};
+  const Message sent{.sender = 1, .kind = MsgKind::kInput, .value = Value::real(2.5)};
+  const Frame original = encode(sent);
+  std::optional<Message> expected;
+  std::uint64_t seed = 0;
+  for (std::uint64_t s = 1; !expected.has_value() && s < 1000; ++s) {
+    const FaultDecision verdict = ChaosSchedule(plan, s).peek(LinkEvent{3, 1, 2, 0});
+    Frame flipped = original;
+    flipped[verdict.entropy % flipped.size()] ^=
+        static_cast<std::byte>(1u << ((verdict.entropy >> 8) % 8));
+    expected = decode(flipped);
+    seed = s;
   }
-  EXPECT_EQ(diffs, 1u);
-  // The slab header keys the schedule and the length prefix frames the
-  // entry: the flip must land inside the entry's frame bytes.
-  EXPECT_GE(diff_pos, frame_begin) << "header, tag and length must stay intact";
-  EXPECT_LT(diff_pos, frame_end);
-  const auto received = parse_shard_slab(views[0].bytes);
-  ASSERT_TRUE(received.has_value());
-  EXPECT_EQ(received->round, 3);
-  ASSERT_EQ(received->entries.size(), 1u);
-  EXPECT_EQ(received->entries[0].to, sent->entries[0].to);
+  ASSERT_TRUE(expected.has_value());
+  ASSERT_NE(*expected, sent);
+
+  InMemoryHub hub;
+  auto chaos = std::make_shared<ChaosSchedule>(plan, seed);
+  auto sender = std::make_unique<RecordingProcess>(1);
+  sender->send_in_round(3, Outgoing{std::nullopt, sent});
+  std::vector<std::unique_ptr<Process>> processes;
+  processes.push_back(std::move(sender));
+  processes.push_back(std::make_unique<RecordingProcess>(2));
+  const auto drivers = run_lock_step(hub, std::move(processes), 4, chaos);
+  const auto& received = process_of<RecordingProcess>(*drivers[1]).received;
+  ASSERT_EQ(received.at(4).size(), 1u);
+  EXPECT_EQ(received.at(4)[0], *expected) << "the slab header keyed the verdict of round 3";
+  EXPECT_EQ(chaos->counters().total_faults().corrupts, 1u) << "loopback is never corrupted";
+  EXPECT_EQ(process_of<RecordingProcess>(*drivers[0]).received.at(4)[0], sent);
 }
 
-TEST(ChaosTransportUnit, DelayHoldsFrameForItsVerdictThenReleasesIntact) {
+TEST(RoundDriverChaos, DelayHoldsFrameForItsVerdictThenReleasesIntact) {
   ChaosPhase phase = phase_window(1, 10);
-  phase.delay = DelaySpec{1.0, 1};  // always exactly one extra drain
-  auto chaos = std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, 3);
+  phase.delay = DelaySpec{1.0, 1};  // always exactly one extra round
   InMemoryHub hub;
-  ChaosTransport sender(hub.make_endpoint(), chaos, 1);
-  ChaosTransport receiver(hub.make_endpoint(), chaos, 2);
-  const Frame original = framed(1, 1);
-  sender.broadcast(original);
-  EXPECT_TRUE(receiver.drain_views().empty());
-  EXPECT_EQ(receiver.held_count(), 1u);
-  const auto views = receiver.drain_views();
-  ASSERT_EQ(views.size(), 1u);
-  EXPECT_TRUE(std::equal(views[0].bytes.begin(), views[0].bytes.end(), original.begin(),
-                         original.end()));
-  EXPECT_EQ(receiver.held_count(), 0u);
+  auto chaos = std::make_shared<ChaosSchedule>(ChaosPlan{{phase}}, 3);
+  auto sender = std::make_unique<RecordingProcess>(1);
+  sender->send_in_round(1, Outgoing{std::nullopt, valued(4)});
+  std::vector<std::unique_ptr<Process>> processes;
+  processes.push_back(std::move(sender));
+  processes.push_back(std::make_unique<RecordingProcess>(2));
+  const auto drivers = run_lock_step(hub, std::move(processes), 3, chaos);
+  auto& received = process_of<RecordingProcess>(*drivers[1]).received;
+  EXPECT_TRUE(received[2].empty()) << "held past its on-time round";
+  ASSERT_EQ(received[3].size(), 1u) << "delivered one round late";
+  const Message delayed{.sender = 1, .kind = MsgKind::kPresent, .value = Value::real(4)};
+  EXPECT_EQ(received[3][0], delayed);
+  EXPECT_EQ(drivers[1]->frames_late(), 0u) << "a delay verdict is not a late frame";
+  EXPECT_EQ(chaos->counters().total_faults().delays, 1u);
 }
 
 // ------------------------------------------ sync engine: per-link faults --
-
-/// Sends what the test scripts for each global round; records every inbox.
-class RecordingProcess final : public Process {
- public:
-  using Process::Process;
-  void send_in_round(Round round, Outgoing out) { script_[round].push_back(std::move(out)); }
-  void on_round(RoundInfo round, std::span<const Message> inbox,
-                std::vector<Outgoing>& out) override {
-    received[round.global].assign(inbox.begin(), inbox.end());
-    if (const auto it = script_.find(round.global); it != script_.end()) {
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-  }
-
-  std::map<Round, std::vector<Message>> received;
-
- private:
-  std::map<Round, std::vector<Outgoing>> script_;
-};
-
-Message valued(double v) { return Message{.kind = MsgKind::kPresent, .value = Value::real(v)}; }
 
 TEST(ChaosSyncLinks, DuplicateWithDelayDeliversOneOnTimeAndOneLateCopy) {
   ChaosPhase phase = phase_window(1, 1);

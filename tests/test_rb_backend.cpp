@@ -26,7 +26,6 @@
 #include "harness/script.hpp"
 #include "net/codec.hpp"
 #include "net/sync_simulator.hpp"
-#include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
 #include "wire_frames.hpp"
 
@@ -325,16 +324,12 @@ TEST(RbKeyword, ImbsScriptRunsEndToEnd) {
 
 // ------------------------------------------- backend determinism contract --
 
-/// Chaos plan for the determinism tests: drops and delays only. Corrupt and
-/// duplicate verdicts are TRACE-consistent across the engines but not
-/// DELIVERY-consistent — corruption flips a real byte in the runtime yet is
-/// trace-only in the simulator, and a duplicate's extra copy is delivered
-/// immediately in sync (where mailbox dedup kills it) but materialised in
-/// the runtime, which under a combined delay verdict changes the round a
-/// copy lands in. Chatter traffic ignores deliveries,
-/// so the test_trace golden covers those verdict kinds; RB traffic FEEDS
-/// BACK on what was delivered, so here the plan sticks to the two fault
-/// kinds whose delivery semantics are engine-identical.
+/// Chaos plan for the determinism tests: drops and delays only. RB traffic
+/// FEEDS BACK on what was delivered, so the plan sticks to fault kinds whose
+/// delivery is engine-identical. A corrupt verdict is trace-consistent only:
+/// it flips a real bit in the runtime and is trace-only in the sync engine
+/// (test_chaos's DriverInboxesEqualSyncInboxesUnderDropDuplicateAndDelay
+/// covers duplicates too).
 struct RbGolden {
   ChaosPlan plan;
   std::uint64_t seed = 99;
@@ -369,46 +364,21 @@ std::shared_ptr<TraceRecorder> run_rb_sync(const RbGolden& g, RbBackendKind back
   return recorder;
 }
 
-/// Manual lock-step over the runtime transports, driving the real slab wire
-/// path: each node's round traffic is coalesced into ONE slab datagram
-/// (net/codec.hpp), the ChaosTransport judges each entry of it in place and
-/// emits the survivors as one-entry slabs, and the drained slabs become the
-/// next round's inbox. Delayed slabs carry a stale round header by design —
-/// they are delivered on release, just like the sync engine's delayed
-/// deposits.
+/// The same run through RoundDriver::run_round in lock-step over the
+/// in-memory wire: each node's round traffic is coalesced into ONE slab
+/// datagram (net/codec.hpp), and each receiving driver judges every entry
+/// of it by the slab's round header and delivers a delayed one k rounds
+/// late, as the sync engine does.
 std::string run_rb_runtime(const RbGolden& g, RbBackendKind backend) {
   auto chaos = std::make_shared<ChaosSchedule>(g.plan, g.seed);
   auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kRuntime);
   InMemoryHub hub;
-  std::vector<std::unique_ptr<ChaosTransport>> transports;
-  std::vector<std::unique_ptr<ReliableBroadcastProcess>> procs;
+  std::vector<std::unique_ptr<Process>> procs;
   for (NodeId id : g.ids) {
-    transports.push_back(std::make_unique<ChaosTransport>(hub.make_endpoint(), chaos, id));
-    transports.back()->set_trace_recorder(recorder);
     procs.push_back(std::make_unique<ReliableBroadcastProcess>(
         id, g.source, id == g.source ? Value::real(g.payload) : Value::bot(), backend));
   }
-  std::vector<std::vector<Message>> inboxes(g.ids.size());
-  ShardSlabWriter slab;
-  for (Round r = 1; r <= g.rounds; ++r) {
-    for (std::size_t i = 0; i < procs.size(); ++i) {
-      std::vector<Message> inbox = std::move(inboxes[i]);
-      inboxes[i].clear();
-      std::vector<Outgoing> out;
-      procs[i]->on_round(RoundInfo{r, r}, inbox, out);
-      slab.reset(0, r);
-      for (Outgoing& o : out) {
-        o.msg.sender = g.ids[i];
-        slab.add(std::nullopt, o.msg);
-      }
-      if (!slab.empty()) transports[i]->broadcast(slab.bytes());
-    }
-    for (std::size_t i = 0; i < transports.size(); ++i) {
-      for (const FrameView& view : transports[i]->drain_views()) {
-        for (const Message& msg : decode_slab(view.bytes)) inboxes[i].push_back(msg);
-      }
-    }
-  }
+  run_lock_step(hub, std::move(procs), g.rounds, chaos, recorder);
   return recorder->canonical_jsonl();
 }
 

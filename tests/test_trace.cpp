@@ -1,6 +1,6 @@
 // Flight recorder: ring-buffer semantics, exporters, the cross-engine
 // golden-trace contract (one seed ⇒ byte-identical canonical JSONL on the
-// sync simulator and the runtime transports), the
+// sync simulator and the runtime's RoundDriver), the
 // trace_diff divergence report, and the Prometheus metrics exposition.
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "common/trace.hpp"
 #include "harness/script.hpp"
 #include "net/sync_simulator.hpp"
-#include "runtime/chaos_transport.hpp"
 #include "runtime/inmemory_transport.hpp"
 #include "runtime/round_driver.hpp"
 #include "wire_frames.hpp"
@@ -203,17 +202,9 @@ std::string run_runtime_traced(const GoldenSetup& setup) {
   auto chaos = std::make_shared<ChaosSchedule>(setup.plan, setup.seed);
   auto recorder = std::make_shared<TraceRecorder>(TraceEngine::kRuntime);
   InMemoryHub hub;
-  std::vector<std::unique_ptr<ChaosTransport>> transports;
-  for (NodeId id : setup.ids) {
-    transports.push_back(std::make_unique<ChaosTransport>(hub.make_endpoint(), chaos, id));
-    transports.back()->set_trace_recorder(recorder);
-  }
-  for (Round r = 1; r <= setup.rounds; ++r) {
-    for (std::size_t i = 0; i < setup.ids.size(); ++i) {
-      transports[i]->broadcast(framed(r, setup.ids[i]));
-    }
-    for (auto& transport : transports) (void)transport->drain_views();
-  }
+  std::vector<std::unique_ptr<Process>> chatter;
+  for (NodeId id : setup.ids) chatter.push_back(std::make_unique<ChatterProcess>(id));
+  run_lock_step(hub, std::move(chatter), setup.rounds, chaos, recorder);
   return recorder->canonical_jsonl();
 }
 
